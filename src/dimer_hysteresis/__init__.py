@@ -17,11 +17,11 @@ from .errors import (ConfigError, DomainError, GridCoverageError,
                      ThresholdProximityError)
 from .hysteresis import (AREA_THRESHOLD, Z_GAP_THRESHOLD, HysteresisReport,
                          predict_window, run_sweep)
-from .model import (RHS_MODES, SCHEDULE_KINDS, EtaSchedule, ModelParams,
-                    PhaseState, PhysicalContext, Sample, Trajectory,
-                    amplitudes_from_state, effective_eta, energy_functional,
-                    eval_schedule, grad_hamiltonian, hamiltonian,
-                    power_difference, wrap_angle)
+from .model import (RHS_MODES, SCHEDULE_KINDS, EtaSchedule, IntegrationStats,
+                    ModelParams, PhaseState, PhysicalContext, Sample,
+                    Trajectory, amplitudes_from_state, effective_eta,
+                    energy_functional, eval_schedule, grad_hamiltonian,
+                    hamiltonian, power_difference, wrap_angle)
 from .serialize import (diagram_to_csv, diagram_to_json, report_to_json,
                         threshold_to_json, trajectory_from_csv,
                         trajectory_to_csv)
@@ -31,8 +31,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AREA_THRESHOLD", "BifurcationDiagram", "Branch", "ConfigError",
     "DomainError", "EtaSchedule", "FixedPoint", "GridCoverageError",
-    "HysteresisReport", "IntegratorConfig", "METHODS", "ModelParams",
-    "NoConvergenceError", "PhaseState", "PhysicalContext", "R_THRESHOLD",
+    "HysteresisReport", "IntegrationStats", "IntegratorConfig", "METHODS",
+    "ModelParams", "NoConvergenceError", "PhaseState", "PhysicalContext", "R_THRESHOLD",
     "RHS_MODES", "SCHEDULE_KINDS", "Sample", "SingularityError",
     "StepFailureError", "ThresholdProximityError", "Trajectory",
     "Z_GAP_THRESHOLD", "amplitudes_from_state",

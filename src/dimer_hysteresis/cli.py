@@ -75,7 +75,8 @@ def _add_sim_flags(sub):
     sub.add_argument("--eta-start", type=float)
     sub.add_argument("--eta-peak", type=float)
     sub.add_argument("--rhs-mode", choices=RHS_MODES)
-    sub.add_argument("--method", choices=METHODS)
+    sub.add_argument("--method", choices=METHODS,
+                     help="rk45_adaptive (DOP853, the default) or rk4_fixed")
     sub.add_argument("--dt", type=float, help="fixed or initial step")
     sub.add_argument("--abs-tol", type=float)
     sub.add_argument("--rel-tol", type=float)

@@ -11,10 +11,26 @@ sign turns every stable center into a repeller and drives |z| -> 1;
 rhs_mode="as_printed" keeps a legacy variant of that form around for
 comparison runs.)
 
-Two steppers are provided: an embedded Fehlberg 4(5) pair with
-error-per-unit-step control (default; the per-unit control is what keeps
-the H drift below 1e-8 over tau spans of 10^3), and a fixed-step
-classical RK4 for reproducibility studies.
+Both steppers run through one stage loop over a coefficient table (see
+tableau.py):
+
+- "rk45_adaptive" (the default; the name is kept for existing configs)
+  is the Dormand-Prince 8(5,3) pair DOP853. Its combined 5th/3rd-order
+  error estimate is controlled per unit tau in the max norm over
+  (z, theta) by a PI controller; the per-unit control is what keeps the
+  H drift below 1e-8 over tau spans of 10^3. No step spans more than
+  one unit of tau: with longer steps the absolute tolerance dominates
+  near z = 0, the state stops decaying there and the delayed jump of a
+  slow ramp comes early. Steps ignore the sample grid; samples inside a
+  step come from DOP853's 7th-order interpolant, which costs three
+  extra right-hand-side evaluations on steps that hold a sample.
+- "rk4_fixed" is classical RK4 with step dt, shortened where needed to
+  land on every sample point, for reproducibility studies.
+
+A step whose stage leaves |z| <= 1 - EPS_CLAMP is halved; at min_step
+the state is clamped and the clamp counted. A non-finite error estimate
+rejects the step like any other, so a NaN ends in StepFailureError once
+the step underflows min_step.
 """
 
 from __future__ import annotations
@@ -26,6 +42,7 @@ from .errors import DomainError, SingularityError, StepFailureError
 from .model import (
     EPS_CLAMP,
     EtaSchedule,
+    IntegrationStats,
     ModelParams,
     PhaseState,
     PhysicalContext,
@@ -35,18 +52,35 @@ from .model import (
     eval_schedule,
     hamiltonian,
 )
+from .tableau import (DOP853_B, DOP853_D, DOP853_DENSE_STAGES, DOP853_E3,
+                      DOP853_E5, DOP853_STAGES, RK4_B, RK4_STAGES)
 
 METHODS = ("rk45_adaptive", "rk4_fixed")
+
+# adaptive step control
+_MAX_STEP = 1.0     # no step spans more than one unit of tau
+_SAFETY = 0.9
+_FAC_MIN, _FAC_MAX = 0.2, 6.0
+# PI controller weights 0.7/k and 0.4/k (Hairer & Wanner, Solving ODEs
+# II, section IV.2), with k = 7 the order of the error per unit tau
+_EXPO = 0.7 / 7.0
+_BETA = 0.4 / 7.0
 
 
 @dataclass(frozen=True)
 class IntegratorConfig:
     """Stepper selection and control knobs.
 
-    dt is the fixed step for rk4_fixed and the initial step for
-    rk45_adaptive. sample_stride is the number of output samples per
-    unit tau. clamp_limit bounds how many boundary clamps are tolerated
-    before the run is declared singular.
+    method "rk45_adaptive" names the adaptive DOP853 stepper (the name
+    predates it and is kept so existing configs keep working);
+    "rk4_fixed" is classical RK4. dt is the fixed step for rk4_fixed and
+    the initial step for rk45_adaptive, whose steps are then chosen by
+    error control and never exceed one unit of tau. abs_tol and rel_tol
+    bound the error per unit tau. sample_stride is the number of output
+    samples per unit tau; rk45_adaptive interpolates them, rk4_fixed
+    steps onto them. clamp_limit bounds how many boundary clamps are
+    tolerated before the run is declared singular. min_step is the
+    smallest step tried before a boundary clamp or a StepFailureError.
     """
 
     method: str = "rk45_adaptive"
@@ -60,14 +94,13 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise DomainError(f"method must be one of {METHODS}, got {self.method!r}")
-        if not self.dt > 0:
-            raise DomainError(f"dt must be > 0, got {self.dt}")
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise DomainError("tolerances must be > 0")
+        for name in ("dt", "abs_tol", "rel_tol", "min_step"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise DomainError(
+                    f"{name} must be finite and > 0, got {value}")
         if self.sample_stride < 1:
             raise DomainError(f"sample_stride must be >= 1, got {self.sample_stride}")
-        if not self.min_step > 0:
-            raise DomainError(f"min_step must be > 0, got {self.min_step}")
 
 
 def make_field(params: ModelParams):
@@ -104,19 +137,77 @@ def vector_field(state: PhaseState, eta: float, params: ModelParams) -> tuple:
     return make_field(params)(state.z, state.theta, eta)
 
 
-# Fehlberg 4(5) tableau. The 5th-order solution is propagated; the
-# e-coefficients give the embedded 4th/5th difference directly.
-_C2, _C3, _C4, _C6 = 0.25, 0.375, 12.0 / 13.0, 0.5
-_A21 = 0.25
-_A31, _A32 = 3.0 / 32.0, 9.0 / 32.0
-_A41, _A42, _A43 = 1932.0 / 2197.0, -7200.0 / 2197.0, 7296.0 / 2197.0
-_A51, _A52, _A53, _A54 = 439.0 / 216.0, -8.0, 3680.0 / 513.0, -845.0 / 4104.0
-_A61, _A62, _A63, _A64, _A65 = (-8.0 / 27.0, 2.0, -3544.0 / 2565.0,
-                                1859.0 / 4104.0, -11.0 / 40.0)
-_B1, _B3, _B4, _B5, _B6 = (16.0 / 135.0, 6656.0 / 12825.0, 28561.0 / 56430.0,
-                           -9.0 / 50.0, 2.0 / 55.0)
-_E1, _E3, _E4, _E5, _E6 = (1.0 / 360.0, -128.0 / 4275.0, -2197.0 / 75240.0,
-                           1.0 / 50.0, 2.0 / 55.0)
+def _sparse(row):
+    """(index, weight) pairs of a row's nonzero weights."""
+    return tuple((j, x) for j, x in enumerate(row) if x)
+
+
+def _sparse_stages(stages):
+    return tuple((c, _sparse(a)) for c, a in stages)
+
+
+# the tables with their zero weights dropped: the stepper's hot loops
+# then skip them instead of multiplying by zero
+_DOP853_STAGES = _sparse_stages(DOP853_STAGES)
+_DOP853_B = _sparse(DOP853_B)
+_DOP853_E5 = _sparse(DOP853_E5)
+_DOP853_E3 = _sparse(DOP853_E3)
+_DOP853_DENSE_STAGES = _sparse_stages(DOP853_DENSE_STAGES)
+_DOP853_D = tuple(_sparse(d) for d in DOP853_D)
+_RK4_STAGES = _sparse_stages(RK4_STAGES)
+_RK4_B = _sparse(RK4_B)
+
+
+def _combine(row, kz, kt):
+    """Weighted sums of the stage derivatives kz and kt."""
+    sz = st = 0.0
+    for j, x in row:
+        sz += x * kz[j]
+        st += x * kt[j]
+    return sz, st
+
+
+def _stages(field, eta_at, table, t, h, z, theta, kz, kt, zmax):
+    """Append the derivatives of the table's stages to kz and kt.
+
+    Returns False, leaving the remaining stages out, as soon as a stage
+    point leaves |z| <= zmax.
+    """
+    for c, row in table:
+        sz, st = _combine(row, kz, kt)
+        zi = z + h * sz
+        if abs(zi) > zmax:
+            return False
+        dz, dtheta = field(zi, theta + h * st, eta_at(t + c * h))
+        kz.append(dz)
+        kt.append(dtheta)
+    return True
+
+
+def _dense(field, eta_at, t, h, z, theta, zn, tn, kz, kt, zmax):
+    """Coefficients of DOP853's 7th-order interpolant over [t, t + h].
+
+    kz, kt hold the 12 stage derivatives plus the one at the step's end;
+    the three extra stages are appended to them.
+    """
+    if not _stages(field, eta_at, _DOP853_DENSE_STAGES, t, h, z, theta,
+                   kz, kt, zmax):
+        raise SingularityError(
+            f"interpolation stage left |z| <= {zmax} at tau={t}")
+    dz, dt = zn - z, tn - theta
+    rows = [_combine(d, kz, kt) for d in _DOP853_D]
+    return ((z, dz, h * kz[0] - dz, 2.0 * dz - h * (kz[12] + kz[0]),
+             *(h * r[0] for r in rows)),
+            (theta, dt, h * kt[0] - dt, 2.0 * dt - h * (kt[12] + kt[0]),
+             *(h * r[1] for r in rows)))
+
+
+def _interpolate(c, x):
+    """Value at fraction x of the step from _dense's coefficients."""
+    y0, f0, f1, f2, f3, f4, f5, f6 = c
+    y = 1.0 - x
+    return y0 + x * (f0 + y * (f1 + x * (f2 + y * (f3 + x * (f4 + y * (
+        f5 + x * f6))))))
 
 
 def integrate(initial: PhaseState, params: ModelParams, schedule: EtaSchedule,
@@ -124,10 +215,11 @@ def integrate(initial: PhaseState, params: ModelParams, schedule: EtaSchedule,
               ctx: PhysicalContext = PhysicalContext()) -> Trajectory:
     """Integrate from tau_span[0] to tau_span[1], sampling on a uniform grid.
 
-    Samples are emitted at tau_span[0], every 1/sample_stride thereafter,
-    and at the final time. Each sample records eta(tau), H and
+    Sample k is emitted at tau_span[0] + k / sample_stride, and the last
+    one at tau_span[1]. Each sample records eta(tau), H and
     E = energy_functional(H, ctx); ctx defaults to omega=1, Omega=0 so the
-    E column is -H/2 unless a physical context is supplied.
+    E column is -H/2 unless a physical context is supplied. The returned
+    trajectory's stats count the work done.
 
     Deterministic: identical inputs give bit-identical trajectories.
     """
@@ -142,8 +234,8 @@ def integrate(initial: PhaseState, params: ModelParams, schedule: EtaSchedule,
     if abs(initial.z) > zmax:
         raise SingularityError(f"initial z={initial.z} within EPS_CLAMP of |z|=1")
 
-    # stage times hit eta(t) six times per step; specialize the two
-    # closed-form schedule kinds instead of going through eval_schedule
+    # every stage evaluates eta(t); specialize the two closed-form
+    # schedule kinds instead of going through eval_schedule
     if schedule.kind == "constant":
         e0 = schedule.eta_start
 
@@ -161,124 +253,119 @@ def integrate(initial: PhaseState, params: ModelParams, schedule: EtaSchedule,
         def eta_at(t):
             return eval_schedule(schedule, t)
 
-    stride = config.sample_stride
-    sample_dt = 1.0 / stride
-
-    def emit(samples, t, z, theta):
+    def emit(t, z, theta):
         eta = eval_schedule(schedule, t)
         H = hamiltonian(PhaseState(z=min(max(z, -1.0), 1.0), theta=theta), eta, params.r)
         samples.append(Sample(t, z, theta, eta, H, energy_functional(H, ctx)))
 
+    # sample k sits at t0 + k / stride, computed from k so the grid
+    # cannot drift; the last one, sample n, is placed on t1
+    stride = config.sample_stride
+    span = (t1 - t0) * stride
+    n = math.ceil(span - 1e-9 * max(1.0, span))
+
+    def sample_time(k):
+        if k < n:
+            return t0 + k / stride
+        return t1 if k == n else math.inf
+
+    adaptive = config.method == "rk45_adaptive"
+    if adaptive:
+        table, b = _DOP853_STAGES, _DOP853_B
+    else:
+        table, b = _RK4_STAGES, _RK4_B
+    atol, rtol, min_step = config.abs_tol, config.rel_tol, config.min_step
     samples = []
-    z, theta = initial.z, initial.theta
-    emit(samples, t0, z, theta)
-    clamp_events = 0
+    z, theta, t = initial.z, initial.theta, t0
+    emit(t, z, theta)
+    k = 1
+    ts = sample_time(k)
+    fz, ft = field(z, theta, eta_at(t))
+    rhs_evals, accepted, rejected, halvings, clamp_events = 1, 0, 0, 0, 0
+    h = min(config.dt, _MAX_STEP) if adaptive else config.dt
+    err_old = 1.0
 
-    if config.method == "rk4_fixed":
-        t = t0
-        t_next = min(t0 + sample_dt, t1)
-        while t < t1 - 1e-12:
-            h = min(config.dt, t_next - t)
-            k1z, k1t = field(z, theta, eta_at(t))
-            k2z, k2t = field(z + 0.5 * h * k1z, theta + 0.5 * h * k1t,
-                             eta_at(t + 0.5 * h))
-            k3z, k3t = field(z + 0.5 * h * k2z, theta + 0.5 * h * k2t,
-                             eta_at(t + 0.5 * h))
-            k4z, k4t = field(z + h * k3z, theta + h * k3t,
-                             eta_at(t + h))
-            z += h / 6.0 * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
-            theta += h / 6.0 * (k1t + 2.0 * k2t + 2.0 * k3t + k4t)
-            if abs(z) > zmax:
-                z = math.copysign(zmax, z)
-                clamp_events += 1
-                if clamp_events > config.clamp_limit:
-                    raise SingularityError(
-                        f"clamped at |z|=1 more than {config.clamp_limit} times")
-            t += h
-            if t >= t_next - 1e-12:
-                emit(samples, t, z, theta)
-                t_next = min(t_next + sample_dt, t1)
-        return Trajectory(tuple(samples), params, schedule, clamp_events)
-
-    # rk45_adaptive with error-per-unit-step acceptance
-    t = t0
-    h = min(config.dt, sample_dt)
-    t_next = min(t0 + sample_dt, t1)
-    while t < t1 - 1e-12:
-        if h > t_next - t:
-            h = t_next - t
-        boundary = False
-        k1z, k1t = field(z, theta, eta_at(t))
-        za = z + h * _A21 * k1z
-        ta = theta + h * _A21 * k1t
-        if abs(za) > zmax:
-            boundary = True
-        if not boundary:
-            k2z, k2t = field(za, ta, eta_at(t + _C2 * h))
-            za = z + h * (_A31 * k1z + _A32 * k2z)
-            ta = theta + h * (_A31 * k1t + _A32 * k2t)
-            if abs(za) > zmax:
-                boundary = True
-        if not boundary:
-            k3z, k3t = field(za, ta, eta_at(t + _C3 * h))
-            za = z + h * (_A41 * k1z + _A42 * k2z + _A43 * k3z)
-            ta = theta + h * (_A41 * k1t + _A42 * k2t + _A43 * k3t)
-            if abs(za) > zmax:
-                boundary = True
-        if not boundary:
-            k4z, k4t = field(za, ta, eta_at(t + _C4 * h))
-            za = z + h * (_A51 * k1z + _A52 * k2z + _A53 * k3z + _A54 * k4z)
-            ta = theta + h * (_A51 * k1t + _A52 * k2t + _A53 * k3t + _A54 * k4t)
-            if abs(za) > zmax:
-                boundary = True
-        if not boundary:
-            k5z, k5t = field(za, ta, eta_at(t + h))
-            za = z + h * (_A61 * k1z + _A62 * k2z + _A63 * k3z + _A64 * k4z
-                          + _A65 * k5z)
-            ta = theta + h * (_A61 * k1t + _A62 * k2t + _A63 * k3t + _A64 * k4t
-                              + _A65 * k5t)
-            if abs(za) > zmax:
-                boundary = True
-        if not boundary:
-            k6z, k6t = field(za, ta, eta_at(t + _C6 * h))
-            z5 = z + h * (_B1 * k1z + _B3 * k3z + _B4 * k4z + _B5 * k5z
-                          + _B6 * k6z)
-            t5 = theta + h * (_B1 * k1t + _B3 * k3t + _B4 * k4t + _B5 * k5t
-                              + _B6 * k6t)
-            if abs(z5) > zmax:
-                boundary = True
-
-        if boundary:
-            if h > config.min_step:
+    while t < t1:
+        if adaptive:
+            t_new = t + h
+            if t_new >= t1:
+                t_new, h = t1, t1 - t
+        else:
+            # fixed steps land on every sample point
+            t_new = t + h
+            if t_new + 1e-9 * h >= ts:
+                h, t_new = ts - t, ts
+        kz, kt = [fz], [ft]
+        inside = _stages(field, eta_at, table, t, h, z, theta, kz, kt, zmax)
+        rhs_evals += len(kz) - 1
+        if inside:
+            sz, st = _combine(b, kz, kt)
+            zn = z + h * sz
+            inside = not abs(zn) > zmax
+        if not inside:
+            if h > min_step:
                 h *= 0.5
+                halvings += 1
                 continue
             # boundary unavoidable at the smallest step: clamp and count
-            z = math.copysign(zmax, z)
             clamp_events += 1
             if clamp_events > config.clamp_limit:
                 raise SingularityError(
                     f"clamped at |z|=1 more than {config.clamp_limit} times")
-            t += h
-            if t >= t_next - 1e-12:
-                emit(samples, t, z, theta)
-                t_next = min(t_next + sample_dt, t1)
+            z, t = math.copysign(zmax, z), min(t + h, t1)
+            fz, ft = field(z, theta, eta_at(t))
+            rhs_evals += 1
+            while ts <= t:
+                emit(ts, z, theta)
+                k += 1
+                ts = sample_time(k)
             continue
+        tn = theta + h * st
 
-        ez = h * (_E1 * k1z + _E3 * k3z + _E4 * k4z + _E5 * k5z + _E6 * k6z)
-        et = h * (_E1 * k1t + _E3 * k3t + _E4 * k4t + _E5 * k5t + _E6 * k6t)
-        # error per unit tau against the mixed tolerance
-        budget_z = h * (config.abs_tol + config.rel_tol * abs(z5))
-        budget_t = h * (config.abs_tol + config.rel_tol * abs(t5))
-        err = max(abs(ez) / budget_z, abs(et) / budget_t)
-        if err <= 1.0:
-            t += h
-            z, theta = z5, t5
-            if t >= t_next - 1e-12:
-                emit(samples, t, z, theta)
-                t_next = min(t_next + sample_dt, t1)
-        fac = 0.9 * (err + 1e-300) ** -0.2
-        h *= min(5.0, max(0.2, fac))
-        if err > 1.0 and h < config.min_step:
-            raise StepFailureError(
-                f"step size underflowed {config.min_step} at tau={t}")
-    return Trajectory(tuple(samples), params, schedule, clamp_events)
+        if adaptive:
+            # 5th- and 3rd-order estimates combined as in DOP853, as an
+            # error per unit tau in the max norm over (z, theta)
+            scale_z = atol + rtol * abs(zn)
+            scale_t = atol + rtol * abs(tn)
+            ez, et = _combine(_DOP853_E5, kz, kt)
+            e5 = max(abs(ez) / scale_z, abs(et) / scale_t)
+            ez, et = _combine(_DOP853_E3, kz, kt)
+            e3 = max(abs(ez) / scale_z, abs(et) / scale_t)
+            err = e5 * e5 / math.sqrt(e5 * e5 + 0.01 * e3 * e3) if e5 else 0.0
+            if not err <= 1.0:
+                # a non-finite estimate is a rejection like any other
+                rejected += 1
+                fac = _SAFETY * err ** -_EXPO if math.isfinite(err) else 0.0
+                h *= max(_FAC_MIN, fac)
+                if h < min_step:
+                    raise StepFailureError(
+                        f"step size underflowed {min_step} at tau={t}")
+                continue
+            # PI control of the next step
+            fac = _SAFETY * (err + 1e-300) ** -_EXPO * err_old ** _BETA
+            err_old = max(err, 1e-4)
+            h_next = min(h * min(_FAC_MAX, max(_FAC_MIN, fac)), _MAX_STEP)
+
+        accepted += 1
+        fz, ft = field(zn, tn, eta_at(t_new))
+        rhs_evals += 1
+        dense = None
+        while ts <= t_new:
+            if ts == t_new:
+                emit(ts, zn, tn)
+            else:
+                if dense is None:
+                    kz.append(fz)
+                    kt.append(ft)
+                    dense = _dense(field, eta_at, t, h, z, theta, zn, tn,
+                                   kz, kt, zmax)
+                    rhs_evals += 3
+                x = (ts - t) / h
+                emit(ts, _interpolate(dense[0], x), _interpolate(dense[1], x))
+            k += 1
+            ts = sample_time(k)
+        z, theta, t = zn, tn, t_new
+        h = h_next if adaptive else config.dt
+
+    stats = IntegrationStats(rhs_evals, accepted, rejected, halvings)
+    return Trajectory(tuple(samples), params, schedule, clamp_events, stats)

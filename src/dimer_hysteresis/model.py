@@ -40,10 +40,12 @@ class ModelParams:
     rhs_mode: str = "hamiltonian"
 
     def __post_init__(self):
-        if not self.r > 0:
-            raise DomainError(f"nonlinearity power r must be > 0, got {self.r}")
-        if self.nu < 0:
-            raise DomainError(f"damping nu must be >= 0, got {self.nu}")
+        if not (math.isfinite(self.r) and self.r > 0):
+            raise DomainError(
+                f"nonlinearity power r must be finite and > 0, got {self.r}")
+        if not (math.isfinite(self.nu) and self.nu >= 0):
+            raise DomainError(
+                f"damping nu must be finite and >= 0, got {self.nu}")
         if self.rhs_mode not in RHS_MODES:
             raise DomainError(
                 f"rhs_mode must be one of {RHS_MODES}, got {self.rhs_mode!r}")
@@ -106,13 +108,21 @@ class EtaSchedule:
         if self.kind not in SCHEDULE_KINDS:
             raise DomainError(
                 f"schedule kind must be one of {SCHEDULE_KINDS}, got {self.kind!r}")
-        if not self.T > 0:
-            raise DomainError(f"schedule duration T must be > 0, got {self.T}")
+        if not (math.isfinite(self.T) and self.T > 0):
+            raise DomainError(
+                f"schedule duration T must be finite and > 0, got {self.T}")
+        if not math.isfinite(self.eta_start):
+            raise DomainError(
+                f"eta_start must be finite, got {self.eta_start}")
+        if self.eta_peak is not None and not math.isfinite(self.eta_peak):
+            raise DomainError(f"eta_peak must be finite, got {self.eta_peak}")
         if self.kind == "triangular" and self.eta_peak is None:
             raise DomainError("triangular schedule requires eta_peak")
         if self.kind == "piecewise_linear":
             if not self.knots or len(self.knots) < 2:
                 raise DomainError("piecewise_linear schedule requires >= 2 knots")
+            if not all(math.isfinite(v) for knot in self.knots for v in knot):
+                raise DomainError("piecewise_linear knots must be finite")
             taus = [k[0] for k in self.knots]
             if any(b <= a for a, b in zip(taus, taus[1:])):
                 raise DomainError("piecewise_linear knots must be strictly "
@@ -131,17 +141,36 @@ class Sample(NamedTuple):
 
 
 @dataclass(frozen=True)
+class IntegrationStats:
+    """Work done by one integration.
+
+    rhs_evals counts right-hand-side evaluations, including those spent
+    on rejected steps and on interpolating samples. accepted and
+    rejected count step attempts judged by the error control (every
+    step of a fixed-step run is accepted). boundary_halvings counts the
+    step halvings forced by a stage leaving |z| <= 1 - EPS_CLAMP.
+    """
+
+    rhs_evals: int = 0
+    accepted: int = 0
+    rejected: int = 0
+    boundary_halvings: int = 0
+
+
+@dataclass(frozen=True)
 class Trajectory:
     """Ordered samples of one integration, plus the inputs that produced it.
 
     clamp_events counts the times the integrator had to clamp z at the
-    configured boundary margin; zero on a healthy run.
+    configured boundary margin; zero on a healthy run. stats records the
+    integrator's work; all zeros for a trajectory read back from CSV.
     """
 
     samples: tuple
     params: ModelParams
     schedule: EtaSchedule
     clamp_events: int = 0
+    stats: IntegrationStats = IntegrationStats()
 
     def __post_init__(self):
         taus = [s.tau for s in self.samples]

@@ -4,11 +4,13 @@ import math
 
 import pytest
 
-from dimer_hysteresis import (DomainError, EtaSchedule, IntegratorConfig,
-                              ModelParams, PhaseState, SingularityError,
-                              grad_hamiltonian, integrate, vector_field)
+from dimer_hysteresis import (METHODS, DomainError, EtaSchedule,
+                              IntegratorConfig, ModelParams, PhaseState,
+                              SingularityError, StepFailureError, dynamics,
+                              eval_schedule, grad_hamiltonian, integrate,
+                              tableau, vector_field)
 
-PROTOCOL = IntegratorConfig()  # rk45, 1e-9 tolerances
+PROTOCOL = IntegratorConfig()  # DOP853, 1e-9 tolerances
 
 
 def triangular(start, peak, T=4000.0):
@@ -115,6 +117,37 @@ class TestStepControl:
         spacings = [b - a for a, b in zip(taus, taus[1:])]
         assert all(s == pytest.approx(0.25, abs=1e-9) for s in spacings)
 
+    def test_sample_grid_is_exact_over_long_runs(self):
+        # sample k sits at k / stride, so the clock cannot drift into an
+        # extra sample just before T; the fixed point keeps the run cheap
+        sched = EtaSchedule(kind="constant", eta_start=-1.0, T=4000.0)
+        traj = integrate(PhaseState(z=0.0, theta=0.0), ModelParams(r=1.0),
+                         sched, IntegratorConfig(sample_stride=10),
+                         (0.0, 4000.0))
+        taus = [s.tau for s in traj.samples]
+        assert len(taus) == 40001
+        assert taus[0] == 0.0 and taus[-1] == 4000.0
+        assert all(abs(b - a - 0.1) <= 1e-12 for a, b in zip(taus, taus[1:]))
+
+    def test_partial_last_interval_ends_at_span_end(self):
+        sched = EtaSchedule(kind="constant", eta_start=-1.0, T=5.0)
+        for method in METHODS:
+            traj = integrate(PhaseState(z=0.1, theta=0.0), ModelParams(r=1.0),
+                             sched, IntegratorConfig(method=method,
+                                                     sample_stride=2),
+                             (0.0, 4.7))
+            taus = [s.tau for s in traj.samples]
+            assert taus == [k / 2 for k in range(10)] + [4.7], method
+
+    def test_rk4_lands_on_samples_with_inexact_step(self):
+        sched = EtaSchedule(kind="constant", eta_start=-1.0, T=3.0)
+        traj = integrate(PhaseState(z=0.1, theta=0.0), ModelParams(r=1.0),
+                         sched, IntegratorConfig(method="rk4_fixed", dt=0.03,
+                                                 sample_stride=10),
+                         (0.0, 3.0))
+        assert [s.tau for s in traj.samples] == [
+            k / 10 for k in range(30)] + [3.0]
+
     def test_rejects_span_outside_schedule(self):
         sched = EtaSchedule(kind="constant", eta_start=-1.0, T=5.0)
         with pytest.raises(DomainError):
@@ -152,3 +185,140 @@ class TestProtocolRuns:
                        if s.tau > 2000.0 and 4.42 < abs(s.eta) < 6.38]
         assert back_window, "back sweep never crossed the window"
         assert all(abs(s.z) > 0.5 for s in back_window)
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("name", ["dt", "abs_tol", "rel_tol",
+                                      "min_step"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+    def test_step_and_tolerances_must_be_finite_and_positive(self, name,
+                                                             value):
+        with pytest.raises(DomainError):
+            IntegratorConfig(**{name: value})
+
+
+class TestTermination:
+    def test_nan_field_raises_step_failure(self, monkeypatch):
+        def nan_field(params):
+            def field(z, theta, eta):
+                return math.nan, math.nan
+            return field
+
+        monkeypatch.setattr(dynamics, "make_field", nan_field)
+        sched = EtaSchedule(kind="constant", eta_start=-1.0, T=10.0)
+        with pytest.raises(StepFailureError):
+            integrate(PhaseState(z=0.1, theta=0.0), ModelParams(r=1.0),
+                      sched, PROTOCOL, (0.0, 10.0))
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_flow_into_boundary_ends_in_package_error(self, method):
+        # the as_printed sign with nu > 0 repels from the centers and
+        # drives |z| -> 1, where the phase equation is singular
+        sched = EtaSchedule(kind="constant", eta_start=-1.0, T=50.0)
+        with pytest.raises((SingularityError, StepFailureError)):
+            integrate(PhaseState(z=0.3, theta=0.7),
+                      ModelParams(r=1.0, nu=0.5, rhs_mode="as_printed"),
+                      sched, IntegratorConfig(method=method), (0.0, 50.0))
+
+
+class TestStats:
+    def test_rk4_counts_four_evaluations_per_step(self):
+        sched = EtaSchedule(kind="constant", eta_start=-1.0, T=2.0)
+        traj = integrate(PhaseState(z=0.3, theta=0.7), ModelParams(r=1.0),
+                         sched, IntegratorConfig(method="rk4_fixed",
+                                                 dt=1.0 / 16), (0.0, 2.0))
+        st = traj.stats
+        assert (st.accepted, st.rejected, st.boundary_halvings) == (32, 0, 0)
+        assert st.rhs_evals == 1 + 4 * 32
+
+    def test_dop853_counts(self):
+        sched = EtaSchedule(kind="constant", eta_start=-6.0, T=50.0)
+        traj = integrate(PhaseState(z=0.3, theta=0.7), ModelParams(r=5.0),
+                         sched, PROTOCOL, (0.0, 50.0))
+        st = traj.stats
+        assert st.accepted > 0 and st.boundary_halvings == 0
+        # 11 new stages per try, the end-point derivative per accepted
+        # step, and 3 interpolation stages per step holding a sample
+        extra = st.rhs_evals - 1 - 11 * (st.accepted + st.rejected) \
+            - st.accepted
+        assert extra % 3 == 0 and 0 <= extra <= 3 * 50
+        assert st.rejected <= 0.2 * (st.accepted + st.rejected)
+
+    def test_stride_changes_only_interpolation_work(self):
+        sched = triangular(-3.0, -8.0, T=100.0)
+        runs = [integrate(PhaseState(z=0.01, theta=0.0),
+                          ModelParams(r=5.0, nu=0.5), sched,
+                          IntegratorConfig(sample_stride=stride),
+                          (0.0, 100.0)).stats for stride in (1, 10)]
+        assert runs[0].accepted == runs[1].accepted
+        assert runs[0].rejected == runs[1].rejected
+
+
+class TestTableau:
+    def test_dop853_matches_scipy(self):
+        coeffs = pytest.importorskip(
+            "scipy.integrate._ivp.dop853_coefficients")
+        for i, (c, row) in enumerate(tableau.DOP853_STAGES, start=1):
+            assert c == coeffs.C[i]
+            assert list(row) == list(coeffs.A[i, :len(row)])
+            assert not coeffs.A[i, len(row):].any()
+        assert list(tableau.DOP853_B) == list(coeffs.B)
+        assert list(tableau.DOP853_E5) == list(coeffs.E5[:12])
+        assert list(tableau.DOP853_E3) == list(coeffs.E3[:12])
+        assert coeffs.E5[12] == coeffs.E3[12] == 0.0
+        for i, (c, row) in enumerate(tableau.DOP853_DENSE_STAGES, start=13):
+            assert c == coeffs.C[i]
+            assert list(row) == list(coeffs.A[i, :len(row)])
+        for ours, theirs in zip(tableau.DOP853_D, coeffs.D, strict=True):
+            assert list(ours) == list(theirs)
+
+    @pytest.mark.parametrize("stages, b", [
+        (tableau.DOP853_STAGES, tableau.DOP853_B),
+        (tableau.RK4_STAGES, tableau.RK4_B)])
+    def test_row_sums(self, stages, b):
+        for c, row in stages:
+            assert math.fsum(row) == pytest.approx(c, abs=1e-14)
+        assert math.fsum(b) == pytest.approx(1.0, abs=1e-14)
+
+
+def scipy_reference(initial, params, schedule, t_end, t_eval=None):
+    """The same equations solved by scipy's DOP853 at tight tolerance."""
+    integrate_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+
+    def rhs(t, y):
+        return vector_field(PhaseState(z=y[0], theta=y[1]),
+                            eval_schedule(schedule, min(t, schedule.T)),
+                            params)
+
+    return integrate_ivp(rhs, (0.0, t_end), [initial.z, initial.theta],
+                         method="DOP853", rtol=1e-13, atol=1e-13,
+                         t_eval=t_eval)
+
+
+class TestScipyOracle:
+    @pytest.mark.parametrize("params, schedule", [
+        (ModelParams(r=5.0, nu=0.0),
+         EtaSchedule(kind="constant", eta_start=-6.0, T=30.0)),
+        (ModelParams(r=5.0, nu=0.5), triangular(-3.0, -8.0, T=30.0)),
+    ])
+    def test_end_state(self, params, schedule):
+        start = PhaseState(z=0.3, theta=0.7)
+        ref = scipy_reference(start, params, schedule, schedule.T)
+        end = integrate(start, params, schedule,
+                        IntegratorConfig(abs_tol=1e-12, rel_tol=1e-12),
+                        (0.0, schedule.T)).samples[-1]
+        assert end.tau == schedule.T
+        assert abs(end.z - ref.y[0, -1]) <= 1e-9
+        assert abs(end.theta - ref.y[1, -1]) <= 1e-9
+
+    def test_interpolated_samples(self):
+        start = PhaseState(z=0.3, theta=0.7)
+        params = ModelParams(r=5.0, nu=0.5)
+        schedule = triangular(-3.0, -8.0, T=20.0)
+        traj = integrate(start, params, schedule,
+                         IntegratorConfig(sample_stride=10), (0.0, 20.0))
+        taus = [s.tau for s in traj.samples]
+        ref = scipy_reference(start, params, schedule, 20.0, t_eval=taus)
+        assert len(taus) == 201
+        for s, z, theta in zip(traj.samples, ref.y[0], ref.y[1]):
+            assert abs(s.z - z) <= 1e-7 and abs(s.theta - theta) <= 1e-7

@@ -231,3 +231,24 @@ class TestValidation:
             PhaseState(z=1.5)
         with pytest.raises(DomainError):
             PhaseState(z=0.0, theta=math.inf)
+
+    @pytest.mark.parametrize("r, nu", [(math.nan, 0.0), (math.inf, 0.0),
+                                       (1.0, math.nan), (1.0, math.inf)])
+    def test_model_params_must_be_finite(self, r, nu):
+        with pytest.raises(DomainError):
+            ModelParams(r=r, nu=nu)
+
+    @pytest.mark.parametrize("fields", [
+        dict(kind="constant", eta_start=math.nan, T=1.0),
+        dict(kind="constant", eta_start=-1.0, T=math.inf),
+        dict(kind="constant", eta_start=-1.0, T=math.nan),
+        dict(kind="triangular", eta_start=-1.0, eta_peak=-math.inf, T=4.0),
+        dict(kind="triangular", eta_start=math.inf, eta_peak=-3.0, T=4.0),
+        dict(kind="piecewise_linear", T=2.0,
+             knots=((0.0, 1.0), (1.0, math.nan), (2.0, 0.0))),
+        dict(kind="piecewise_linear", T=2.0,
+             knots=((0.0, 1.0), (math.nan, 0.5), (2.0, 0.0))),
+    ])
+    def test_schedule_must_be_finite(self, fields):
+        with pytest.raises(DomainError):
+            EtaSchedule(**fields)
