@@ -14,7 +14,7 @@ import time
 
 from dimer_hysteresis import (EtaSchedule, IntegratorConfig, ModelParams,
                               PhaseState, integrate, predict_window,
-                              run_sweep)
+                              sweep_report)
 from dimer_hysteresis.serialize import report_to_json, trajectory_to_csv
 from dimer_hysteresis.svgplot import plot_sweep, plot_trajectory
 
@@ -43,8 +43,8 @@ def main():
                                eta_peak=peak, T=T)
         initial = PhaseState(z=0.01, theta=0.0)
         t0 = time.time()
-        report = run_sweep(initial, params, schedule, config, args.grid)
         traj = integrate(initial, params, schedule, config, (0.0, T))
+        report = sweep_report(traj, args.grid)
         wall = time.time() - t0
         (out / f"{label}.csv").write_text(trajectory_to_csv(traj))
         (out / f"{label}.json").write_text(report_to_json(report))

@@ -16,12 +16,13 @@ from .errors import (ConfigError, DomainError, GridCoverageError,
                      NoConvergenceError, SingularityError, StepFailureError,
                      ThresholdProximityError)
 from .hysteresis import (AREA_THRESHOLD, Z_GAP_THRESHOLD, HysteresisReport,
-                         predict_window, run_sweep)
+                         predict_window, run_sweep, sweep_report)
 from .model import (RHS_MODES, SCHEDULE_KINDS, EtaSchedule, IntegrationStats,
                     ModelParams, PhaseState, PhysicalContext, Sample,
                     Trajectory, amplitudes_from_state, effective_eta,
                     energy_functional, eval_schedule, grad_hamiltonian,
-                    hamiltonian, power_difference, wrap_angle)
+                    hamiltonian, hamiltonian_column, power_difference,
+                    schedule_column, wrap_angle)
 from .serialize import (diagram_to_csv, diagram_to_json, report_to_json,
                         threshold_to_json, trajectory_from_csv,
                         trajectory_to_csv)
@@ -40,9 +41,11 @@ __all__ = [
     "classify_stability", "diagram_to_csv", "diagram_to_json",
     "effective_eta", "energy_functional", "eta_star_numeric",
     "eval_schedule", "find_eta_plus", "find_eta_star", "find_fixed_points",
-    "find_r_threshold", "grad_hamiltonian", "hamiltonian", "integrate",
+    "find_r_threshold", "grad_hamiltonian", "hamiltonian",
+    "hamiltonian_column", "integrate",
     "jacobian_at", "pitchfork_cubic_coefficient", "power_difference",
-    "predict_window", "report_to_json", "run_sweep", "stationary_residual",
-    "threshold_to_json", "trace_branches", "trajectory_from_csv",
-    "trajectory_to_csv", "vector_field", "wrap_angle",
+    "predict_window", "report_to_json", "run_sweep", "schedule_column",
+    "stationary_residual", "sweep_report", "threshold_to_json",
+    "trace_branches", "trajectory_from_csv", "trajectory_to_csv",
+    "vector_field", "wrap_angle",
 ]

@@ -30,13 +30,16 @@ tableau.py):
 A step whose stage leaves |z| <= 1 - EPS_CLAMP is halved; at min_step
 the state is clamped and the clamp counted. A non-finite error estimate
 rejects the step like any other, so a NaN ends in StepFailureError once
-the step underflows min_step.
+the step underflows min_step; rk4_fixed, which has no error estimate,
+raises StepFailureError at the first non-finite state.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DomainError, SingularityError, StepFailureError
 from .model import (
@@ -46,11 +49,11 @@ from .model import (
     ModelParams,
     PhaseState,
     PhysicalContext,
-    Sample,
     Trajectory,
     energy_functional,
     eval_schedule,
-    hamiltonian,
+    hamiltonian_column,
+    schedule_column,
 )
 from .tableau import (DOP853_B, DOP853_D, DOP853_DENSE_STAGES, DOP853_E3,
                       DOP853_E5, DOP853_STAGES, RK4_B, RK4_STAGES)
@@ -216,9 +219,10 @@ def integrate(initial: PhaseState, params: ModelParams, schedule: EtaSchedule,
     """Integrate from tau_span[0] to tau_span[1], sampling on a uniform grid.
 
     Sample k is emitted at tau_span[0] + k / sample_stride, and the last
-    one at tau_span[1]. Each sample records eta(tau), H and
-    E = energy_functional(H, ctx); ctx defaults to omega=1, Omega=0 so the
-    E column is -H/2 unless a physical context is supplied. The returned
+    one at tau_span[1]. The stepper records only (tau, z, theta); the
+    eta, H and E = energy_functional(H, ctx) columns are computed from
+    them after the run. ctx defaults to omega=1, Omega=0 so the E column
+    is -H/2 unless a physical context is supplied. The returned
     trajectory's stats count the work done.
 
     Deterministic: identical inputs give bit-identical trajectories.
@@ -254,9 +258,9 @@ def integrate(initial: PhaseState, params: ModelParams, schedule: EtaSchedule,
             return eval_schedule(schedule, t)
 
     def emit(t, z, theta):
-        eta = eval_schedule(schedule, t)
-        H = hamiltonian(PhaseState(z=min(max(z, -1.0), 1.0), theta=theta), eta, params.r)
-        samples.append(Sample(t, z, theta, eta, H, energy_functional(H, ctx)))
+        taus.append(t)
+        zs.append(z)
+        thetas.append(theta)
 
     # sample k sits at t0 + k / stride, computed from k so the grid
     # cannot drift; the last one, sample n, is placed on t1
@@ -275,7 +279,7 @@ def integrate(initial: PhaseState, params: ModelParams, schedule: EtaSchedule,
     else:
         table, b = _RK4_STAGES, _RK4_B
     atol, rtol, min_step = config.abs_tol, config.rel_tol, config.min_step
-    samples = []
+    taus, zs, thetas = [], [], []
     z, theta, t = initial.z, initial.theta, t0
     emit(t, z, theta)
     k = 1
@@ -345,6 +349,9 @@ def integrate(initial: PhaseState, params: ModelParams, schedule: EtaSchedule,
             fac = _SAFETY * (err + 1e-300) ** -_EXPO * err_old ** _BETA
             err_old = max(err, 1e-4)
             h_next = min(h * min(_FAC_MAX, max(_FAC_MIN, fac)), _MAX_STEP)
+        elif not (math.isfinite(zn) and math.isfinite(tn)):
+            # rk4_fixed has no error estimate that could reject this step
+            raise StepFailureError(f"non-finite state at tau={t_new}")
 
         accepted += 1
         fz, ft = field(zn, tn, eta_at(t_new))
@@ -368,4 +375,8 @@ def integrate(initial: PhaseState, params: ModelParams, schedule: EtaSchedule,
         h = h_next if adaptive else config.dt
 
     stats = IntegrationStats(rhs_evals, accepted, rejected, halvings)
-    return Trajectory(tuple(samples), params, schedule, clamp_events, stats)
+    tau, z, theta = np.array(taus), np.array(zs), np.array(thetas)
+    eta = schedule_column(schedule, tau)
+    H = hamiltonian_column(z, theta, eta, params.r)
+    return Trajectory(tau, z, theta, eta, H, energy_functional(H, ctx),
+                      params, schedule, clamp_events, stats)

@@ -25,7 +25,7 @@ import numpy as np
 from .bifurcation import find_eta_plus, find_eta_star
 from .dynamics import IntegratorConfig, integrate
 from .errors import DomainError, GridCoverageError
-from .model import EtaSchedule, ModelParams, PhaseState
+from .model import EtaSchedule, ModelParams, PhaseState, Trajectory
 
 AREA_THRESHOLD = 0.05
 Z_GAP_THRESHOLD = 0.1
@@ -86,20 +86,20 @@ def _bin_passes(taus, abs_etas, abs_zs, T, lo, hi, grid_size):
     edges = np.linspace(lo, hi, grid_size + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
     idx = np.clip(np.digitize(abs_etas, edges) - 1, 0, grid_size - 1)
-    forward = taus < T / 2.0
-    zf = np.zeros(grid_size)
-    zb = np.zeros(grid_size)
-    for i in range(grid_size):
-        in_bin = idx == i
-        mf = in_bin & forward
-        mb = in_bin & ~forward
-        if not mf.any() or not mb.any():
-            side = "forward" if not mf.any() else "backward"
-            raise GridCoverageError(
-                f"{side} bin {i} around |eta|={centers[i]:.4g} received no "
-                f"samples; lower grid_size or raise sample_stride")
-        zf[i] = np.mean(abs_zs[mf])
-        zb[i] = np.mean(abs_zs[mb])
+    # forward samples count into bins [0, grid_size), backward ones into
+    # [grid_size, 2 grid_size)
+    idx += grid_size * ~(taus < T / 2.0)
+    counts = np.bincount(idx, minlength=2 * grid_size).reshape(2, grid_size)
+    sums = np.bincount(idx, weights=abs_zs,
+                       minlength=2 * grid_size).reshape(2, grid_size)
+    empty = np.flatnonzero((counts == 0).any(axis=0))
+    if empty.size:
+        i = empty[0]
+        side = "forward" if counts[0, i] == 0 else "backward"
+        raise GridCoverageError(
+            f"{side} bin {i} around |eta|={centers[i]:.4g} received no "
+            f"samples; lower grid_size or raise sample_stride")
+    zf, zb = sums / counts
     return centers, zf, zb
 
 
@@ -124,27 +124,41 @@ def _longest_gap_window(centers, gap) -> Optional[tuple]:
     return (float(centers[best[0]]), float(centers[best[1]]))
 
 
+def _check_sweep(schedule: EtaSchedule, grid_size: int):
+    if schedule.kind == "piecewise_linear":
+        raise DomainError("a sweep requires a triangular or constant schedule")
+    if grid_size < 16:
+        raise DomainError(f"grid_size must be >= 16, got {grid_size}")
+
+
 def run_sweep(initial: PhaseState, params: ModelParams, schedule: EtaSchedule,
               config: IntegratorConfig, grid_size: int) -> HysteresisReport:
     """Integrate one full sweep and quantify the forward/backward gap.
 
     The schedule must be triangular (or constant, which degenerates to a
     zero-area report). grid_size bins cover [min |eta|, max |eta|].
+    Equivalent to sweep_report on integrate's trajectory over [0, T].
     """
-    if schedule.kind == "piecewise_linear":
-        raise DomainError("run_sweep requires a triangular or constant schedule")
-    if grid_size < 16:
-        raise DomainError(f"grid_size must be >= 16, got {grid_size}")
+    _check_sweep(schedule, grid_size)
+    traj = integrate(initial, params, schedule, config, (0.0, schedule.T))
+    return sweep_report(traj, grid_size)
 
+
+def sweep_report(traj: Trajectory, grid_size: int) -> HysteresisReport:
+    """Quantify the forward/backward gap of a trajectory over a full sweep.
+
+    traj must cover its triangular (or constant) schedule's whole span
+    [0, T], as run_sweep's integration does; grid_size bins cover
+    [min |eta|, max |eta|].
+    """
+    params, schedule = traj.params, traj.schedule
+    _check_sweep(schedule, grid_size)
     reference = {
         "eta_star": find_eta_star(params.r),
         "eta_plus": find_eta_plus(params.r),
     }
-    traj = integrate(initial, params, schedule, config,
-                     (0.0, schedule.T))
-    taus = np.array([s.tau for s in traj.samples])
-    abs_etas = np.abs(np.array([s.eta for s in traj.samples]))
-    abs_zs = np.abs(np.array([s.z for s in traj.samples]))
+    taus = traj.tau
+    abs_zs = np.abs(traj.z)
 
     if schedule.kind == "constant":
         # degenerate ramp: both passes traverse identical couplings
@@ -164,8 +178,8 @@ def run_sweep(initial: PhaseState, params: ModelParams, schedule: EtaSchedule,
     hi = max(abs(schedule.eta_start), abs(schedule.eta_peak))
     if not hi > lo:
         raise DomainError("triangular schedule must change |eta|")
-    centers, zf, zb = _bin_passes(taus, abs_etas, abs_zs, schedule.T,
-                                  lo, hi, grid_size)
+    centers, zf, zb = _bin_passes(taus, np.abs(traj.eta), abs_zs,
+                                  schedule.T, lo, hi, grid_size)
     gap = np.abs(zf - zb)
     loop_area = float(np.trapezoid(gap, centers))
     bistable = centers <= reference["eta_star"]

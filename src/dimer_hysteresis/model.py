@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
+import numpy as np
+
 from .errors import DomainError, SingularityError
 
 # Dynamics never evaluates the phase equation closer to |z| = 1 than this.
@@ -84,6 +86,10 @@ class PhysicalContext:
     g: float = 0.0
 
     def __post_init__(self):
+        for name in ("omega", "Omega", "c", "g"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value}")
         if not self.omega > 0:
             raise DomainError(f"level splitting omega must be > 0, got {self.omega}")
 
@@ -157,32 +163,52 @@ class IntegrationStats:
     boundary_halvings: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Ordered samples of one integration, plus the inputs that produced it.
+    """Samples of one integration as float64 columns, plus its inputs.
 
+    tau, z, theta, eta, H and E are equal-length read-only arrays, row k
+    holding sample k; samples rebuilds the rows as Sample tuples.
     clamp_events counts the times the integrator had to clamp z at the
     configured boundary margin; zero on a healthy run. stats records the
     integrator's work; all zeros for a trajectory read back from CSV.
     """
 
-    samples: tuple
+    tau: np.ndarray
+    z: np.ndarray
+    theta: np.ndarray
+    eta: np.ndarray
+    H: np.ndarray
+    E: np.ndarray
     params: ModelParams
     schedule: EtaSchedule
     clamp_events: int = 0
     stats: IntegrationStats = IntegrationStats()
 
     def __post_init__(self):
-        taus = [s.tau for s in self.samples]
-        if any(b <= a for a, b in zip(taus, taus[1:])):
+        for name in Sample._fields:
+            col = np.array(getattr(self, name), dtype=np.float64)
+            if col.shape != (len(self.tau),):
+                raise DomainError(
+                    f"trajectory column {name} must be 1-d with one value "
+                    f"per tau, got shape {col.shape}")
+            col.setflags(write=False)
+            object.__setattr__(self, name, col)
+        if not np.all(self.tau[1:] > self.tau[:-1]):
             raise DomainError("trajectory tau values must be strictly increasing")
-        if any(abs(s.z) > 1.0 for s in self.samples):
-            raise DomainError("trajectory contains |z| > 1")
+        # written so that a NaN z fails too
+        if not np.all(np.abs(self.z) <= 1.0):
+            raise DomainError("trajectory contains |z| > 1 or a NaN z")
+
+    @property
+    def samples(self) -> tuple:
+        """The rows as Sample tuples, built from the columns on each access."""
+        return tuple(map(Sample, *(getattr(self, name).tolist()
+                                   for name in Sample._fields)))
 
     @property
     def final_state(self) -> PhaseState:
-        last = self.samples[-1]
-        return PhaseState(z=last.z, theta=last.theta)
+        return PhaseState(z=float(self.z[-1]), theta=float(self.theta[-1]))
 
 
 def power_difference(z: float, r: float) -> float:
@@ -215,6 +241,21 @@ def hamiltonian(state: PhaseState, eta: float, r: float) -> float:
     kinetic = 2.0 * math.sqrt(1.0 - z * z) * math.cos(theta)
     # (1+z) and (1-z) are both >= 0 here, so real powers are safe
     bulk = (1.0 + z) ** (r + 1.0) + (1.0 - z) ** (r + 1.0)
+    return kinetic - eta * bulk / (2.0 ** r * (r + 1.0))
+
+
+def hamiltonian_column(z, theta, eta, r: float) -> np.ndarray:
+    """hamiltonian at every row of the arrays z, theta and eta, bit for bit.
+
+    The powers go through Python's float ** over z.tolist(): numpy's
+    vectorized pow differs from the C library's by an ulp on a few
+    percent of inputs, which would move the 15th digit of written H.
+    """
+    if not r > 0:
+        raise DomainError(f"r must be > 0, got {r}")
+    p = r + 1.0
+    bulk = np.array([(1.0 + x) ** p + (1.0 - x) ** p for x in z.tolist()])
+    kinetic = 2.0 * np.sqrt(1.0 - z * z) * np.cos(theta)
     return kinetic - eta * bulk / (2.0 ** r * (r + 1.0))
 
 
@@ -268,6 +309,26 @@ def eval_schedule(schedule: EtaSchedule, tau: float) -> float:
             w = (tau - t0) / (t1 - t0)
             return e0 + (e1 - e0) * w
     return knots[-1][1]
+
+
+def schedule_column(schedule: EtaSchedule, taus) -> np.ndarray:
+    """eval_schedule at every tau of an array, with the same rounding.
+
+    The constant and triangular kinds are evaluated column-wise; a
+    piecewise_linear schedule goes through eval_schedule sample by
+    sample.
+    """
+    taus = np.asarray(taus, dtype=np.float64)
+    if schedule.kind == "piecewise_linear":
+        return np.array([eval_schedule(schedule, t) for t in taus.tolist()])
+    T = schedule.T
+    slack = 1e-9 * max(1.0, T)
+    if taus.size and not (taus.min() >= -slack and taus.max() <= T + slack):
+        raise DomainError(f"tau values outside schedule domain [0, {T}]")
+    if schedule.kind == "constant":
+        return np.full(taus.shape, schedule.eta_start)
+    ramp = 1.0 - np.abs(2.0 * np.clip(taus, 0.0, T) / T - 1.0)
+    return schedule.eta_start + (schedule.eta_peak - schedule.eta_start) * ramp
 
 
 def amplitudes_from_state(state: PhaseState) -> tuple:

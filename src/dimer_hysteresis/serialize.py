@@ -1,9 +1,9 @@
 """CSV and JSON writers for trajectories, diagrams, and sweep reports.
 
-Floats are written with %.15g so that parse(serialize(x)) returns x
-bitwise for doubles, and serialize(parse(text)) == text. Angles are
-wrapped into (-pi, pi] at serialization time only; in-memory states
-keep whatever winding the integrator produced.
+Floats are written with %.15g, so serialize(parse(text)) == text; a
+value read back equals the written double to 15 significant digits,
+not bitwise. Angles are wrapped into (-pi, pi] at serialization time
+only; in-memory states keep whatever winding the integrator produced.
 """
 
 from __future__ import annotations
@@ -11,12 +11,19 @@ from __future__ import annotations
 import io
 import json
 
+import numpy as np
+
 from .errors import DomainError
-from .model import (EtaSchedule, ModelParams, PhaseState, Sample, Trajectory,
-                    wrap_angle)
+from .model import EtaSchedule, ModelParams, Trajectory, wrap_angle
 
 TRAJECTORY_HEADER = "tau,eta,z,theta,H,E"
 BRANCH_HEADER = "branch_id,kind,theta_star,eta,z_star,stability"
+
+# rows formatted or parsed per block: large enough to amortize the
+# per-block calls, small enough that the transient per-field strings
+# stay a small part of peak memory
+_BLOCK = 4096
+_ROW = ",".join(["%.15g"] * 6) + "\n"
 
 
 def _f(v: float) -> str:
@@ -24,12 +31,13 @@ def _f(v: float) -> str:
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:
-    out = io.StringIO()
-    out.write(TRAJECTORY_HEADER + "\n")
-    for s in traj.samples:
-        row = (s.tau, s.eta, s.z, wrap_angle(s.theta), s.H, s.E)
-        out.write(",".join(_f(v) for v in row) + "\n")
-    return out.getvalue()
+    theta = np.array([wrap_angle(x) for x in traj.theta.tolist()])
+    cols = (traj.tau, traj.eta, traj.z, theta, traj.H, traj.E)
+    parts = [TRAJECTORY_HEADER + "\n"]
+    for i in range(0, len(theta), _BLOCK):
+        rows = np.column_stack([c[i:i + _BLOCK] for c in cols])
+        parts.append(_ROW * len(rows) % tuple(rows.ravel().tolist()))
+    return "".join(parts)
 
 
 def trajectory_from_csv(text: str, params: ModelParams,
@@ -40,17 +48,20 @@ def trajectory_from_csv(text: str, params: ModelParams,
     the ones the run used.
     """
     lines = text.strip().split("\n")
-    if not lines or lines[0] != TRAJECTORY_HEADER:
+    if lines[0] != TRAJECTORY_HEADER:
         raise DomainError(f"expected header {TRAJECTORY_HEADER!r}")
-    samples = []
-    for ln in lines[1:]:
-        cols = ln.split(",")
-        if len(cols) != 6:
-            raise DomainError(f"expected 6 columns, got {len(cols)}: {ln!r}")
-        tau, eta, z, theta, H, E = (float(c) for c in cols)
-        samples.append(Sample(tau=tau, z=z, theta=theta, eta=eta, H=H, E=E))
-    return Trajectory(samples=tuple(samples), params=params,
-                      schedule=schedule)
+    # file column order: tau, eta, z, theta, H, E
+    values = np.empty((len(lines) - 1, 6))
+    for i in range(1, len(lines), _BLOCK):
+        block = lines[i:i + _BLOCK]
+        for ln in block:
+            if ln.count(",") != 5:
+                raise DomainError(
+                    f"expected 6 columns, got {ln.count(',') + 1}: {ln!r}")
+        values[i - 1:i - 1 + len(block)] = np.reshape(
+            list(map(float, ",".join(block).split(","))), (-1, 6))
+    tau, eta, z, theta, H, E = values.T
+    return Trajectory(tau, z, theta, eta, H, E, params, schedule)
 
 
 def diagram_to_csv(diagram) -> str:

@@ -137,8 +137,9 @@ def stack_panels(panels) -> str:
 
 def plot_trajectory(traj) -> str:
     """Two stacked panels: z against tau, and z against |eta|."""
-    zs = [(s.tau, s.z) for s in traj.samples]
-    z_eta = [(abs(s.eta), s.z) for s in traj.samples]
+    z = traj.z.tolist()
+    zs = list(zip(traj.tau.tolist(), z))
+    z_eta = list(zip(abs(traj.eta).tolist(), z))
     top = render_panel([{"points": zs, "label": "z", "style": "solid"}],
                        "tau", "z", "population imbalance")
     bottom = render_panel(

@@ -6,8 +6,9 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from dimer_hysteresis import (EtaSchedule, ModelParams, R_THRESHOLD,
-                              trajectory_from_csv)
+from dimer_hysteresis import (DomainError, EtaSchedule, IntegratorConfig,
+                              ModelParams, PhaseState, R_THRESHOLD, integrate,
+                              trajectory_from_csv, wrap_angle)
 from dimer_hysteresis.cli import main
 from dimer_hysteresis.config import ENV_VAR
 from dimer_hysteresis.serialize import TRAJECTORY_HEADER, trajectory_to_csv
@@ -38,6 +39,28 @@ class TestSimulate:
             EtaSchedule(kind="constant", eta_start=-1.0, T=10.0))
         assert trajectory_to_csv(traj) == text
         assert traj.samples[-1].tau == 10.0
+
+    def test_csv_round_trip_of_a_winding_phase(self):
+        # a self-trapped orbit: theta runs through many turns, so the
+        # written phase is wrapped while the in-memory one is not
+        params = ModelParams(r=1.0)
+        schedule = EtaSchedule(kind="constant", eta_start=-6.0, T=20.0)
+        traj = integrate(PhaseState(z=0.6, theta=0.0), params, schedule,
+                         IntegratorConfig(sample_stride=4), (0.0, 20.0))
+        assert traj.theta.max() > 10 * math.pi
+        text = trajectory_to_csv(traj)
+        back = trajectory_from_csv(text, params, schedule)
+        assert trajectory_to_csv(back) == text
+        assert back.theta.tolist() == [
+            float("%.15g" % wrap_angle(t)) for t in traj.theta.tolist()]
+        assert -math.pi < back.theta.min() and back.theta.max() <= math.pi
+
+    def test_csv_rows_must_have_six_columns(self):
+        # a long row next to a short one must not pass as two full rows
+        text = "\n".join([TRAJECTORY_HEADER, "0,1,0,0,1,1,9", "1,1,0,0,1"])
+        with pytest.raises(DomainError, match="expected 6 columns"):
+            trajectory_from_csv(text, ModelParams(r=1.0),
+                                EtaSchedule(kind="constant", T=1.0))
 
     def test_stdout_when_no_out_flag(self, capsys):
         code, out, _ = run_cli(

@@ -6,9 +6,10 @@ import pytest
 
 from dimer_hysteresis import (METHODS, DomainError, EtaSchedule,
                               IntegratorConfig, ModelParams, PhaseState,
-                              SingularityError, StepFailureError, dynamics,
-                              eval_schedule, grad_hamiltonian, integrate,
-                              tableau, vector_field)
+                              PhysicalContext, SingularityError,
+                              StepFailureError, dynamics, energy_functional,
+                              eval_schedule, grad_hamiltonian, hamiltonian,
+                              integrate, tableau, vector_field)
 
 PROTOCOL = IntegratorConfig()  # DOP853, 1e-9 tolerances
 
@@ -187,6 +188,28 @@ class TestProtocolRuns:
         assert all(abs(s.z) > 0.5 for s in back_window)
 
 
+class TestColumns:
+    @pytest.mark.parametrize("schedule", [
+        triangular(-3.0, -8.0, T=400.0),
+        EtaSchedule(kind="piecewise_linear", T=400.0,
+                    knots=((0.0, -3.0), (150.0, -8.0), (400.0, -4.5))),
+    ])
+    def test_columns_match_the_scalar_model_functions(self, schedule):
+        # the per-sample path the columns replaced, bit for bit
+        ctx = PhysicalContext(omega=2.0, Omega=0.5)
+        traj = integrate(PhaseState(z=0.01, theta=0.0),
+                         ModelParams(r=5.0, nu=0.5), schedule,
+                         IntegratorConfig(sample_stride=10),
+                         (0.0, schedule.T), ctx)
+        eta = [eval_schedule(schedule, t) for t in traj.tau.tolist()]
+        H = [hamiltonian(PhaseState(z=z, theta=theta), e, 5.0)
+             for z, theta, e in zip(traj.z.tolist(), traj.theta.tolist(), eta)]
+        assert len(eta) == 4001
+        assert traj.eta.tolist() == eta
+        assert traj.H.tolist() == H
+        assert traj.E.tolist() == [energy_functional(h, ctx) for h in H]
+
+
 class TestConfigValidation:
     @pytest.mark.parametrize("name", ["dt", "abs_tol", "rel_tol",
                                       "min_step"])
@@ -197,18 +220,31 @@ class TestConfigValidation:
             IntegratorConfig(**{name: value})
 
 
-class TestTermination:
-    def test_nan_field_raises_step_failure(self, monkeypatch):
-        def nan_field(params):
-            def field(z, theta, eta):
-                return math.nan, math.nan
-            return field
+@pytest.fixture
+def nan_field(monkeypatch):
+    def make_nan_field(params):
+        def field(z, theta, eta):
+            return math.nan, math.nan
+        return field
 
-        monkeypatch.setattr(dynamics, "make_field", nan_field)
+    monkeypatch.setattr(dynamics, "make_field", make_nan_field)
+
+
+class TestTermination:
+    def test_nan_field_raises_step_failure(self, nan_field):
         sched = EtaSchedule(kind="constant", eta_start=-1.0, T=10.0)
         with pytest.raises(StepFailureError):
             integrate(PhaseState(z=0.1, theta=0.0), ModelParams(r=1.0),
                       sched, PROTOCOL, (0.0, 10.0))
+
+    def test_nan_field_ends_rk4_in_step_failure(self, nan_field):
+        # rk4_fixed has no error estimate; without its own check the NaN
+        # samples would come back as a normal trajectory
+        sched = EtaSchedule(kind="constant", eta_start=-1.0, T=10.0)
+        with pytest.raises(StepFailureError):
+            integrate(PhaseState(z=0.1, theta=0.0), ModelParams(r=1.0),
+                      sched, IntegratorConfig(method="rk4_fixed"),
+                      (0.0, 10.0))
 
     @pytest.mark.parametrize("method", METHODS)
     def test_flow_into_boundary_ends_in_package_error(self, method):

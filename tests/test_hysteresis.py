@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from dimer_hysteresis import (AREA_THRESHOLD, DomainError, EtaSchedule,
                               GridCoverageError, HysteresisReport,
                               IntegratorConfig, ModelParams, PhaseState,
-                              Z_GAP_THRESHOLD, find_eta_star, predict_window,
-                              run_sweep)
+                              Z_GAP_THRESHOLD, find_eta_star, integrate,
+                              predict_window, run_sweep, sweep_report)
 from dimer_hysteresis.hysteresis import _bin_passes, _longest_gap_window
 
 
@@ -83,6 +83,44 @@ class TestWindowExtraction:
         assert _longest_gap_window(centers, gap) == (3.0, 4.0)
 
 
+def bin_passes_by_masks(taus, abs_etas, abs_zs, T, lo, hi, grid_size):
+    """The former binning, one boolean mask pass per bin: the oracle for
+    _bin_passes."""
+    edges = np.linspace(lo, hi, grid_size + 1)
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    idx = np.clip(np.digitize(abs_etas, edges) - 1, 0, grid_size - 1)
+    forward = taus < T / 2.0
+    zf = np.zeros(grid_size)
+    zb = np.zeros(grid_size)
+    for i in range(grid_size):
+        in_bin = idx == i
+        mf = in_bin & forward
+        mb = in_bin & ~forward
+        if not mf.any() or not mb.any():
+            side = "forward" if not mf.any() else "backward"
+            raise GridCoverageError(
+                f"{side} bin {i} around |eta|={centers[i]:.4g} received no "
+                f"samples; lower grid_size or raise sample_stride")
+        zf[i] = np.mean(abs_zs[mf])
+        zb[i] = np.mean(abs_zs[mb])
+    return centers, zf, zb
+
+
+def assert_binning_matches_oracle(*args):
+    try:
+        centers, zf, zb = bin_passes_by_masks(*args)
+    except GridCoverageError as exc:
+        with pytest.raises(GridCoverageError) as got:
+            _bin_passes(*args)
+        assert str(got.value) == str(exc)
+        return False
+    got = _bin_passes(*args)
+    assert got[0].tolist() == centers.tolist()
+    np.testing.assert_allclose(got[1], zf, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(got[2], zb, rtol=0.0, atol=1e-12)
+    return True
+
+
 class TestBinning:
     def test_one_sample_per_bin_and_side(self):
         taus = np.array([0.0, 1.0, 2.0, 3.0, 5.0, 6.0, 7.0, 8.0])
@@ -127,6 +165,32 @@ class TestBinning:
         assert zb[1] == pytest.approx(np.mean(zs[4:6]))
         assert zb[0] == pytest.approx(np.mean(zs[6:]))
 
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 12),
+           st.integers(4, 120))
+    @settings(max_examples=60, deadline=None)
+    def test_agrees_with_mask_oracle(self, seed, grid, n):
+        # random samples leave some bins empty, so both outcomes occur:
+        # equal means, or the same error for the same side and bin
+        rng = np.random.default_rng(seed)
+        taus = np.sort(rng.uniform(0.0, 10.0, n))
+        etas = rng.uniform(0.0, 4.0, n)
+        zs = rng.uniform(0.0, 1.0, n)
+        assert_binning_matches_oracle(taus, etas, zs, 10.0, 0.0, 4.0, grid)
+
+    def test_empty_backward_bin_matches_oracle(self):
+        taus = np.array([0.0, 1.0, 2.0, 3.0, 6.0, 7.0, 8.0])
+        etas = np.array([0.5, 1.5, 2.5, 3.5, 3.5, 2.5, 0.5])
+        with pytest.raises(GridCoverageError, match="backward bin 1 "):
+            _bin_passes(taus, etas, np.zeros(7), 9.0, 0.0, 4.0, 4)
+        assert not assert_binning_matches_oracle(
+            taus, etas, np.zeros(7), 9.0, 0.0, 4.0, 4)
+
+    @pytest.mark.parametrize("grid", [128, 256])
+    def test_reference_ramp_matches_oracle(self, r5_traj, grid):
+        assert assert_binning_matches_oracle(
+            r5_traj.tau, np.abs(r5_traj.eta), np.abs(r5_traj.z),
+            r5_traj.schedule.T, 3.0, 8.0, grid)
+
 
 class TestPredictWindow:
     def test_subcritical_powers(self):
@@ -142,20 +206,26 @@ class TestPredictWindow:
         assert predict_window(3.0) is None
 
 
+def sweep_inputs(r, eta_start, eta_peak, T=4000.0, z0=0.01):
+    return (PhaseState(z=z0, theta=0.0), ModelParams(r=r, nu=0.5),
+            EtaSchedule(kind="triangular", eta_start=eta_start,
+                        eta_peak=eta_peak, T=T),
+            IntegratorConfig())
+
+
 def sweep(r, eta_start, eta_peak, T=4000.0, grid=128, z0=0.01):
-    return run_sweep(
-        PhaseState(z=z0, theta=0.0),
-        ModelParams(r=r, nu=0.5),
-        EtaSchedule(kind="triangular", eta_start=eta_start,
-                    eta_peak=eta_peak, T=T),
-        IntegratorConfig(),
-        grid,
-    )
+    return run_sweep(*sweep_inputs(r, eta_start, eta_peak, T, z0), grid)
 
 
 @pytest.fixture(scope="module")
-def r5_report():
-    return sweep(5.0, -3.0, -8.0)
+def r5_traj():
+    initial, params, schedule, config = sweep_inputs(5.0, -3.0, -8.0)
+    return integrate(initial, params, schedule, config, (0.0, schedule.T))
+
+
+@pytest.fixture(scope="module")
+def r5_report(r5_traj):
+    return sweep_report(r5_traj, 128)
 
 
 class TestRunSweepValidation:
@@ -179,6 +249,21 @@ class TestRunSweepValidation:
         with pytest.raises(GridCoverageError):
             run_sweep(PhaseState(z=0.01), ModelParams(r=1.0, nu=0.5),
                       sched, IntegratorConfig(), 64)
+
+    def test_sweep_report_rejects_piecewise_trajectory(self):
+        sched = EtaSchedule(kind="piecewise_linear", T=10.0,
+                            knots=((0.0, -1.0), (10.0, -3.0)))
+        traj = integrate(PhaseState(z=0.01), ModelParams(r=1.0, nu=0.5),
+                         sched, IntegratorConfig(), (0.0, 10.0))
+        with pytest.raises(DomainError):
+            sweep_report(traj, 32)
+
+    def test_run_sweep_is_sweep_report_of_the_integration(self):
+        initial, params, schedule, config = sweep_inputs(5.0, -3.0, -8.0,
+                                                          T=400.0)
+        traj = integrate(initial, params, schedule, config, (0.0, 400.0))
+        assert run_sweep(initial, params, schedule, config, 32) == \
+            sweep_report(traj, 32)
 
     def test_constant_schedule_degenerates(self):
         rep = run_sweep(PhaseState(z=0.01), ModelParams(r=1.0, nu=0.5),

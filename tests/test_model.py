@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dimer_hysteresis import (DomainError, EtaSchedule, ModelParams,
-                              PhaseState, PhysicalContext, SingularityError,
+                              PhaseState, PhysicalContext, Sample,
+                              SingularityError, Trajectory,
                               amplitudes_from_state, effective_eta,
                               energy_functional, eval_schedule,
                               grad_hamiltonian, hamiltonian,
@@ -129,6 +130,12 @@ class TestEnergyAndCoupling:
     def test_omega_must_be_positive(self):
         with pytest.raises(DomainError):
             PhysicalContext(omega=0.0)
+
+    @pytest.mark.parametrize("name", ["omega", "Omega", "c", "g"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_context_must_be_finite(self, name, value):
+        with pytest.raises(DomainError):
+            PhysicalContext(**{name: value})
 
 
 class TestSchedules:
@@ -252,3 +259,43 @@ class TestValidation:
     def test_schedule_must_be_finite(self, fields):
         with pytest.raises(DomainError):
             EtaSchedule(**fields)
+
+
+COLUMNS = dict(tau=[0.0, 0.5, 1.0], z=[0.1, -0.2, 0.3],
+               theta=[0.0, 1.0, 4.0], eta=[-1.0, -1.5, -2.0],
+               H=[1.0, 2.0, 3.0], E=[-0.5, -1.0, -1.5])
+
+
+def make_trajectory(**overrides):
+    return Trajectory(**{**COLUMNS, **overrides}, params=ModelParams(r=1.0),
+                      schedule=EtaSchedule(kind="constant", T=1.0))
+
+
+class TestTrajectory:
+    def test_samples_equal_the_columns(self):
+        traj = make_trajectory()
+        assert traj.samples == tuple(
+            Sample(*row) for row in zip(*map(COLUMNS.get, Sample._fields)))
+        for name in Sample._fields:
+            assert getattr(traj, name).tolist() == COLUMNS[name]
+        assert traj.final_state == PhaseState(z=0.3, theta=4.0)
+
+    def test_columns_are_read_only(self):
+        with pytest.raises(ValueError):
+            make_trajectory().z[0] = 0.0
+
+    @pytest.mark.parametrize("z", [[0.1, math.nan, 0.3], [0.1, 1.5, 0.3],
+                                   [-math.inf, 0.0, 0.3]])
+    def test_rejects_nan_or_out_of_range_z(self, z):
+        with pytest.raises(DomainError):
+            make_trajectory(z=z)
+
+    @pytest.mark.parametrize("tau", [[0.0, 0.5, 0.5], [0.0, 1.0, 0.5],
+                                     [0.0, math.nan, 1.0]])
+    def test_rejects_non_increasing_tau(self, tau):
+        with pytest.raises(DomainError):
+            make_trajectory(tau=tau)
+
+    def test_rejects_ragged_columns(self):
+        with pytest.raises(DomainError):
+            make_trajectory(H=[1.0, 2.0])
