@@ -7,11 +7,18 @@ is 0 or pi, and at roots of the reduced residual
            - (eta / 2^r) [(1+z)^r - (1-z)^r].
 
 G is odd in z; z = 0 is always a root (the symmetric state). Asymmetric
-roots appear in +/- pairs. For attractive coupling (eta < 0) on the
-theta* = 0 sheet the symmetric state destabilizes at |eta| = eta_star =
-2^r / r through a pitchfork that is supercritical for small r and
-subcritical above r_threshold = (3 + sqrt(13)) / 2; in the subcritical
-regime a saddle-node at eta_plus < eta_star bounds the bistable window.
+roots appear in +/- pairs, only on the sheet cos(theta*) = -sign(eta),
+and there they solve the explicit branch graph
+
+    |eta| = xi(z) = 2^(r+1) z / (sqrt(1 - z^2) [(1+z)^r - (1-z)^r]),
+
+since G = [(1+z)^r - (1-z)^r] / 2^r * (|eta| - xi(z)) on that sheet.
+xi(0+) = eta_star = 2^r / r, where the symmetric state destabilizes
+through a pitchfork; xi grows without bound as z -> 1. Below
+r_threshold = (3 + sqrt(13)) / 2 xi rises monotonically and the
+pitchfork is supercritical; above it xi first falls to an interior
+minimum, the saddle-node eta_plus < eta_star that bounds the bistable
+window, and the pitchfork is subcritical.
 """
 
 from __future__ import annotations
@@ -38,8 +45,8 @@ EPS_EIG = 1e-8
 R_THRESHOLD = (3.0 + math.sqrt(13.0)) / 2.0
 
 _FD_STEP = 1e-6
-_GRID_POINTS = 10 ** 4
 _RESIDUAL_TOL = 1e-10
+_ZMAX = 1.0 - EPS_CLAMP
 
 
 @dataclass(frozen=True)
@@ -62,7 +69,7 @@ class FixedPoint:
 
 @dataclass(frozen=True)
 class Branch:
-    """A stitched run of fixed points across the eta grid."""
+    """One branch of stationary states across the eta grid."""
 
     branch_id: int
     kind: str
@@ -96,122 +103,127 @@ def _cos_theta_star(theta_star: float) -> float:
     raise DomainError(f"theta_star must be 0 or pi, got {theta_star}")
 
 
-def stationary_residual(z: float, theta_star: float, eta: float, r: float) -> float:
-    """G(z); its roots are the stationary imbalances at this eta."""
+def stationary_residual(z, theta_star: float, eta, r: float):
+    """G(z); its roots are the stationary imbalances at this eta.
+
+    z and eta may be floats or numpy arrays of one shape.
+    """
     if not r > 0:
         raise DomainError(f"r must be > 0, got {r}")
     ct = _cos_theta_star(theta_star)
-    if abs(z) >= 1.0 - EPS_CLAMP:
+    if np.any(abs(z) >= _ZMAX):
         raise SingularityError(f"residual singular near |z|=1; got z={z}")
-    s = math.sqrt(1.0 - z * z)
+    s = np.sqrt(1.0 - z * z)
     return -2.0 * z * ct / s - eta / (2.0 ** r) * power_difference(z, r)
 
 
 def residual_derivative(z: float, theta_star: float, eta: float, r: float) -> float:
-    """dG/dz in closed form; used by Newton polish and the fold solver."""
+    """dG/dz in closed form; used by the fold's final residual check."""
     ct = _cos_theta_star(theta_star)
-    if abs(z) >= 1.0 - EPS_CLAMP:
+    if abs(z) >= _ZMAX:
         raise SingularityError(f"residual singular near |z|=1; got z={z}")
     one_minus = 1.0 - z * z
     psum = (1.0 + z) ** (r - 1.0) + (1.0 - z) ** (r - 1.0)
     return -2.0 * ct / one_minus ** 1.5 - eta * r / (2.0 ** r) * psum
 
 
-def _residual_grid(zs: np.ndarray, ct: float, eta: float, r: float) -> np.ndarray:
-    """Vectorized G over a z grid (same stable difference as the scalar)."""
-    a = np.abs(zs)
-    diff = np.exp(r * np.log1p(-a)) * np.expm1(2.0 * r * np.arctanh(a))
-    diff = np.copysign(diff, zs)
-    return -2.0 * zs * ct / np.sqrt(1.0 - zs * zs) - eta / (2.0 ** r) * diff
+def _xi(z, r):
+    """The branch graph xi(z) for 0 < z < 1: float or array."""
+    return 2.0 ** (r + 1.0) * z / (np.sqrt(1.0 - z * z) * power_difference(z, r))
 
 
-def _bisect_root(lo, hi, ct, eta, r):
-    """Bracketed bisection on G to 1e-12 width, then safeguarded Newton."""
-    flo = stationary_residual(lo, 0.0 if ct > 0 else math.pi, eta, r)
-    theta = 0.0 if ct > 0 else math.pi
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if hi - lo < 1e-12:
-            break
-        fm = stationary_residual(mid, theta, eta, r)
-        if fm == 0.0:
-            return mid
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    root = 0.5 * (lo + hi)
-    # Newton polish pushes the residual to the floor; keep within bracket
-    for _ in range(3):
-        g = stationary_residual(root, theta, eta, r)
-        dg = residual_derivative(root, theta, eta, r)
-        if dg == 0.0:
-            break
-        step = root - g / dg
-        if lo <= step <= hi:
-            root = step
-    return root
+def _xi_slope_numerator(z, r):
+    """F(z) = P - r z (1 - z^2) [(1+z)^(r-1) + (1-z)^(r-1)], P = (1+z)^r - (1-z)^r.
 
-
-def _positive_roots(eta: float, r: float, theta_star: float,
-                    n_grid: int = _GRID_POINTS) -> list:
-    """All roots of G with z > 0 on one theta* sheet.
-
-    Sign-change scan on a uniform grid, bisection refinement, plus a
-    tangency probe: at a fold the two roots coalesce and G only touches
-    zero, so grid minima of |G| are refined through the derivative and
-    accepted when the residual is at noise level.
+    xi'/xi = F / (z (1 - z^2) P), so F has the sign of xi' for 0 < z < 1.
+    Near 0, F ~ 2 r kappa z^3 with kappa = pitchfork_cubic_coefficient(r).
+    Written this way because 1/z + z/(1-z^2) - r psum / P, the
+    logarithmic derivative itself, cancels at small z.
     """
-    ct = _cos_theta_star(theta_star)
-    zmax = 1.0 - EPS_CLAMP
-    zs = np.linspace(zmax / n_grid, zmax, n_grid)
-    gs = _residual_grid(zs, ct, eta, r)
-    roots = []
-    signs = np.sign(gs)
-    flips = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
-    for i in flips:
-        roots.append(_bisect_root(zs[i], zs[i + 1], ct, eta, r))
-    exact = np.nonzero(gs == 0.0)[0]
-    for i in exact:
-        roots.append(float(zs[i]))
-    # tangency probe: interior local minima of |G| without a sign change
-    ag = np.abs(gs)
-    candidates = np.nonzero(
-        (ag[1:-1] < ag[:-2]) & (ag[1:-1] < ag[2:])
-        & (signs[:-2] == signs[2:]))[0] + 1
-    for i in candidates:
-        vertex = _refine_tangency(zs[i - 1], zs[i + 1], theta_star, eta, r)
-        if vertex is not None:
-            roots.append(vertex)
-    roots.sort()
-    # collapse duplicates from adjacent brackets
-    out = []
-    for rt in roots:
-        if not out or rt - out[-1] > 1e-9:
-            out.append(rt)
-    return out
+    psum = (1.0 + z) ** (r - 1.0) + (1.0 - z) ** (r - 1.0)
+    return power_difference(z, r) - r * z * (1.0 - z * z) * psum
 
 
-def _refine_tangency(lo, hi, theta_star, eta, r):
-    """Locate the vertex of |G| via a dG/dz sign change; accept as a
-    double root only if G itself vanishes there."""
-    dlo = residual_derivative(lo, theta_star, eta, r)
-    dhi = residual_derivative(hi, theta_star, eta, r)
-    if (dlo > 0) == (dhi > 0):
-        return None
-    for _ in range(60):
+def _bisect(above, lo, hi):
+    """Shrink every bracket [lo, hi] to float resolution.
+
+    above(z) is True where the bracketed point lies above z. lo and hi
+    are floats or arrays of brackets, bisected together.
+    """
+    while True:
         mid = 0.5 * (lo + hi)
-        if hi - lo < 1e-12:
-            break
-        dm = residual_derivative(mid, theta_star, eta, r)
-        if (dm > 0) == (dlo > 0):
-            lo, dlo = mid, dm
-        else:
-            hi = mid
-    vertex = 0.5 * (lo + hi)
-    if abs(stationary_residual(vertex, theta_star, eta, r)) < _RESIDUAL_TOL:
-        return vertex
-    return None
+        if np.all((mid == lo) | (mid == hi)):
+            return mid
+        up = above(mid)
+        lo = np.where(up, mid, lo)
+        hi = np.where(up, hi, mid)
+
+
+def _fold(r: float) -> Optional[tuple]:
+    """(z_f, xi(z_f)) at the interior minimum of xi, or None if xi is monotone.
+
+    Scans the sign of F on a coarse geometric grid over [1e-4, 1 - EPS_CLAMP].
+    F is the difference of two terms equal to P at leading order, each
+    with a few ulps of rounding, so a value within 2e-15 P of zero has
+    no reliable sign and is skipped; this only happens within about 1e-7
+    of r_threshold. F < 0 then F > 0 is a fold, bisected once; F > 0
+    throughout is a monotone graph. Any other pattern raises
+    NoConvergenceError, so xi is never assumed unimodal without being
+    checked.
+    """
+    zs = np.geomspace(1e-4, _ZMAX, 64)
+    f = _xi_slope_numerator(zs, r)
+    signs = np.where(abs(f) > 2e-15 * power_difference(zs, r), np.sign(f), 0.0)
+    zs, signs = zs[signs != 0], signs[signs != 0]
+    flips = np.flatnonzero(signs[1:] != signs[:-1])
+    if len(flips) > 1 or len(signs) == 0 or signs[-1] < 0:
+        raise NoConvergenceError(
+            f"slope of the branch graph changes sign {len(flips)} times "
+            f"at r={r}; expected a monotone graph or one fold")
+    if len(flips) == 0:
+        return None
+    i = flips[0]
+    z_f = float(_bisect(lambda z: _xi_slope_numerator(z, r) < 0,
+                        zs[i], zs[i + 1]))
+    return z_f, float(_xi(z_f, r))
+
+
+def _graph_roots(mags, r: float) -> tuple:
+    """Positive roots of |eta| = xi(z) at the coupling magnitudes mags.
+
+    (0, 1 - EPS_CLAMP) splits into the monotone pieces of xi: one piece
+    without a fold, two split at z_f with one. A piece holds one root at
+    m exactly when m lies strictly between xi at its two ends, where
+    xi(0+) = eta_star; at m = eta_plus the single root is z_f. All roots
+    are bisected together on G at theta* = 0, eta = -m. Roots below 1e-9
+    are dropped as numerical shadows of the symmetric root.
+
+    Returns (piece, index, z) arrays, ordered by piece and then by index
+    into mags; the pieces are numbered in increasing z.
+    """
+    mags = np.asarray(mags, dtype=np.float64)
+    fold = _fold(r)
+    # (z, xi(z)) at the ends of the pieces
+    ends = [(0.0, find_eta_star(r)), *([fold] if fold else []),
+            (_ZMAX, float(_xi(_ZMAX, r)))]
+    parts = []
+    for p, ((a, xa), (b, xb)) in enumerate(zip(ends, ends[1:])):
+        holds = (min(xa, xb) < mags) & (mags < max(xa, xb))
+        if p == 1:
+            holds |= mags == xa
+        idx = np.flatnonzero(holds)
+        n = len(idx)
+        parts.append((np.full(n, p), idx, np.full(n, a), np.full(n, b),
+                      np.full(n, xb > xa)))
+    piece, index, lo, hi, rises = map(np.concatenate, zip(*parts))
+    m = mags[index]
+    # G > 0 exactly where xi(z) < m
+    z = _bisect(lambda z: (stationary_residual(z, 0.0, -m, r) > 0) == rises,
+                lo, hi)
+    if fold is not None:
+        z[m == fold[1]] = fold[0]
+    keep = z >= 1e-9
+    return piece[keep], index[keep], z[keep]
 
 
 def jacobian_at(state: PhaseState, eta: float, params: ModelParams) -> tuple:
@@ -285,19 +297,22 @@ def find_fixed_points(eta: float, r: float) -> list:
     """Every stationary state at this eta, both theta* sheets.
 
     The symmetric point z = 0 always appears for theta* in {0, pi}.
-    Asymmetric roots are found on a 10^4-point sign-change grid for
-    z > 0 and mirrored exactly; the mirror reuses the computed spectrum,
-    which symmetry guarantees is identical. Stability refers to the
-    undamped flow (nu = 0).
+    Asymmetric roots z > 0 exist only on the sheet cos(theta*) =
+    -sign(eta), one per monotone piece of the branch graph xi that
+    |eta| crosses; each is mirrored exactly, and the mirror reuses the
+    computed spectrum, which symmetry guarantees is identical.
+    Stability refers to the undamped flow (nu = 0).
     """
     if not r > 0:
         raise DomainError(f"r must be > 0, got {r}")
+    roots = _graph_roots([abs(eta)], r)[2].tolist()
+    sheet = 0.0 if eta < 0 else math.pi
     points = []
     for theta_star in (0.0, math.pi):
         points.append(_make_fixed_point(0.0, theta_star, eta, r))
-        for z_root in _positive_roots(eta, r, theta_star):
-            if z_root < 1e-9:
-                continue  # numerical shadow of the symmetric root
+        if theta_star != sheet:
+            continue
+        for z_root in roots:
             fp = _make_fixed_point(z_root, theta_star, eta, r)
             points.append(fp)
             points.append(_make_fixed_point(
@@ -356,14 +371,17 @@ def pitchfork_cubic_coefficient(r: float) -> float:
 def asymmetric_states_below_star(r: float, delta_frac: float = 1e-3) -> bool:
     """Probe: do asymmetric stationary states exist just below eta_star?
 
-    Evaluated at |eta| = eta_star * (1 - delta_frac) on the theta* = 0
-    sheet. True implies a subcritical pitchfork. Caveat: just above
-    r_threshold the fold sits within O(sqrt(delta_frac)) of eta_star, so
-    the probe reports False although the bifurcation is subcritical;
-    use the sign of pitchfork_cubic_coefficient near the threshold.
+    Read off the branch graph at |eta| = eta_star * (1 - delta_frac),
+    0 < delta_frac < 1: they exist exactly when xi has a fold and
+    eta_plus lies below that magnitude. True implies a subcritical
+    pitchfork. Caveat: just above r_threshold the fold sits within
+    O(kappa^2) of eta_star, so the probe reports False although the
+    bifurcation is subcritical; use the sign of
+    pitchfork_cubic_coefficient near the threshold.
     """
     m = find_eta_star(r) * (1.0 - delta_frac)
-    return len(_positive_roots(-m, r, 0.0)) > 0
+    fold = _fold(r)
+    return fold is not None and fold[1] < m
 
 
 def classify_pitchfork(r: float) -> str:
@@ -413,65 +431,23 @@ def find_r_threshold(r_min: float = 3.0, r_max: float = 4.0,
     return 0.5 * (lo + hi)
 
 
-def _branch_coupling_graph(z: float, r: float) -> float:
-    """|eta| on the asymmetric branch as a function of its z, theta* = 0."""
-    return 2.0 * z / (math.sqrt(1.0 - z * z) * power_difference(z, r) / 2.0 ** r)
-
-
 def find_eta_plus(r: float) -> Optional[float]:
-    """Saddle-node coupling magnitude, or None for supercritical powers.
+    """Saddle-node coupling magnitude, or None when xi has no fold.
 
-    The asymmetric branch solves |eta| = xi(z) = 2 z / (sqrt(1 - z^2) B(z))
-    with B = [(1+z)^r - (1-z)^r] / 2^r; a fold is an interior minimum of
-    xi. A grid scan seeds a damped two-variable Newton iteration on
-    (G, dG/dz), which sharpens both residuals below 1e-10.
+    The fold is the interior minimum of the branch graph xi: one
+    bracketed solve of F = 0, the numerator of xi', gives z_f, and
+    eta_plus = xi(z_f). G and dG/dz at (z_f, -eta_plus) must both be
+    below 1e-10, and 0 < eta_plus < eta_star, or NoConvergenceError
+    is raised.
     """
     if not r > 0:
         raise DomainError(f"r must be > 0, got {r}")
-    if pitchfork_cubic_coefficient(r) >= 0.0:
+    fold = _fold(r)
+    if fold is None:
         return None
-    zs = np.linspace(1e-3, 1.0 - 1e-3, 2000)
-    diff = np.exp(r * np.log1p(-zs)) * np.expm1(2.0 * r * np.arctanh(zs))
-    xi = 2.0 * zs / (np.sqrt(1.0 - zs * zs) * diff / 2.0 ** r)
-    i = int(np.argmin(xi))
-    if i == 0 or i == len(zs) - 1:
-        return None
-    z, m = float(zs[i]), float(xi[i])
-
-    def residuals(z, m):
-        g = stationary_residual(z, 0.0, -m, r)
-        dg = residual_derivative(z, 0.0, -m, r)
-        return g, dg
-
-    g, dg = residuals(z, m)
-    for _ in range(60):
-        if max(abs(g), abs(dg)) < 1e-13:
-            break
-        one_minus = 1.0 - z * z
-        # closed-form Jacobian of (G, G') in (z, m) at eta = -m
-        dG_dm = power_difference(z, r) / 2.0 ** r
-        psum = (1.0 + z) ** (r - 1.0) + (1.0 - z) ** (r - 1.0)
-        ddg_dm = r / 2.0 ** r * psum
-        pdiff2 = (1.0 + z) ** (r - 2.0) - (1.0 - z) ** (r - 2.0)
-        d2g_dz = -6.0 * z / one_minus ** 2.5 + m * r * (r - 1.0) / 2.0 ** r * pdiff2
-        det = dg * ddg_dm - dG_dm * d2g_dz
-        if det == 0.0:
-            raise NoConvergenceError("degenerate Newton system for the fold")
-        dz = -(g * ddg_dm - dG_dm * dg) / det
-        dm = -(dg * dg - d2g_dz * g) / det
-        scale = 1.0
-        best = max(abs(g), abs(dg))
-        for _ in range(30):
-            z_try, m_try = z + scale * dz, m + scale * dm
-            if 0.0 < z_try < 1.0 - EPS_CLAMP and m_try > 0.0:
-                g_try, dg_try = residuals(z_try, m_try)
-                if max(abs(g_try), abs(dg_try)) < best:
-                    z, m, g, dg = z_try, m_try, g_try, dg_try
-                    break
-            scale *= 0.5
-        else:
-            raise NoConvergenceError("fold Newton iteration stalled")
-    g, dg = residuals(z, m)
+    z, m = fold
+    g = stationary_residual(z, 0.0, -m, r)
+    dg = residual_derivative(z, 0.0, -m, r)
     if max(abs(g), abs(dg)) > _RESIDUAL_TOL:
         raise NoConvergenceError(
             f"fold residuals {g:.2e}, {dg:.2e} above {_RESIDUAL_TOL}")
@@ -481,127 +457,46 @@ def find_eta_plus(r: float) -> Optional[float]:
     return m
 
 
-def _monotone_align(prev_zs, new_zs, cap):
-    """Min-cost order-preserving pairing of two sorted z lists.
-
-    Branches never cross between adjacent grid columns (they can only
-    meet at bifurcation points), so the correct pairing preserves sort
-    order. An unmatched entry costs cap/2, which makes a pair form
-    exactly when its jump is below cap. Returns (i, j) index pairs.
-    """
-    n, m = len(prev_zs), len(new_zs)
-    gap = 0.5 * cap
-    dp = [[0.0] * (m + 1) for _ in range(n + 1)]
-    back = [[""] * (m + 1) for _ in range(n + 1)]
-    for i in range(1, n + 1):
-        dp[i][0] = i * gap
-        back[i][0] = "up"
-    for j in range(1, m + 1):
-        dp[0][j] = j * gap
-        back[0][j] = "left"
-    for i in range(1, n + 1):
-        for j in range(1, m + 1):
-            best = dp[i - 1][j] + gap
-            move = "up"
-            if dp[i][j - 1] + gap < best:
-                best = dp[i][j - 1] + gap
-                move = "left"
-            d = abs(prev_zs[i - 1] - new_zs[j - 1])
-            if d <= cap and dp[i - 1][j - 1] + d < best:
-                best = dp[i - 1][j - 1] + d
-                move = "diag"
-            dp[i][j] = best
-            back[i][j] = move
-    pairs = []
-    i, j = n, m
-    while i > 0 or j > 0:
-        move = back[i][j]
-        if move == "diag":
-            pairs.append((i - 1, j - 1))
-            i -= 1
-            j -= 1
-        elif move == "up":
-            i -= 1
-        else:
-            j -= 1
-    pairs.reverse()
-    return pairs
-
-
-def trace_branches(r: float, eta_range: tuple, steps: int,
-                   theta_star: float = 0.0) -> BifurcationDiagram:
+def trace_branches(r: float, eta_range: tuple, steps: int) -> BifurcationDiagram:
     """Bifurcation diagram over a grid of coupling magnitudes.
 
     eta_range is (|eta|_min, |eta|_max); the attractive coupling
     eta = -|eta| is used throughout, and each point stores that signed
-    value. One theta* sheet is traced per call (default 0, where the
-    attractive-side pitchfork lives). Fixed points at adjacent grid
-    values are stitched by order-preserving nearest-z matching; a root
-    with no continuation within the jump cap starts a new branch, so
-    folds appear as two branches born at the same magnitude.
+    value. Only the theta* = 0 sheet carries asymmetric states at
+    attractive coupling, so every branch has theta_star = 0.
 
-    The cap is 5 grid spacings with a floor of 0.15: branches born at
-    a pitchfork grow like sqrt(distance past the critical coupling), so
-    their first in-branch jump can reach sqrt(grid spacing), well above
-    5 spacings on fine grids.
+    A branch is the symmetric line z = 0, or one sign of one monotone
+    piece of the branch graph xi, evaluated at the grid magnitudes
+    where that piece holds a root. A fold therefore appears as four
+    branches (two pieces, two signs) born at the same magnitude.
+    Branch ids follow (first grid index, z at birth).
     """
     lo, hi = eta_range
     if not (0.0 <= lo < hi):
         raise DomainError(f"require 0 <= min < max in eta_range, got {eta_range}")
     if steps < 2:
         raise DomainError(f"steps must be >= 2, got {steps}")
-    _cos_theta_star(theta_star)
+    classification = classify_pitchfork(r)
 
     mags = np.linspace(lo, hi, steps)
-    cap = max(0.15, 5.0 * (hi - lo) / (steps - 1))
-    branches = []
-    active_ids = []  # branch index per live end, ascending in z
-    active_zs = []
-
-    for m in mags:
-        eta = -float(m)
-        zs = [0.0]
-        for z_root in _positive_roots(eta, r, theta_star):
-            if z_root >= 1e-9:
-                zs.extend((z_root, -z_root))
-        zs.sort()
-        fps = {}
-        for z in zs:
-            if z >= 0.0:
-                fps[z] = _make_fixed_point(z, theta_star, eta, r)
-        for z in zs:
-            if z < 0.0:
-                twin = fps[-z]
-                fps[z] = _make_fixed_point(z, theta_star, eta, r,
-                                           spectrum=twin.eigenvalues,
-                                           stability=twin.stability)
-        matched_new = set()
-        next_ids = []
-        next_zs = []
-        for i, j in _monotone_align(active_zs, zs, cap):
-            bid = active_ids[i]
-            branches[bid]["points"].append(fps[zs[j]])
-            matched_new.add(j)
-            next_ids.append(bid)
-            next_zs.append(zs[j])
-        for j, z in enumerate(zs):
-            if j in matched_new:
-                continue
-            branches.append({
-                "kind": "symmetric" if z == 0.0 else "asymmetric",
-                "points": [fps[z]],
-            })
-            next_ids.append(len(branches) - 1)
-            next_zs.append(z)
-        order = sorted(range(len(next_zs)), key=lambda k: next_zs[k])
-        active_ids = [next_ids[k] for k in order]
-        active_zs = [next_zs[k] for k in order]
-
+    etas = (-mags).tolist()
+    born = [(0, 0.0, "symmetric",
+             [_make_fixed_point(0.0, 0.0, eta, r) for eta in etas])]
+    piece, index, zs = _graph_roots(mags, r)
+    for p in sorted(set(piece.tolist())):
+        idx, z = index[piece == p].tolist(), zs[piece == p].tolist()
+        upper = [_make_fixed_point(zz, 0.0, etas[k], r)
+                 for k, zz in zip(idx, z)]
+        lower = [_make_fixed_point(-fp.z_star, 0.0, fp.eta, r,
+                                   spectrum=fp.eigenvalues,
+                                   stability=fp.stability)
+                 for fp in upper]
+        born += [(idx[0], -z[0], "asymmetric", lower),
+                 (idx[0], z[0], "asymmetric", upper)]
+    born.sort(key=lambda b: b[:2])
     built = tuple(
-        Branch(branch_id=i, kind=b["kind"], theta_star=theta_star,
-               points=tuple(b["points"]))
-        for i, b in enumerate(branches))
-    classification = classify_pitchfork(r)
+        Branch(branch_id=i, kind=kind, theta_star=0.0, points=tuple(points))
+        for i, (_, _, kind, points) in enumerate(born))
     return BifurcationDiagram(
         r=r, branches=built,
         eta_star=find_eta_star(r),

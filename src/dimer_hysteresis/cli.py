@@ -177,11 +177,14 @@ def _cmd_critical(args, file_cfg) -> int:
     if not rs:
         raise ConfigError("critical requires at least one --r")
     for r in rs:
+        # classify first: inside its refusal band the fold is not
+        # resolvable either, and the refusal is the clearer error
+        classification = classify_pitchfork(r)
         record = {
             "r": r,
             "eta_star": find_eta_star(r),
             "eta_plus": find_eta_plus(r),
-            "classification": classify_pitchfork(r),
+            "classification": classification,
             "effective_config": {"r": rs},
         }
         sys.stdout.write(json.dumps(record) + "\n")

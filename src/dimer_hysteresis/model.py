@@ -211,7 +211,7 @@ class Trajectory:
         return PhaseState(z=float(self.z[-1]), theta=float(self.theta[-1]))
 
 
-def power_difference(z: float, r: float) -> float:
+def power_difference(z, r: float):
     """(1+z)^r - (1-z)^r, accurate at every magnitude of z.
 
     The naive two-pow form loses all significance for |z| below machine
@@ -220,7 +220,17 @@ def power_difference(z: float, r: float) -> float:
         (1+z)^r - (1-z)^r = (1-z)^r * expm1(2 r atanh(z))
     keeps full relative accuracy down to the smallest normal numbers.
     Exactly odd in z by construction.
+
+    z may be a float (computed with the math module) or a numpy array
+    (the same identity in numpy, elementwise; numpy's exp, log1p and
+    friends may differ from the math module's by an ulp).
     """
+    if isinstance(z, np.ndarray):
+        a = np.abs(z)
+        if np.any(a >= 1.0):
+            raise DomainError("power_difference requires |z| < 1")
+        val = np.exp(r * np.log1p(-a)) * np.expm1(2.0 * r * np.arctanh(a))
+        return np.where(z < 0, -val, val)
     a = abs(z)
     if a == 0.0:
         return 0.0

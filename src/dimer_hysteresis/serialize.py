@@ -75,33 +75,6 @@ def diagram_to_csv(diagram) -> str:
     return out.getvalue()
 
 
-def _schedule_dict(schedule: EtaSchedule) -> dict:
-    d = {"kind": schedule.kind, "eta_start": schedule.eta_start,
-         "T": schedule.T}
-    if schedule.eta_peak is not None:
-        d["eta_peak"] = schedule.eta_peak
-    if schedule.knots is not None:
-        d["knots"] = [list(k) for k in schedule.knots]
-    return d
-
-
-def run_metadata(params: ModelParams, schedule=None, config=None,
-                 effective: dict | None = None) -> dict:
-    """Run-settings block embedded in every JSON output."""
-    meta = {"params": {"r": params.r, "nu": params.nu,
-                       "rhs_mode": params.rhs_mode}}
-    if schedule is not None:
-        meta["schedule"] = _schedule_dict(schedule)
-    if config is not None:
-        meta["integrator"] = {
-            "method": config.method, "dt": config.dt,
-            "abs_tol": config.abs_tol, "rel_tol": config.rel_tol,
-            "sample_stride": config.sample_stride,
-        }
-    meta["effective_config"] = dict(effective or {})
-    return meta
-
-
 def diagram_to_json(diagram, effective: dict | None = None) -> str:
     branches = []
     for branch in diagram.branches:

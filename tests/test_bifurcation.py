@@ -9,11 +9,12 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dimer_hysteresis import (DomainError, ModelParams, PhaseState,
-                              R_THRESHOLD, ThresholdProximityError,
+from dimer_hysteresis import (DomainError, ModelParams, NoConvergenceError,
+                              PhaseState, R_THRESHOLD,
+                              ThresholdProximityError, bifurcation,
                               asymmetric_states_below_star,
                               classify_pitchfork, classify_stability,
                               eta_star_numeric, find_eta_plus, find_eta_star,
@@ -345,3 +346,124 @@ class TestTraceBranches:
             trace_branches(1.0, (2.0, 1.0), 100)
         with pytest.raises(DomainError):
             trace_branches(1.0, (0.5, 4.0), 1)
+
+
+# Recorded from the grid-scan finder with order-preserving stitching
+# that the branch graph replaced: atlas span (0.25, 1.4) * eta_star,
+# 400 steps. (branch_id, kind, points, first |eta|, last |eta|)
+GOLDEN_ATLAS = {
+    1.0: [(0, "symmetric", 400, 0.5, 2.8),
+          (1, "asymmetric", 139, 2.004511278195489, 2.8),
+          (2, "asymmetric", 139, 2.004511278195489, 2.8)],
+    2.0: [(0, "symmetric", 400, 0.5, 2.8),
+          (1, "asymmetric", 139, 2.004511278195489, 2.8),
+          (2, "asymmetric", 139, 2.004511278195489, 2.8)],
+    3.0: [(0, "symmetric", 400, 0.6666666666666666, 3.733333333333333),
+          (1, "asymmetric", 139, 2.6726817042606514, 3.733333333333333),
+          (2, "asymmetric", 139, 2.6726817042606514, 3.733333333333333)],
+    4.0: [(0, "symmetric", 400, 1.0, 5.6),
+          (1, "asymmetric", 168, 3.6746867167919794, 5.6),
+          (2, "asymmetric", 29, 3.6746867167919794, 3.997493734335839),
+          (3, "asymmetric", 29, 3.6746867167919794, 3.997493734335839),
+          (4, "asymmetric", 168, 3.6746867167919794, 5.6)],
+    5.0: [(0, "symmetric", 400, 1.6, 8.959999999999999),
+          (1, "asymmetric", 247, 4.422255639097744, 8.959999999999999),
+          (2, "asymmetric", 108, 4.422255639097744, 6.3959899749373434),
+          (3, "asymmetric", 108, 4.422255639097744, 6.3959899749373434),
+          (4, "asymmetric", 247, 4.422255639097744, 8.959999999999999)],
+}
+
+
+def atlas_diagram(r, steps):
+    star = find_eta_star(r)
+    return trace_branches(r, (0.25 * star, 1.4 * star), steps)
+
+
+class TestBranchGraph:
+    @pytest.mark.parametrize("r", sorted(GOLDEN_ATLAS))
+    def test_atlas_matches_stitched_branches(self, r):
+        d = atlas_diagram(r, 400)
+        got = [(b.branch_id, b.kind, len(b.points), abs(b.points[0].eta),
+                abs(b.points[-1].eta)) for b in d.branches]
+        assert got == GOLDEN_ATLAS[r]
+        assert all(b.theta_star == 0.0 for b in d.branches)
+
+    @pytest.mark.parametrize("r", (0.5, 3.4, 5.0))
+    def test_diagram_points_match_dense_oracle(self, r):
+        d = atlas_diagram(r, 40)
+        by_eta = {}
+        for b in d.branches:
+            for p in b.points:
+                by_eta.setdefault(p.eta, []).append(p.z_star)
+        assert len(by_eta) == 40
+        for eta, zs in by_eta.items():
+            roots = oracle_roots(eta, r, 0.0)
+            expected = sorted([0.0] + roots + [-z for z in roots])
+            assert len(zs) == len(expected), (r, eta)
+            for a, b in zip(sorted(zs), expected):
+                assert a == pytest.approx(b, abs=1e-6), (r, eta)
+
+    @pytest.mark.parametrize("numerator", [
+        lambda z, r: (z - 0.1) * (z - 0.5),  # two sign changes
+        lambda z, r: 0.5 - z,                # xi falling at the top
+    ])
+    def test_unexpected_slope_signs_raise(self, monkeypatch, numerator):
+        monkeypatch.setattr(bifurcation, "_xi_slope_numerator", numerator)
+        with pytest.raises(NoConvergenceError):
+            find_eta_plus(5.0)
+        with pytest.raises(NoConvergenceError):
+            find_fixed_points(-5.0, 5.0)
+        with pytest.raises(NoConvergenceError):
+            trace_branches(5.0, (3.0, 8.0), 10)
+        with pytest.raises(NoConvergenceError):
+            asymmetric_states_below_star(5.0)
+
+    @given(r=st.floats(0.05, 20.0))
+    @settings(max_examples=60, deadline=None)
+    def test_fold_exists_exactly_when_subcritical(self, r):
+        assume(abs(r - R_THRESHOLD) >= 1e-6)
+        has_fold = find_eta_plus(r) is not None
+        assert has_fold == (classify_pitchfork(r) == "subcritical")
+
+    @pytest.mark.parametrize("offset", (1.05e-6, 2e-6, 1e-5, 1e-3))
+    def test_fold_found_next_to_threshold(self, offset):
+        r = R_THRESHOLD + offset
+        plus = find_eta_plus(r)
+        assert plus is not None
+        assert 0.0 < plus < find_eta_star(r)
+        d = atlas_diagram(r, 50)
+        assert d.classification == "subcritical" and d.eta_plus == plus
+
+    @pytest.mark.parametrize("offset", (1.05e-6, 1e-3))
+    def test_no_fold_just_below_threshold(self, offset):
+        assert find_eta_plus(R_THRESHOLD - offset) is None
+
+    @pytest.mark.parametrize("offset", (
+        7.181039092537342e-09, 2.8720631177978283e-08,  # noisy slope signs
+        7.462935686310144e-09, 2.4620924014946255e-08,  # fold depth ~ ulps
+        1e-7, 5e-7, -1e-7))
+    def test_inside_refusal_band_ends_in_a_result(self, offset):
+        r = R_THRESHOLD + offset
+        plus = find_eta_plus(r)
+        assert plus is None or 0.0 < plus < find_eta_star(r)
+        assert len(find_fixed_points(-2.9878, r)) >= 2
+
+    def test_single_root_at_the_fold(self):
+        plus = find_eta_plus(5.0)
+        z_f = bifurcation._fold(5.0)[0]
+        asym = [p.z_star for p in find_fixed_points(-plus, 5.0)
+                if p.kind == "asymmetric"]
+        assert sorted(asym) == [-z_f, z_f]
+
+    def test_repulsive_roots_live_on_the_pi_sheet(self):
+        pts = find_fixed_points(5.0, 5.0)
+        asym = [p for p in pts if p.kind == "asymmetric"]
+        assert len(asym) == 4
+        assert all(p.theta_star == math.pi for p in asym)
+        assert sorted(abs(p.z_star) for p in asym) == sorted(
+            abs(p.z_star) for p in find_fixed_points(-5.0, 5.0)
+            if p.kind == "asymmetric")
+
+    def test_no_theta_star_parameter(self):
+        with pytest.raises(TypeError):
+            trace_branches(1.0, (0.5, 4.0), 10, theta_star=0.0)

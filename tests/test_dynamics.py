@@ -56,6 +56,22 @@ class TestVectorField:
         assert dtheta == pytest.approx(gz, rel=1e-14)
         assert dz == pytest.approx(-s * math.sin(1.1) - nu * gz, rel=1e-14)
 
+    def test_inline_power_difference_is_the_model_kernel(self):
+        # make_field inlines model.power_difference for speed; its phase
+        # equation must equal grad_hamiltonian's dH/dz, which calls the
+        # model kernel with the same surrounding arithmetic, bit for bit.
+        # With eta = -2^r the difference enters with weight exactly 1.
+        zs = (0.0, 5e-324, -5e-324, 1e-300, -1e-18, 1e-18, -1e-9, 3e-5,
+              -0.3, 0.3, -0.999, 0.999)
+        for r in (0.3, 1.0, 2.5, 5.0):
+            field = dynamics.make_field(ModelParams(r=r))
+            for eta in (-(2.0 ** r), -2.5, 3.0):
+                for theta in (0.0, math.pi / 2, 1.1):
+                    for z in zs:
+                        gz = grad_hamiltonian(PhaseState(z=z, theta=theta),
+                                              eta, r)[0]
+                        assert field(z, theta, eta)[1] == gz, (r, eta, z)
+
     def test_singular_near_boundary(self):
         with pytest.raises(SingularityError):
             vector_field(PhaseState(z=1.0 - 1e-12, theta=0.0), -1.0,

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -113,6 +114,21 @@ class TestPowerDifference:
     def test_rejects_boundary(self):
         with pytest.raises(DomainError):
             power_difference(1.0, 2.0)
+
+    def test_array_matches_scalars(self):
+        zs = np.array([-0.999, -0.5, -1e-12, -1e-300, 0.0, 5e-324, 1e-18,
+                       1e-6, 0.3, 0.999999])
+        for r in (0.3, 1.0, 2.5, 5.0):
+            got = power_difference(zs, r)
+            assert isinstance(got, np.ndarray) and got.shape == zs.shape
+            want = [power_difference(z, r) for z in zs.tolist()]
+            assert got.tolist() == pytest.approx(want, rel=1e-14, abs=0.0)
+            assert np.array_equal(power_difference(-zs, r), -got)
+            assert got[4] == 0.0
+
+    def test_array_rejects_boundary(self):
+        with pytest.raises(DomainError):
+            power_difference(np.array([0.5, -1.0]), 2.0)
 
 
 class TestEnergyAndCoupling:
