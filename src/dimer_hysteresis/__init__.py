@@ -11,13 +11,13 @@ from .bifurcation import (R_THRESHOLD, BifurcationDiagram, Branch,
                           find_fixed_points, find_r_threshold, jacobian_at,
                           pitchfork_cubic_coefficient, stationary_residual,
                           trace_branches)
-from .dynamics import METHODS, IntegratorConfig, integrate, vector_field
+from .dynamics import IntegratorConfig, integrate, vector_field
 from .errors import (ConfigError, DomainError, GridCoverageError,
                      NoConvergenceError, SingularityError, StepFailureError,
                      ThresholdProximityError)
 from .hysteresis import (AREA_THRESHOLD, Z_GAP_THRESHOLD, HysteresisReport,
                          predict_window, run_sweep, sweep_report)
-from .model import (RHS_MODES, SCHEDULE_KINDS, EtaSchedule, IntegrationStats,
+from .model import (SCHEDULE_KINDS, EtaSchedule, IntegrationStats,
                     ModelParams, PhaseState, PhysicalContext, Sample,
                     Trajectory, amplitudes_from_state, effective_eta,
                     energy_functional, eval_schedule, grad_hamiltonian,
@@ -32,9 +32,9 @@ __version__ = "0.1.0"
 __all__ = [
     "AREA_THRESHOLD", "BifurcationDiagram", "Branch", "ConfigError",
     "DomainError", "EtaSchedule", "FixedPoint", "GridCoverageError",
-    "HysteresisReport", "IntegrationStats", "IntegratorConfig", "METHODS",
-    "ModelParams", "NoConvergenceError", "PhaseState", "PhysicalContext", "R_THRESHOLD",
-    "RHS_MODES", "SCHEDULE_KINDS", "Sample", "SingularityError",
+    "HysteresisReport", "IntegrationStats", "IntegratorConfig",
+    "ModelParams", "NoConvergenceError", "PhaseState", "PhysicalContext",
+    "R_THRESHOLD", "SCHEDULE_KINDS", "Sample", "SingularityError",
     "StepFailureError", "ThresholdProximityError", "Trajectory",
     "Z_GAP_THRESHOLD", "amplitudes_from_state",
     "asymmetric_states_below_star", "classify_pitchfork",

@@ -229,7 +229,7 @@ def _graph_roots(mags, r: float) -> tuple:
 def jacobian_at(state: PhaseState, eta: float, params: ModelParams) -> tuple:
     """Central finite-difference Jacobian of vector_field, step 1e-6.
 
-    One code path covers both rhs modes and any damping. Returned as
+    One code path covers any damping. Returned as
     ((dzdot_dz, dzdot_dtheta), (dthetadot_dz, dthetadot_dtheta)).
     """
     z, theta = state.z, state.theta

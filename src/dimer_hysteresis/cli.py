@@ -20,10 +20,10 @@ from . import config as cfgmod
 from . import serialize, svgplot
 from .bifurcation import (classify_pitchfork, find_eta_plus, find_eta_star,
                           find_r_threshold, trace_branches)
-from .dynamics import METHODS, IntegratorConfig, integrate
+from .dynamics import IntegratorConfig, integrate
 from .errors import ConfigError
 from .hysteresis import run_sweep
-from .model import RHS_MODES, EtaSchedule, ModelParams, PhaseState
+from .model import SCHEDULE_KINDS, EtaSchedule, ModelParams, PhaseState
 
 _DEFAULTS = {
     "nu": 0.0,
@@ -32,8 +32,6 @@ _DEFAULTS = {
     "T": 4000.0,
     "schedule": "triangular",
     "eta-start": -1.0,
-    "rhs-mode": "hamiltonian",
-    "method": "rk45_adaptive",
     "dt": 1e-3,
     "abs-tol": 1e-9,
     "rel-tol": 1e-9,
@@ -44,8 +42,8 @@ _DEFAULTS = {
 }
 
 _SIM_KEYS = ("r", "nu", "z0", "theta0", "T", "schedule", "eta-start",
-             "eta-peak", "rhs-mode", "method", "dt", "abs-tol", "rel-tol",
-             "sample-stride", "out", "plot")
+             "eta-peak", "dt", "abs-tol", "rel-tol", "sample-stride", "out",
+             "plot")
 _BIF_KEYS = ("r", "eta-min", "eta-max", "steps", "out", "plot")
 _SWEEP_KEYS = _SIM_KEYS + ("grid", "hysteresis", "r-min", "r-max", "tol")
 
@@ -71,13 +69,10 @@ def _add_sim_flags(sub):
     sub.add_argument("--z0", type=float, help="initial imbalance")
     sub.add_argument("--theta0", type=float, help="initial phase")
     sub.add_argument("--T", type=float, help="total sweep time")
-    sub.add_argument("--schedule", choices=("constant", "triangular"))
+    sub.add_argument("--schedule", choices=SCHEDULE_KINDS)
     sub.add_argument("--eta-start", type=float)
     sub.add_argument("--eta-peak", type=float)
-    sub.add_argument("--rhs-mode", choices=RHS_MODES)
-    sub.add_argument("--method", choices=METHODS,
-                     help="rk45_adaptive (DOP853, the default) or rk4_fixed")
-    sub.add_argument("--dt", type=float, help="fixed or initial step")
+    sub.add_argument("--dt", type=float, help="initial step")
     sub.add_argument("--abs-tol", type=float)
     sub.add_argument("--rel-tol", type=float)
     sub.add_argument("--sample-stride", type=int,
@@ -133,11 +128,11 @@ def _build_run(eff):
     _require(eff, ("r",))
     if eff["schedule"] == "triangular" and eff.get("eta-peak") is None:
         raise ConfigError("a triangular schedule requires eta-peak")
-    params = ModelParams(r=eff["r"], nu=eff["nu"], rhs_mode=eff["rhs-mode"])
+    params = ModelParams(r=eff["r"], nu=eff["nu"])
     schedule = EtaSchedule(kind=eff["schedule"], eta_start=eff["eta-start"],
                            eta_peak=eff.get("eta-peak"), T=eff["T"])
-    icfg = IntegratorConfig(method=eff["method"], dt=eff["dt"],
-                            abs_tol=eff["abs-tol"], rel_tol=eff["rel-tol"],
+    icfg = IntegratorConfig(dt=eff["dt"], abs_tol=eff["abs-tol"],
+                            rel_tol=eff["rel-tol"],
                             sample_stride=eff["sample-stride"])
     initial = PhaseState(z=eff["z0"], theta=eff["theta0"])
     return initial, params, schedule, icfg

@@ -36,8 +36,6 @@ KNOWN_KEYS = {
     "schedule": str,
     "eta-start": float,
     "eta-peak": float,
-    "rhs-mode": str,
-    "method": str,
     "dt": float,
     "abs-tol": float,
     "rel-tol": float,

@@ -7,36 +7,29 @@ The nu term models incoherent population exchange. With this sign
 convention dH/dtau = nu * (dH/dz)^2 >= 0, so H relaxes monotonically
 onto the interior maximum that hosts the stable stationary states and
 the physical energy E = Omega - omega H / 2 decreases. (The opposite
-sign turns every stable center into a repeller and drives |z| -> 1;
-rhs_mode="as_printed" keeps a legacy variant of that form around for
-comparison runs.)
+sign turns every stable center into a repeller and drives |z| -> 1.)
 
-Both steppers run through one stage loop over a coefficient table (see
-tableau.py):
-
-- "rk45_adaptive" (the default; the name is kept for existing configs)
-  is the Dormand-Prince 8(5,3) pair DOP853. Its combined 5th/3rd-order
-  error estimate is controlled per unit tau in the max norm over
-  (z, theta) by a PI controller; the per-unit control is what keeps the
-  H drift below 1e-8 over tau spans of 10^3. No step spans more than
-  one unit of tau: with longer steps the absolute tolerance dominates
-  near z = 0, the state stops decaying there and the delayed jump of a
-  slow ramp comes early. Steps ignore the sample grid; samples inside a
-  step come from DOP853's 7th-order interpolant, which costs three
-  extra right-hand-side evaluations on steps that hold a sample.
-- "rk4_fixed" is classical RK4 with step dt, shortened where needed to
-  land on every sample point, for reproducibility studies.
+The stepper is the Dormand-Prince 8(5,3) pair DOP853, run as one stage
+loop over the coefficient tables in tableau.py. Its combined
+5th/3rd-order error estimate is controlled per unit tau in the max norm
+over (z, theta) by a PI controller; the per-unit control is what keeps
+the H drift below 1e-8 over tau spans of 10^3. No step spans more than
+one unit of tau: with longer steps the absolute tolerance dominates
+near z = 0, the state stops decaying there and the delayed jump of a
+slow ramp comes early. Steps ignore the sample grid; samples inside a
+step come from DOP853's 7th-order interpolant, which costs three extra
+right-hand-side evaluations on steps that hold a sample.
 
 A step whose stage leaves |z| <= 1 - EPS_CLAMP is halved; at min_step
 the state is clamped and the clamp counted. A non-finite error estimate
 rejects the step like any other, so a NaN ends in StepFailureError once
-the step underflows min_step; rk4_fixed, which has no error estimate,
-raises StepFailureError at the first non-finite state.
+the step underflows min_step.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,16 +44,13 @@ from .model import (
     PhysicalContext,
     Trajectory,
     energy_functional,
-    eval_schedule,
     hamiltonian_column,
     schedule_column,
 )
 from .tableau import (DOP853_B, DOP853_D, DOP853_DENSE_STAGES, DOP853_E3,
-                      DOP853_E5, DOP853_STAGES, RK4_B, RK4_STAGES)
+                      DOP853_E5, DOP853_STAGES)
 
-METHODS = ("rk45_adaptive", "rk4_fixed")
-
-# adaptive step control
+# step control
 _MAX_STEP = 1.0     # no step spans more than one unit of tau
 _SAFETY = 0.9
 _FAC_MIN, _FAC_MAX = 0.2, 6.0
@@ -72,21 +62,17 @@ _BETA = 0.4 / 7.0
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Stepper selection and control knobs.
+    """Control knobs of the DOP853 stepper.
 
-    method "rk45_adaptive" names the adaptive DOP853 stepper (the name
-    predates it and is kept so existing configs keep working);
-    "rk4_fixed" is classical RK4. dt is the fixed step for rk4_fixed and
-    the initial step for rk45_adaptive, whose steps are then chosen by
-    error control and never exceed one unit of tau. abs_tol and rel_tol
-    bound the error per unit tau. sample_stride is the number of output
-    samples per unit tau; rk45_adaptive interpolates them, rk4_fixed
-    steps onto them. clamp_limit bounds how many boundary clamps are
-    tolerated before the run is declared singular. min_step is the
-    smallest step tried before a boundary clamp or a StepFailureError.
+    dt is the initial step; later steps are chosen by error control and
+    never exceed one unit of tau. abs_tol and rel_tol bound the error
+    per unit tau. sample_stride is the number of output samples per unit
+    tau, interpolated inside the steps. clamp_limit bounds how many
+    boundary clamps are tolerated before the run is declared singular.
+    min_step is the smallest step tried before a boundary clamp or a
+    StepFailureError.
     """
 
-    method: str = "rk45_adaptive"
     dt: float = 1e-3
     abs_tol: float = 1e-9
     rel_tol: float = 1e-9
@@ -95,25 +81,29 @@ class IntegratorConfig:
     min_step: float = 1e-13
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise DomainError(f"method must be one of {METHODS}, got {self.method!r}")
         for name in ("dt", "abs_tol", "rel_tol", "min_step"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise DomainError(
                     f"{name} must be finite and > 0, got {value}")
-        if self.sample_stride < 1:
-            raise DomainError(f"sample_stride must be >= 1, got {self.sample_stride}")
+        for name, least in (("sample_stride", 1), ("clamp_limit", 0)):
+            value = getattr(self, name)
+            try:
+                ok = operator.index(value) >= least
+            except TypeError:
+                ok = False
+            if not ok:
+                raise DomainError(
+                    f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def make_field(params: ModelParams):
-    """Closure (z, theta, eta) -> (dz, dtheta) for the configured rhs_mode.
+    """Closure (z, theta, eta) -> (dz, dtheta) of the damped flow.
 
     Kept free of any state boxing; this is the integrator hot path.
     """
     r, nu = params.r, params.nu
     two_r = 2.0 ** r
-    printed = params.rhs_mode == "as_printed"
 
     def field(z, theta, eta):
         s = math.sqrt(1.0 - z * z)
@@ -126,8 +116,6 @@ def make_field(params: ModelParams):
             if z < 0:
                 diff = -diff
         gz = -2.0 * z * math.cos(theta) / s - eta / two_r * diff
-        if printed:
-            return -s * math.sin(theta) - nu * gz, gz
         return 2.0 * s * math.sin(theta) + nu * gz, gz
 
     return field
@@ -157,8 +145,6 @@ _DOP853_E5 = _sparse(DOP853_E5)
 _DOP853_E3 = _sparse(DOP853_E3)
 _DOP853_DENSE_STAGES = _sparse_stages(DOP853_DENSE_STAGES)
 _DOP853_D = tuple(_sparse(d) for d in DOP853_D)
-_RK4_STAGES = _sparse_stages(RK4_STAGES)
-_RK4_B = _sparse(RK4_B)
 
 
 def _combine(row, kz, kt):
@@ -238,14 +224,14 @@ def integrate(initial: PhaseState, params: ModelParams, schedule: EtaSchedule,
     if abs(initial.z) > zmax:
         raise SingularityError(f"initial z={initial.z} within EPS_CLAMP of |z|=1")
 
-    # every stage evaluates eta(t); specialize the two closed-form
-    # schedule kinds instead of going through eval_schedule
+    # every stage evaluates eta(t); specialize the two schedule kinds
+    # instead of going through eval_schedule
     if schedule.kind == "constant":
         e0 = schedule.eta_start
 
         def eta_at(t):
             return e0
-    elif schedule.kind == "triangular":
+    else:
         e0, T_s = schedule.eta_start, schedule.T
         half = 0.5 * T_s
         rate = (schedule.eta_peak - e0) / half
@@ -253,9 +239,6 @@ def integrate(initial: PhaseState, params: ModelParams, schedule: EtaSchedule,
         def eta_at(t):
             x = t if t <= half else T_s - t
             return e0 + rate * (x if x > 0.0 else 0.0)
-    else:
-        def eta_at(t):
-            return eval_schedule(schedule, t)
 
     def emit(t, z, theta):
         taus.append(t)
@@ -273,11 +256,6 @@ def integrate(initial: PhaseState, params: ModelParams, schedule: EtaSchedule,
             return t0 + k / stride
         return t1 if k == n else math.inf
 
-    adaptive = config.method == "rk45_adaptive"
-    if adaptive:
-        table, b = _DOP853_STAGES, _DOP853_B
-    else:
-        table, b = _RK4_STAGES, _RK4_B
     atol, rtol, min_step = config.abs_tol, config.rel_tol, config.min_step
     taus, zs, thetas = [], [], []
     z, theta, t = initial.z, initial.theta, t0
@@ -286,24 +264,19 @@ def integrate(initial: PhaseState, params: ModelParams, schedule: EtaSchedule,
     ts = sample_time(k)
     fz, ft = field(z, theta, eta_at(t))
     rhs_evals, accepted, rejected, halvings, clamp_events = 1, 0, 0, 0, 0
-    h = min(config.dt, _MAX_STEP) if adaptive else config.dt
+    h = min(config.dt, _MAX_STEP)
     err_old = 1.0
 
     while t < t1:
-        if adaptive:
-            t_new = t + h
-            if t_new >= t1:
-                t_new, h = t1, t1 - t
-        else:
-            # fixed steps land on every sample point
-            t_new = t + h
-            if t_new + 1e-9 * h >= ts:
-                h, t_new = ts - t, ts
+        t_new = t + h
+        if t_new >= t1:
+            t_new, h = t1, t1 - t
         kz, kt = [fz], [ft]
-        inside = _stages(field, eta_at, table, t, h, z, theta, kz, kt, zmax)
+        inside = _stages(field, eta_at, _DOP853_STAGES, t, h, z, theta,
+                         kz, kt, zmax)
         rhs_evals += len(kz) - 1
         if inside:
-            sz, st = _combine(b, kz, kt)
+            sz, st = _combine(_DOP853_B, kz, kt)
             zn = z + h * sz
             inside = not abs(zn) > zmax
         if not inside:
@@ -326,32 +299,28 @@ def integrate(initial: PhaseState, params: ModelParams, schedule: EtaSchedule,
             continue
         tn = theta + h * st
 
-        if adaptive:
-            # 5th- and 3rd-order estimates combined as in DOP853, as an
-            # error per unit tau in the max norm over (z, theta)
-            scale_z = atol + rtol * abs(zn)
-            scale_t = atol + rtol * abs(tn)
-            ez, et = _combine(_DOP853_E5, kz, kt)
-            e5 = max(abs(ez) / scale_z, abs(et) / scale_t)
-            ez, et = _combine(_DOP853_E3, kz, kt)
-            e3 = max(abs(ez) / scale_z, abs(et) / scale_t)
-            err = e5 * e5 / math.sqrt(e5 * e5 + 0.01 * e3 * e3) if e5 else 0.0
-            if not err <= 1.0:
-                # a non-finite estimate is a rejection like any other
-                rejected += 1
-                fac = _SAFETY * err ** -_EXPO if math.isfinite(err) else 0.0
-                h *= max(_FAC_MIN, fac)
-                if h < min_step:
-                    raise StepFailureError(
-                        f"step size underflowed {min_step} at tau={t}")
-                continue
-            # PI control of the next step
-            fac = _SAFETY * (err + 1e-300) ** -_EXPO * err_old ** _BETA
-            err_old = max(err, 1e-4)
-            h_next = min(h * min(_FAC_MAX, max(_FAC_MIN, fac)), _MAX_STEP)
-        elif not (math.isfinite(zn) and math.isfinite(tn)):
-            # rk4_fixed has no error estimate that could reject this step
-            raise StepFailureError(f"non-finite state at tau={t_new}")
+        # 5th- and 3rd-order estimates combined as in DOP853, as an
+        # error per unit tau in the max norm over (z, theta)
+        scale_z = atol + rtol * abs(zn)
+        scale_t = atol + rtol * abs(tn)
+        ez, et = _combine(_DOP853_E5, kz, kt)
+        e5 = max(abs(ez) / scale_z, abs(et) / scale_t)
+        ez, et = _combine(_DOP853_E3, kz, kt)
+        e3 = max(abs(ez) / scale_z, abs(et) / scale_t)
+        err = e5 * e5 / math.sqrt(e5 * e5 + 0.01 * e3 * e3) if e5 else 0.0
+        if not err <= 1.0:
+            # a non-finite estimate is a rejection like any other
+            rejected += 1
+            fac = _SAFETY * err ** -_EXPO if math.isfinite(err) else 0.0
+            h *= max(_FAC_MIN, fac)
+            if h < min_step:
+                raise StepFailureError(
+                    f"step size underflowed {min_step} at tau={t}")
+            continue
+        # PI control of the next step
+        fac = _SAFETY * (err + 1e-300) ** -_EXPO * err_old ** _BETA
+        err_old = max(err, 1e-4)
+        h_next = min(h * min(_FAC_MAX, max(_FAC_MIN, fac)), _MAX_STEP)
 
         accepted += 1
         fz, ft = field(zn, tn, eta_at(t_new))
@@ -372,7 +341,7 @@ def integrate(initial: PhaseState, params: ModelParams, schedule: EtaSchedule,
             k += 1
             ts = sample_time(k)
         z, theta, t = zn, tn, t_new
-        h = h_next if adaptive else config.dt
+        h = h_next
 
     stats = IntegrationStats(rhs_evals, accepted, rejected, halvings)
     tau, z, theta = np.array(taus), np.array(zs), np.array(thetas)

@@ -124,9 +124,7 @@ def _longest_gap_window(centers, gap) -> Optional[tuple]:
     return (float(centers[best[0]]), float(centers[best[1]]))
 
 
-def _check_sweep(schedule: EtaSchedule, grid_size: int):
-    if schedule.kind == "piecewise_linear":
-        raise DomainError("a sweep requires a triangular or constant schedule")
+def _check_grid(grid_size: int):
     if grid_size < 16:
         raise DomainError(f"grid_size must be >= 16, got {grid_size}")
 
@@ -135,11 +133,11 @@ def run_sweep(initial: PhaseState, params: ModelParams, schedule: EtaSchedule,
               config: IntegratorConfig, grid_size: int) -> HysteresisReport:
     """Integrate one full sweep and quantify the forward/backward gap.
 
-    The schedule must be triangular (or constant, which degenerates to a
-    zero-area report). grid_size bins cover [min |eta|, max |eta|].
+    A constant schedule degenerates to a zero-area report. grid_size
+    bins cover [min |eta|, max |eta|].
     Equivalent to sweep_report on integrate's trajectory over [0, T].
     """
-    _check_sweep(schedule, grid_size)
+    _check_grid(grid_size)
     traj = integrate(initial, params, schedule, config, (0.0, schedule.T))
     return sweep_report(traj, grid_size)
 
@@ -147,12 +145,12 @@ def run_sweep(initial: PhaseState, params: ModelParams, schedule: EtaSchedule,
 def sweep_report(traj: Trajectory, grid_size: int) -> HysteresisReport:
     """Quantify the forward/backward gap of a trajectory over a full sweep.
 
-    traj must cover its triangular (or constant) schedule's whole span
-    [0, T], as run_sweep's integration does; grid_size bins cover
-    [min |eta|, max |eta|].
+    traj must cover its schedule's whole span [0, T], as run_sweep's
+    integration does; a constant schedule gives a zero-area report.
+    grid_size bins cover [min |eta|, max |eta|].
     """
     params, schedule = traj.params, traj.schedule
-    _check_sweep(schedule, grid_size)
+    _check_grid(grid_size)
     reference = {
         "eta_star": find_eta_star(params.r),
         "eta_plus": find_eta_plus(params.r),

@@ -23,23 +23,19 @@ from .errors import DomainError, SingularityError
 # Dynamics never evaluates the phase equation closer to |z| = 1 than this.
 EPS_CLAMP = 1e-9
 
-RHS_MODES = ("hamiltonian", "as_printed")
-SCHEDULE_KINDS = ("constant", "triangular", "piecewise_linear")
+SCHEDULE_KINDS = ("constant", "triangular")
 
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Nonlinearity power r, damping nu, and the right-hand-side convention.
+    """Nonlinearity power r and damping nu.
 
-    r may be any positive real, integer or not. rhs_mode selects between
-    the derivative-consistent equations of motion ("hamiltonian", the
-    default, conserves H when nu = 0) and a legacy variant ("as_printed")
-    kept for comparison; see dynamics.vector_field.
+    r may be any positive real, integer or not. With nu = 0 the flow
+    conserves H; see dynamics.vector_field.
     """
 
     r: float
     nu: float = 0.0
-    rhs_mode: str = "hamiltonian"
 
     def __post_init__(self):
         if not (math.isfinite(self.r) and self.r > 0):
@@ -48,9 +44,6 @@ class ModelParams:
         if not (math.isfinite(self.nu) and self.nu >= 0):
             raise DomainError(
                 f"damping nu must be finite and >= 0, got {self.nu}")
-        if self.rhs_mode not in RHS_MODES:
-            raise DomainError(
-                f"rhs_mode must be one of {RHS_MODES}, got {self.rhs_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -99,16 +92,14 @@ class EtaSchedule:
     """Time-dependent effective coupling eta(tau) on [0, T].
 
     kinds:
-      constant          eta(tau) = eta_start
-      triangular        linear ramp eta_start -> eta_peak -> eta_start
-      piecewise_linear  interpolation through (tau, eta) knots
+      constant    eta(tau) = eta_start
+      triangular  linear ramp eta_start -> eta_peak -> eta_start
     """
 
     kind: str
     eta_start: float = 0.0
     eta_peak: Optional[float] = None
     T: float = 1.0
-    knots: Optional[tuple] = None
 
     def __post_init__(self):
         if self.kind not in SCHEDULE_KINDS:
@@ -124,17 +115,6 @@ class EtaSchedule:
             raise DomainError(f"eta_peak must be finite, got {self.eta_peak}")
         if self.kind == "triangular" and self.eta_peak is None:
             raise DomainError("triangular schedule requires eta_peak")
-        if self.kind == "piecewise_linear":
-            if not self.knots or len(self.knots) < 2:
-                raise DomainError("piecewise_linear schedule requires >= 2 knots")
-            if not all(math.isfinite(v) for knot in self.knots for v in knot):
-                raise DomainError("piecewise_linear knots must be finite")
-            taus = [k[0] for k in self.knots]
-            if any(b <= a for a, b in zip(taus, taus[1:])):
-                raise DomainError("piecewise_linear knots must be strictly "
-                                  "increasing in tau")
-            if taus[0] != 0.0 or taus[-1] != self.T:
-                raise DomainError("piecewise_linear knots must span [0, T]")
 
 
 class Sample(NamedTuple):
@@ -152,9 +132,9 @@ class IntegrationStats:
 
     rhs_evals counts right-hand-side evaluations, including those spent
     on rejected steps and on interpolating samples. accepted and
-    rejected count step attempts judged by the error control (every
-    step of a fixed-step run is accepted). boundary_halvings counts the
-    step halvings forced by a stage leaving |z| <= 1 - EPS_CLAMP.
+    rejected count step attempts judged by the error control.
+    boundary_halvings counts the step halvings forced by a stage leaving
+    |z| <= 1 - EPS_CLAMP.
     """
 
     rhs_evals: int = 0
@@ -298,7 +278,7 @@ def effective_eta(ctx: PhysicalContext) -> float:
 
 
 def eval_schedule(schedule: EtaSchedule, tau: float) -> float:
-    """eta(tau) for any schedule kind; tau must lie in [0, T].
+    """eta(tau) for either schedule kind; tau must lie in [0, T].
 
     A relative slack of a few ulp is tolerated at the ends so that
     integrator stage times produced by summation never trip the check.
@@ -310,27 +290,13 @@ def eval_schedule(schedule: EtaSchedule, tau: float) -> float:
     tau = min(max(tau, 0.0), T)
     if schedule.kind == "constant":
         return schedule.eta_start
-    if schedule.kind == "triangular":
-        ramp = 1.0 - abs(2.0 * tau / T - 1.0)
-        return schedule.eta_start + (schedule.eta_peak - schedule.eta_start) * ramp
-    knots = schedule.knots
-    for (t0, e0), (t1, e1) in zip(knots, knots[1:]):
-        if tau <= t1:
-            w = (tau - t0) / (t1 - t0)
-            return e0 + (e1 - e0) * w
-    return knots[-1][1]
+    ramp = 1.0 - abs(2.0 * tau / T - 1.0)
+    return schedule.eta_start + (schedule.eta_peak - schedule.eta_start) * ramp
 
 
 def schedule_column(schedule: EtaSchedule, taus) -> np.ndarray:
-    """eval_schedule at every tau of an array, with the same rounding.
-
-    The constant and triangular kinds are evaluated column-wise; a
-    piecewise_linear schedule goes through eval_schedule sample by
-    sample.
-    """
+    """eval_schedule at every tau of an array, with the same rounding."""
     taus = np.asarray(taus, dtype=np.float64)
-    if schedule.kind == "piecewise_linear":
-        return np.array([eval_schedule(schedule, t) for t in taus.tolist()])
     T = schedule.T
     slack = 1e-9 * max(1.0, T)
     if taus.size and not (taus.min() >= -slack and taus.max() <= T + slack):

@@ -107,9 +107,12 @@ class TestSimulate:
         assert "r" in err
 
     def test_malformed_float_exits_two(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["simulate", "--r", "abc"])
-        assert exc.value.code == 2
+        # a malformed value, and the removed stepper and flow flags
+        for extra in (["--r", "abc"], ["--r", "1", "--method", "rk4_fixed"],
+                      ["--r", "1", "--rhs-mode", "as_printed"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["simulate", *extra])
+            assert exc.value.code == 2, extra
 
 
 class TestBifurcate:
@@ -258,13 +261,16 @@ class TestConfigFile:
         assert abs(json.loads(out)["r_threshold"] - R_THRESHOLD) < 1e-4
 
     def test_unknown_key_names_the_line(self, capsys, tmp_path, monkeypatch):
-        cfg = self.write_cfg(tmp_path, "r = 1.0\nbogus = 3\n")
-        monkeypatch.setenv(ENV_VAR, str(cfg))
-        code, _, err = run_cli(capsys, "critical")
-        assert code == 2
-        assert "bogus" in err
-        assert "2" in err
-        assert cfg.name in err
+        # bogus keys, and the keys of the removed stepper and flow settings
+        for line, key in (("bogus = 3", "bogus"),
+                          ("method = rk45_adaptive", "method"),
+                          ("rhs_mode = hamiltonian", "rhs-mode")):
+            cfg = self.write_cfg(tmp_path, f"r = 1.0\n{line}\n")
+            monkeypatch.setenv(ENV_VAR, str(cfg))
+            code, _, err = run_cli(capsys, "critical")
+            assert code == 2
+            assert f"'{key}'" in err
+            assert f"{cfg.name}:2:" in err
 
     def test_duplicate_key_rejected(self, capsys, tmp_path, monkeypatch):
         cfg = self.write_cfg(tmp_path, "r = 1.0\nr = 2.0\n")

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from dimer_hysteresis import (METHODS, DomainError, EtaSchedule,
+from dimer_hysteresis import (DomainError, EtaSchedule,
                               IntegratorConfig, ModelParams, PhaseState,
                               PhysicalContext, SingularityError,
                               StepFailureError, dynamics, energy_functional,
@@ -45,16 +45,6 @@ class TestVectorField:
         gz, gt = grad_hamiltonian(state, eta, r)
         assert dtheta == pytest.approx(gz, rel=1e-14)
         assert dz == pytest.approx(-gt + nu * gz, rel=1e-14)
-
-    def test_as_printed_mode_formula(self):
-        state = PhaseState(z=0.4, theta=1.1)
-        eta, r, nu = -2.5, 3.0, 0.3
-        dz, dtheta = vector_field(
-            state, eta, ModelParams(r=r, nu=nu, rhs_mode="as_printed"))
-        gz, _ = grad_hamiltonian(state, eta, r)
-        s = math.sqrt(1.0 - 0.4 ** 2)
-        assert dtheta == pytest.approx(gz, rel=1e-14)
-        assert dz == pytest.approx(-s * math.sin(1.1) - nu * gz, rel=1e-14)
 
     def test_inline_power_difference_is_the_model_kernel(self):
         # make_field inlines model.power_difference for speed; its phase
@@ -101,21 +91,6 @@ class TestConservation:
 
 
 class TestStepControl:
-    def test_rk4_step_halving_is_fourth_order(self):
-        sched = EtaSchedule(kind="constant", eta_start=-1.0, T=10.0)
-        ref = integrate(PhaseState(z=0.3, theta=0.7), ModelParams(r=1.0),
-                        sched, IntegratorConfig(abs_tol=1e-13, rel_tol=1e-13),
-                        (0.0, 10.0)).samples[-1]
-        errs = []
-        for dt in (1.0 / 32, 1.0 / 64):
-            end = integrate(PhaseState(z=0.3, theta=0.7), ModelParams(r=1.0),
-                            sched,
-                            IntegratorConfig(method="rk4_fixed", dt=dt),
-                            (0.0, 10.0)).samples[-1]
-            errs.append(abs(end.z - ref.z) + abs(end.theta - ref.theta))
-        ratio = errs[0] / errs[1]
-        assert 12.0 <= ratio <= 20.0
-
     def test_deterministic_replay(self):
         sched = triangular(-3.0, -8.0, T=100.0)
         runs = [integrate(PhaseState(z=0.01, theta=0.0),
@@ -148,22 +123,10 @@ class TestStepControl:
 
     def test_partial_last_interval_ends_at_span_end(self):
         sched = EtaSchedule(kind="constant", eta_start=-1.0, T=5.0)
-        for method in METHODS:
-            traj = integrate(PhaseState(z=0.1, theta=0.0), ModelParams(r=1.0),
-                             sched, IntegratorConfig(method=method,
-                                                     sample_stride=2),
-                             (0.0, 4.7))
-            taus = [s.tau for s in traj.samples]
-            assert taus == [k / 2 for k in range(10)] + [4.7], method
-
-    def test_rk4_lands_on_samples_with_inexact_step(self):
-        sched = EtaSchedule(kind="constant", eta_start=-1.0, T=3.0)
         traj = integrate(PhaseState(z=0.1, theta=0.0), ModelParams(r=1.0),
-                         sched, IntegratorConfig(method="rk4_fixed", dt=0.03,
-                                                 sample_stride=10),
-                         (0.0, 3.0))
-        assert [s.tau for s in traj.samples] == [
-            k / 10 for k in range(30)] + [3.0]
+                         sched, IntegratorConfig(sample_stride=2), (0.0, 4.7))
+        taus = [s.tau for s in traj.samples]
+        assert taus == [k / 2 for k in range(10)] + [4.7]
 
     def test_rejects_span_outside_schedule(self):
         sched = EtaSchedule(kind="constant", eta_start=-1.0, T=5.0)
@@ -207,8 +170,7 @@ class TestProtocolRuns:
 class TestColumns:
     @pytest.mark.parametrize("schedule", [
         triangular(-3.0, -8.0, T=400.0),
-        EtaSchedule(kind="piecewise_linear", T=400.0,
-                    knots=((0.0, -3.0), (150.0, -8.0), (400.0, -4.5))),
+        EtaSchedule(kind="constant", eta_start=-6.0, T=400.0),
     ])
     def test_columns_match_the_scalar_model_functions(self, schedule):
         # the per-sample path the columns replaced, bit for bit
@@ -226,10 +188,20 @@ class TestColumns:
         assert traj.E.tolist() == [energy_functional(h, ctx) for h in H]
 
 
+# the step and tolerances must be finite and > 0, sample_stride an
+# integer >= 1 and clamp_limit an integer >= 0
+BAD_SETTINGS = [
+    *((name, value) for name in ("dt", "abs_tol", "rel_tol", "min_step")
+      for value in (math.nan, math.inf, 0.0, -1.0)),
+    *(("sample_stride", value) for value in (math.nan, math.inf, 2.5, 0)),
+    *(("clamp_limit", value) for value in (math.nan, -1, 2.5)),
+]
+
+
 class TestConfigValidation:
-    @pytest.mark.parametrize("name", ["dt", "abs_tol", "rel_tol",
-                                      "min_step"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("name, value", [
+        pytest.param(name, value, id=f"{value}-{name}")
+        for name, value in BAD_SETTINGS])
     def test_step_and_tolerances_must_be_finite_and_positive(self, name,
                                                              value):
         with pytest.raises(DomainError):
@@ -246,6 +218,22 @@ def nan_field(monkeypatch):
     monkeypatch.setattr(dynamics, "make_field", make_nan_field)
 
 
+@pytest.fixture
+def outward_field(monkeypatch):
+    # drives |z| -> 1, where the phase equation is singular; the list
+    # records the z of every evaluation
+    zs = []
+
+    def make_outward_field(params):
+        def field(z, theta, eta):
+            zs.append(z)
+            return math.copysign(1.0, z), 0.0
+        return field
+
+    monkeypatch.setattr(dynamics, "make_field", make_outward_field)
+    return zs
+
+
 class TestTermination:
     def test_nan_field_raises_step_failure(self, nan_field):
         sched = EtaSchedule(kind="constant", eta_start=-1.0, T=10.0)
@@ -253,36 +241,23 @@ class TestTermination:
             integrate(PhaseState(z=0.1, theta=0.0), ModelParams(r=1.0),
                       sched, PROTOCOL, (0.0, 10.0))
 
-    def test_nan_field_ends_rk4_in_step_failure(self, nan_field):
-        # rk4_fixed has no error estimate; without its own check the NaN
-        # samples would come back as a normal trajectory
-        sched = EtaSchedule(kind="constant", eta_start=-1.0, T=10.0)
-        with pytest.raises(StepFailureError):
-            integrate(PhaseState(z=0.1, theta=0.0), ModelParams(r=1.0),
-                      sched, IntegratorConfig(method="rk4_fixed"),
-                      (0.0, 10.0))
-
-    @pytest.mark.parametrize("method", METHODS)
-    def test_flow_into_boundary_ends_in_package_error(self, method):
-        # the as_printed sign with nu > 0 repels from the centers and
-        # drives |z| -> 1, where the phase equation is singular
+    def test_flow_into_boundary_ends_in_package_error(self, outward_field):
+        # stages past the margin halve the step down to min_step, then
+        # each clamp counts against clamp_limit
         sched = EtaSchedule(kind="constant", eta_start=-1.0, T=50.0)
-        with pytest.raises((SingularityError, StepFailureError)):
-            integrate(PhaseState(z=0.3, theta=0.7),
-                      ModelParams(r=1.0, nu=0.5, rhs_mode="as_printed"),
-                      sched, IntegratorConfig(method=method), (0.0, 50.0))
+        for config in (PROTOCOL, IntegratorConfig(clamp_limit=3)):
+            outward_field.clear()
+            with pytest.raises(SingularityError,
+                               match=f"more than {config.clamp_limit} times"):
+                integrate(PhaseState(z=0.3, theta=0.7),
+                          ModelParams(r=1.0, nu=0.5), sched, config,
+                          (0.0, 50.0))
+            # each clamp evaluates the field once, on the margin itself
+            assert outward_field.count(1.0 - dynamics.EPS_CLAMP) == \
+                config.clamp_limit
 
 
 class TestStats:
-    def test_rk4_counts_four_evaluations_per_step(self):
-        sched = EtaSchedule(kind="constant", eta_start=-1.0, T=2.0)
-        traj = integrate(PhaseState(z=0.3, theta=0.7), ModelParams(r=1.0),
-                         sched, IntegratorConfig(method="rk4_fixed",
-                                                 dt=1.0 / 16), (0.0, 2.0))
-        st = traj.stats
-        assert (st.accepted, st.rejected, st.boundary_halvings) == (32, 0, 0)
-        assert st.rhs_evals == 1 + 4 * 32
-
     def test_dop853_counts(self):
         sched = EtaSchedule(kind="constant", eta_start=-6.0, T=50.0)
         traj = integrate(PhaseState(z=0.3, theta=0.7), ModelParams(r=5.0),
@@ -325,8 +300,7 @@ class TestTableau:
             assert list(ours) == list(theirs)
 
     @pytest.mark.parametrize("stages, b", [
-        (tableau.DOP853_STAGES, tableau.DOP853_B),
-        (tableau.RK4_STAGES, tableau.RK4_B)])
+        (tableau.DOP853_STAGES, tableau.DOP853_B)])
     def test_row_sums(self, stages, b):
         for c, row in stages:
             assert math.fsum(row) == pytest.approx(c, abs=1e-14)

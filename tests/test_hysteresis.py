@@ -229,13 +229,6 @@ def r5_report(r5_traj):
 
 
 class TestRunSweepValidation:
-    def test_rejects_piecewise_schedule(self):
-        sched = EtaSchedule(kind="piecewise_linear", T=10.0,
-                            knots=((0.0, -1.0), (10.0, -3.0)))
-        with pytest.raises(DomainError):
-            run_sweep(PhaseState(z=0.01), ModelParams(r=1.0, nu=0.5),
-                      sched, IntegratorConfig(), 32)
-
     def test_rejects_coarse_grid(self):
         sched = EtaSchedule(kind="triangular", eta_start=-1.0,
                             eta_peak=-3.0, T=100.0)
@@ -249,14 +242,6 @@ class TestRunSweepValidation:
         with pytest.raises(GridCoverageError):
             run_sweep(PhaseState(z=0.01), ModelParams(r=1.0, nu=0.5),
                       sched, IntegratorConfig(), 64)
-
-    def test_sweep_report_rejects_piecewise_trajectory(self):
-        sched = EtaSchedule(kind="piecewise_linear", T=10.0,
-                            knots=((0.0, -1.0), (10.0, -3.0)))
-        traj = integrate(PhaseState(z=0.01), ModelParams(r=1.0, nu=0.5),
-                         sched, IntegratorConfig(), (0.0, 10.0))
-        with pytest.raises(DomainError):
-            sweep_report(traj, 32)
 
     def test_run_sweep_is_sweep_report_of_the_integration(self):
         initial, params, schedule, config = sweep_inputs(5.0, -3.0, -8.0,
