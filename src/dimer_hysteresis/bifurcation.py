@@ -35,8 +35,8 @@ from .errors import (
     SingularityError,
     ThresholdProximityError,
 )
-from .model import EPS_CLAMP, ModelParams, PhaseState, power_difference
-from .dynamics import vector_field
+from .model import (EPS_CLAMP, ModelParams, PhaseState, check_count,
+                    check_power, power_difference)
 
 EPS_EIG = 1e-8
 
@@ -44,7 +44,6 @@ EPS_EIG = 1e-8
 # at the pitchfork changes sign.
 R_THRESHOLD = (3.0 + math.sqrt(13.0)) / 2.0
 
-_FD_STEP = 1e-6
 _RESIDUAL_TOL = 1e-10
 _ZMAX = 1.0 - EPS_CLAMP
 
@@ -108,23 +107,12 @@ def stationary_residual(z, theta_star: float, eta, r: float):
 
     z and eta may be floats or numpy arrays of one shape.
     """
-    if not r > 0:
-        raise DomainError(f"r must be > 0, got {r}")
+    check_power(r)
     ct = _cos_theta_star(theta_star)
     if np.any(abs(z) >= _ZMAX):
         raise SingularityError(f"residual singular near |z|=1; got z={z}")
     s = np.sqrt(1.0 - z * z)
     return -2.0 * z * ct / s - eta / (2.0 ** r) * power_difference(z, r)
-
-
-def residual_derivative(z: float, theta_star: float, eta: float, r: float) -> float:
-    """dG/dz in closed form; used by the fold's final residual check."""
-    ct = _cos_theta_star(theta_star)
-    if abs(z) >= _ZMAX:
-        raise SingularityError(f"residual singular near |z|=1; got z={z}")
-    one_minus = 1.0 - z * z
-    psum = (1.0 + z) ** (r - 1.0) + (1.0 - z) ** (r - 1.0)
-    return -2.0 * ct / one_minus ** 1.5 - eta * r / (2.0 ** r) * psum
 
 
 def _xi(z, r):
@@ -227,28 +215,24 @@ def _graph_roots(mags, r: float) -> tuple:
 
 
 def jacobian_at(state: PhaseState, eta: float, params: ModelParams) -> tuple:
-    """Central finite-difference Jacobian of vector_field, step 1e-6.
+    """Jacobian of the damped flow (-H_theta + nu H_z, H_z) in closed form.
 
-    One code path covers any damping. Returned as
-    ((dzdot_dz, dzdot_dtheta), (dthetadot_dz, dthetadot_dtheta)).
+    With s = sqrt(1 - z^2), H_zz = -2 cos(theta) / s^3 - eta r 2^-r
+    [(1+z)^(r-1) + (1-z)^(r-1)] and H_ztheta = 2 z sin(theta) / s, it is
+    ((nu H_zz - H_ztheta, 2 s cos(theta) + nu H_ztheta), (H_zz, H_ztheta))
+    at any theta and nu. Refused within EPS_CLAMP of |z| = 1, like the
+    residual.
     """
     z, theta = state.z, state.theta
-    if abs(z) >= 1.0 - EPS_CLAMP - _FD_STEP:
-        raise SingularityError(f"no room for finite differences at z={z}")
-    h = _FD_STEP
-
-    def f(zz, tt):
-        return vector_field(PhaseState(z=zz, theta=tt), eta, params)
-
-    fz_p = f(z + h, theta)
-    fz_m = f(z - h, theta)
-    ft_p = f(z, theta + h)
-    ft_m = f(z, theta - h)
-    j11 = (fz_p[0] - fz_m[0]) / (2.0 * h)
-    j21 = (fz_p[1] - fz_m[1]) / (2.0 * h)
-    j12 = (ft_p[0] - ft_m[0]) / (2.0 * h)
-    j22 = (ft_p[1] - ft_m[1]) / (2.0 * h)
-    return ((j11, j12), (j21, j22))
+    if abs(z) >= _ZMAX:
+        raise SingularityError(f"Jacobian singular near |z|=1; got z={z}")
+    r, nu = params.r, params.nu
+    s = math.sqrt(1.0 - z * z)
+    c = math.cos(theta)
+    psum = (1.0 + z) ** (r - 1.0) + (1.0 - z) ** (r - 1.0)
+    h_zz = -2.0 * c / (s * s * s) - eta * r / 2.0 ** r * psum
+    h_zt = 2.0 * z * math.sin(theta) / s
+    return ((nu * h_zz - h_zt, 2.0 * s * c + nu * h_zt), (h_zz, h_zt))
 
 
 def eigenvalues_2x2(jac) -> tuple:
@@ -280,16 +264,13 @@ def classify_stability(jac) -> str:
     return "marginal"
 
 
-def _make_fixed_point(z_root: float, theta_star: float, eta: float, r: float,
-                      spectrum=None, stability=None) -> FixedPoint:
-    params = ModelParams(r=r, nu=0.0)
-    if spectrum is None:
-        jac = jacobian_at(PhaseState(z=z_root, theta=theta_star), eta, params)
-        spectrum = eigenvalues_2x2(jac)
-        stability = classify_stability(jac)
+def _make_fixed_point(z_root: float, theta_star: float, eta: float,
+                      r: float) -> FixedPoint:
+    jac = jacobian_at(PhaseState(z=z_root, theta=theta_star), eta,
+                      ModelParams(r=r))
     return FixedPoint(
         z_star=z_root, theta_star=theta_star, eta=eta,
-        stability=stability, eigenvalues=spectrum,
+        stability=classify_stability(jac), eigenvalues=eigenvalues_2x2(jac),
         kind="symmetric" if z_root == 0.0 else "asymmetric")
 
 
@@ -299,12 +280,13 @@ def find_fixed_points(eta: float, r: float) -> list:
     The symmetric point z = 0 always appears for theta* in {0, pi}.
     Asymmetric roots z > 0 exist only on the sheet cos(theta*) =
     -sign(eta), one per monotone piece of the branch graph xi that
-    |eta| crosses; each is mirrored exactly, and the mirror reuses the
-    computed spectrum, which symmetry guarantees is identical.
-    Stability refers to the undamped flow (nu = 0).
+    |eta| crosses; each is mirrored exactly, and the closed-form
+    Jacobian gives the mirror a bit-identical spectrum. Stability refers
+    to the undamped flow (nu = 0).
     """
-    if not r > 0:
-        raise DomainError(f"r must be > 0, got {r}")
+    check_power(r)
+    if not math.isfinite(eta):
+        raise DomainError(f"eta must be finite, got {eta}")
     roots = _graph_roots([abs(eta)], r)[2].tolist()
     sheet = 0.0 if eta < 0 else math.pi
     points = []
@@ -313,18 +295,14 @@ def find_fixed_points(eta: float, r: float) -> list:
         if theta_star != sheet:
             continue
         for z_root in roots:
-            fp = _make_fixed_point(z_root, theta_star, eta, r)
-            points.append(fp)
-            points.append(_make_fixed_point(
-                -z_root, theta_star, eta, r,
-                spectrum=fp.eigenvalues, stability=fp.stability))
+            points.append(_make_fixed_point(z_root, theta_star, eta, r))
+            points.append(_make_fixed_point(-z_root, theta_star, eta, r))
     return points
 
 
 def find_eta_star(r: float) -> float:
     """Pitchfork coupling magnitude eta_star = 2^r / r."""
-    if not r > 0:
-        raise DomainError(f"r must be > 0, got {r}")
+    check_power(r)
     return 2.0 ** r / r
 
 
@@ -335,6 +313,7 @@ def eta_star_numeric(r: float) -> float:
     of the coupling magnitude: the symmetric state changes character
     where that slope crosses zero. Uses no closed-form derivative.
     """
+    check_power(r)
     delta = 1e-5
 
     def slope(m):
@@ -365,6 +344,7 @@ def pitchfork_cubic_coefficient(r: float) -> float:
     d3G/dz3 at the pitchfork equals -6 kappa, which is how tests
     re-derive the expression by finite differences.
     """
+    check_power(r)
     return 1.0 - (r - 1.0) * (r - 2.0) / 3.0
 
 
@@ -391,8 +371,7 @@ def classify_pitchfork(r: float) -> str:
     term degenerates. The behavioral probe (asymmetric_states_below_star)
     agrees away from the threshold; see its caveat.
     """
-    if not r > 0:
-        raise DomainError(f"r must be > 0, got {r}")
+    check_power(r)
     if abs(r - R_THRESHOLD) < 1e-6:
         raise ThresholdProximityError(
             f"r={r} within 1e-6 of the critical power {R_THRESHOLD}")
@@ -438,16 +417,15 @@ def find_eta_plus(r: float) -> Optional[float]:
     bracketed solve of F = 0, the numerator of xi', gives z_f, and
     eta_plus = xi(z_f). G and dG/dz at (z_f, -eta_plus) must both be
     below 1e-10, and 0 < eta_plus < eta_star, or NoConvergenceError
-    is raised.
+    is raised; dG/dz is the H_zz entry of jacobian_at at theta* = 0.
     """
-    if not r > 0:
-        raise DomainError(f"r must be > 0, got {r}")
+    check_power(r)
     fold = _fold(r)
     if fold is None:
         return None
     z, m = fold
     g = stationary_residual(z, 0.0, -m, r)
-    dg = residual_derivative(z, 0.0, -m, r)
+    dg = jacobian_at(PhaseState(z=z), -m, ModelParams(r=r))[1][0]
     if max(abs(g), abs(dg)) > _RESIDUAL_TOL:
         raise NoConvergenceError(
             f"fold residuals {g:.2e}, {dg:.2e} above {_RESIDUAL_TOL}")
@@ -472,10 +450,10 @@ def trace_branches(r: float, eta_range: tuple, steps: int) -> BifurcationDiagram
     Branch ids follow (first grid index, z at birth).
     """
     lo, hi = eta_range
-    if not (0.0 <= lo < hi):
-        raise DomainError(f"require 0 <= min < max in eta_range, got {eta_range}")
-    if steps < 2:
-        raise DomainError(f"steps must be >= 2, got {steps}")
+    if not (0.0 <= lo < hi < math.inf):
+        raise DomainError(
+            f"require finite 0 <= min < max in eta_range, got {eta_range}")
+    check_count("steps", steps, 2)
     classification = classify_pitchfork(r)
 
     mags = np.linspace(lo, hi, steps)
@@ -487,10 +465,8 @@ def trace_branches(r: float, eta_range: tuple, steps: int) -> BifurcationDiagram
         idx, z = index[piece == p].tolist(), zs[piece == p].tolist()
         upper = [_make_fixed_point(zz, 0.0, etas[k], r)
                  for k, zz in zip(idx, z)]
-        lower = [_make_fixed_point(-fp.z_star, 0.0, fp.eta, r,
-                                   spectrum=fp.eigenvalues,
-                                   stability=fp.stability)
-                 for fp in upper]
+        lower = [_make_fixed_point(-zz, 0.0, etas[k], r)
+                 for k, zz in zip(idx, z)]
         born += [(idx[0], -z[0], "asymmetric", lower),
                  (idx[0], z[0], "asymmetric", upper)]
     born.sort(key=lambda b: b[:2])

@@ -29,7 +29,6 @@ the step underflows min_step.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +42,7 @@ from .model import (
     PhaseState,
     PhysicalContext,
     Trajectory,
+    check_count,
     energy_functional,
     hamiltonian_column,
     schedule_column,
@@ -86,15 +86,8 @@ class IntegratorConfig:
             if not (math.isfinite(value) and value > 0):
                 raise DomainError(
                     f"{name} must be finite and > 0, got {value}")
-        for name, least in (("sample_stride", 1), ("clamp_limit", 0)):
-            value = getattr(self, name)
-            try:
-                ok = operator.index(value) >= least
-            except TypeError:
-                ok = False
-            if not ok:
-                raise DomainError(
-                    f"{name} must be an integer >= {least}, got {value!r}")
+        check_count("sample_stride", self.sample_stride, 1)
+        check_count("clamp_limit", self.clamp_limit, 0)
 
 
 def make_field(params: ModelParams):

@@ -25,7 +25,8 @@ import numpy as np
 from .bifurcation import find_eta_plus, find_eta_star
 from .dynamics import IntegratorConfig, integrate
 from .errors import DomainError, GridCoverageError
-from .model import EtaSchedule, ModelParams, PhaseState, Trajectory
+from .model import (EtaSchedule, ModelParams, PhaseState, Trajectory,
+                    check_count)
 
 AREA_THRESHOLD = 0.05
 Z_GAP_THRESHOLD = 0.1
@@ -124,11 +125,6 @@ def _longest_gap_window(centers, gap) -> Optional[tuple]:
     return (float(centers[best[0]]), float(centers[best[1]]))
 
 
-def _check_grid(grid_size: int):
-    if grid_size < 16:
-        raise DomainError(f"grid_size must be >= 16, got {grid_size}")
-
-
 def run_sweep(initial: PhaseState, params: ModelParams, schedule: EtaSchedule,
               config: IntegratorConfig, grid_size: int) -> HysteresisReport:
     """Integrate one full sweep and quantify the forward/backward gap.
@@ -137,7 +133,7 @@ def run_sweep(initial: PhaseState, params: ModelParams, schedule: EtaSchedule,
     bins cover [min |eta|, max |eta|].
     Equivalent to sweep_report on integrate's trajectory over [0, T].
     """
-    _check_grid(grid_size)
+    check_count("grid_size", grid_size, 16)
     traj = integrate(initial, params, schedule, config, (0.0, schedule.T))
     return sweep_report(traj, grid_size)
 
@@ -150,7 +146,7 @@ def sweep_report(traj: Trajectory, grid_size: int) -> HysteresisReport:
     grid_size bins cover [min |eta|, max |eta|].
     """
     params, schedule = traj.params, traj.schedule
-    _check_grid(grid_size)
+    check_count("grid_size", grid_size, 16)
     reference = {
         "eta_star": find_eta_star(params.r),
         "eta_plus": find_eta_plus(params.r),

@@ -13,6 +13,7 @@ H(z, theta) = 2 sqrt(1 - z^2) cos(theta)
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -24,6 +25,27 @@ from .errors import DomainError, SingularityError
 EPS_CLAMP = 1e-9
 
 SCHEDULE_KINDS = ("constant", "triangular")
+
+
+def check_power(r) -> None:
+    """Refuse a nonlinearity power r that is not finite and > 0."""
+    if not (math.isfinite(r) and r > 0):
+        raise DomainError(
+            f"nonlinearity power r must be finite and > 0, got {r}")
+
+
+def check_count(name: str, value, least: int) -> None:
+    """Refuse a count that is not an integer >= least.
+
+    Anything operator.index accepts is an integer; a float, even an
+    integral one, is not.
+    """
+    try:
+        ok = operator.index(value) >= least
+    except TypeError:
+        ok = False
+    if not ok:
+        raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -38,9 +60,7 @@ class ModelParams:
     nu: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.r) and self.r > 0):
-            raise DomainError(
-                f"nonlinearity power r must be finite and > 0, got {self.r}")
+        check_power(self.r)
         if not (math.isfinite(self.nu) and self.nu >= 0):
             raise DomainError(
                 f"damping nu must be finite and >= 0, got {self.nu}")
@@ -205,6 +225,7 @@ def power_difference(z, r: float):
     (the same identity in numpy, elementwise; numpy's exp, log1p and
     friends may differ from the math module's by an ulp).
     """
+    check_power(r)
     if isinstance(z, np.ndarray):
         a = np.abs(z)
         if np.any(a >= 1.0):
@@ -225,8 +246,7 @@ def hamiltonian(state: PhaseState, eta: float, r: float) -> float:
 
     Finite on the whole closed strip |z| <= 1. Even in z and in theta.
     """
-    if not r > 0:
-        raise DomainError(f"r must be > 0, got {r}")
+    check_power(r)
     z, theta = state.z, state.theta
     kinetic = 2.0 * math.sqrt(1.0 - z * z) * math.cos(theta)
     # (1+z) and (1-z) are both >= 0 here, so real powers are safe
@@ -241,8 +261,7 @@ def hamiltonian_column(z, theta, eta, r: float) -> np.ndarray:
     vectorized pow differs from the C library's by an ulp on a few
     percent of inputs, which would move the 15th digit of written H.
     """
-    if not r > 0:
-        raise DomainError(f"r must be > 0, got {r}")
+    check_power(r)
     p = r + 1.0
     bulk = np.array([(1.0 + x) ** p + (1.0 - x) ** p for x in z.tolist()])
     kinetic = 2.0 * np.sqrt(1.0 - z * z) * np.cos(theta)
@@ -255,8 +274,7 @@ def grad_hamiltonian(state: PhaseState, eta: float, r: float) -> tuple:
     The z-derivative is singular at |z| = 1; evaluation is refused within
     EPS_CLAMP of the boundary.
     """
-    if not r > 0:
-        raise DomainError(f"r must be > 0, got {r}")
+    check_power(r)
     z, theta = state.z, state.theta
     if abs(z) >= 1.0 - EPS_CLAMP:
         raise SingularityError(f"gradient is singular at |z|=1; got z={z}")

@@ -1,7 +1,9 @@
 """Stationary states, stability, critical couplings, branch tracing.
 
 The brute-force root oracle here shares no code with the package's
-finder: plain pow arithmetic on a dense grid plus bisection.
+finder: plain pow arithmetic on a dense grid plus bisection. The
+stability oracle is the central finite-difference Jacobian of
+vector_field that the closed-form jacobian_at replaced.
 """
 
 import math
@@ -13,7 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dimer_hysteresis import (DomainError, ModelParams, NoConvergenceError,
-                              PhaseState, R_THRESHOLD,
+                              PhaseState, R_THRESHOLD, SingularityError,
                               ThresholdProximityError, bifurcation,
                               asymmetric_states_below_star,
                               classify_pitchfork, classify_stability,
@@ -55,6 +57,19 @@ def oracle_roots(eta, r, theta_star, grid=100_001):
         if not deduped or z - deduped[-1] > 1e-8:
             deduped.append(z)
     return deduped
+
+
+def fd_jacobian(state, eta, params, h=1e-6):
+    """Central finite differences of vector_field, step h."""
+    z, theta = state.z, state.theta
+
+    def f(zz, tt):
+        return vector_field(PhaseState(z=zz, theta=tt), eta, params)
+
+    fz_p, fz_m = f(z + h, theta), f(z - h, theta)
+    ft_p, ft_m = f(z, theta + h), f(z, theta - h)
+    return (((fz_p[0] - fz_m[0]) / (2.0 * h), (ft_p[0] - ft_m[0]) / (2.0 * h)),
+            ((fz_p[1] - fz_m[1]) / (2.0 * h), (ft_p[1] - ft_m[1]) / (2.0 * h)))
 
 
 class TestResidual:
@@ -134,6 +149,24 @@ class TestFindFixedPoints:
                                    key=lambda c: (c.real, c.imag))):
                 assert abs(a - b) < 1e-12
 
+    @pytest.mark.parametrize("eta", (math.nan, math.inf, -math.inf))
+    def test_rejects_non_finite_coupling(self, eta):
+        with pytest.raises(DomainError):
+            find_fixed_points(eta, 1.0)
+
+    def test_root_next_to_the_boundary(self):
+        # z* = sqrt(1 - 4 / eta^2) = 0.9999995: inside |z| < 1 - EPS_CLAMP,
+        # but too close to it for a finite-difference Jacobian
+        asym = [p for p in find_fixed_points(-2000.0, 1.0)
+                if p.kind == "asymmetric"]
+        assert len(asym) == 2
+        for p in asym:
+            assert abs(p.z_star) == pytest.approx(
+                math.sqrt(1.0 - 4.0 / 2000.0 ** 2), abs=1e-12)
+            assert p.stability == "stable"
+        d = trace_branches(1.0, (1.0, 3000.0), 50)
+        assert max(abs(p.z_star) for b in d.branches for p in b.points) > 0.9999995
+
     def test_oracle_equivalence_spot_draws(self):
         rng = random.Random(1207)
         for _ in range(8):
@@ -178,13 +211,30 @@ class TestStability:
             assert math.hypot(*f) < 1e-9
 
     def test_pitchfork_point_is_degenerate(self):
-        # finite differencing leaves the coupling entry tiny but nonzero,
-        # so the spectrum lands on the imaginary axis instead of at 0
+        # at eta = -eta_star the closed form's H_zz is exactly 0
         jac = jacobian_at(PhaseState(z=0.0, theta=0.0), -2.0,
                           ModelParams(r=1.0, nu=0.0))
-        for ev in eigenvalues_2x2(jac):
-            assert abs(ev) < 1e-3
-        assert classify_stability(jac) in ("stable", "marginal")
+        assert eigenvalues_2x2(jac) == (0.0, 0.0)
+        assert classify_stability(jac) == "marginal"
+
+    @given(z=st.floats(-0.99, 0.99), theta=st.floats(-4.0, 4.0),
+           eta=st.floats(-10.0, 10.0), r=st.floats(0.3, 8.0),
+           nu=st.one_of(st.just(0.0), st.floats(0.0, 2.0)))
+    @settings(max_examples=200, deadline=None)
+    def test_jacobian_matches_finite_differences(self, z, theta, eta, r, nu):
+        state, params = PhaseState(z=z, theta=theta), ModelParams(r=r, nu=nu)
+        jac = jacobian_at(state, eta, params)
+        oracle = fd_jacobian(state, eta, params)
+        for row, fd_row in zip(jac, oracle):
+            for entry, fd_entry in zip(row, fd_row):
+                assert abs(entry - fd_entry) <= 1e-7 * (1.0 + abs(entry))
+
+    def test_jacobian_refused_only_at_the_clamp(self):
+        params = ModelParams(r=1.0)
+        jacobian_at(PhaseState(z=1.0 - 2e-9), -1.0, params)
+        for z in (1.0 - 1e-9, -1.0):
+            with pytest.raises(SingularityError):
+                jacobian_at(PhaseState(z=z), -1.0, params)
 
 
 class TestCriticalCouplings:
@@ -346,6 +396,12 @@ class TestTraceBranches:
             trace_branches(1.0, (2.0, 1.0), 100)
         with pytest.raises(DomainError):
             trace_branches(1.0, (0.5, 4.0), 1)
+        for eta_range in ((1.0, math.inf), (math.nan, 3.0), (1.0, math.nan)):
+            with pytest.raises(DomainError):
+                trace_branches(1.0, eta_range, 10)
+        for steps in (2.5, "5", math.nan, 10.0):
+            with pytest.raises(DomainError):
+                trace_branches(1.0, (1.0, 3.0), steps)
 
 
 # Recorded from the grid-scan finder with order-preserving stitching
@@ -387,6 +443,22 @@ class TestBranchGraph:
                 abs(b.points[-1].eta)) for b in d.branches]
         assert got == GOLDEN_ATLAS[r]
         assert all(b.theta_star == 0.0 for b in d.branches)
+
+    @pytest.mark.parametrize("r", sorted(GOLDEN_ATLAS))
+    def test_diagram_spectra_match_finite_differences(self, r):
+        params = ModelParams(r=r, nu=0.0)
+
+        def key(c):
+            return (c.real, c.imag)
+
+        for b in atlas_diagram(r, 400).branches:
+            for p in b.points:
+                jac = fd_jacobian(PhaseState(z=p.z_star, theta=p.theta_star),
+                                  p.eta, params)
+                assert p.stability == classify_stability(jac)
+                for got, want in zip(sorted(p.eigenvalues, key=key),
+                                     sorted(eigenvalues_2x2(jac), key=key)):
+                    assert abs(got - want) <= 1e-7 * max(1.0, abs(want))
 
     @pytest.mark.parametrize("r", (0.5, 3.4, 5.0))
     def test_diagram_points_match_dense_oracle(self, r):

@@ -232,9 +232,15 @@ class TestRunSweepValidation:
     def test_rejects_coarse_grid(self):
         sched = EtaSchedule(kind="triangular", eta_start=-1.0,
                             eta_peak=-3.0, T=100.0)
-        with pytest.raises(DomainError):
-            run_sweep(PhaseState(z=0.01), ModelParams(r=1.0, nu=0.5),
-                      sched, IntegratorConfig(), 8)
+        initial, params = PhaseState(z=0.01), ModelParams(r=1.0, nu=0.5)
+        traj = integrate(initial, params, sched, IntegratorConfig(),
+                         (0.0, sched.T))
+        # the grid size must be an integer >= 16
+        for grid in (8, 20.5, math.nan, "32"):
+            with pytest.raises(DomainError):
+                run_sweep(initial, params, sched, IntegratorConfig(), grid)
+            with pytest.raises(DomainError):
+                sweep_report(traj, grid)
 
     def test_grid_outrunning_samples_is_reported(self):
         sched = EtaSchedule(kind="triangular", eta_start=-1.0,
