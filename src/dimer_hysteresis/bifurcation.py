@@ -359,6 +359,8 @@ def asymmetric_states_below_star(r: float, delta_frac: float = 1e-3) -> bool:
     bifurcation is subcritical; use the sign of
     pitchfork_cubic_coefficient near the threshold.
     """
+    if not 0.0 < delta_frac < 1.0:
+        raise DomainError(f"delta_frac must lie in (0, 1), got {delta_frac}")
     m = find_eta_star(r) * (1.0 - delta_frac)
     fold = _fold(r)
     return fold is not None and fold[1] < m

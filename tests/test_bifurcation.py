@@ -264,6 +264,12 @@ class TestCriticalCouplings:
         assert plus is not None
         assert 0.0 < plus < find_eta_star(r)
 
+    def test_eta_plus_beyond_the_overflow_of_expm1(self):
+        # from r = 33.14 on, the power difference used to overflow at
+        # the top of the fold scan, and the scan found no sign change
+        plus = find_eta_plus(34.0)
+        assert 0.0 < plus < find_eta_star(34.0)
+
     def test_eta_plus_marks_root_count_change(self):
         plus = find_eta_plus(5.0)
         before = [p for p in find_fixed_points(-(plus - 0.01), 5.0)
@@ -474,6 +480,12 @@ class TestBranchGraph:
             assert len(zs) == len(expected), (r, eta)
             for a, b in zip(sorted(zs), expected):
                 assert a == pytest.approx(b, abs=1e-6), (r, eta)
+
+    @pytest.mark.parametrize("delta_frac", [0.0, 1.0, 2.0, -0.5, math.nan])
+    def test_probe_rejects_delta_frac_outside_the_unit_interval(self,
+                                                                 delta_frac):
+        with pytest.raises(DomainError):
+            asymmetric_states_below_star(3.5, delta_frac)
 
     @pytest.mark.parametrize("numerator", [
         lambda z, r: (z - 0.1) * (z - 0.5),  # two sign changes

@@ -9,6 +9,7 @@ import pytest
 from dimer_hysteresis import (DomainError, EtaSchedule, IntegratorConfig,
                               ModelParams, PhaseState, R_THRESHOLD, integrate,
                               trajectory_from_csv, wrap_angle)
+from dimer_hysteresis import cli, config
 from dimer_hysteresis.cli import main
 from dimer_hysteresis.config import ENV_VAR
 from dimer_hysteresis.serialize import TRAJECTORY_HEADER, trajectory_to_csv
@@ -219,6 +220,16 @@ class TestSweep:
         root = ET.fromstring(plot.read_text())
         assert root.tag.endswith("svg")
 
+    def test_threshold_mode_writes_to_out(self, capsys, tmp_path):
+        out_path = tmp_path / "threshold.json"
+        code, out, err = run_cli(
+            capsys, "sweep", "--r-min", "3", "--r-max", "4",
+            "--out", str(out_path))
+        assert code == 0, err
+        assert out == ""
+        doc = json.loads(out_path.read_text())
+        assert abs(doc["r_threshold"] - R_THRESHOLD) < 1e-4
+
     def test_needs_a_mode(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--r", "1")
         assert code == 2
@@ -289,3 +300,81 @@ class TestConfigFile:
         monkeypatch.setenv(ENV_VAR, str(tmp_path / "absent.cfg"))
         code, _, err = run_cli(capsys, "critical", "--r", "1")
         assert code == 2
+
+
+SUBCOMMAND_KEYS = {"simulate": cli._SIM_KEYS, "bifurcate": cli._BIF_KEYS,
+                   "sweep": cli._SWEEP_KEYS}
+
+
+def sample_texts(key):
+    """A well-formed and a malformed file value of a setting; the
+    malformed one is None for free text, which takes any value."""
+    setting = config.SETTINGS[key]
+    if setting.choices:
+        return setting.choices[-1], "bogus"
+    return {float: ("2.5", "abc"), int: ("7", "2.5"),
+            str: ("x.out", None)}.get(setting.cast, ("yes", "maybe"))
+
+
+def flag_argv(key):
+    good, _ = sample_texts(key)
+    if config.SETTINGS[key].flag().get("action") == "store_true":
+        return [f"--{key}"]
+    return [f"--{key}", good]
+
+
+@pytest.mark.parametrize("key", list(config.SETTINGS))
+class TestSettingsTable:
+    """Every row of config.SETTINGS works as a flag and as a file key."""
+
+    def test_parses_from_a_file_in_both_spellings(self, key):
+        good, _ = sample_texts(key)
+        want = {key: config.SETTINGS[key].cast(good)}
+        for spelling in (key, key.replace("-", "_")):
+            assert config.parse_config_text(f"{spelling} = {good}\n") == want
+
+    def test_is_a_flag_of_each_subcommand_that_lists_it(self, key):
+        good, _ = sample_texts(key)
+        want = config.SETTINGS[key].cast(good)
+        parser = cli.build_parser()
+        takers = [cmd for cmd, keys in SUBCOMMAND_KEYS.items() if key in keys]
+        assert takers
+        for cmd in SUBCOMMAND_KEYS:
+            if cmd in takers:
+                args = parser.parse_args([cmd, *flag_argv(key)])
+                assert getattr(args, key.replace("-", "_")) == want
+            else:
+                with pytest.raises(SystemExit):
+                    parser.parse_args([cmd, *flag_argv(key)])
+
+    def test_flag_over_file_over_default(self, key):
+        good, _ = sample_texts(key)
+        want = config.SETTINGS[key].cast(good)
+        from_file = object()
+        for cmd, keys in SUBCOMMAND_KEYS.items():
+            if key not in keys:
+                continue
+            parser = cli.build_parser()
+            unset = parser.parse_args([cmd])
+            flagged = parser.parse_args([cmd, *flag_argv(key)])
+            resolved = config.resolve({}, unset, keys)
+            assert list(resolved) == list(keys)
+            assert resolved[key] == config.SETTINGS[key].default
+            assert config.resolve({key: from_file}, unset, (key,)) == {
+                key: from_file}
+            assert config.resolve({key: from_file}, flagged, (key,)) == {
+                key: want}
+
+    def test_malformed_file_value_exits_two_naming_the_line(
+            self, key, capsys, tmp_path, monkeypatch):
+        _, bad = sample_texts(key)
+        if bad is None:
+            assert key in ("out", "plot")
+            return
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# one bad line\n{key.replace('-', '_')} = {bad}\n")
+        monkeypatch.setenv(ENV_VAR, str(cfg))
+        cmd = next(c for c, keys in SUBCOMMAND_KEYS.items() if key in keys)
+        code, _, err = run_cli(capsys, cmd)
+        assert code == 2
+        assert f"{cfg.name}:2: bad value for '{key}'" in err

@@ -51,9 +51,11 @@ class TestVectorField:
         # equation must equal grad_hamiltonian's dH/dz, which calls the
         # model kernel with the same surrounding arithmetic, bit for bit.
         # With eta = -2^r the difference enters with weight exactly 1.
+        # Powers from 34 on take the kernel's overflow-free branch at
+        # the z closest to the boundary.
         zs = (0.0, 5e-324, -5e-324, 1e-300, -1e-18, 1e-18, -1e-9, 3e-5,
-              -0.3, 0.3, -0.999, 0.999)
-        for r in (0.3, 1.0, 2.5, 5.0):
+              -0.3, 0.3, -0.999, 0.999, -0.9999999985, 0.9999999985)
+        for r in (0.3, 1.0, 2.5, 5.0, 34.0, 100.0, 200.0):
             field = dynamics.make_field(ModelParams(r=r))
             for eta in (-(2.0 ** r), -2.5, 3.0):
                 for theta in (0.0, math.pi / 2, 1.1):

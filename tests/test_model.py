@@ -130,6 +130,19 @@ class TestPowerDifference:
         with pytest.raises(DomainError):
             power_difference(np.array([0.5, -1.0]), 2.0)
 
+    @pytest.mark.parametrize("r", [34.0, 100.0, 200.0])
+    def test_finite_for_large_powers_next_to_the_boundary(self, r):
+        # expm1(2 r atanh|z|) alone overflows here, although the
+        # difference itself, about 2^r, is a finite float
+        zs = [0.5, 0.9, 0.999, 1.0 - 1e-6, 1.0 - 1e-9]
+        got = power_difference(np.array(zs + [-z for z in zs]), r)
+        for z, g in zip(zs, got.tolist()):
+            naive = (1.0 + z) ** r - (1.0 - z) ** r
+            assert math.isfinite(power_difference(z, r))
+            assert power_difference(z, r) == pytest.approx(naive, rel=1e-12)
+            assert g == pytest.approx(naive, rel=1e-12)
+        assert got[len(zs):].tolist() == (-got[:len(zs)]).tolist()
+
 
 class TestEnergyAndCoupling:
     def test_energy_values(self):
