@@ -96,7 +96,7 @@ def make_field(params: ModelParams):
     Kept free of any state boxing; this is the integrator hot path.
     """
     r, nu = params.r, params.nu
-    two_r, twice_r = 2.0 ** r, 2.0 * r
+    two_r = 2.0 ** r
 
     def field(z, theta, eta):
         s = math.sqrt(1.0 - z * z)
@@ -105,11 +105,11 @@ def make_field(params: ModelParams):
             diff = 0.0
         else:
             # stable (1+z)^r - (1-z)^r, see model.power_difference
-            x = twice_r * math.atanh(a)
-            if x > 709.0:
-                diff = math.exp(r * math.log1p(a)) * -math.expm1(-x)
-            else:
-                diff = math.exp(r * math.log1p(-a)) * math.expm1(x)
+            try:
+                diff = math.exp(r * math.log1p(-a)) \
+                    * math.expm1(2.0 * r * math.atanh(a))
+            except OverflowError:
+                diff = math.exp(r * math.log1p(a))
             if z < 0:
                 diff = -diff
         gz = -2.0 * z * math.cos(theta) / s - eta / two_r * diff

@@ -28,13 +28,13 @@ SCHEDULE_KINDS = ("constant", "triangular")
 
 
 def check_power(r) -> None:
-    """Refuse a nonlinearity power r outside 0 < r < 1023.
+    """Refuse a nonlinearity power r outside 0 < r < 1014.
 
-    From r = 1023 on, 2^(r+1) and the powers of H overflow a float.
+    Just above r = 1014, H's denominator 2^r (r+1) overflows a float.
     """
-    if not (0 < r < 1023):
+    if not (0 < r < 1014):
         raise DomainError(
-            f"nonlinearity power r must be > 0 and < 1023, got {r}")
+            f"nonlinearity power r must be > 0 and < 1014, got {r}")
 
 
 def check_count(name: str, value, least: int) -> None:
@@ -55,7 +55,7 @@ def check_count(name: str, value, least: int) -> None:
 class ModelParams:
     """Nonlinearity power r and damping nu.
 
-    r may be any real with 0 < r < 1023, integer or not. With nu = 0 the flow
+    r may be any real with 0 < r < 1014, integer or not. With nu = 0 the flow
     conserves H; see dynamics.vector_field.
     """
 
@@ -222,9 +222,10 @@ def power_difference(z, r: float):
     states. Rewriting with the identity
         (1+z)^r - (1-z)^r = (1-z)^r * expm1(2 r atanh(z))
     keeps full relative accuracy down to the smallest normal numbers.
-    Where x = 2 r atanh|z| exceeds 709, expm1(x) would overflow, so the
-    equal form (1+z)^r * -expm1(-x) is used there. Exactly odd in z by
-    construction.
+    Where expm1(x), x = 2 r atanh|z|, would overflow (x above 709.78;
+    the array branch switches at 709), (1-z)^r is less than e^-709 times
+    (1+z)^r, far below an ulp, so the difference is (1+z)^r itself.
+    Exactly odd in z by construction.
 
     z may be a float (computed with the math module) or a numpy array
     (the same identity in numpy, elementwise; numpy's exp, log1p and
@@ -233,28 +234,23 @@ def power_difference(z, r: float):
     check_power(r)
     if isinstance(z, np.ndarray):
         a = np.abs(z)
-        top = a.max(initial=0.0)
-        if top >= 1.0:
+        if a.max(initial=0.0) >= 1.0:
             raise DomainError("power_difference requires |z| < 1")
         x = 2.0 * r * np.arctanh(a)
-        # the largest |z| decides whether any element needs the other form
-        if 2.0 * r * math.atanh(top) <= 709.0:
-            val = np.exp(r * np.log1p(-a)) * np.expm1(x)
-        else:
-            big = x > 709.0
-            val = np.exp(r * np.log1p(-a)) * np.expm1(np.where(big, 0.0, x))
-            val[big] = np.exp(r * np.log1p(a[big])) * -np.expm1(-x[big])
+        big = x > 709.0
+        # asarray: a 0-d z gives numpy scalars, which take no assignment
+        val = np.asarray(np.exp(r * np.log1p(-a)) * np.expm1(np.minimum(x, 709.0)))
+        val[big] = np.exp(r * np.log1p(a[big]))
         return np.where(z < 0, -val, val)
     a = abs(z)
     if a == 0.0:
         return 0.0
     if a >= 1.0:
         raise DomainError(f"power_difference requires |z| < 1, got {z}")
-    x = 2.0 * r * math.atanh(a)
-    if x > 709.0:
-        val = math.exp(r * math.log1p(a)) * -math.expm1(-x)
-    else:
-        val = math.exp(r * math.log1p(-a)) * math.expm1(x)
+    try:
+        val = math.exp(r * math.log1p(-a)) * math.expm1(2.0 * r * math.atanh(a))
+    except OverflowError:
+        val = math.exp(r * math.log1p(a))
     return val if z > 0 else -val
 
 

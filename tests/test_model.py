@@ -13,7 +13,8 @@ from dimer_hysteresis import (DomainError, EtaSchedule, ModelParams,
                               amplitudes_from_state, effective_eta,
                               energy_functional, eval_schedule,
                               grad_hamiltonian, hamiltonian,
-                              power_difference, wrap_angle)
+                              hamiltonian_column, power_difference,
+                              wrap_angle)
 
 finite_theta = st.floats(-50.0, 50.0)
 interior_z = st.floats(-0.999, 0.999)
@@ -43,6 +44,17 @@ class TestHamiltonian:
     def test_rejects_nonpositive_power(self):
         with pytest.raises(DomainError):
             hamiltonian(PhaseState(z=0.0), 1.0, 0.0)
+
+    def test_bulk_term_kept_at_the_largest_powers(self):
+        # 2^r (r+1) is still a finite float just below the bound r < 1014
+        r, z = 1013.0, 0.9999
+        kinetic = 2.0 * math.sqrt(1.0 - z * z)
+        bulk = math.exp((r + 1.0) * math.log1p(z) - r * math.log(2.0)) / (r + 1.0)
+        want = kinetic + bulk
+        assert hamiltonian(PhaseState(z=z), -1.0, r) == pytest.approx(want, rel=1e-12)
+        column = hamiltonian_column(np.array([z]), np.array([0.0]),
+                                    np.array([-1.0]), r)
+        assert column.tolist() == pytest.approx([want], rel=1e-12)
 
 
 class TestGradient:
@@ -142,6 +154,7 @@ class TestPowerDifference:
             assert power_difference(z, r) == pytest.approx(naive, rel=1e-12)
             assert g == pytest.approx(naive, rel=1e-12)
         assert got[len(zs):].tolist() == (-got[:len(zs)]).tolist()
+        assert power_difference(np.array(zs[-1]), r) == got[len(zs) - 1]
 
 
 class TestEnergyAndCoupling:
