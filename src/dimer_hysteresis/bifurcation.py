@@ -36,7 +36,7 @@ from .errors import (
     ThresholdProximityError,
 )
 from .model import (EPS_CLAMP, ModelParams, PhaseState, check_count,
-                    check_power, power_difference)
+                    check_power, dh_dz, power_difference)
 
 EPS_EIG = 1e-8
 
@@ -103,21 +103,23 @@ def _cos_theta_star(theta_star: float) -> float:
 
 
 def stationary_residual(z, theta_star: float, eta, r: float):
-    """G(z); its roots are the stationary imbalances at this eta.
+    """G(z), the model's dH/dz at theta*; its roots are the stationary
+    imbalances at this eta.
 
-    z and eta may be floats or numpy arrays of one shape.
+    z and eta may be floats or numpy arrays of one shape. Refused with
+    SingularityError within EPS_CLAMP of |z| = 1, as dH/dz is.
     """
-    check_power(r)
-    ct = _cos_theta_star(theta_star)
-    if np.any(abs(z) >= _ZMAX):
-        raise SingularityError(f"residual singular near |z|=1; got z={z}")
-    s = np.sqrt(1.0 - z * z)
-    return -2.0 * z * ct / s - eta / (2.0 ** r) * power_difference(z, r)
+    return dh_dz(z, _cos_theta_star(theta_star), eta, r)
 
 
 def _xi(z, r):
     """The branch graph xi(z) for 0 < z < 1: float or array."""
     return 2.0 ** (r + 1.0) * z / (np.sqrt(1.0 - z * z) * power_difference(z, r))
+
+
+def _power_sum(z, r):
+    """(1+z)^(r-1) + (1-z)^(r-1), the bulk sum of H_zz: float or array."""
+    return (1.0 + z) ** (r - 1.0) + (1.0 - z) ** (r - 1.0)
 
 
 def _xi_slope_numerator(z, r):
@@ -128,8 +130,7 @@ def _xi_slope_numerator(z, r):
     Written this way because 1/z + z/(1-z^2) - r psum / P, the
     logarithmic derivative itself, cancels at small z.
     """
-    psum = (1.0 + z) ** (r - 1.0) + (1.0 - z) ** (r - 1.0)
-    return power_difference(z, r) - r * z * (1.0 - z * z) * psum
+    return power_difference(z, r) - r * z * (1.0 - z * z) * _power_sum(z, r)
 
 
 def _bisect(above, lo, hi):
@@ -148,7 +149,8 @@ def _bisect(above, lo, hi):
 
 
 def _fold(r: float) -> Optional[tuple]:
-    """(z_f, xi(z_f)) at the interior minimum of xi, or None if xi is monotone.
+    """(z_f, eta_plus = xi(z_f)) at the interior minimum of xi, checked,
+    or None if xi is monotone. Every finder takes its fold from here.
 
     Scans the sign of F on a coarse geometric grid over [1e-4, 1 - EPS_CLAMP].
     F is the difference of two terms equal to P at leading order, each
@@ -158,7 +160,13 @@ def _fold(r: float) -> Optional[tuple]:
     throughout is a monotone graph. Any other pattern raises
     NoConvergenceError, so xi is never assumed unimodal without being
     checked.
+
+    The fold is checked as a double root: at (z_f, -eta_plus), |G| and
+    |dG/dz| (jacobian_at's H_zz) must be at most 1e-10 times their terms'
+    sizes 2 z/s and 2/s^3, s = sqrt(1 - z^2), which grow as z_f -> 1 at
+    large r; and 0 < eta_plus < eta_star. Else NoConvergenceError.
     """
+    check_power(r)
     zs = np.geomspace(1e-4, _ZMAX, 64)
     f = _xi_slope_numerator(zs, r)
     signs = np.where(abs(f) > 2e-15 * power_difference(zs, r), np.sign(f), 0.0)
@@ -171,26 +179,38 @@ def _fold(r: float) -> Optional[tuple]:
     if len(flips) == 0:
         return None
     i = flips[0]
-    z_f = float(_bisect(lambda z: _xi_slope_numerator(z, r) < 0,
-                        zs[i], zs[i + 1]))
-    return z_f, float(_xi(z_f, r))
+    z = float(_bisect(lambda z: _xi_slope_numerator(z, r) < 0,
+                      zs[i], zs[i + 1]))
+    m = float(_xi(z, r))
+    s = math.sqrt(1.0 - z * z)
+    g = stationary_residual(z, 0.0, -m, r)
+    dg = jacobian_at(PhaseState(z=z), -m, ModelParams(r=r))[1][0]
+    if not (abs(g) <= _RESIDUAL_TOL * 2.0 * z / s
+            and abs(dg) <= _RESIDUAL_TOL * 2.0 / (s * s * s)):
+        raise NoConvergenceError(
+            f"fold residuals {g:.2e}, {dg:.2e} at r={r} above "
+            f"{_RESIDUAL_TOL} of their terms")
+    eta_star = find_eta_star(r)
+    if not 0.0 < m < eta_star:
+        raise NoConvergenceError(f"fold magnitude {m} outside (0, {eta_star})")
+    return z, m
 
 
-def _graph_roots(mags, r: float) -> tuple:
+def _graph_roots(mags, r: float, fold: Optional[tuple]) -> tuple:
     """Positive roots of |eta| = xi(z) at the coupling magnitudes mags.
 
-    (0, 1 - EPS_CLAMP) splits into the monotone pieces of xi: one piece
-    without a fold, two split at z_f with one. A piece holds one root at
-    m exactly when m lies strictly between xi at its two ends, where
-    xi(0+) = eta_star; at m = eta_plus the single root is z_f. All roots
-    are bisected together on G at theta* = 0, eta = -m. Roots below 1e-9
-    are dropped as numerical shadows of the symmetric root.
+    fold is _fold(r). (0, 1 - EPS_CLAMP) splits into the monotone pieces
+    of xi: one piece without a fold, two split at z_f with one. A piece
+    holds one root at m exactly when m lies strictly between xi at its
+    two ends, where xi(0+) = eta_star; at m = eta_plus the single root is
+    z_f. All roots are bisected together on G at theta* = 0, eta = -m.
+    Roots below 1e-9 are dropped as numerical shadows of the symmetric
+    root.
 
     Returns (piece, index, z) arrays, ordered by piece and then by index
     into mags; the pieces are numbered in increasing z.
     """
     mags = np.asarray(mags, dtype=np.float64)
-    fold = _fold(r)
     # (z, xi(z)) at the ends of the pieces
     ends = [(0.0, find_eta_star(r)), *([fold] if fold else []),
             (_ZMAX, float(_xi(_ZMAX, r)))]
@@ -229,8 +249,7 @@ def jacobian_at(state: PhaseState, eta: float, params: ModelParams) -> tuple:
     r, nu = params.r, params.nu
     s = math.sqrt(1.0 - z * z)
     c = math.cos(theta)
-    psum = (1.0 + z) ** (r - 1.0) + (1.0 - z) ** (r - 1.0)
-    h_zz = -2.0 * c / (s * s * s) - eta * r / 2.0 ** r * psum
+    h_zz = -2.0 * c / (s * s * s) - eta * r / 2.0 ** r * _power_sum(z, r)
     h_zt = 2.0 * z * math.sin(theta) / s
     return ((nu * h_zz - h_zt, 2.0 * s * c + nu * h_zt), (h_zz, h_zt))
 
@@ -287,7 +306,7 @@ def find_fixed_points(eta: float, r: float) -> list:
     check_power(r)
     if not math.isfinite(eta):
         raise DomainError(f"eta must be finite, got {eta}")
-    roots = _graph_roots([abs(eta)], r)[2].tolist()
+    roots = _graph_roots([abs(eta)], r, _fold(r))[2].tolist()
     sheet = 0.0 if eta < 0 else math.pi
     points = []
     for theta_star in (0.0, math.pi):
@@ -415,26 +434,12 @@ def find_r_threshold(r_min: float = 3.0, r_max: float = 4.0,
 def find_eta_plus(r: float) -> Optional[float]:
     """Saddle-node coupling magnitude, or None when xi has no fold.
 
-    The fold is the interior minimum of the branch graph xi: one
-    bracketed solve of F = 0, the numerator of xi', gives z_f, and
-    eta_plus = xi(z_f). G and dG/dz at (z_f, -eta_plus) must both be
-    below 1e-10, and 0 < eta_plus < eta_star, or NoConvergenceError
-    is raised; dG/dz is the H_zz entry of jacobian_at at theta* = 0.
+    eta_plus = xi(z_f) at the interior minimum of the branch graph xi,
+    as _fold finds and checks it; a fold failing the check raises
+    NoConvergenceError.
     """
-    check_power(r)
     fold = _fold(r)
-    if fold is None:
-        return None
-    z, m = fold
-    g = stationary_residual(z, 0.0, -m, r)
-    dg = jacobian_at(PhaseState(z=z), -m, ModelParams(r=r))[1][0]
-    if max(abs(g), abs(dg)) > _RESIDUAL_TOL:
-        raise NoConvergenceError(
-            f"fold residuals {g:.2e}, {dg:.2e} above {_RESIDUAL_TOL}")
-    eta_star = find_eta_star(r)
-    if not 0.0 < m < eta_star:
-        raise NoConvergenceError(f"fold magnitude {m} outside (0, {eta_star})")
-    return m
+    return None if fold is None else fold[1]
 
 
 def trace_branches(r: float, eta_range: tuple, steps: int) -> BifurcationDiagram:
@@ -462,7 +467,8 @@ def trace_branches(r: float, eta_range: tuple, steps: int) -> BifurcationDiagram
     etas = (-mags).tolist()
     born = [(0, 0.0, "symmetric",
              [_make_fixed_point(0.0, 0.0, eta, r) for eta in etas])]
-    piece, index, zs = _graph_roots(mags, r)
+    fold = _fold(r)
+    piece, index, zs = _graph_roots(mags, r, fold)
     for p in sorted(set(piece.tolist())):
         idx, z = index[piece == p].tolist(), zs[piece == p].tolist()
         upper = [_make_fixed_point(zz, 0.0, etas[k], r)
@@ -478,5 +484,5 @@ def trace_branches(r: float, eta_range: tuple, steps: int) -> BifurcationDiagram
     return BifurcationDiagram(
         r=r, branches=built,
         eta_star=find_eta_star(r),
-        eta_plus=find_eta_plus(r),
+        eta_plus=None if fold is None else fold[1],
         classification=classification)

@@ -105,24 +105,19 @@ def _bin_passes(taus, abs_etas, abs_zs, T, lo, hi, grid_size):
 
 
 def _longest_gap_window(centers, gap) -> Optional[tuple]:
-    """Longest contiguous run of bins with gap above Z_GAP_THRESHOLD."""
-    above = gap > Z_GAP_THRESHOLD
-    best = (0, 0)
-    i = 0
-    n = len(above)
-    while i < n:
-        if above[i]:
-            j = i
-            while j + 1 < n and above[j + 1]:
-                j += 1
-            if j - i > best[1] - best[0]:
-                best = (i, j)
-            i = j + 1
-        else:
-            i += 1
-    if best[1] <= best[0]:
+    """Longest contiguous run of bins with gap above Z_GAP_THRESHOLD.
+
+    The first of equally long runs wins; a single bin is no window.
+    """
+    above = np.concatenate(([False], gap > Z_GAP_THRESHOLD, [False]))
+    # runs start at the rises and end before the falls of `above`
+    starts, stops = np.flatnonzero(above[1:] != above[:-1]).reshape(-1, 2).T
+    if not len(starts):
         return None
-    return (float(centers[best[0]]), float(centers[best[1]]))
+    k = np.argmax(stops - starts)
+    if stops[k] - starts[k] < 2:
+        return None
+    return (float(centers[starts[k]]), float(centers[stops[k] - 1]))
 
 
 def run_sweep(initial: PhaseState, params: ModelParams, schedule: EtaSchedule,

@@ -255,20 +255,17 @@ def power_difference(z, r: float):
 
 
 def hamiltonian(state: PhaseState, eta: float, r: float) -> float:
-    """Conserved energy function of the undamped flow.
+    """Conserved energy function of the undamped flow: hamiltonian_column
+    on one row.
 
     Finite on the whole closed strip |z| <= 1. Even in z and in theta.
     """
-    check_power(r)
-    z, theta = state.z, state.theta
-    kinetic = 2.0 * math.sqrt(1.0 - z * z) * math.cos(theta)
-    # (1+z) and (1-z) are both >= 0 here, so real powers are safe
-    bulk = (1.0 + z) ** (r + 1.0) + (1.0 - z) ** (r + 1.0)
-    return kinetic - eta * bulk / (2.0 ** r * (r + 1.0))
+    return float(hamiltonian_column(np.array([state.z]),
+                                    np.array([state.theta]), eta, r)[0])
 
 
 def hamiltonian_column(z, theta, eta, r: float) -> np.ndarray:
-    """hamiltonian at every row of the arrays z, theta and eta, bit for bit.
+    """H at every row of the arrays z, theta and eta.
 
     The powers go through Python's float ** over z.tolist(): numpy's
     vectorized pow differs from the C library's by an ulp on a few
@@ -276,26 +273,35 @@ def hamiltonian_column(z, theta, eta, r: float) -> np.ndarray:
     """
     check_power(r)
     p = r + 1.0
+    # (1+z) and (1-z) are both >= 0 here, so real powers are safe
     bulk = np.array([(1.0 + x) ** p + (1.0 - x) ** p for x in z.tolist()])
     kinetic = 2.0 * np.sqrt(1.0 - z * z) * np.cos(theta)
     return kinetic - eta * bulk / (2.0 ** r * (r + 1.0))
 
 
-def grad_hamiltonian(state: PhaseState, eta: float, r: float) -> tuple:
-    """(dH/dz, dH/dtheta) in closed form.
+def dh_dz(z, cos_theta, eta, r: float):
+    """dH/dz = -2 z cos(theta) / sqrt(1 - z^2) - eta P / 2^r.
 
-    The z-derivative is singular at |z| = 1; evaluation is refused within
-    EPS_CLAMP of the boundary.
+    P = (1+z)^r - (1-z)^r is power_difference. z, cos_theta and eta may
+    be floats or numpy arrays of one shape. The derivative is singular at
+    |z| = 1; evaluation is refused with SingularityError within EPS_CLAMP
+    of the boundary.
     """
     check_power(r)
+    if np.any(abs(z) >= 1.0 - EPS_CLAMP):
+        raise SingularityError(f"dH/dz is singular at |z|=1; got z={z}")
+    s = np.sqrt(1.0 - z * z)
+    return -2.0 * z * cos_theta / s - eta / (2.0 ** r) * power_difference(z, r)
+
+
+def grad_hamiltonian(state: PhaseState, eta: float, r: float) -> tuple:
+    """(dH/dz, dH/dtheta) in closed form, dH/dz from dh_dz.
+
+    Refused with SingularityError within EPS_CLAMP of |z| = 1.
+    """
     z, theta = state.z, state.theta
-    if abs(z) >= 1.0 - EPS_CLAMP:
-        raise SingularityError(f"gradient is singular at |z|=1; got z={z}")
-    s = math.sqrt(1.0 - z * z)
-    dh_dz = -2.0 * z * math.cos(theta) / s \
-        - eta / (2.0 ** r) * power_difference(z, r)
-    dh_dtheta = -2.0 * s * math.sin(theta)
-    return dh_dz, dh_dtheta
+    dh_dtheta = -2.0 * math.sqrt(1.0 - z * z) * math.sin(theta)
+    return float(dh_dz(z, math.cos(theta), eta, r)), dh_dtheta
 
 
 def energy_functional(H: float, ctx: PhysicalContext) -> float:
@@ -309,24 +315,16 @@ def effective_eta(ctx: PhysicalContext) -> float:
 
 
 def eval_schedule(schedule: EtaSchedule, tau: float) -> float:
-    """eta(tau) for either schedule kind; tau must lie in [0, T].
+    """eta(tau) for either schedule kind: schedule_column at one tau."""
+    return float(schedule_column(schedule, tau))
+
+
+def schedule_column(schedule: EtaSchedule, taus) -> np.ndarray:
+    """eta(tau) at every tau of an array; each tau must lie in [0, T].
 
     A relative slack of a few ulp is tolerated at the ends so that
     integrator stage times produced by summation never trip the check.
     """
-    T = schedule.T
-    slack = 1e-9 * max(1.0, T)
-    if tau < -slack or tau > T + slack:
-        raise DomainError(f"tau={tau} outside schedule domain [0, {T}]")
-    tau = min(max(tau, 0.0), T)
-    if schedule.kind == "constant":
-        return schedule.eta_start
-    ramp = 1.0 - abs(2.0 * tau / T - 1.0)
-    return schedule.eta_start + (schedule.eta_peak - schedule.eta_start) * ramp
-
-
-def schedule_column(schedule: EtaSchedule, taus) -> np.ndarray:
-    """eval_schedule at every tau of an array, with the same rounding."""
     taus = np.asarray(taus, dtype=np.float64)
     T = schedule.T
     slack = 1e-9 * max(1.0, T)

@@ -8,7 +8,6 @@ only; in-memory states keep whatever winding the integrator produced.
 
 from __future__ import annotations
 
-import io
 import json
 
 import numpy as np
@@ -24,10 +23,7 @@ BRANCH_HEADER = "branch_id,kind,theta_star,eta,z_star,stability"
 # stay a small part of peak memory
 _BLOCK = 4096
 _ROW = ",".join(["%.15g"] * 6) + "\n"
-
-
-def _f(v: float) -> str:
-    return "%.15g" % v
+_BRANCH_ROW = "%d,%s,%.15g,%.15g,%.15g,%s\n"
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:
@@ -65,14 +61,15 @@ def trajectory_from_csv(text: str, params: ModelParams,
 
 
 def diagram_to_csv(diagram) -> str:
-    out = io.StringIO()
-    out.write(BRANCH_HEADER + "\n")
-    for branch in diagram.branches:
-        for p in branch.points:
-            out.write(",".join((
-                str(branch.branch_id), branch.kind, _f(branch.theta_star),
-                _f(p.eta), _f(p.z_star), p.stability)) + "\n")
-    return out.getvalue()
+    values = [v for b in diagram.branches for p in b.points
+              for v in (b.branch_id, b.kind, b.theta_star, p.eta, p.z_star,
+                        p.stability)]
+    parts = [BRANCH_HEADER + "\n"]
+    step = 6 * _BLOCK
+    for i in range(0, len(values), step):
+        block = values[i:i + step]
+        parts.append(_BRANCH_ROW * (len(block) // 6) % tuple(block))
+    return "".join(parts)
 
 
 def diagram_to_json(diagram, effective: dict | None = None) -> str:

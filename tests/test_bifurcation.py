@@ -14,17 +14,22 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dimer_hysteresis import (DomainError, ModelParams, NoConvergenceError,
-                              PhaseState, R_THRESHOLD, SingularityError,
+from dimer_hysteresis import (DomainError, EtaSchedule, IntegratorConfig,
+                              ModelParams, NoConvergenceError, PhaseState,
+                              R_THRESHOLD, SingularityError,
                               ThresholdProximityError, bifurcation,
                               asymmetric_states_below_star,
                               classify_pitchfork, classify_stability,
-                              eta_star_numeric, find_eta_plus, find_eta_star,
+                              diagram_to_csv, eta_star_numeric,
+                              find_eta_plus, find_eta_star,
                               find_fixed_points, find_r_threshold,
-                              jacobian_at, pitchfork_cubic_coefficient,
-                              stationary_residual, trace_branches,
-                              vector_field)
+                              grad_hamiltonian, integrate, jacobian_at,
+                              pitchfork_cubic_coefficient, predict_window,
+                              stationary_residual, sweep_report,
+                              trace_branches, vector_field)
 from dimer_hysteresis.bifurcation import eigenvalues_2x2
+from dimer_hysteresis.model import EPS_CLAMP
+from dimer_hysteresis.serialize import BRANCH_HEADER
 
 
 def oracle_roots(eta, r, theta_star, grid=100_001):
@@ -59,6 +64,31 @@ def oracle_roots(eta, r, theta_star, grid=100_001):
     return deduped
 
 
+def fold_oracle(r, points=100_001):
+    """Fold coupling: the minimum of xi in plain powers on a dense z grid,
+    scanned again between the neighbours of the coarse minimum."""
+    def xi(z):
+        return 2.0 ** (r + 1) * z / (np.sqrt(1.0 - z * z)
+                                     * ((1.0 + z) ** r - (1.0 - z) ** r))
+
+    z = np.linspace(1e-9, 1.0 - 1e-9, points)
+    i = int(np.argmin(xi(z)))
+    z = np.linspace(z[max(i - 1, 0)], z[min(i + 1, points - 1)], points)
+    return float(xi(z).min())
+
+
+def diagram_csv_by_rows(diagram):
+    """The former row-by-row writer: the oracle for diagram_to_csv."""
+    lines = [BRANCH_HEADER]
+    for branch in diagram.branches:
+        for p in branch.points:
+            lines.append(",".join((
+                str(branch.branch_id), branch.kind,
+                "%.15g" % branch.theta_star, "%.15g" % p.eta,
+                "%.15g" % p.z_star, p.stability)))
+    return "\n".join(lines) + "\n"
+
+
 def fd_jacobian(state, eta, params, h=1e-6):
     """Central finite differences of vector_field, step h."""
     z, theta = state.z, state.theta
@@ -88,6 +118,22 @@ class TestResidual:
         # closed form for r=1: z* = sqrt(1 - 4 / eta^2)
         assert roots[0] == pytest.approx(math.sqrt(5.0) / 3.0, abs=1e-9)
         assert abs(stationary_residual(roots[0], 0.0, -3.0, 1.0)) < 1e-8
+
+    @pytest.mark.parametrize("sign", (1.0, -1.0))
+    def test_one_boundary_rule_for_every_derivative(self, sign):
+        params = ModelParams(r=5.0)
+        evaluations = (
+            lambda z: grad_hamiltonian(PhaseState(z=z), -1.0, 5.0),
+            lambda z: stationary_residual(z, 0.0, -1.0, 5.0),
+            lambda z: stationary_residual(np.array([0.5, z]), 0.0,
+                                          np.array([-1.0, -1.0]), 5.0),
+            lambda z: jacobian_at(PhaseState(z=z), -1.0, params),
+            lambda z: vector_field(PhaseState(z=z), -1.0, params),
+        )
+        for evaluate in evaluations:
+            with pytest.raises(SingularityError):
+                evaluate(sign * (1.0 - EPS_CLAMP))
+            assert np.all(np.isfinite(evaluate(sign * (1.0 - 2e-9))))
 
 
 class TestFindFixedPoints:
@@ -487,12 +533,20 @@ class TestBranchGraph:
         with pytest.raises(DomainError):
             asymmetric_states_below_star(3.5, delta_frac)
 
-    @pytest.mark.parametrize("numerator", [
-        lambda z, r: (z - 0.1) * (z - 0.5),  # two sign changes
-        lambda z, r: 0.5 - z,                # xi falling at the top
+    @pytest.mark.parametrize("patch", [
+        # two sign changes
+        lambda mp: mp.setattr(bifurcation, "_xi_slope_numerator",
+                              lambda z, r: (z - 0.1) * (z - 0.5)),
+        # xi falling at the top
+        lambda mp: mp.setattr(bifurcation, "_xi_slope_numerator",
+                              lambda z, r: 0.5 - z),
+        # the fold fails its residual check
+        lambda mp: mp.setattr(bifurcation, "_RESIDUAL_TOL", 0.0),
     ])
-    def test_unexpected_slope_signs_raise(self, monkeypatch, numerator):
-        monkeypatch.setattr(bifurcation, "_xi_slope_numerator", numerator)
+    def test_unexpected_slope_signs_raise(self, monkeypatch, patch):
+        patch(monkeypatch)
+        with pytest.raises(NoConvergenceError):
+            predict_window(5.0)
         with pytest.raises(NoConvergenceError):
             find_eta_plus(5.0)
         with pytest.raises(NoConvergenceError):
@@ -532,6 +586,26 @@ class TestBranchGraph:
         assert plus is None or 0.0 < plus < find_eta_star(r)
         assert len(find_fixed_points(-2.9878, r)) >= 2
 
+    def test_diagram_scans_for_the_fold_once(self, monkeypatch):
+        scans = []
+        fold = bifurcation._fold
+        monkeypatch.setattr(bifurcation, "_fold",
+                            lambda r: scans.append(r) or fold(r))
+        d = trace_branches(5.0, (3.0, 8.0), 10)
+        assert scans == [5.0]
+        assert d.eta_plus == fold(5.0)[1]
+
+    @pytest.mark.parametrize("r", sorted(GOLDEN_ATLAS))
+    def test_diagram_csv_matches_the_row_writer(self, r):
+        d = atlas_diagram(r, 400)
+        assert diagram_to_csv(d) == diagram_csv_by_rows(d)
+
+    def test_diagram_csv_over_several_blocks(self):
+        d = trace_branches(5.0, (3.0, 8.0), 2000)
+        text = diagram_to_csv(d)
+        assert text.count("\n") > 4097
+        assert text == diagram_csv_by_rows(d)
+
     def test_single_root_at_the_fold(self):
         plus = find_eta_plus(5.0)
         z_f = bifurcation._fold(5.0)[0]
@@ -551,3 +625,35 @@ class TestBranchGraph:
     def test_no_theta_star_parameter(self):
         with pytest.raises(TypeError):
             trace_branches(1.0, (0.5, 4.0), 10, theta_star=0.0)
+
+
+class TestLargePowers:
+    """The fold's check scales with its terms, which grow as z_f -> 1."""
+
+    def test_fold_found_for_every_integer_power_from_106(self):
+        for r in range(106, 1014):
+            plus = find_eta_plus(float(r))
+            assert plus is not None and 0.0 < plus < find_eta_star(r), r
+
+    @pytest.mark.parametrize("r", (106.0, 300.0, 1013.0))
+    def test_fold_matches_a_dense_oracle(self, r):
+        assert find_eta_plus(r) == pytest.approx(fold_oracle(r), rel=1e-9)
+
+    def test_every_finder_answers_at_r_300(self):
+        plus = find_eta_plus(300.0)
+        assert plus == pytest.approx(40.3009, abs=1e-4)
+        assert predict_window(300.0) == (plus, find_eta_star(300.0))
+        assert asymmetric_states_below_star(300.0)
+        assert len(find_fixed_points(-50.0, 300.0)) == 6
+        d = trace_branches(300.0, (30.0, 60.0), 40)
+        assert d.classification == "subcritical" and d.eta_plus == plus
+        assert len(d.branches) == 5
+
+    def test_sweep_report_at_r_300(self):
+        schedule = EtaSchedule(kind="triangular", eta_start=-30.0,
+                               eta_peak=-60.0, T=20.0)
+        traj = integrate(PhaseState(z=0.01), ModelParams(r=300.0, nu=0.5),
+                         schedule, IntegratorConfig(sample_stride=10),
+                         (0.0, 20.0))
+        report = sweep_report(traj, 16)
+        assert report.reference["eta_plus"] == find_eta_plus(300.0)

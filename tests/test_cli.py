@@ -176,6 +176,13 @@ class TestCritical:
         assert second["classification"] == "subcritical"
         assert first["effective_config"] == {"r": [1.0, 4.0]}
 
+    def test_large_power_answers(self, capsys):
+        code, out, err = run_cli(capsys, "critical", "--r", "300")
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["eta_plus"] == pytest.approx(40.3009, abs=1e-4)
+        assert doc["classification"] == "subcritical"
+
     def test_requires_a_power(self, capsys):
         code, _, err = run_cli(capsys, "critical")
         assert code == 2

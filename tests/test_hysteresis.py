@@ -54,6 +54,27 @@ class TestReportInvariants:
             make_report(window=(0.5, 4.5))
 
 
+def longest_gap_window_by_walk(centers, gap):
+    """The former index walk: the oracle for _longest_gap_window."""
+    above = gap > Z_GAP_THRESHOLD
+    best = (0, 0)
+    i = 0
+    n = len(above)
+    while i < n:
+        if above[i]:
+            j = i
+            while j + 1 < n and above[j + 1]:
+                j += 1
+            if j - i > best[1] - best[0]:
+                best = (i, j)
+            i = j + 1
+        else:
+            i += 1
+    if best[1] <= best[0]:
+        return None
+    return (float(centers[best[0]]), float(centers[best[1]]))
+
+
 class TestWindowExtraction:
     def test_no_bins_above_threshold(self):
         centers = np.array([1.0, 2.0, 3.0])
@@ -81,6 +102,28 @@ class TestWindowExtraction:
         centers = np.arange(1.0, 5.0)
         gap = np.array([0.0, 0.0, 0.5, 0.5])
         assert _longest_gap_window(centers, gap) == (3.0, 4.0)
+
+    def test_first_of_equal_runs_wins(self):
+        centers = np.arange(1.0, 8.0)
+        gap = np.array([0.5, 0.5, 0.0, 0.5, 0.5, 0.0, 0.5])
+        assert _longest_gap_window(centers, gap) == (1.0, 2.0)
+
+    def test_single_bin_runs_give_none(self):
+        centers = np.arange(1.0, 6.0)
+        gap = np.array([0.5, 0.0, 0.5, 0.0, 0.5])
+        assert _longest_gap_window(centers, gap) is None
+
+    def test_every_bin_above_is_one_window(self):
+        centers = np.arange(1.0, 5.0)
+        assert _longest_gap_window(centers, np.full(4, 0.5)) == (1.0, 4.0)
+
+    @given(gaps=st.lists(st.sampled_from([0.0, Z_GAP_THRESHOLD, 0.5]),
+                         max_size=40))
+    def test_agrees_with_the_walk_oracle(self, gaps):
+        centers = np.linspace(1.0, 2.0, len(gaps))
+        gap = np.array(gaps, dtype=np.float64)
+        assert _longest_gap_window(centers, gap) == \
+            longest_gap_window_by_walk(centers, gap)
 
 
 def bin_passes_by_masks(taus, abs_etas, abs_zs, T, lo, hi, grid_size):
