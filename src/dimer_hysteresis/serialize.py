@@ -61,15 +61,10 @@ def trajectory_from_csv(text: str, params: ModelParams,
 
 
 def diagram_to_csv(diagram) -> str:
-    values = [v for b in diagram.branches for p in b.points
-              for v in (b.branch_id, b.kind, b.theta_star, p.eta, p.z_star,
-                        p.stability)]
-    parts = [BRANCH_HEADER + "\n"]
-    step = 6 * _BLOCK
-    for i in range(0, len(values), step):
-        block = values[i:i + step]
-        parts.append(_BRANCH_ROW * (len(block) // 6) % tuple(block))
-    return "".join(parts)
+    values = tuple(v for b in diagram.branches for p in b.points
+                   for v in (b.branch_id, b.kind, b.theta_star, p.eta,
+                             p.z_star, p.stability))
+    return BRANCH_HEADER + "\n" + _BRANCH_ROW * (len(values) // 6) % values
 
 
 def diagram_to_json(diagram, effective: dict | None = None) -> str:

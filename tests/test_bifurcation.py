@@ -600,7 +600,7 @@ class TestBranchGraph:
         d = atlas_diagram(r, 400)
         assert diagram_to_csv(d) == diagram_csv_by_rows(d)
 
-    def test_diagram_csv_over_several_blocks(self):
+    def test_diagram_csv_matches_the_row_writer_at_2000_steps(self):
         d = trace_branches(5.0, (3.0, 8.0), 2000)
         text = diagram_to_csv(d)
         assert text.count("\n") > 4097

@@ -18,6 +18,23 @@ def triangular(start, peak, T=4000.0):
     return EtaSchedule(kind="triangular", eta_start=start, eta_peak=peak, T=T)
 
 
+def eta_by_formula(schedule, tau):
+    """The former scalar eval_schedule: the oracle for the eta column."""
+    T = schedule.T
+    tau = min(max(tau, 0.0), T)
+    if schedule.kind == "constant":
+        return schedule.eta_start
+    ramp = 1.0 - abs(2.0 * tau / T - 1.0)
+    return schedule.eta_start + (schedule.eta_peak - schedule.eta_start) * ramp
+
+
+def hamiltonian_by_formula(z, theta, eta, r):
+    """The former scalar hamiltonian: the oracle for the H column."""
+    kinetic = 2.0 * math.sqrt(1.0 - z * z) * math.cos(theta)
+    bulk = (1.0 + z) ** (r + 1.0) + (1.0 - z) ** (r + 1.0)
+    return kinetic - eta * bulk / (2.0 ** r * (r + 1.0))
+
+
 class TestVectorField:
     def test_symmetric_point_is_stationary(self):
         for nu in (0.0, 0.5):
@@ -175,19 +192,25 @@ class TestColumns:
         EtaSchedule(kind="constant", eta_start=-6.0, T=400.0),
     ])
     def test_columns_match_the_scalar_model_functions(self, schedule):
-        # the per-sample path the columns replaced, bit for bit
+        # the columns and their one-row forms against the per-sample
+        # formulas in plain math, bit for bit
         ctx = PhysicalContext(omega=2.0, Omega=0.5)
         traj = integrate(PhaseState(z=0.01, theta=0.0),
                          ModelParams(r=5.0, nu=0.5), schedule,
                          IntegratorConfig(sample_stride=10),
                          (0.0, schedule.T), ctx)
-        eta = [eval_schedule(schedule, t) for t in traj.tau.tolist()]
-        H = [hamiltonian(PhaseState(z=z, theta=theta), e, 5.0)
-             for z, theta, e in zip(traj.z.tolist(), traj.theta.tolist(), eta)]
+        rows = list(zip(traj.tau.tolist(), traj.z.tolist(),
+                        traj.theta.tolist()))
+        eta = [eta_by_formula(schedule, t) for t, _, _ in rows]
+        H = [hamiltonian_by_formula(z, theta, e, 5.0)
+             for (_, z, theta), e in zip(rows, eta)]
         assert len(eta) == 4001
         assert traj.eta.tolist() == eta
         assert traj.H.tolist() == H
         assert traj.E.tolist() == [energy_functional(h, ctx) for h in H]
+        assert [eval_schedule(schedule, t) for t, _, _ in rows] == eta
+        assert [hamiltonian(PhaseState(z=z, theta=theta), e, 5.0)
+                for (_, z, theta), e in zip(rows, eta)] == H
 
 
 # the step and tolerances must be finite and > 0, sample_stride an
