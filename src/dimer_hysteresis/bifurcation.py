@@ -410,8 +410,8 @@ def find_r_threshold(r_min: float = 3.0, r_max: float = 4.0,
     """
     if not (0 < r_min < r_max):
         raise DomainError("require 0 < r_min < r_max")
-    if not tol > 0:
-        raise DomainError("tol must be > 0")
+    if not 0 < tol < math.inf:
+        raise DomainError("tol must be finite and > 0")
     lo_class = classify_pitchfork(r_min)
     hi_class = classify_pitchfork(r_max)
     if lo_class == hi_class:

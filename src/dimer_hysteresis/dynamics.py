@@ -304,7 +304,9 @@ def integrate(initial: PhaseState, params: ModelParams, schedule: EtaSchedule,
         e5 = max(abs(ez) / scale_z, abs(et) / scale_t)
         ez, et = _combine(_DOP853_E3, kz, kt)
         e3 = max(abs(ez) / scale_z, abs(et) / scale_t)
-        err = e5 * e5 / math.sqrt(e5 * e5 + 0.01 * e3 * e3) if e5 else 0.0
+        # nonzero e5 and e3 can square to 0: a zero denominator is no error
+        den = math.sqrt(e5 * e5 + 0.01 * e3 * e3)
+        err = e5 * e5 / den if den else 0.0
         if not err <= 1.0:
             # a non-finite estimate is a rejection like any other
             rejected += 1

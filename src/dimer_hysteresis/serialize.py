@@ -67,6 +67,12 @@ def diagram_to_csv(diagram) -> str:
     return BRANCH_HEADER + "\n" + _BRANCH_ROW * (len(values) // 6) % values
 
 
+def _json(doc: dict, effective: dict | None) -> str:
+    """doc with the effective settings as its last key, indented."""
+    doc["effective_config"] = dict(effective or {})
+    return json.dumps(doc, indent=2) + "\n"
+
+
 def diagram_to_json(diagram, effective: dict | None = None) -> str:
     branches = []
     for branch in diagram.branches:
@@ -80,19 +86,17 @@ def diagram_to_json(diagram, effective: dict | None = None) -> str:
                                         for ev in p.eigenvalues]}
                        for p in branch.points],
         })
-    doc = {
+    return _json({
         "r": diagram.r,
         "eta_star": diagram.eta_star,
         "eta_plus": diagram.eta_plus,
         "classification": diagram.classification,
         "branches": branches,
-        "effective_config": dict(effective or {}),
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    }, effective)
 
 
 def report_to_json(report, effective: dict | None = None) -> str:
-    doc = {
+    return _json({
         "r": report.r,
         "nu": report.nu,
         "detected": report.detected,
@@ -102,15 +106,9 @@ def report_to_json(report, effective: dict | None = None) -> str:
         "reference": report.reference,
         "forward_trace": [list(p) for p in report.forward_trace],
         "backward_trace": [list(p) for p in report.backward_trace],
-        "effective_config": dict(effective or {}),
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    }, effective)
 
 
 def threshold_to_json(r_threshold: float,
                       effective: dict | None = None) -> str:
-    doc = {
-        "r_threshold": r_threshold,
-        "effective_config": dict(effective or {}),
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    return _json({"r_threshold": r_threshold}, effective)

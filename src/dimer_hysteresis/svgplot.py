@@ -1,32 +1,36 @@
 """Minimal SVG line plots, no plotting dependency.
 
 Produces self-contained SVG documents for trajectory and bifurcation
-output. Stable branches draw solid, unstable dashed; everything else is
-a plain polyline. Aimed at quick inspection, not publication.
+output. A series is an (x, y, label, style) tuple of two float arrays,
+a legend label and "solid" or "dashed"; stable branches draw solid,
+unstable dashed. Aimed at quick inspection, not publication.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+
+import numpy as np
 
 _WIDTH = 640
 _HEIGHT = 420
 _MARGIN = 52
+_FLOAT_MAX = sys.float_info.max
 _COLORS = ("#1f6feb", "#d03050", "#2f9e44", "#b8860b", "#7048e8", "#444444")
 
 
-def _finite_bounds(series):
-    xs = [x for s in series for x, _ in s["points"] if math.isfinite(x)]
-    ys = [y for s in series for _, y in s["points"] if math.isfinite(y)]
-    if not xs or not ys:
-        return (0.0, 1.0, 0.0, 1.0)
-    x0, x1 = min(xs), max(xs)
-    y0, y1 = min(ys), max(ys)
-    if x1 - x0 < 1e-12:
-        x0, x1 = x0 - 0.5, x1 + 0.5
-    if y1 - y0 < 1e-12:
-        y0, y1 = y0 - 0.5, y1 + 0.5
-    return (x0, x1, y0, y1)
+def _bounds(values):
+    """Finite (lo, hi) of an axis; a flat range is padded to a positive span."""
+    values = values[np.isfinite(values)]
+    if not values.size:
+        return None
+    lo, hi = float(values.min()), float(values.max())
+    if hi - lo < 1e-12:
+        # past 2**52 a half unit is lost to rounding; one ulp is not
+        pad = max(0.5, math.ulp(hi))
+        lo, hi = max(lo - pad, -_FLOAT_MAX), min(hi + pad, _FLOAT_MAX)
+    return lo, hi
 
 
 def _ticks(lo, hi, n=5):
@@ -41,6 +45,9 @@ def _ticks(lo, hi, n=5):
     t = first
     while t <= hi + 1e-9 * span:
         out.append(0.0 if abs(t) < 1e-12 * span else t)
+        if t + step == t:
+            # the step is below half an ulp of t: t would never advance
+            break
         t += step
     return out
 
@@ -49,13 +56,25 @@ def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
-def render_panel(series, xlabel: str, ylabel: str, title: str = "") -> str:
-    """One SVG panel from a list of series dicts.
+def _svg(height: int, body: str) -> str:
+    return (f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+            f'height="{height}" viewBox="0 0 {_WIDTH} {height}">\n'
+            f'{body}\n</svg>')
 
-    Each series: {"points": [(x, y), ...], "label": str, "style":
-    "solid"|"dashed"}. Returns a complete <svg> element as a string.
+
+def render_panel(series, xlabel: str, ylabel: str, title: str) -> str:
+    """The SVG elements of one panel, one per line, without an <svg> root.
+
+    Each series is an (x, y, label, style) tuple: x and y are float
+    arrays of equal length, label names the series in the legend, and
+    style "dashed" dashes its line. Points where x or y is not finite
+    are skipped; a series with a single finite point draws a circle.
     """
-    x0, x1, y0, y1 = _finite_bounds(series)
+    bounds = (_bounds(np.concatenate([s[0] for s in series])),
+              _bounds(np.concatenate([s[1] for s in series])))
+    if None in bounds:
+        bounds = ((0.0, 1.0), (0.0, 1.0))
+    (x0, x1), (y0, y1) = bounds
     iw = _WIDTH - 2 * _MARGIN
     ih = _HEIGHT - 2 * _MARGIN
 
@@ -66,8 +85,6 @@ def render_panel(series, xlabel: str, ylabel: str, title: str = "") -> str:
         return _HEIGHT - _MARGIN - (y - y0) / (y1 - y0) * ih
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
-        f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<rect x="{_MARGIN}" y="{_MARGIN}" width="{iw}" height="{ih}" '
         'fill="none" stroke="#999" stroke-width="1"/>',
@@ -87,87 +104,68 @@ def render_panel(series, xlabel: str, ylabel: str, title: str = "") -> str:
             f'<text x="{_MARGIN - 8}" y="{py(t):.1f}" font-size="11" '
             f'text-anchor="end" dominant-baseline="middle" '
             f'fill="#333">{_fmt(t)}</text>')
-    for k, s in enumerate(series):
-        pts = [(x, y) for x, y in s["points"]
-               if math.isfinite(x) and math.isfinite(y)]
-        if not pts:
+    for k, (x, y, label, style) in enumerate(series):
+        finite = np.isfinite(x) & np.isfinite(y)
+        xy = np.column_stack((px(x[finite]), py(y[finite]))).ravel().tolist()
+        if not xy:
             continue
         color = _COLORS[k % len(_COLORS)]
-        dash = ' stroke-dasharray="6 4"' if s.get("style") == "dashed" else ""
-        coords = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in pts)
-        if len(pts) == 1:
-            x, y = pts[0]
-            parts.append(f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="3" '
-                         f'fill="{color}"/>')
+        dash = ' stroke-dasharray="6 4"' if style == "dashed" else ""
+        if len(xy) == 2:
+            parts.append('<circle cx="%.2f" cy="%.2f" r="3" fill="%s"/>'
+                         % (*xy, color))
         else:
+            coords = " ".join(["%.2f,%.2f"] * (len(xy) // 2)) % tuple(xy)
             parts.append(f'<polyline points="{coords}" fill="none" '
                          f'stroke="{color}" stroke-width="1.6"{dash}/>')
-        label = s.get("label")
-        if label:
-            ly = _MARGIN + 16 + 15 * k
-            parts.append(f'<line x1="{_WIDTH - _MARGIN - 60}" y1="{ly - 4}" '
-                         f'x2="{_WIDTH - _MARGIN - 40}" y2="{ly - 4}" '
-                         f'stroke="{color}" stroke-width="1.6"{dash}/>')
-            parts.append(f'<text x="{_WIDTH - _MARGIN - 35}" y="{ly}" '
-                         f'font-size="11" fill="#333">{label}</text>')
+        ly = _MARGIN + 16 + 15 * k
+        parts.append(f'<line x1="{_WIDTH - _MARGIN - 60}" y1="{ly - 4}" '
+                     f'x2="{_WIDTH - _MARGIN - 40}" y2="{ly - 4}" '
+                     f'stroke="{color}" stroke-width="1.6"{dash}/>')
+        parts.append(f'<text x="{_WIDTH - _MARGIN - 35}" y="{ly}" '
+                     f'font-size="11" fill="#333">{label}</text>')
     parts.append(f'<text x="{_WIDTH / 2:.0f}" y="{_HEIGHT - 12}" '
                  f'font-size="12" text-anchor="middle" '
                  f'fill="#111">{xlabel}</text>')
     parts.append(f'<text x="16" y="{_HEIGHT / 2:.0f}" font-size="12" '
                  f'text-anchor="middle" fill="#111" '
                  f'transform="rotate(-90 16 {_HEIGHT / 2:.0f})">{ylabel}</text>')
-    if title:
-        parts.append(f'<text x="{_WIDTH / 2:.0f}" y="24" font-size="13" '
-                     f'text-anchor="middle" fill="#111">{title}</text>')
-    parts.append("</svg>")
-    return "\n".join(parts)
-
-
-def stack_panels(panels) -> str:
-    """Stack rendered panels vertically into one SVG document."""
-    total_h = _HEIGHT * len(panels)
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
-             f'height="{total_h}" viewBox="0 0 {_WIDTH} {total_h}">']
-    for k, panel in enumerate(panels):
-        inner = panel.split(">", 1)[1].rsplit("</svg>", 1)[0]
-        parts.append(f'<g transform="translate(0 {k * _HEIGHT})">{inner}</g>')
-    parts.append("</svg>")
+    parts.append(f'<text x="{_WIDTH / 2:.0f}" y="24" font-size="13" '
+                 f'text-anchor="middle" fill="#111">{title}</text>')
     return "\n".join(parts)
 
 
 def plot_trajectory(traj) -> str:
     """Two stacked panels: z against tau, and z against |eta|."""
-    z = traj.z.tolist()
-    zs = list(zip(traj.tau.tolist(), z))
-    z_eta = list(zip(abs(traj.eta).tolist(), z))
-    top = render_panel([{"points": zs, "label": "z", "style": "solid"}],
-                       "tau", "z", "population imbalance")
-    bottom = render_panel(
-        [{"points": z_eta, "label": "z", "style": "solid"}],
-        "|eta|", "z", "imbalance against coupling")
-    return stack_panels([top, bottom])
+    panels = (
+        render_panel([(traj.tau, traj.z, "z", "solid")],
+                     "tau", "z", "population imbalance"),
+        render_panel([(np.abs(traj.eta), traj.z, "z", "solid")],
+                     "|eta|", "z", "imbalance against coupling"),
+    )
+    return _svg(_HEIGHT * len(panels), "\n".join(
+        f'<g transform="translate(0 {k * _HEIGHT})">\n{panel}\n</g>'
+        for k, panel in enumerate(panels)))
 
 
 def plot_diagram(diagram) -> str:
     """Bifurcation diagram: z* against |eta|, stability by line style."""
     series = []
     for branch in diagram.branches:
-        pts = [(abs(p.eta), p.z_star) for p in branch.points]
+        eta, z = np.reshape([(p.eta, p.z_star) for p in branch.points],
+                            (-1, 2)).T
         style = "solid" if all(
             p.stability == "stable" for p in branch.points) else "dashed"
-        series.append({"points": pts, "style": style,
-                       "label": f"{branch.kind} {branch.branch_id}"})
-    return render_panel(series, "|eta|", "z*",
-                        f"stationary states, r={diagram.r:g}")
+        series.append((np.abs(eta), z, f"{branch.kind} {branch.branch_id}",
+                       style))
+    return _svg(_HEIGHT, render_panel(series, "|eta|", "z*",
+                                      f"stationary states, r={diagram.r:g}"))
 
 
 def plot_sweep(report) -> str:
     """Forward and backward traces on the shared |eta| grid."""
-    series = [
-        {"points": list(report.forward_trace), "label": "forward",
-         "style": "solid"},
-        {"points": list(report.backward_trace), "label": "backward",
-         "style": "dashed"},
-    ]
-    return render_panel(series, "|eta|", "mean |z|",
-                        f"sweep r={report.r:g}")
+    fx, fy = np.reshape(report.forward_trace, (-1, 2)).T
+    bx, by = np.reshape(report.backward_trace, (-1, 2)).T
+    series = [(fx, fy, "forward", "solid"), (bx, by, "backward", "dashed")]
+    return _svg(_HEIGHT, render_panel(series, "|eta|", "mean |z|",
+                                      f"sweep r={report.r:g}"))

@@ -371,6 +371,11 @@ class TestPitchforkClass:
         found = find_r_threshold(3.0, 4.0, 1e-9)
         assert found == pytest.approx(R_THRESHOLD, abs=2e-6)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_threshold_tolerance_must_be_finite_and_positive(self, tol):
+        with pytest.raises(DomainError, match="tol"):
+            find_r_threshold(3.0, 4.0, tol)
+
     def test_threshold_requires_straddling_bracket(self):
         with pytest.raises(DomainError):
             find_r_threshold(1.0, 2.0, 1e-4)

@@ -71,6 +71,13 @@ class TestSimulate:
         assert out.splitlines()[0] == TRAJECTORY_HEADER
         assert len(out.splitlines()) == 7
 
+    def test_decay_below_the_square_underflow_exits_0(self, capsys):
+        code, out, err = run_cli(
+            capsys, "simulate", "--r", "1", "--nu", "0.5", "--schedule",
+            "constant", "--eta-start=-1", "--T", "2000")
+        assert code == 0, err
+        assert out.splitlines()[-1].startswith("2000,")
+
     def test_zero_seed_stays_symmetric(self, capsys):
         code, out, _ = run_cli(
             capsys, "simulate", "--r", "5", "--z0", "0", "--schedule",
@@ -198,6 +205,13 @@ class TestSweep:
         doc = json.loads(out)
         assert abs(doc["r_threshold"] - R_THRESHOLD) < 1e-4
         assert doc["effective_config"]["tol"] == 1e-4
+
+    def test_threshold_mode_rejects_infinite_tol(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sweep", "--r-min", "3", "--r-max", "4", "--tol", "inf")
+        assert code == 1
+        assert out == ""
+        assert "tol must be finite" in err
 
     def test_hysteresis_mode_null_case(self, capsys):
         code, out, _ = run_cli(

@@ -266,6 +266,16 @@ class TestTermination:
             integrate(PhaseState(z=0.1, theta=0.0), ModelParams(r=1.0),
                       sched, PROTOCOL, (0.0, 10.0))
 
+    def test_decay_below_the_square_underflow_ends(self):
+        # the damped state decays onto z = 0 until both error estimates'
+        # squares underflow; a zero norm denominator is zero error
+        sched = EtaSchedule(kind="constant", eta_start=-1.0, T=2000.0)
+        traj = integrate(PhaseState(z=0.01, theta=0.0),
+                         ModelParams(r=1.0, nu=0.5), sched, PROTOCOL,
+                         (0.0, 2000.0))
+        assert traj.tau[-1] == 2000.0
+        assert abs(traj.z[-1]) < 1e-160
+
     def test_flow_into_boundary_ends_in_package_error(self, outward_field):
         # stages past the margin halve the step down to min_step, then
         # each clamp counts against clamp_limit
