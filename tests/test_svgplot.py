@@ -267,7 +267,7 @@ SYNTHETIC_TRAJECTORIES = {
         [-1.0, -2.0, NAN, -4.0, -5.0, -INF, -7.0]),
     "no finite point": synthetic_traj(
         [NAN, INF, 2.0], [NAN, -INF, INF], [-1.0, NAN, -3.0]),
-    "finite points on neither axis together": synthetic_traj(
+    "no point finite on both axes": synthetic_traj(
         [NAN, INF, 2.0], [0.5, NAN, -INF], [-1.0, NAN, -3.0]),
     "flat": synthetic_traj([0.0, 1.0, 2.0, 3.0], [0.3] * 4, [-2.5] * 4),
     "nearly flat": synthetic_traj(
@@ -322,7 +322,7 @@ class TestTicksEnd:
 
     def test_step_below_half_an_ulp_stops(self):
         # a 1-wide range at 3e15, where one ulp is 0.5: the 0.2 step
-        # cannot move t, which the loop used to retry forever
+        # cannot move t, so a loop that only adds it never ends
         ticks = svgplot._ticks(3e15 - 0.5, 3e15 + 0.5)
         assert ticks == [3e15 - 0.5]
 
