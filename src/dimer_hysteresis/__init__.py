@@ -7,8 +7,8 @@ coupling ramps, with a CLI front end (`dimer-hysteresis`).
 from .bifurcation import (R_THRESHOLD, BifurcationDiagram, Branch,
                           FixedPoint, asymmetric_states_below_star,
                           classify_pitchfork, classify_stability,
-                          eta_star_numeric, find_eta_plus, find_eta_star,
-                          find_fixed_points, find_r_threshold, jacobian_at,
+                          find_eta_plus, find_eta_star, find_fixed_points,
+                          find_r_threshold, jacobian_at,
                           pitchfork_cubic_coefficient, stationary_residual,
                           trace_branches)
 from .dynamics import IntegratorConfig, integrate, vector_field
@@ -39,8 +39,8 @@ __all__ = [
     "Z_GAP_THRESHOLD", "amplitudes_from_state",
     "asymmetric_states_below_star", "classify_pitchfork",
     "classify_stability", "diagram_to_csv", "diagram_to_json",
-    "effective_eta", "energy_functional", "eta_star_numeric",
-    "eval_schedule", "find_eta_plus", "find_eta_star", "find_fixed_points",
+    "effective_eta", "energy_functional", "eval_schedule", "find_eta_plus",
+    "find_eta_star", "find_fixed_points",
     "find_r_threshold", "grad_hamiltonian", "hamiltonian",
     "hamiltonian_column", "integrate",
     "jacobian_at", "pitchfork_cubic_coefficient", "power_difference",

@@ -19,6 +19,11 @@ r_threshold = (3 + sqrt(13)) / 2 xi rises monotonically and the
 pitchfork is supercritical; above it xi first falls to an interior
 minimum, the saddle-node eta_plus < eta_star that bounds the bistable
 window, and the pitchfork is subcritical.
+
+The fold and the roots come from one safeguarded-Newton kernel with
+closed-form slopes: F' for the fold (see _fold) and H_zz for G. Each
+root is bracketed first, so a Newton step that would leave its bracket
+bisects instead.
 """
 
 from __future__ import annotations
@@ -46,6 +51,14 @@ R_THRESHOLD = (3.0 + math.sqrt(13.0)) / 2.0
 
 _RESIDUAL_TOL = 1e-10
 _ZMAX = 1.0 - EPS_CLAMP
+# the fold's sign scan, and the size, relative to P, below which F has
+# no reliable sign
+_FOLD_SCAN = np.geomspace(1e-4, _ZMAX, 64)
+_SLOPE_NOISE = 2e-15
+# |G| below this fraction of its terms' sizes has no reliable sign
+_ROOT_NOISE = 16.0 * np.finfo(np.float64).eps
+# a Newton step this many ulps of z long or shorter is the last
+_STEP_ULPS = 4.0 * np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True)
@@ -133,19 +146,57 @@ def _xi_slope_numerator(z, r):
     return power_difference(z, r) - r * z * (1.0 - z * z) * _power_sum(z, r)
 
 
-def _bisect(above, lo, hi):
-    """Shrink every bracket [lo, hi] to float resolution.
+def _xi_slope_numerator_slope(z, r):
+    """F'(z) = 3 r z^2 S_(r-1) - r (r-1) z (1 - z^2) D_(r-2): float or array.
 
-    above(z) is True where the bracketed point lies above z. lo and hi
-    are floats or arrays of brackets, bisected together.
+    S_k = (1+z)^k + (1-z)^k and D_k = (1+z)^k - (1-z)^k.
     """
-    while True:
-        mid = 0.5 * (lo + hi)
-        if np.all((mid == lo) | (mid == hi)):
-            return mid
-        up = above(mid)
-        lo = np.where(up, mid, lo)
-        hi = np.where(up, hi, mid)
+    d = (1.0 + z) ** (r - 2.0) - (1.0 - z) ** (r - 2.0)
+    return (3.0 * r * z * z * _power_sum(z, r)
+            - r * (r - 1.0) * z * (1.0 - z * z) * d)
+
+
+def _h_zz(z, s, cos_theta, eta, r):
+    """H_zz = -2 cos(theta) / s^3 - eta r 2^-r [(1+z)^(r-1) + (1-z)^(r-1)],
+    s = sqrt(1 - z^2): float or array."""
+    return (-2.0 * cos_theta / (s * s * s)
+            - eta * r / 2.0 ** r * _power_sum(z, r))
+
+
+def _rtsafe(f, lo, hi, falling, z):
+    """The root in every bracket (lo, hi), 0 <= lo < hi, at once, by
+    safeguarded Newton (Numerical Recipes' rtsafe) from z inside it.
+
+    f(z) gives (value, slope, noise) for an array z; value > 0 exactly
+    below the root where falling is True and exactly above it elsewhere.
+    Each iteration evaluates f once and shrinks every bracket by the
+    sign of value. The Newton step is kept when it lands strictly inside
+    the bracket and is at most half as long as the step before last;
+    otherwise the step bisects, so no bracket converges slower than by
+    bisection. A root is done at z once |value| <= noise, below which
+    its sign is rounding, or once no float lies strictly inside its
+    bracket; it is done one Newton step on from z once that step is
+    within _STEP_ULPS of z.
+    """
+    step = before = hi - lo
+    done = np.zeros(z.shape, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while not done.all():
+            value, slope, noise = f(z)
+            above = (value > 0) == falling
+            lo = np.where(above, z, lo)
+            hi = np.where(above, hi, z)
+            mid = 0.5 * (lo + hi)
+            done |= (abs(value) <= noise) | (mid == lo) | (mid == hi)
+            new = z - value / slope
+            dz = abs(new - z)
+            last = dz <= _STEP_ULPS * z
+            keep = (lo < new) & (new < hi) & (dz + dz <= before)
+            new = np.where(keep, new, np.where(last, z, mid))
+            before, step = step, abs(new - z)
+            z = np.where(done, z, new)
+            done |= last
+    return z
 
 
 def _fold(r: float) -> Optional[tuple]:
@@ -156,21 +207,22 @@ def _fold(r: float) -> Optional[tuple]:
     F is the difference of two terms equal to P at leading order, each
     with a few ulps of rounding, so a value within 2e-15 P of zero has
     no reliable sign and is skipped; this only happens within about 1e-7
-    of r_threshold. F < 0 then F > 0 is a fold, bisected once; F > 0
-    throughout is a monotone graph. Any other pattern raises
-    NoConvergenceError, so xi is never assumed unimodal without being
-    checked.
+    of r_threshold. F < 0 then F > 0 is a fold, solved by safeguarded
+    Newton on F with its closed-form slope F' inside the bracketing
+    grid cell; F > 0 throughout is a monotone graph. Any other pattern
+    raises NoConvergenceError, so xi is never assumed unimodal without
+    being checked.
 
     The fold is checked as a double root: at (z_f, -eta_plus), |G| and
     |dG/dz| (jacobian_at's H_zz) must be at most 1e-10 times their terms'
     sizes 2 z/s and 2/s^3, s = sqrt(1 - z^2), which grow as z_f -> 1 at
     large r; and 0 < eta_plus < eta_star. Else NoConvergenceError.
     """
-    check_power(r)
-    zs = np.geomspace(1e-4, _ZMAX, 64)
-    f = _xi_slope_numerator(zs, r)
-    signs = np.where(abs(f) > 2e-15 * power_difference(zs, r), np.sign(f), 0.0)
-    zs, signs = zs[signs != 0], signs[signs != 0]
+    eta_star = find_eta_star(r)
+    f = _xi_slope_numerator(_FOLD_SCAN, r)
+    signs = np.where(abs(f) > _SLOPE_NOISE * power_difference(_FOLD_SCAN, r),
+                     np.sign(f), 0.0)
+    zs, signs = _FOLD_SCAN[signs != 0], signs[signs != 0]
     flips = np.flatnonzero(signs[1:] != signs[:-1])
     if len(flips) > 1 or len(signs) == 0 or signs[-1] < 0:
         raise NoConvergenceError(
@@ -179,8 +231,15 @@ def _fold(r: float) -> Optional[tuple]:
     if len(flips) == 0:
         return None
     i = flips[0]
-    z = float(_bisect(lambda z: _xi_slope_numerator(z, r) < 0,
-                      zs[i], zs[i + 1]))
+    lo, hi = zs[i:i + 1], zs[i + 1:i + 2]
+    # P rises with z, so its value at lo bounds F's noise in the cell
+    noise = _SLOPE_NOISE * power_difference(lo, r)
+
+    def slope_numerator(z):
+        return (_xi_slope_numerator(z, r), _xi_slope_numerator_slope(z, r),
+                noise)
+
+    z = float(_rtsafe(slope_numerator, lo, hi, False, 0.5 * (lo + hi))[0])
     m = float(_xi(z, r))
     s = math.sqrt(1.0 - z * z)
     g = stationary_residual(z, 0.0, -m, r)
@@ -190,7 +249,6 @@ def _fold(r: float) -> Optional[tuple]:
         raise NoConvergenceError(
             f"fold residuals {g:.2e}, {dg:.2e} at r={r} above "
             f"{_RESIDUAL_TOL} of their terms")
-    eta_star = find_eta_star(r)
     if not 0.0 < m < eta_star:
         raise NoConvergenceError(f"fold magnitude {m} outside (0, {eta_star})")
     return z, m
@@ -203,9 +261,18 @@ def _graph_roots(mags, r: float, fold: Optional[tuple]) -> tuple:
     of xi: one piece without a fold, two split at z_f with one. A piece
     holds one root at m exactly when m lies strictly between xi at its
     two ends, where xi(0+) = eta_star; at m = eta_plus the single root is
-    z_f. All roots are bisected together on G at theta* = 0, eta = -m.
-    Roots below 1e-9 are dropped as numerical shadows of the symmetric
-    root.
+    z_f. All roots are solved together by safeguarded Newton on G at
+    theta* = 0, eta = -m, with dG/dz = H_zz; a root is done once |G| is
+    within _ROOT_NOISE of its terms 2 z/s + m P/2^r. Newton starts where
+    xi's shape puts the root: on the piece that ends at 1 - EPS_CLAMP,
+    where 2/s = m, as xi -> 2/s when P -> 2^r (exactly so at r = 1 and
+    2); below a fold, on the parabola that falls from eta_star at z = 0
+    to eta_plus at z_f; elsewhere, or where that start lies outside the
+    piece, in the middle of the piece. Where G is steep,
+    the float grid around the root is coarser than G's rounding, so
+    each root then moves to whichever of itself and its float
+    neighbours inside its piece has the smallest |G|. Roots below 1e-9
+    are dropped as numerical shadows of the symmetric root.
 
     Returns (piece, index, z) arrays, ordered by piece and then by index
     into mags; the pieces are numbered in increasing z.
@@ -225,9 +292,28 @@ def _graph_roots(mags, r: float, fold: Optional[tuple]) -> tuple:
                       np.full(n, xb > xa)))
     piece, index, lo, hi, rises = map(np.concatenate, zip(*parts))
     m = mags[index]
+    eta = -m
+
+    def residual(z):
+        # G's terms are 2 z/s and m P/2^r, both positive, summing to G + 4 z/s
+        s = np.sqrt(1.0 - z * z)
+        g = stationary_residual(z, 0.0, eta, r)
+        return g, _h_zz(z, s, 1.0, eta, r), _ROOT_NOISE * (g + 4.0 * z / s)
+
+    mid = 0.5 * (lo + hi)
+    start = np.where(hi == _ZMAX,
+                     np.sqrt(1.0 - 4.0 / np.maximum(m * m, 4.0)), mid)
+    if fold is not None:
+        below = hi == fold[0]
+        start[below] = fold[0] * np.sqrt((ends[0][1] - m[below])
+                                         / (ends[0][1] - fold[1]))
+    start = np.where((lo < start) & (start < hi), start, mid)
     # G > 0 exactly where xi(z) < m
-    z = _bisect(lambda z: (stationary_residual(z, 0.0, -m, r) > 0) == rises,
-                lo, hi)
+    z = _rtsafe(residual, lo, hi, rises, start)
+    near = np.stack([z, np.nextafter(z, 0.0), np.nextafter(z, 1.0)])
+    near = np.where((lo < near) & (near < hi), near, z)
+    g = stationary_residual(near, 0.0, eta, r)
+    z = near[abs(g).argmin(axis=0), np.arange(len(z))]
     if fold is not None:
         z[m == fold[1]] = fold[0]
     keep = z >= 1e-9
@@ -249,18 +335,29 @@ def jacobian_at(state: PhaseState, eta: float, params: ModelParams) -> tuple:
     r, nu = params.r, params.nu
     s = math.sqrt(1.0 - z * z)
     c = math.cos(theta)
-    h_zz = -2.0 * c / (s * s * s) - eta * r / 2.0 ** r * _power_sum(z, r)
+    h_zz = _h_zz(z, s, c, eta, r)
     h_zt = 2.0 * z * math.sin(theta) / s
     return ((nu * h_zz - h_zt, 2.0 * s * c + nu * h_zt), (h_zz, h_zt))
 
 
 def eigenvalues_2x2(jac) -> tuple:
-    """Both eigenvalues of a real 2x2 matrix, always as complex numbers."""
+    """Both eigenvalues of a real 2x2 matrix, always as complex numbers.
+
+    Where the discriminant overflows although every entry is finite, the
+    eigenvalues are those of the matrix scaled by 2^-e, its largest
+    entry's binary exponent, scaled back by 2^e; scaling by a power of
+    two is exact.
+    """
     (a, b), (c, d) = jac
     tr = a + d
     det = a * d - b * c
-    disc = complex(tr * tr - 4.0 * det, 0.0)
-    root = disc ** 0.5
+    disc = tr * tr - 4.0 * det
+    if not math.isfinite(disc) and all(map(math.isfinite, (a, b, c, d))):
+        e = math.frexp(max(abs(a), abs(b), abs(c), abs(d)))[1]
+        down, up, half = 2.0 ** -e, 2.0 ** (e - e // 2), 2.0 ** (e // 2)
+        return tuple(lam * up * half for lam in eigenvalues_2x2(
+            ((a * down, b * down), (c * down, d * down))))
+    root = complex(disc, 0.0) ** 0.5
     return ((tr + root) / 2.0, (tr - root) / 2.0)
 
 
@@ -323,34 +420,6 @@ def find_eta_star(r: float) -> float:
     """Pitchfork coupling magnitude eta_star = 2^r / r."""
     check_power(r)
     return 2.0 ** r / r
-
-
-def eta_star_numeric(r: float) -> float:
-    """Independent cross-check of find_eta_star.
-
-    Bisection on the finite-difference slope of G at z = 0 as a function
-    of the coupling magnitude: the symmetric state changes character
-    where that slope crosses zero. Uses no closed-form derivative.
-    """
-    check_power(r)
-    delta = 1e-5
-
-    def slope(m):
-        g_p = stationary_residual(delta, 0.0, -m, r)
-        g_m = stationary_residual(-delta, 0.0, -m, r)
-        return (g_p - g_m) / (2.0 * delta)
-
-    lo, hi = 1e-8, max(10.0, 4.0 * 2.0 ** r / r)
-    slo = slope(lo)
-    if (slope(hi) > 0) == (slo > 0):
-        raise NoConvergenceError("no sign change bracketing eta_star")
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if (slope(mid) > 0) == (slo > 0):
-            lo, slo = mid, slope(mid)
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def pitchfork_cubic_coefficient(r: float) -> float:

@@ -1,14 +1,22 @@
 """CSV and JSON writers for trajectories, diagrams, and sweep reports.
 
-Floats are written with %.15g, so serialize(parse(text)) == text; a
+CSV floats are written with %.15g, so serialize(parse(text)) == text; a
 value read back equals the written double to 15 significant digits,
 not bitwise. Angles are wrapped into (-pi, pi] at serialization time
 only; in-memory states keep whatever winding the integrator produced.
+
+JSON is json.dumps(doc, indent=2)'s layout, floats in full repr. The
+diagram writer lays that out itself: with indent, json runs its
+pure-Python encoder, so diagram_to_json fills each branch's points into
+one %-template instead, byte for byte the same text.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import math
+from itertools import islice
 
 import numpy as np
 
@@ -24,6 +32,13 @@ BRANCH_HEADER = "branch_id,kind,theta_star,eta,z_star,stability"
 _BLOCK = 4096
 _ROW = ",".join(["%.15g"] * 6) + "\n"
 _BRANCH_ROW = "%d,%s,%.15g,%.15g,%.15g,%s\n"
+# json.dumps(doc, indent=2)'s layout of a diagram and of one branch
+_DIAGRAM_JSON = ('{\n  "r": %s,\n  "eta_star": %s,\n  "eta_plus": %s,\n'
+                 '  "classification": %s,\n  "branches": %s,\n'
+                 '  "effective_config": %s\n}\n')
+_BRANCH_JSON = ('    {\n      "branch_id": %s,\n      "kind": %s,\n'
+                '      "theta_star": %s,\n      "points": %s\n    }')
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:
@@ -73,26 +88,65 @@ def _json(doc: dict, effective: dict | None) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _json_floats(values: list) -> list:
+    """Each float as json writes it: float.__repr__, or NaN, Infinity
+    and -Infinity."""
+    strings = list(map(float.__repr__, values))
+    if math.isfinite(sum(values)):
+        return strings
+    return [_NON_FINITE.get(s, s) for s in strings]
+
+
+def _list(items: list, indent: str) -> str:
+    """A list of already laid-out items, one level below indent."""
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join(items) + "\n" + indent + "]"
+
+
+@functools.cache
+def _point_template(n: int) -> str:
+    """One point with n eigenvalues, laid out at the depth of a branch's
+    points; %s slots for eta, z_star, stability and each eigenvalue's
+    real and imaginary part."""
+    pair = "            [\n              %s,\n              %s\n            ]"
+    pairs = [pair] * n
+    return ("        {\n          \"eta\": %s,\n          \"z_star\": %s,\n"
+            "          \"stability\": %s,\n          \"eigenvalues\": "
+            + _list(pairs, "          ") + "\n        }")
+
+
+def _points_json(points) -> str:
+    """A branch's points as json lays them out, filled into one
+    %-template."""
+    if not points:
+        return "[]"
+    template = ",\n".join(_point_template(len(p.eigenvalues)) for p in points)
+    floats = iter(_json_floats(
+        [v for p in points
+         for v in (p.eta, p.z_star,
+                   *(c for ev in p.eigenvalues for c in (ev.real, ev.imag)))]))
+    stability = {s: json.dumps(s) for s in {p.stability for p in points}}
+    values = []
+    for p in points:
+        values += (next(floats), next(floats), stability[p.stability])
+        values += islice(floats, 2 * len(p.eigenvalues))
+    return "[\n" + template % tuple(values) + "\n      ]"
+
+
 def diagram_to_json(diagram, effective: dict | None = None) -> str:
-    branches = []
-    for branch in diagram.branches:
-        branches.append({
-            "branch_id": branch.branch_id,
-            "kind": branch.kind,
-            "theta_star": branch.theta_star,
-            "points": [{"eta": p.eta, "z_star": p.z_star,
-                        "stability": p.stability,
-                        "eigenvalues": [[ev.real, ev.imag]
-                                        for ev in p.eigenvalues]}
-                       for p in branch.points],
-        })
-    return _json({
-        "r": diagram.r,
-        "eta_star": diagram.eta_star,
-        "eta_plus": diagram.eta_plus,
-        "classification": diagram.classification,
-        "branches": branches,
-    }, effective)
+    """Byte for byte what json.dumps(doc, indent=2) writes for the
+    diagram's document, with the points of each branch filled into one
+    %-template."""
+    branches = [_BRANCH_JSON % (json.dumps(b.branch_id), json.dumps(b.kind),
+                                json.dumps(b.theta_star),
+                                _points_json(b.points))
+                for b in diagram.branches]
+    config = json.dumps(dict(effective or {}), indent=2)
+    return _DIAGRAM_JSON % (
+        json.dumps(diagram.r), json.dumps(diagram.eta_star),
+        json.dumps(diagram.eta_plus), json.dumps(diagram.classification),
+        _list(branches, "  "), config.replace("\n", "\n  "))
 
 
 def report_to_json(report, effective: dict | None = None) -> str:

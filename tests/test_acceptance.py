@@ -13,11 +13,11 @@ import numpy as np
 import pytest
 
 from dimer_hysteresis import (EtaSchedule, IntegratorConfig, ModelParams,
-                              PhaseState, R_THRESHOLD, eta_star_numeric,
-                              find_eta_plus, find_eta_star,
-                              find_fixed_points, find_r_threshold,
-                              grad_hamiltonian, hamiltonian, integrate,
-                              predict_window, run_sweep)
+                              PhaseState, R_THRESHOLD, find_eta_plus,
+                              find_eta_star, find_fixed_points,
+                              find_r_threshold, grad_hamiltonian, hamiltonian,
+                              integrate, predict_window, run_sweep)
+from kernel_oracles import eta_star_numeric
 
 SWEEP_GRID = 128
 

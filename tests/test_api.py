@@ -46,7 +46,7 @@ def call_with_r(name, r):
 
 
 def test_functions_taking_r_are_found():
-    assert len(TAKES_R) >= 14
+    assert len(TAKES_R) >= 13
     assert {"power_difference", "pitchfork_cubic_coefficient"} <= set(TAKES_R)
 
 

@@ -3,7 +3,9 @@
 The brute-force root oracle here shares no code with the package's
 finder: plain pow arithmetic on a dense grid plus bisection. The
 stability oracle is the central finite-difference Jacobian of
-vector_field that the closed-form jacobian_at replaced.
+vector_field that the closed-form jacobian_at replaced. The
+all-bisection fold and root kernels that safeguarded Newton replaced,
+and the json.dumps diagram writer, are oracles in kernel_oracles.
 """
 
 import math
@@ -20,16 +22,19 @@ from dimer_hysteresis import (DomainError, EtaSchedule, IntegratorConfig,
                               ThresholdProximityError, bifurcation,
                               asymmetric_states_below_star,
                               classify_pitchfork, classify_stability,
-                              diagram_to_csv, eta_star_numeric,
-                              find_eta_plus, find_eta_star,
+                              diagram_to_csv, find_eta_plus, find_eta_star,
                               find_fixed_points, find_r_threshold,
                               grad_hamiltonian, integrate, jacobian_at,
                               pitchfork_cubic_coefficient, predict_window,
                               stationary_residual, sweep_report,
                               trace_branches, vector_field)
-from dimer_hysteresis.bifurcation import eigenvalues_2x2
-from dimer_hysteresis.model import EPS_CLAMP
-from dimer_hysteresis.serialize import BRANCH_HEADER
+from dimer_hysteresis.bifurcation import (BifurcationDiagram, Branch,
+                                          FixedPoint, eigenvalues_2x2)
+from dimer_hysteresis.model import EPS_CLAMP, power_difference
+from dimer_hysteresis.serialize import BRANCH_HEADER, diagram_to_json
+import kernel_oracles
+from kernel_oracles import (diagram_json_by_dumps, eta_star_numeric,
+                            fold_by_bisection, graph_roots_by_bisection)
 
 
 def oracle_roots(eta, r, theta_star, grid=100_001):
@@ -255,6 +260,29 @@ class TestStability:
             f = vector_field(PhaseState(z=p.z_star, theta=p.theta_star),
                              p.eta, ModelParams(r=1.0, nu=0.0))
             assert math.hypot(*f) < 1e-9
+
+    @pytest.mark.parametrize("jac", [
+        ((0.0, 2.0), (-1.5e308, 0.0)),           # center
+        ((0.0, 2.0), (1.7e308, 0.0)),            # saddle
+        ((1e308, 1e308), (-1e308, 1.7e308)),     # spiral, trace overflows
+        ((-1.7e308, 1e-300), (3.0, 1.7e308)),    # det overflows
+    ])
+    def test_eigenvalues_when_the_discriminant_overflows(self, jac):
+        lam = eigenvalues_2x2(jac)
+        want = np.linalg.eigvals(np.array(jac) / 2.0 ** 1000) * 2.0 ** 1000
+        key = (lambda c: (c.imag, c.real))
+        for a, b in zip(sorted(lam, key=key), sorted(want, key=key)):
+            assert abs(a - b) <= 1e-15 * max(abs(b), abs(lam[0]))
+
+    @given(a=st.floats(-1e3, 1e3), b=st.floats(-1e3, 1e3),
+           c=st.floats(-1e3, 1e3), d=st.floats(-1e3, 1e3))
+    @settings(max_examples=50, deadline=None)
+    def test_eigenvalues_keep_the_complex_square_root(self, a, b, c, d):
+        # ** 0.5 leaves a rounding-sized real part on a center's root,
+        # which cmath.sqrt would not; the written eigenvalues keep it
+        root = complex((a + d) ** 2 - 4.0 * (a * d - b * c), 0.0) ** 0.5
+        assert eigenvalues_2x2(((a, b), (c, d))) == (
+            (a + d + root) / 2.0, (a + d - root) / 2.0)
 
     def test_pitchfork_point_is_degenerate(self):
         # at eta = -eta_star the closed form's H_zz is exactly 0
@@ -630,6 +658,170 @@ class TestBranchGraph:
     def test_no_theta_star_parameter(self):
         with pytest.raises(TypeError):
             trace_branches(1.0, (0.5, 4.0), 10, theta_star=0.0)
+
+
+EPS = np.finfo(np.float64).eps
+
+
+def by_bisection(mp):
+    """Route the package's fold and roots through the all-bisection oracle."""
+    mp.setattr(bifurcation, "_fold", fold_by_bisection)
+    mp.setattr(bifurcation, "_graph_roots", graph_roots_by_bisection)
+
+
+def assert_same_states(got, want, r):
+    """Same points, kinds and stability; each z_star with |G| at most the
+    oracle's own |G| or 64 ulps of G's terms."""
+    assert len(got) == len(want)
+    for p, q in zip(got, want):
+        assert (p.eta, p.theta_star, p.kind, p.stability) == (
+            q.eta, q.theta_star, q.kind, q.stability)
+        assert np.sign(p.z_star) == np.sign(q.z_star)
+        if p.z_star == q.z_star:
+            continue
+        z = abs(p.z_star)
+        cos_theta = math.cos(p.theta_star)
+        g = stationary_residual(np.array([z, abs(q.z_star)]), p.theta_star,
+                                np.full(2, p.eta), r)
+        terms = (abs(2.0 * z * cos_theta / math.sqrt(1.0 - z * z))
+                 + abs(p.eta * power_difference(z, r) / 2.0 ** r))
+        assert abs(g[0]) <= max(abs(g[1]), 64.0 * EPS * terms), (r, p, q)
+
+
+def oracle_atlas_powers():
+    rng = random.Random(4242)
+    bands = ((0.5, 3.2), (3.4, 6.0))
+    return ([1.0, 2.0, 3.0, 4.0, 5.0, 10.0, 40.0]
+            + [rng.uniform(lo, hi) for lo, hi in bands for _ in range(4)])
+
+
+class TestNewtonKernel:
+    """Safeguarded Newton against the all-bisection kernels it replaced."""
+
+    @pytest.mark.parametrize("r", oracle_atlas_powers())
+    def test_atlas_matches_the_bisection_oracle(self, r, monkeypatch):
+        got = atlas_diagram(r, 400)
+        with monkeypatch.context() as mp:
+            by_bisection(mp)
+            want = atlas_diagram(r, 400)
+        assert [(b.branch_id, b.kind, len(b.points)) for b in got.branches] \
+            == [(b.branch_id, b.kind, len(b.points)) for b in want.branches]
+        for b, c in zip(got.branches, want.branches):
+            assert_same_states(b.points, c.points, r)
+        assert (got.eta_plus is None) == (want.eta_plus is None)
+        if got.eta_plus is not None:
+            assert got.eta_plus == pytest.approx(want.eta_plus, rel=1e-13)
+
+    def test_fixed_points_match_the_bisection_oracle(self, monkeypatch):
+        rng = random.Random(31)
+        calls = [(rng.uniform(-8.0, -0.5), rng.uniform(0.5, 6.0))
+                 for _ in range(100)]
+        got = [find_fixed_points(eta, r) for eta, r in calls]
+        with monkeypatch.context() as mp:
+            by_bisection(mp)
+            want = [find_fixed_points(eta, r) for eta, r in calls]
+        for (eta, r), points, oracle in zip(calls, got, want):
+            assert_same_states(points, oracle, r)
+
+    def test_fold_matches_the_bisection_oracle_at_large_powers(self):
+        # xi's own rounding grows like r ulps (P's exp(r log1p(z))), and
+        # flat as xi is at z_f, eta_plus = xi(z_f) carries it
+        for r in (34.0, 106.0, 300.0, 1013.0):
+            assert bifurcation._fold(r)[1] == pytest.approx(
+                fold_by_bisection(r)[1], rel=16.0 * r * EPS)
+
+    # (eta, r): the r = 5 window, the fold next to the threshold power
+    # (find_eta_plus and a 50-step atlas diagram, as in
+    # test_fold_found_next_to_threshold), and the largest power
+    COUNTED = ([(-6.0, 5.0)]
+               + [(None, R_THRESHOLD + offset)
+                  for offset in (1.05e-6, 2e-6, 1e-5, 1e-3)]
+               + [(-200.0, 1013.0), (-1000.0, 1013.0)])
+
+    @staticmethod
+    def evaluations(monkeypatch, fold, roots, eta, r):
+        """(F evaluations of one fold solve, G evaluations of one root
+        solve), counted by wrapping the two residuals."""
+        counts = {"F": 0, "G": 0}
+        for name, key in (("_xi_slope_numerator", "F"),
+                          ("stationary_residual", "G")):
+            def counted(*args, _f=getattr(bifurcation, name), _k=key):
+                counts[_k] += 1
+                return _f(*args)
+            for module in (bifurcation, kernel_oracles):
+                monkeypatch.setattr(module, name, counted)
+        found = fold(r)
+        f_evals, counts["G"] = counts["F"], 0
+        if eta is None:
+            star = find_eta_star(r)
+            mags = np.linspace(0.25 * star, 1.4 * star, 50)
+        else:
+            mags = [abs(eta)]
+        assert len(roots(mags, r, found)[2]) > 0
+        monkeypatch.undo()
+        return f_evals, counts["G"]
+
+    @pytest.mark.parametrize("eta, r", COUNTED)
+    def test_at_most_16_evaluations_per_solve(self, monkeypatch, eta, r):
+        f_evals, g_evals = self.evaluations(
+            monkeypatch, bifurcation._fold, bifurcation._graph_roots, eta, r)
+        assert f_evals <= 16 and g_evals <= 16
+
+    @pytest.mark.parametrize("eta, r", COUNTED[:1] + COUNTED[-1:])
+    def test_bisection_needs_more_than_40(self, monkeypatch, eta, r):
+        # the count tells the kernels apart
+        f_evals, g_evals = self.evaluations(
+            monkeypatch, fold_by_bisection, graph_roots_by_bisection, eta, r)
+        assert f_evals > 40 and g_evals > 40
+
+
+class TestDiagramJson:
+    """diagram_to_json against the former json.dumps(doc, indent=2)."""
+
+    @pytest.mark.parametrize("r", sorted(GOLDEN_ATLAS))
+    def test_atlas_bytes(self, r):
+        d = atlas_diagram(r, 400)
+        assert diagram_to_json(d) == diagram_json_by_dumps(d)
+        effective = {"r": r, "eta-min": 0.5, "out": "b.csv", "steps": 400}
+        assert (diagram_to_json(d, effective)
+                == diagram_json_by_dumps(d, effective))
+
+    def test_supercritical_diagram_bytes(self):
+        d = trace_branches(1.0, (0.5, 4.0), 500)
+        assert d.eta_plus is None
+        assert diagram_to_json(d) == diagram_json_by_dumps(d)
+
+    def test_2000_step_bytes(self):
+        d = trace_branches(5.0, (3.0, 8.0), 2000)
+        assert diagram_to_json(d) == diagram_json_by_dumps(d)
+
+    def test_non_finite_values_and_numpy_floats(self):
+        points = (
+            FixedPoint(z_star=np.float64(0.5), theta_star=0.0, eta=-1.0,
+                       stability="stable",
+                       eigenvalues=(complex(math.nan, math.inf),
+                                    complex(-math.inf, np.float64(2.5))),
+                       kind="asymmetric"),
+            FixedPoint(z_star=0.0, theta_star=np.float64(0.0),
+                       eta=np.float64(-2.0), stability="marginal",
+                       eigenvalues=(np.complex128(1e-300 - 1e300j),),
+                       kind="symmetric"),
+            FixedPoint(z_star=0.0, theta_star=0.0, eta=-3.0,
+                       stability="unstable", eigenvalues=(), kind="symmetric"))
+        d = BifurcationDiagram(
+            r=np.float64(5.0),
+            branches=(Branch(0, "symmetric", 0.0, points),
+                      Branch(1, "asymmetric", math.nan, ())),
+            eta_star=6.4, eta_plus=np.float64(4.4),
+            classification="subcritical")
+        text = diagram_to_json(d, {"note": "x"})
+        assert text == diagram_json_by_dumps(d, {"note": "x"})
+        assert "NaN" in text and "-Infinity" in text
+
+    def test_empty_diagram_bytes(self):
+        d = BifurcationDiagram(r=1.0, branches=(), eta_star=2.0,
+                               eta_plus=None, classification="supercritical")
+        assert diagram_to_json(d) == diagram_json_by_dumps(d)
 
 
 class TestLargePowers:

@@ -8,11 +8,12 @@ import pytest
 
 from dimer_hysteresis import (DomainError, EtaSchedule, IntegratorConfig,
                               ModelParams, PhaseState, R_THRESHOLD, integrate,
-                              trajectory_from_csv, wrap_angle)
+                              trace_branches, trajectory_from_csv, wrap_angle)
 from dimer_hysteresis import cli, config
 from dimer_hysteresis.cli import main
 from dimer_hysteresis.config import ENV_VAR
 from dimer_hysteresis.serialize import TRAJECTORY_HEADER, trajectory_to_csv
+from kernel_oracles import diagram_json_by_dumps
 
 
 @pytest.fixture(autouse=True)
@@ -142,6 +143,38 @@ class TestBifurcate:
         assert doc["effective_config"]["steps"] == 50
         point = doc["branches"][0]["points"][0]
         assert set(point) == {"eta", "z_star", "stability", "eigenvalues"}
+
+    def test_sidecar_bytes_match_the_json_dumps_writer(self, capsys,
+                                                       tmp_path):
+        out = tmp_path / "b.csv"
+        code, _, err = run_cli(
+            capsys, "bifurcate", "--r", "5", "--eta-min", "3",
+            "--eta-max", "8", "--steps", "120", "--out", str(out))
+        assert code == 0, err
+        text = (tmp_path / "b.json").read_text(encoding="utf-8")
+        effective = json.loads(text)["effective_config"]
+        assert effective["out"] == str(out)
+        diagram = trace_branches(5.0, (3.0, 8.0), 120)
+        assert text == diagram_json_by_dumps(diagram, effective)
+
+    def test_couplings_next_to_the_float_range(self, capsys, tmp_path):
+        # the eigenvalue discriminant 8 H_zz overflows here although
+        # every Jacobian entry is finite
+        out = tmp_path / "b.csv"
+        code, _, err = run_cli(
+            capsys, "bifurcate", "--r", "1", "--eta-min", "1e308",
+            "--eta-max", "1.5e308", "--steps", "2", "--out", str(out))
+        assert code == 0, err
+        doc = json.loads((tmp_path / "b.json").read_text(encoding="utf-8"))
+        (branch,) = doc["branches"]
+        for point in branch["points"]:
+            # z = 0, r = 1: H_zz = |eta| - 2, eigenvalues +-sqrt(2 H_zz)
+            root = math.sqrt(2.0) * math.sqrt(-point["eta"] - 2.0)
+            assert point["stability"] == "unstable"
+            (re1, im1), (re2, im2) = point["eigenvalues"]
+            assert (im1, im2) == (0.0, 0.0)
+            assert re1 == pytest.approx(root, rel=1e-15)
+            assert re2 == pytest.approx(-root, rel=1e-15)
 
     def test_stdout_without_out_flag(self, capsys, tmp_path):
         code, out, _ = run_cli(
