@@ -368,7 +368,11 @@ def classify_stability(jac) -> str:
     eigenvalues on the imaginary axis, nonzero) also counts as stable,
     matching the nonlinear stability of centers of the undamped flow.
     """
-    lam1, lam2 = eigenvalues_2x2(jac)
+    return _classify(*eigenvalues_2x2(jac))
+
+
+def _classify(lam1, lam2) -> str:
+    """classify_stability from the two eigenvalues."""
     res = (lam1.real, lam2.real)
     ims = (lam1.imag, lam2.imag)
     if all(re < -EPS_EIG for re in res):
@@ -382,11 +386,11 @@ def classify_stability(jac) -> str:
 
 def _make_fixed_point(z_root: float, theta_star: float, eta: float,
                       r: float) -> FixedPoint:
-    jac = jacobian_at(PhaseState(z=z_root, theta=theta_star), eta,
-                      ModelParams(r=r))
+    eigenvalues = eigenvalues_2x2(jacobian_at(
+        PhaseState(z=z_root, theta=theta_star), eta, ModelParams(r=r)))
     return FixedPoint(
         z_star=z_root, theta_star=theta_star, eta=eta,
-        stability=classify_stability(jac), eigenvalues=eigenvalues_2x2(jac),
+        stability=_classify(*eigenvalues), eigenvalues=eigenvalues,
         kind="symmetric" if z_root == 0.0 else "asymmetric")
 
 

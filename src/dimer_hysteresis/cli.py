@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -33,6 +34,9 @@ _SIM_KEYS = ("r", "nu", "z0", "theta0", "T", "schedule", "eta-start",
 _BIF_KEYS = ("r", "eta-min", "eta-max", "steps", "out", "plot")
 _THRESHOLD_KEYS = ("r-min", "r-max", "tol")
 _SWEEP_KEYS = _SIM_KEYS + ("grid", "hysteresis") + _THRESHOLD_KEYS
+# negative numbers that are values, not options; argparse's own pattern
+# misses exponent notation (-5e-05, -.5e-3)
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
 def _require(eff, keys):
@@ -46,6 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dimer-hysteresis",
         description="damped two-mode condensate dynamics and bifurcations")
+    parser._negative_number_matcher = _NEGATIVE_NUMBER
     subs = parser.add_subparsers(dest="command", required=True)
     for name, handler, keys, text in (
             ("simulate", _cmd_simulate, _SIM_KEYS, "integrate one trajectory"),
@@ -55,6 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
             ("sweep", _cmd_sweep, _SWEEP_KEYS,
              "threshold bisection, or --hysteresis for a full run")):
         sub = subs.add_parser(name, help=text)
+        sub._negative_number_matcher = _NEGATIVE_NUMBER
         sub.set_defaults(handler=handler)
         for key in keys:
             sub.add_argument("--" + key, **cfgmod.SETTINGS[key].flag())

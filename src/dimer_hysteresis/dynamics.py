@@ -9,10 +9,11 @@ onto the interior maximum that hosts the stable stationary states and
 the physical energy E = Omega - omega H / 2 decreases. (The opposite
 sign turns every stable center into a repeller and drives |z| -> 1.)
 
-The stepper is the Dormand-Prince 8(5,3) pair DOP853, run as one stage
-loop over the coefficient tables in tableau.py. Its combined
-5th/3rd-order error estimate is controlled per unit tau in the max norm
-over (z, theta) by a PI controller; the per-unit control is what keeps
+The stepper is the Dormand-Prince 8(5,3) pair DOP853. Its stages run as
+straight-line code written out at import from the rows of tableau.py,
+each weighted sum added left to right over a row's nonzero weights. Its
+combined 5th/3rd-order error estimate is controlled per unit tau in the
+max norm over (z, theta) by a PI controller; the per-unit control keeps
 the H drift below 1e-8 over tau spans of 10^3. No step spans more than
 one unit of tau: with longer steps the absolute tolerance dominates
 near z = 0, the state stops decaying there and the delayed jump of a
@@ -28,6 +29,7 @@ the step underflows min_step.
 
 from __future__ import annotations
 
+import linecache
 import math
 from dataclasses import dataclass
 
@@ -125,67 +127,64 @@ def vector_field(state: PhaseState, eta: float, params: ModelParams) -> tuple:
     return make_field(params)(state.z, state.theta, eta)
 
 
-def _sparse(row):
-    """(index, weight) pairs of a row's nonzero weights."""
-    return tuple((j, x) for j, x in enumerate(row) if x)
+# The straight-line kernels, written out from tableau.py's rows.
+# _step returns (stages evaluated, None) once a stage point leaves
+# |z| <= zmax, else (11, (the b, E5 and E3 sums, kz0..kz11, kt0..kt11)).
+# _dense adds the three extra stages and returns _interpolate's
+# coefficients; kz12, kt12 are the derivative at the step's end.
+_STAGE = """
+    sz = {sz}
+    st = {st}
+    zi = z + h * sz
+    if abs(zi) > zmax:
+        {leave}
+    kz{i}, kt{i} = field(zi, theta + h * st, eta_at(t + {c!r} * h))"""
+_KERNELS = """\
+def _step(field, eta_at, t, h, z, theta, kz0, kt0, zmax):{stages}
+    return {last}, ({b}, {e5}, {e3}, ({ks}))
 
 
-def _sparse_stages(stages):
-    return tuple((c, _sparse(a)) for c, a in stages)
+def _dense(field, eta_at, t, h, z, theta, zn, tn, k, kz{n}, kt{n}, zmax):
+    {ks} = k{dense_stages}
+    dz, dth = zn - z, tn - theta
+    return ((z, dz, h * kz0 - dz, 2.0 * dz - h * (kz{n} + kz0), {dz}),
+            (theta, dth, h * kt0 - dth, 2.0 * dth - h * (kt{n} + kt0), {dt}))
+"""
 
 
-# the tables with their zero weights dropped: the stepper's hot loops
-# then skip them instead of multiplying by zero
-_DOP853_STAGES = _sparse_stages(DOP853_STAGES)
-_DOP853_B = _sparse(DOP853_B)
-_DOP853_E5 = _sparse(DOP853_E5)
-_DOP853_E3 = _sparse(DOP853_E3)
-_DOP853_DENSE_STAGES = _sparse_stages(DOP853_DENSE_STAGES)
-_DOP853_D = tuple(_sparse(d) for d in DOP853_D)
+def _sum(row, k):
+    """Source of 0.0 + w * k<j> + ... over row's nonzero weights w."""
+    return "0.0" + "".join(f" + {w!r} * {k}{j}" for j, w in enumerate(row) if w)
 
 
-def _combine(row, kz, kt):
-    """Weighted sums of the stage derivatives kz and kt."""
-    sz = st = 0.0
-    for j, x in row:
-        sz += x * kz[j]
-        st += x * kt[j]
-    return sz, st
+def _kernel_source():
+    n = len(DOP853_STAGES) + 1
+    error = 'raise SingularityError(f"interpolation stage left |z| <= ' \
+        '{zmax} at tau={t}")'
+
+    def stages(table, first, leave):
+        return "".join(_STAGE.format(sz=_sum(a, "kz"), st=_sum(a, "kt"), i=i,
+                                     c=c, leave=leave(i))
+                       for i, (c, a) in enumerate(table, first))
+
+    return _KERNELS.format(
+        stages=stages(DOP853_STAGES, 1, lambda i: f"return {i - 1}, None"),
+        dense_stages=stages(DOP853_DENSE_STAGES, n + 1, lambda i: error),
+        **{name: f"{_sum(row, 'kz')}, {_sum(row, 'kt')}" for name, row in
+           (("b", DOP853_B), ("e5", DOP853_E5), ("e3", DOP853_E3))},
+        dz=", ".join(f"h * ({_sum(d, 'kz')})" for d in DOP853_D),
+        dt=", ".join(f"h * ({_sum(d, 'kt')})" for d in DOP853_D),
+        ks=", ".join([f"kz{j}" for j in range(n)] + [f"kt{j}" for j in range(n)]),
+        last=n - 1, n=n)
 
 
-def _stages(field, eta_at, table, t, h, z, theta, kz, kt, zmax):
-    """Append the derivatives of the table's stages to kz and kt.
-
-    Returns False, leaving the remaining stages out, as soon as a stage
-    point leaves |z| <= zmax.
-    """
-    for c, row in table:
-        sz, st = _combine(row, kz, kt)
-        zi = z + h * sz
-        if abs(zi) > zmax:
-            return False
-        dz, dtheta = field(zi, theta + h * st, eta_at(t + c * h))
-        kz.append(dz)
-        kt.append(dtheta)
-    return True
-
-
-def _dense(field, eta_at, t, h, z, theta, zn, tn, kz, kt, zmax):
-    """Coefficients of DOP853's 7th-order interpolant over [t, t + h].
-
-    kz, kt hold the 12 stage derivatives plus the one at the step's end;
-    the three extra stages are appended to them.
-    """
-    if not _stages(field, eta_at, _DOP853_DENSE_STAGES, t, h, z, theta,
-                   kz, kt, zmax):
-        raise SingularityError(
-            f"interpolation stage left |z| <= {zmax} at tau={t}")
-    dz, dt = zn - z, tn - theta
-    rows = [_combine(d, kz, kt) for d in _DOP853_D]
-    return ((z, dz, h * kz[0] - dz, 2.0 * dz - h * (kz[12] + kz[0]),
-             *(h * r[0] for r in rows)),
-            (theta, dt, h * kt[0] - dt, 2.0 * dt - h * (kt[12] + kt[0]),
-             *(h * r[1] for r in rows)))
+# compiled once; linecache keeps the source for tracebacks and profilers
+_SOURCE = _kernel_source()
+_FILE = f"<{__name__} kernels>"
+linecache.cache[_FILE] = (len(_SOURCE), None, _SOURCE.splitlines(True), _FILE)
+_kernels = {"__name__": __name__, "SingularityError": SingularityError}
+exec(compile(_SOURCE, _FILE, "exec"), _kernels)
+_step, _dense = _kernels["_step"], _kernels["_dense"]
 
 
 def _interpolate(c, x):
@@ -268,15 +267,9 @@ def integrate(initial: PhaseState, params: ModelParams, schedule: EtaSchedule,
         t_new = t + h
         if t_new >= t1:
             t_new, h = t1, t1 - t
-        kz, kt = [fz], [ft]
-        inside = _stages(field, eta_at, _DOP853_STAGES, t, h, z, theta,
-                         kz, kt, zmax)
-        rhs_evals += len(kz) - 1
-        if inside:
-            sz, st = _combine(_DOP853_B, kz, kt)
-            zn = z + h * sz
-            inside = not abs(zn) > zmax
-        if not inside:
+        evals, sums = _step(field, eta_at, t, h, z, theta, fz, ft, zmax)
+        rhs_evals += evals
+        if sums is None or abs(zn := z + h * sums[0]) > zmax:
             if h > min_step:
                 h *= 0.5
                 halvings += 1
@@ -294,16 +287,15 @@ def integrate(initial: PhaseState, params: ModelParams, schedule: EtaSchedule,
                 k += 1
                 ts = sample_time(k)
             continue
+        _, st, ez5, et5, ez3, et3, ks = sums
         tn = theta + h * st
 
         # 5th- and 3rd-order estimates combined as in DOP853, as an
         # error per unit tau in the max norm over (z, theta)
         scale_z = atol + rtol * abs(zn)
         scale_t = atol + rtol * abs(tn)
-        ez, et = _combine(_DOP853_E5, kz, kt)
-        e5 = max(abs(ez) / scale_z, abs(et) / scale_t)
-        ez, et = _combine(_DOP853_E3, kz, kt)
-        e3 = max(abs(ez) / scale_z, abs(et) / scale_t)
+        e5 = max(abs(ez5) / scale_z, abs(et5) / scale_t)
+        e3 = max(abs(ez3) / scale_z, abs(et3) / scale_t)
         # nonzero e5 and e3 can square to 0: a zero denominator is no error
         den = math.sqrt(e5 * e5 + 0.01 * e3 * e3)
         err = e5 * e5 / den if den else 0.0
@@ -330,10 +322,8 @@ def integrate(initial: PhaseState, params: ModelParams, schedule: EtaSchedule,
                 emit(ts, zn, tn)
             else:
                 if dense is None:
-                    kz.append(fz)
-                    kt.append(ft)
                     dense = _dense(field, eta_at, t, h, z, theta, zn, tn,
-                                   kz, kt, zmax)
+                                   ks, fz, ft, zmax)
                     rhs_evals += 3
                 x = (ts - t) / h
                 emit(ts, _interpolate(dense[0], x), _interpolate(dense[1], x))

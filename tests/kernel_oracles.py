@@ -9,6 +9,10 @@
   finite-difference slope, using no closed-form derivative.
 - diagram_json_by_dumps is the former diagram writer, one
   json.dumps(doc, indent=2) over the whole document.
+- step_by_loop and dense_by_loop run the former DOP853 stage loop,
+  which walked the tables' sparse (index, weight) rows over growing
+  stage lists, behind the interface of the generated dynamics._step and
+  dynamics._dense.
 """
 
 import json
@@ -18,10 +22,13 @@ from typing import Optional
 import numpy as np
 
 from dimer_hysteresis import (ModelParams, NoConvergenceError, PhaseState,
-                              find_eta_star, jacobian_at, stationary_residual)
+                              SingularityError, find_eta_star, jacobian_at,
+                              stationary_residual)
 from dimer_hysteresis.bifurcation import (_RESIDUAL_TOL, _ZMAX, _xi,
                                           _xi_slope_numerator)
 from dimer_hysteresis.model import check_power, power_difference
+from dimer_hysteresis.tableau import (DOP853_B, DOP853_D, DOP853_DENSE_STAGES,
+                                      DOP853_E3, DOP853_E5, DOP853_STAGES)
 
 
 def _bisect(above, lo, hi):
@@ -149,3 +156,82 @@ def diagram_json_by_dumps(diagram, effective: dict | None = None) -> str:
     }
     doc["effective_config"] = dict(effective or {})
     return json.dumps(doc, indent=2) + "\n"
+
+
+def _sparse(row):
+    """(index, weight) pairs of a row's nonzero weights."""
+    return tuple((j, x) for j, x in enumerate(row) if x)
+
+
+def _sparse_stages(stages):
+    return tuple((c, _sparse(a)) for c, a in stages)
+
+
+_DOP853_STAGES = _sparse_stages(DOP853_STAGES)
+_DOP853_B = _sparse(DOP853_B)
+_DOP853_E5 = _sparse(DOP853_E5)
+_DOP853_E3 = _sparse(DOP853_E3)
+_DOP853_DENSE_STAGES = _sparse_stages(DOP853_DENSE_STAGES)
+_DOP853_D = tuple(_sparse(d) for d in DOP853_D)
+
+
+def _combine(row, kz, kt):
+    """Weighted sums of the stage derivatives kz and kt."""
+    sz = st = 0.0
+    for j, x in row:
+        sz += x * kz[j]
+        st += x * kt[j]
+    return sz, st
+
+
+def _stages(field, eta_at, table, t, h, z, theta, kz, kt, zmax):
+    """Append the derivatives of the table's stages to kz and kt.
+
+    Returns False, leaving the remaining stages out, as soon as a stage
+    point leaves |z| <= zmax.
+    """
+    for c, row in table:
+        sz, st = _combine(row, kz, kt)
+        zi = z + h * sz
+        if abs(zi) > zmax:
+            return False
+        dz, dtheta = field(zi, theta + h * st, eta_at(t + c * h))
+        kz.append(dz)
+        kt.append(dtheta)
+    return True
+
+
+def _dense(field, eta_at, t, h, z, theta, zn, tn, kz, kt, zmax):
+    """Coefficients of DOP853's 7th-order interpolant over [t, t + h].
+
+    kz, kt hold the 12 stage derivatives plus the one at the step's end;
+    the three extra stages are appended to them.
+    """
+    if not _stages(field, eta_at, _DOP853_DENSE_STAGES, t, h, z, theta,
+                   kz, kt, zmax):
+        raise SingularityError(
+            f"interpolation stage left |z| <= {zmax} at tau={t}")
+    dz, dt = zn - z, tn - theta
+    rows = [_combine(d, kz, kt) for d in _DOP853_D]
+    return ((z, dz, h * kz[0] - dz, 2.0 * dz - h * (kz[12] + kz[0]),
+             *(h * r[0] for r in rows)),
+            (theta, dt, h * kt[0] - dt, 2.0 * dt - h * (kt[12] + kt[0]),
+             *(h * r[1] for r in rows)))
+
+
+def step_by_loop(field, eta_at, t, h, z, theta, fz, ft, zmax):
+    """dynamics._step's result, from the former stage loop."""
+    kz, kt = [fz], [ft]
+    if not _stages(field, eta_at, _DOP853_STAGES, t, h, z, theta, kz, kt,
+                   zmax):
+        return len(kz) - 1, None
+    return len(kz) - 1, (*_combine(_DOP853_B, kz, kt),
+                         *_combine(_DOP853_E5, kz, kt),
+                         *_combine(_DOP853_E3, kz, kt), (*kz, *kt))
+
+
+def dense_by_loop(field, eta_at, t, h, z, theta, zn, tn, ks, fz, ft, zmax):
+    """dynamics._dense's result, from the former stage loop."""
+    n = len(ks) // 2
+    return _dense(field, eta_at, t, h, z, theta, zn, tn, [*ks[:n], fz],
+                  [*ks[n:], ft], zmax)

@@ -291,6 +291,24 @@ class TestStability:
         assert eigenvalues_2x2(jac) == (0.0, 0.0)
         assert classify_stability(jac) == "marginal"
 
+    def test_eigenvalues_once_per_fixed_point(self, monkeypatch):
+        # the diagram's points take their stability from the eigenvalues
+        # they store; the pitchfork coupling 2 at r = 1 gives "marginal"
+        calls = []
+
+        def counted(jac):
+            calls.append(jac)
+            return eigenvalues_2x2(jac)
+
+        monkeypatch.setattr(bifurcation, "eigenvalues_2x2", counted)
+        diagram = trace_branches(1.0, (1.0, 3.0), 3)
+        points = [p for b in diagram.branches for p in b.points]
+        assert len(calls) == len(points)
+        assert "marginal" in {p.stability for p in points}
+        for p, jac in zip(points, calls):
+            assert p.eigenvalues == eigenvalues_2x2(jac)
+            assert p.stability == classify_stability(jac)
+
     @given(z=st.floats(-0.99, 0.99), theta=st.floats(-4.0, 4.0),
            eta=st.floats(-10.0, 10.0), r=st.floats(0.3, 8.0),
            nu=st.one_of(st.just(0.0), st.floats(0.0, 2.0)))

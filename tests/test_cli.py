@@ -123,6 +123,33 @@ class TestSimulate:
                 main(["simulate", *extra])
             assert exc.value.code == 2, extra
 
+    @pytest.mark.parametrize("text", ["-5e-05", "-1e-300", "-.5e-3", "-2E+1",
+                                      "-1.", "-0.25"])
+    def test_negative_values_follow_their_flag(self, text):
+        # argparse alone takes "-5e-05" for an option and exits 2
+        parser = cli.build_parser()
+        for argv in (["--theta0", text], [f"--theta0={text}"]):
+            args = parser.parse_args(["simulate", "--r", "1", *argv])
+            assert args.theta0 == float(text)
+        args = parser.parse_args(["bifurcate", "--eta-min", text,
+                                  "--eta-max=-1e-3"])
+        assert (args.eta_min, args.eta_max) == (float(text), -1e-3)
+
+    def test_negative_exponent_start_runs(self, capsys, tmp_path):
+        out = tmp_path / "traj.csv"
+        code, _, err = run_cli(capsys, "simulate", "--r", "1", "--T", "1",
+                               "--schedule", "constant", "--theta0", "-5e-05",
+                               "--z0", "-1e-300", "--out", str(out))
+        assert code == 0, err
+        row = out.read_text().splitlines()[1].split(",")
+        assert (float(row[2]), float(row[3])) == (-1e-300, -5e-05)
+
+    def test_option_like_values_still_exit_two(self):
+        for value in ("-x", "--T", "-5e"):
+            with pytest.raises(SystemExit) as exc:
+                main(["simulate", "--r", "1", "--theta0", value])
+            assert exc.value.code == 2, value
+
 
 class TestBifurcate:
     def test_csv_and_sidecar(self, capsys, tmp_path):

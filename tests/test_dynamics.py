@@ -1,8 +1,19 @@
 """Integrator behavior: field values, conservation, control, protocol runs."""
 
+import ast
+import hashlib
 import math
+import os
+import struct
+import subprocess
+import sys
+import traceback
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dimer_hysteresis import (DomainError, EtaSchedule,
                               IntegratorConfig, ModelParams, PhaseState,
@@ -10,6 +21,7 @@ from dimer_hysteresis import (DomainError, EtaSchedule,
                               StepFailureError, dynamics, energy_functional,
                               eval_schedule, grad_hamiltonian, hamiltonian,
                               integrate, tableau, vector_field)
+import kernel_oracles
 
 PROTOCOL = IntegratorConfig()  # DOP853, 1e-9 tolerances
 
@@ -383,3 +395,237 @@ class TestScipyOracle:
         assert len(taus) == 201
         for s, z, theta in zip(traj.samples, ref.y[0], ref.y[1]):
             assert abs(s.z - z) <= 1e-7 and abs(s.theta - theta) <= 1e-7
+
+
+ZMAX = 1.0 - dynamics.EPS_CLAMP
+
+
+def bits(x):
+    """x with every float packed into its 8 bytes, nested in tuples, so
+    that equal means equal bit for bit (signed zeros and NaNs too)."""
+    if isinstance(x, (tuple, list)):
+        return tuple(bits(v) for v in x)
+    if isinstance(x, float):
+        return struct.pack("<d", x)
+    return x
+
+
+def recorded(field, calls):
+    """field, appending each call's arguments and result to calls."""
+    def wrapped(z, theta, eta):
+        out = field(z, theta, eta)
+        calls.append((z, theta, eta, *out))
+        return out
+    return wrapped
+
+
+def both_kernels(make, eta_at, t, h, z, theta, zmax=ZMAX):
+    """(result, field calls) of _step, then of _dense where the step
+    stays inside, for the generated kernels and for the former loop;
+    make() builds a fresh field for each."""
+    runs = []
+    for step, dense in ((dynamics._step, dynamics._dense),
+                        (kernel_oracles.step_by_loop,
+                         kernel_oracles.dense_by_loop)):
+        calls = []
+        f = recorded(make(), calls)
+        fz, ft = f(z, theta, eta_at(t))
+        evals, sums = out = step(f, eta_at, t, h, z, theta, fz, ft, zmax)
+        result = [out]
+        if sums is not None and not abs(z + h * sums[0]) > zmax:
+            zn, tn = z + h * sums[0], theta + h * sums[1]
+            fzn, ftn = f(zn, tn, eta_at(t + h))
+            try:
+                result.append(dense(f, eta_at, t, h, z, theta, zn, tn,
+                                    sums[-1], fzn, ftn, zmax))
+            except SingularityError as exc:
+                result.append(str(exc))
+        runs.append((bits(result), bits(calls)))
+    return runs
+
+
+class TestKernels:
+    """The generated straight-line kernels against the former stage loop
+    kept in kernel_oracles."""
+
+    @given(r=st.floats(0.5, 40.0), nu=st.sampled_from([0.0, 0.5]),
+           e0=st.floats(-50.0, 50.0), rate=st.floats(-1.0, 1.0),
+           t=st.floats(0.0, 4000.0), h=st.floats(1e-6, 1.0),
+           z=st.one_of(st.floats(-ZMAX, ZMAX),
+                       st.floats(0.99, ZMAX).map(lambda z: -z),
+                       st.floats(0.99, ZMAX)),
+           theta=st.floats(-10.0, 10.0))
+    @example(r=1.0, nu=0.0, e0=-1.0, rate=0.0, t=0.0, h=0.5,
+             z=0.9999, theta=1.5)
+    @example(r=5.0, nu=0.5, e0=-8.0, rate=0.0, t=0.0, h=1.0,
+             z=-0.999, theta=-1.5)
+    @settings(max_examples=300, deadline=None)
+    def test_stages_sums_and_dense_match_the_loop(self, r, nu, e0, rate, t,
+                                                  h, z, theta):
+        field = dynamics.make_field(ModelParams(r=r, nu=nu))
+        new, old = both_kernels(lambda: field, lambda t: e0 + rate * t, t,
+                                h, z, theta)
+        assert new == old
+
+    @pytest.mark.parametrize("jump", range(15))
+    def test_every_exit_stage_matches_the_loop(self, jump):
+        # a field at rest until its call number `jump` (call 0 is the
+        # step's first derivative) leaves the margin at the next stage:
+        # 11 stages of the step, the step's end, then 3 dense stages.
+        # At rest it returns -0.0 at z = -0.0: each sum starts from 0.0,
+        # so the stage points are +0.0
+        def make():
+            calls = []
+
+            def field(z, theta, eta):
+                calls.append(z)
+                return (1e3 if len(calls) > jump else -0.0), -0.0
+            return field
+
+        new, old = both_kernels(make, lambda t: -1.0, 0.0, 1.0, -0.0, -0.0)
+        assert new == old
+        (evals, sums), *dense = new[0]
+        assert evals == min(jump, 11)
+        assert (sums is None) == (jump < 11)
+        assert len(dense) == (jump >= 12)
+        if dense:
+            assert dense[0].startswith("interpolation stage left")
+
+    @pytest.mark.parametrize("params, schedule, config", [
+        *[(ModelParams(r=r, nu=0.0),
+           EtaSchedule(kind="constant", eta_start=eta, T=1000.0),
+           IntegratorConfig(abs_tol=1e-10, rel_tol=1e-10))
+          for r in (1.0, 5.0) for eta in (-1.0, -6.0)],
+        (ModelParams(r=1.0, nu=0.5), triangular(-1.0, -3.0),
+         IntegratorConfig(sample_stride=10)),
+        (ModelParams(r=5.0, nu=0.5), triangular(-3.0, -8.0),
+         IntegratorConfig(sample_stride=10)),
+    ], ids=["c6-r1-eta-1", "c6-r1-eta-6", "c6-r5-eta-1", "c6-r5-eta-6",
+            "ramp-r1", "ramp-r5"])
+    def test_integrate_matches_the_loop(self, monkeypatch, params, schedule,
+                                        config):
+        start = PhaseState(z=0.3, theta=0.7) if params.nu == 0.0 \
+            else PhaseState(z=0.01, theta=0.0)
+        runs = []
+        for step, dense in ((dynamics._step, dynamics._dense),
+                            (kernel_oracles.step_by_loop,
+                             kernel_oracles.dense_by_loop)):
+            monkeypatch.setattr(dynamics, "_step", step)
+            monkeypatch.setattr(dynamics, "_dense", dense)
+            traj = integrate(start, params, schedule, config,
+                             (0.0, schedule.T))
+            runs.append((traj.tau.tobytes(), traj.z.tobytes(),
+                         traj.theta.tobytes(), traj.stats, traj.clamp_events))
+        assert runs[0] == runs[1]
+
+    def test_source_is_deterministic(self):
+        assert dynamics._kernel_source() == dynamics._SOURCE
+        code = ("import hashlib; from dimer_hysteresis import dynamics; "
+                "print(hashlib.sha256(dynamics._SOURCE.encode()).hexdigest())")
+        src = str(Path(dynamics.__file__).parents[1])
+        digests = {subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            check=True, env={**os.environ, "PYTHONPATH": src,
+                             "PYTHONHASHSEED": seed}).stdout
+            for seed in ("1", "2")}
+        assert digests == {hashlib.sha256(
+            dynamics._SOURCE.encode()).hexdigest() + "\n"}
+
+    def test_source_holds_the_tableau_and_nothing_else(self):
+        # every float literal, in source order: 0.0 starts each sum and
+        # 2.0 sits in the interpolant's third coefficient; the rest are
+        # the tables' nonzero weights and nodes, row by row
+        def nonzero(row):
+            return [w for w in row if w]
+
+        want = []
+        for c, row in tableau.DOP853_STAGES:
+            want += nonzero(row) * 2 + [c]
+        for row in (tableau.DOP853_B, tableau.DOP853_E5, tableau.DOP853_E3):
+            want += nonzero(row) * 2
+        for c, row in tableau.DOP853_DENSE_STAGES:
+            want += nonzero(row) * 2 + [c]
+        for _ in "zt":
+            want += [w for row in tableau.DOP853_D for w in nonzero(row)]
+        found = []
+
+        class Floats(ast.NodeVisitor):
+            def visit_UnaryOp(self, node):
+                if isinstance(node.op, ast.USub) \
+                        and isinstance(node.operand, ast.Constant):
+                    found.append(-node.operand.value)
+                else:
+                    self.generic_visit(node)
+
+            def visit_Constant(self, node):
+                found.append(node.value)
+
+        Floats().visit(ast.parse(dynamics._SOURCE))
+        floats = [x for x in found if isinstance(x, float)]
+        assert [x for x in floats if x not in (0.0, 2.0)] == want
+        assert floats.count(0.0) == 2 * (11 + 3 + 3 + 4)
+
+    def test_traceback_shows_the_generated_line(self, monkeypatch):
+        make = dynamics.make_field
+
+        def make_failing(params):
+            field, calls = make(params), []
+
+            def failing(z, theta, eta):
+                calls.append(z)
+                if len(calls) == 5:  # stage 4 of the first step
+                    raise ZeroDivisionError("in the field")
+                return field(z, theta, eta)
+            return failing
+
+        monkeypatch.setattr(dynamics, "make_field", make_failing)
+        with pytest.raises(ZeroDivisionError) as info:
+            integrate(PhaseState(z=0.3, theta=0.7), ModelParams(r=1.0),
+                      EtaSchedule(kind="constant", eta_start=-1.0, T=1.0),
+                      PROTOCOL, (0.0, 1.0))
+        text = "".join(traceback.format_exception(info.value))
+        assert f'File "{dynamics._FILE}", line ' in text
+        assert "in _step\n    kz4, kt4 = field(zi, theta + h * st, " \
+            "eta_at(t + 0.2816496580927726 * h))\n" in text
+
+
+@pytest.fixture
+def field_calls(monkeypatch):
+    """Counts every call of the fields make_field builds, the way the
+    benchmark's tracer does."""
+    calls = [0]
+    make = dynamics.make_field
+
+    def make_counted(params):
+        field = make(params)
+
+        def counted(z, theta, eta):
+            calls[0] += 1
+            return field(z, theta, eta)
+        return counted
+
+    monkeypatch.setattr(dynamics, "make_field", make_counted)
+    return calls
+
+
+class TestStatsCountWork:
+    def test_boundary_halvings(self, field_calls):
+        # a unit first step towards the margin leaves it at a stage
+        # before the step is small enough
+        traj = integrate(PhaseState(z=0.9, theta=1.5),
+                         ModelParams(r=1.0, nu=0.0),
+                         EtaSchedule(kind="constant", eta_start=-1.0, T=5.0),
+                         IntegratorConfig(dt=1.0), (0.0, 5.0))
+        assert traj.stats.boundary_halvings > 0
+        assert traj.stats.rhs_evals == field_calls[0]
+
+    def test_dense_output(self, field_calls):
+        traj = integrate(PhaseState(z=0.01, theta=0.0),
+                         ModelParams(r=5.0, nu=0.5), triangular(-3.0, -8.0,
+                                                                T=100.0),
+                         IntegratorConfig(sample_stride=10), (0.0, 100.0))
+        stats = traj.stats
+        dense = stats.rhs_evals - 1 - 12 * stats.accepted \
+            - 11 * stats.rejected
+        assert dense > 0
+        assert stats.rhs_evals == field_calls[0]
