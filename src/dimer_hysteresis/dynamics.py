@@ -21,10 +21,24 @@ slow ramp comes early. Steps ignore the sample grid; samples inside a
 step come from DOP853's 7th-order interpolant, which costs three extra
 right-hand-side evaluations on steps that hold a sample.
 
-A step whose stage leaves |z| <= 1 - EPS_CLAMP is halved; at min_step
-the state is clamped and the clamp counted. A non-finite error estimate
-rejects the step like any other, so a NaN ends in StepFailureError once
-the step underflows min_step.
+Damped runs (nu > 0) switch to the linearly implicit Rosenbrock method
+RODAS3 where DOP853 is stability-bound: after 15 accepted DOP853 steps
+in a row with h < 0.5 and h |lambda| > 3, lambda the largest eigenvalue
+of the closed-form Jacobian at the step's end, as on the self-trapped
+branch of a slow ramp. RODAS3 steps back to DOP853 once |lambda| < 3.
+A RODAS3 step costs one Jacobian and two new field evaluations besides
+the end-point one; its order-2 error estimate is controlled per step,
+not per unit tau (the per-unit rule serves the H drift at nu = 0 and the
+decay near z = 0, where no stiff step runs), and its samples come from
+the cubic Hermite interpolant of the step's end values and derivatives.
+Undamped runs never switch, so they, and damped runs that never become
+stiff, are bit-identical to DOP853 alone.
+
+A step of either kind whose stage leaves |z| <= 1 - EPS_CLAMP is
+halved; at min_step the state is clamped and the clamp counted. A
+non-finite error estimate rejects the step like any other, so a NaN ends
+in StepFailureError once the step underflows min_step. More than
+max_steps step attempts end in StepFailureError too.
 """
 
 from __future__ import annotations
@@ -35,6 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bifurcation import eigenvalues_2x2
 from .errors import DomainError, SingularityError, StepFailureError
 from .model import (
     EPS_CLAMP,
@@ -44,13 +59,16 @@ from .model import (
     PhaseState,
     PhysicalContext,
     Trajectory,
+    _jacobian,
     check_count,
     energy_functional,
     hamiltonian_column,
+    power_difference,
     schedule_column,
 )
 from .tableau import (DOP853_B, DOP853_D, DOP853_DENSE_STAGES, DOP853_E3,
-                      DOP853_E5, DOP853_STAGES)
+                      DOP853_E5, DOP853_STAGES, RODAS3_E, RODAS3_GAMMA,
+                      RODAS3_M, RODAS3_STAGES)
 
 # step control
 _MAX_STEP = 1.0     # no step spans more than one unit of tau
@@ -60,19 +78,31 @@ _FAC_MIN, _FAC_MAX = 0.2, 6.0
 # II, section IV.2), with k = 7 the order of the error per unit tau
 _EXPO = 0.7 / 7.0
 _BETA = 0.4 / 7.0
+# RODAS3's error estimate is of order 2, so its error per step goes as h^3
+_ROS_EXPO = 1.0 / 3.0
+# DOP853 is stability-bound when h < _STIFF_H and h |lambda| > _STIFF_HLAM
+# (its real stability interval ends near -6); after _STIFF_RUN such
+# accepted steps in a row, as in Hairer's dop853 stiffness test, RODAS3
+# takes over until |lambda| < _STIFF_OFF
+_STIFF_H, _STIFF_HLAM, _STIFF_RUN, _STIFF_OFF = 0.5, 3.0, 15, 3.0
 
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Control knobs of the DOP853 stepper.
+    """Control knobs of the stepper.
 
     dt is the initial step; later steps are chosen by error control and
     never exceed one unit of tau. abs_tol and rel_tol bound the error
-    per unit tau. sample_stride is the number of output samples per unit
-    tau, interpolated inside the steps. clamp_limit bounds how many
-    boundary clamps are tolerated before the run is declared singular.
-    min_step is the smallest step tried before a boundary clamp or a
-    StepFailureError.
+    per unit tau of a DOP853 step and the error per step of a RODAS3
+    step; RODAS3 takes over from DOP853 only on damped runs (nu > 0),
+    where DOP853 has been stability-bound for 15 accepted steps in a row,
+    so undamped runs are bit-identical to DOP853 alone. sample_stride is
+    the number of output samples per unit tau, interpolated inside the
+    steps. clamp_limit bounds how many boundary clamps are tolerated
+    before the run is declared singular. min_step is the smallest step
+    tried before a boundary clamp or a StepFailureError. max_steps bounds
+    the step attempts of both steppers together (accepted, rejected,
+    halved or clamped); one more raises StepFailureError.
     """
 
     dt: float = 1e-3
@@ -81,6 +111,7 @@ class IntegratorConfig:
     sample_stride: int = 1
     clamp_limit: int = 100
     min_step: float = 1e-13
+    max_steps: int = 1_000_000
 
     def __post_init__(self):
         for name in ("dt", "abs_tol", "rel_tol", "min_step"):
@@ -90,6 +121,7 @@ class IntegratorConfig:
                     f"{name} must be finite and > 0, got {value}")
         check_count("sample_stride", self.sample_stride, 1)
         check_count("clamp_limit", self.clamp_limit, 0)
+        check_count("max_steps", self.max_steps, 1)
 
 
 def make_field(params: ModelParams):
@@ -178,13 +210,70 @@ def _kernel_source():
         last=n - 1, n=n)
 
 
-# compiled once; linecache keeps the source for tracebacks and profilers
+# The RODAS3 kernel, written out from tableau.py's rows in the same way.
+# jac is the Jacobian at (t, z, theta) and (gz, gt) the time derivative
+# of the field there. It returns (stages evaluated, None) once a stage
+# point leaves |z| <= zmax, else (2, (zn, thetan, error in z, in theta)).
+# A singular stage matrix gives non-finite stages, which reject the step.
+_ROS_PROLOGUE = """\
+def _rosenbrock(field, eta_at, t, h, z, theta, kz0, kt0, jac, gz, gt, zmax):
+    (j11, j12), (j21, j22) = jac
+    g = 1.0 / (h * {gamma!r})
+    m11 = g - j11
+    m22 = g - j22
+    det = m11 * m22 - j12 * j21
+    d = 1.0 / det if det else inf
+    p11, p12, p21, p22 = m22 * d, j12 * d, j21 * d, m11 * d"""
+_ROS_EVAL = """
+    zi = z + ({sz})
+    if abs(zi) > zmax:
+        return {evals}, None
+    fz, ft = field(zi, theta + ({st}), eta_at(t + {alpha!r} * h))"""
+_ROS_STAGE = """
+    wz = {fz}{cz}{gzt}
+    wt = {ft}{ct}{gtt}
+    uz{i} = p11 * wz + p12 * wt
+    ut{i} = p21 * wz + p22 * wt"""
+_ROS_EPILOGUE = """
+    return {evals}, (z + ({mz}), theta + ({mt}), {ez}, {et})
+"""
+
+
+def _rosenbrock_source():
+    parts, evals = [_ROS_PROLOGUE.format(gamma=RODAS3_GAMMA)], 0
+    for i, (alpha, gamma, a, c) in enumerate(RODAS3_STAGES):
+        fz, ft = "kz0", "kt0"
+        if alpha or any(a):
+            parts.append(_ROS_EVAL.format(sz=_sum(a, "uz"), st=_sum(a, "ut"),
+                                          alpha=alpha, evals=evals))
+            fz, ft, evals = "fz", "ft", evals + 1
+        parts.append(_ROS_STAGE.format(
+            fz=fz, ft=ft, i=i,
+            cz=f" + ({_sum(c, 'uz')}) / h" if any(c) else "",
+            ct=f" + ({_sum(c, 'ut')}) / h" if any(c) else "",
+            gzt=f" + {gamma!r} * h * gz" if gamma else "",
+            gtt=f" + {gamma!r} * h * gt" if gamma else ""))
+    parts.append(_ROS_EPILOGUE.format(
+        evals=evals, mz=_sum(RODAS3_M, "uz"), mt=_sum(RODAS3_M, "ut"),
+        ez=_sum(RODAS3_E, "uz"), et=_sum(RODAS3_E, "ut")))
+    return "".join(parts)
+
+
+def _compile(source, name, names):
+    """The functions names defined by source, compiled once; linecache
+    keeps the source under <name> for tracebacks and profilers."""
+    file = f"<{__name__} {name}>"
+    linecache.cache[file] = (len(source), None, source.splitlines(True), file)
+    scope = {"__name__": __name__, "SingularityError": SingularityError,
+             "inf": math.inf}
+    exec(compile(source, file, "exec"), scope)
+    return file, *(scope[n] for n in names)
+
+
 _SOURCE = _kernel_source()
-_FILE = f"<{__name__} kernels>"
-linecache.cache[_FILE] = (len(_SOURCE), None, _SOURCE.splitlines(True), _FILE)
-_kernels = {"__name__": __name__, "SingularityError": SingularityError}
-exec(compile(_SOURCE, _FILE, "exec"), _kernels)
-_step, _dense = _kernels["_step"], _kernels["_dense"]
+_FILE, _step, _dense = _compile(_SOURCE, "kernels", ("_step", "_dense"))
+_ROS_SOURCE = _rosenbrock_source()
+_ROS_FILE, _rosenbrock = _compile(_ROS_SOURCE, "rosenbrock", ("_rosenbrock",))
 
 
 def _interpolate(c, x):
@@ -193,6 +282,14 @@ def _interpolate(c, x):
     y = 1.0 - x
     return y0 + x * (f0 + y * (f1 + x * (f2 + y * (f3 + x * (f4 + y * (
         f5 + x * f6))))))
+
+
+def _hermite(y0, y1, hf0, hf1):
+    """_interpolate's coefficients of the cubic through y0 and y1 with
+    slopes hf0 and hf1 per step: the first four of _dense's, the rest
+    zero."""
+    dy = y1 - y0
+    return (y0, dy, hf0 - dy, 2.0 * dy - (hf1 + hf0), 0.0, 0.0, 0.0, 0.0)
 
 
 def integrate(initial: PhaseState, params: ModelParams, schedule: EtaSchedule,
@@ -221,12 +318,16 @@ def integrate(initial: PhaseState, params: ModelParams, schedule: EtaSchedule,
         raise SingularityError(f"initial z={initial.z} within EPS_CLAMP of |z|=1")
 
     # every stage evaluates eta(t); specialize the two schedule kinds
-    # instead of going through eval_schedule
+    # instead of going through eval_schedule. rate_at is deta/dtau, one
+    # sided at the ramp's corner, for the stiff steps' df/dtau
     if schedule.kind == "constant":
         e0 = schedule.eta_start
 
         def eta_at(t):
             return e0
+
+        def rate_at(t):
+            return 0.0
     else:
         e0, T_s = schedule.eta_start, schedule.T
         half = 0.5 * T_s
@@ -235,6 +336,17 @@ def integrate(initial: PhaseState, params: ModelParams, schedule: EtaSchedule,
         def eta_at(t):
             x = t if t <= half else T_s - t
             return e0 + rate * (x if x > 0.0 else 0.0)
+
+        def rate_at(t):
+            return rate if t < half else -rate
+
+    r, nu = params.r, params.nu
+    two_r = 2.0 ** r
+
+    def linearize(t, z, theta):
+        """The Jacobian and df/dtau = (nu, 1) (-P / 2^r) deta/dtau."""
+        q = -power_difference(z, r) / two_r * rate_at(t)
+        return _jacobian(z, theta, eta_at(t), r, nu), nu * q, q
 
     def emit(t, z, theta):
         taus.append(t)
@@ -253,6 +365,7 @@ def integrate(initial: PhaseState, params: ModelParams, schedule: EtaSchedule,
         return t1 if k == n else math.inf
 
     atol, rtol, min_step = config.abs_tol, config.rel_tol, config.min_step
+    max_steps = config.max_steps
     taus, zs, thetas = [], [], []
     z, theta, t = initial.z, initial.theta, t0
     emit(t, z, theta)
@@ -260,16 +373,30 @@ def integrate(initial: PhaseState, params: ModelParams, schedule: EtaSchedule,
     ts = sample_time(k)
     fz, ft = field(z, theta, eta_at(t))
     rhs_evals, accepted, rejected, halvings, clamp_events = 1, 0, 0, 0, 0
+    stiff_steps, stiff_rejected, jacobian_evals, attempts = 0, 0, 0, 0
+    # stiff: RODAS3 steps with lin = linearize(t, z, theta); bound
+    # counts the consecutive stability-bound DOP853 steps
+    stiff, bound, lin = False, 0, None
     h = min(config.dt, _MAX_STEP)
     err_old = 1.0
 
     while t < t1:
+        attempts += 1
+        if attempts > max_steps:
+            raise StepFailureError(
+                f"more than {max_steps} step attempts at tau={t}")
         t_new = t + h
         if t_new >= t1:
             t_new, h = t1, t1 - t
-        evals, sums = _step(field, eta_at, t, h, z, theta, fz, ft, zmax)
+        if stiff:
+            evals, out = _rosenbrock(field, eta_at, t, h, z, theta, fz, ft,
+                                     *lin, zmax)
+            leaves = out is None or abs(zn := out[0]) > zmax
+        else:
+            evals, sums = _step(field, eta_at, t, h, z, theta, fz, ft, zmax)
+            leaves = sums is None or abs(zn := z + h * sums[0]) > zmax
         rhs_evals += evals
-        if sums is None or abs(zn := z + h * sums[0]) > zmax:
+        if leaves:
             if h > min_step:
                 h *= 0.5
                 halvings += 1
@@ -282,38 +409,57 @@ def integrate(initial: PhaseState, params: ModelParams, schedule: EtaSchedule,
             z, t = math.copysign(zmax, z), min(t + h, t1)
             fz, ft = field(z, theta, eta_at(t))
             rhs_evals += 1
+            if stiff:
+                lin = linearize(t, z, theta)
+                jacobian_evals += 1
             while ts <= t:
                 emit(ts, z, theta)
                 k += 1
                 ts = sample_time(k)
             continue
-        _, st, ez5, et5, ez3, et3, ks = sums
-        tn = theta + h * st
-
-        # 5th- and 3rd-order estimates combined as in DOP853, as an
-        # error per unit tau in the max norm over (z, theta)
-        scale_z = atol + rtol * abs(zn)
-        scale_t = atol + rtol * abs(tn)
-        e5 = max(abs(ez5) / scale_z, abs(et5) / scale_t)
-        e3 = max(abs(ez3) / scale_z, abs(et3) / scale_t)
-        # nonzero e5 and e3 can square to 0: a zero denominator is no error
-        den = math.sqrt(e5 * e5 + 0.01 * e3 * e3)
-        err = e5 * e5 / den if den else 0.0
+        if stiff:
+            # error of the step itself in the max norm
+            _, tn, ez, et = out
+            err = max(abs(ez) / (atol + rtol * abs(zn)),
+                      abs(et) / (atol + rtol * abs(tn)))
+            expo = _ROS_EXPO
+        else:
+            _, st, ez5, et5, ez3, et3, ks = sums
+            tn = theta + h * st
+            # 5th- and 3rd-order estimates combined as in DOP853, as an
+            # error per unit tau in the max norm over (z, theta)
+            scale_z = atol + rtol * abs(zn)
+            scale_t = atol + rtol * abs(tn)
+            e5 = max(abs(ez5) / scale_z, abs(et5) / scale_t)
+            e3 = max(abs(ez3) / scale_z, abs(et3) / scale_t)
+            # nonzero e5 and e3 can square to 0: a zero denominator is no
+            # error
+            den = math.sqrt(e5 * e5 + 0.01 * e3 * e3)
+            err = e5 * e5 / den if den else 0.0
+            expo = _EXPO
         if not err <= 1.0:
             # a non-finite estimate is a rejection like any other
-            rejected += 1
-            fac = _SAFETY * err ** -_EXPO if math.isfinite(err) else 0.0
+            if stiff:
+                stiff_rejected += 1
+            else:
+                rejected += 1
+            fac = _SAFETY * err ** -expo if math.isfinite(err) else 0.0
             h *= max(_FAC_MIN, fac)
             if h < min_step:
                 raise StepFailureError(
                     f"step size underflowed {min_step} at tau={t}")
             continue
-        # PI control of the next step
-        fac = _SAFETY * (err + 1e-300) ** -_EXPO * err_old ** _BETA
-        err_old = max(err, 1e-4)
+        if stiff:
+            stiff_steps += 1
+            fac = _SAFETY * (err + 1e-300) ** -expo
+        else:
+            # PI control of the next step
+            accepted += 1
+            fac = _SAFETY * (err + 1e-300) ** -expo * err_old ** _BETA
+            err_old = max(err, 1e-4)
         h_next = min(h * min(_FAC_MAX, max(_FAC_MIN, fac)), _MAX_STEP)
 
-        accepted += 1
+        fz0, ft0 = fz, ft
         fz, ft = field(zn, tn, eta_at(t_new))
         rhs_evals += 1
         dense = None
@@ -322,17 +468,37 @@ def integrate(initial: PhaseState, params: ModelParams, schedule: EtaSchedule,
                 emit(ts, zn, tn)
             else:
                 if dense is None:
-                    dense = _dense(field, eta_at, t, h, z, theta, zn, tn,
-                                   ks, fz, ft, zmax)
-                    rhs_evals += 3
+                    if stiff:
+                        dense = (_hermite(z, zn, h * fz0, h * fz),
+                                 _hermite(theta, tn, h * ft0, h * ft))
+                    else:
+                        dense = _dense(field, eta_at, t, h, z, theta, zn, tn,
+                                       ks, fz, ft, zmax)
+                        rhs_evals += 3
                 x = (ts - t) / h
                 emit(ts, _interpolate(dense[0], x), _interpolate(dense[1], x))
             k += 1
             ts = sample_time(k)
         z, theta, t = zn, tn, t_new
+
+        # switch to RODAS3 after _STIFF_RUN consecutive stability-bound
+        # DOP853 steps, back once the Jacobian's spectral radius is small
+        if nu and (stiff or h < _STIFF_H):
+            lin = linearize(t, z, theta)
+            jacobian_evals += 1
+            lam = max(map(abs, eigenvalues_2x2(lin[0])))
+            if stiff:
+                stiff = lam >= _STIFF_OFF
+            else:
+                bound = bound + 1 if h * lam > _STIFF_HLAM else 0
+                if bound == _STIFF_RUN:
+                    stiff, bound = True, 0
+        else:
+            bound = 0
         h = h_next
 
-    stats = IntegrationStats(rhs_evals, accepted, rejected, halvings)
+    stats = IntegrationStats(rhs_evals, accepted, rejected, halvings,
+                             stiff_steps, stiff_rejected, jacobian_evals)
     tau, z, theta = np.array(taus), np.array(zs), np.array(thetas)
     eta = schedule_column(schedule, tau)
     H = hamiltonian_column(z, theta, eta, params.r)

@@ -64,6 +64,25 @@ class TestSimulate:
             trajectory_from_csv(text, ModelParams(r=1.0),
                                 EtaSchedule(kind="constant", T=1.0))
 
+    @pytest.mark.parametrize("rows", [
+        ["0,1,0,0,1,1,9", "1,1,0,0,1,1,9"],  # every row one too long
+        ["0,1,0,0,1"],
+        ["0,1,0,0,1,1", "", "1,1,0,0,1,1"],  # the reader skips blank lines
+    ], ids=["seven-wide", "one-short-row", "blank-line"])
+    def test_csv_of_another_width_is_refused(self, rows):
+        text = "\n".join([TRAJECTORY_HEADER, *rows])
+        with pytest.raises(DomainError, match="expected 6 columns"):
+            trajectory_from_csv(text, ModelParams(r=1.0),
+                                EtaSchedule(kind="constant", T=1.0))
+
+    def test_csv_with_one_row(self):
+        text = TRAJECTORY_HEADER + "\n0,-1,0.5,0.25,1.5,-0.75\n"
+        traj = trajectory_from_csv(
+            text, ModelParams(r=1.0),
+            EtaSchedule(kind="constant", eta_start=-1.0, T=1.0))
+        assert traj.samples == ((0.0, 0.5, 0.25, -1.0, 1.5, -0.75),)
+        assert trajectory_to_csv(traj) == text
+
     def test_stdout_when_no_out_flag(self, capsys):
         code, out, _ = run_cli(
             capsys, "simulate", "--r", "1", "--schedule", "constant",

@@ -19,8 +19,9 @@ from dimer_hysteresis import (DomainError, EtaSchedule,
                               IntegratorConfig, ModelParams, PhaseState,
                               PhysicalContext, SingularityError,
                               StepFailureError, dynamics, energy_functional,
-                              eval_schedule, grad_hamiltonian, hamiltonian,
-                              integrate, tableau, vector_field)
+                              eval_schedule, find_fixed_points,
+                              grad_hamiltonian, hamiltonian, integrate,
+                              model, tableau, vector_field)
 import kernel_oracles
 
 PROTOCOL = IntegratorConfig()  # DOP853, 1e-9 tolerances
@@ -225,13 +226,14 @@ class TestColumns:
                 for (_, z, theta), e in zip(rows, eta)] == H
 
 
-# the step and tolerances must be finite and > 0, sample_stride an
-# integer >= 1 and clamp_limit an integer >= 0
+# the step and tolerances must be finite and > 0, sample_stride and
+# max_steps integers >= 1 and clamp_limit an integer >= 0
 BAD_SETTINGS = [
     *((name, value) for name in ("dt", "abs_tol", "rel_tol", "min_step")
       for value in (math.nan, math.inf, 0.0, -1.0)),
     *(("sample_stride", value) for value in (math.nan, math.inf, 2.5, 0)),
     *(("clamp_limit", value) for value in (math.nan, -1, 2.5)),
+    *(("max_steps", value) for value in (math.nan, 0, 1e6)),
 ]
 
 
@@ -303,6 +305,208 @@ class TestTermination:
             assert outward_field.count(1.0 - dynamics.EPS_CLAMP) == \
                 config.clamp_limit
 
+    def test_step_budget_ends_the_stall_next_to_the_pole(self):
+        # next to |z| = 1 one ulp of z moves dtheta/dtau by about 1e-3, so
+        # only steps too short to move z pass the error control
+        sched = EtaSchedule(kind="constant", eta_start=-1.0, T=1.0)
+        with pytest.raises(StepFailureError,
+                           match="more than 10000 step attempts at tau="):
+            integrate(PhaseState(z=0.9999999985), ModelParams(r=1.0), sched,
+                      IntegratorConfig(max_steps=10_000), (0.0, 1.0))
+
+    @settings(max_examples=50, deadline=None)
+    @given(r=st.floats(1.0, 8.0), nu=st.floats(0.01, 1.0),
+           eta_start=st.floats(-10.0, 10.0), eta_peak=st.floats(-10.0, 10.0),
+           T=st.floats(1.0, 400.0), z0=st.floats(-1.0, 1.0),
+           theta0=st.floats(-math.pi, math.pi))
+    @example(r=5.0, nu=0.5, eta_start=-8.0, eta_peak=-3.0, T=400.0, z0=0.95,
+             theta0=0.1)
+    @example(r=1.0, nu=0.5, eta_start=-1.0, eta_peak=-1.0, T=1.0,
+             z0=0.9999999985, theta0=0.0)
+    def test_damped_ramps_end_within_the_budget(self, r, nu, eta_start,
+                                                eta_peak, T, z0, theta0):
+        # bounded by max_steps, not by a clock: each run returns or raises
+        # one of the package's errors
+        sched = triangular(eta_start, eta_peak, T=T)
+        try:
+            traj = integrate(PhaseState(z=z0, theta=theta0),
+                             ModelParams(r=r, nu=nu), sched,
+                             IntegratorConfig(max_steps=20_000), (0.0, T))
+        except (SingularityError, StepFailureError):
+            return
+        assert traj.tau[-1] == T
+
+
+STIFF = ModelParams(r=5.0, nu=0.5)
+# next to the self-trapped state at eta = -8, where the damped flow's
+# Jacobian has eigenvalues -44.2 and -1.08
+NEAR_TRAPPED = PhaseState(z=0.95, theta=0.1)
+
+
+def without_switch(monkeypatch, *args):
+    """integrate(*args) on DOP853 alone."""
+    with monkeypatch.context() as patch:
+        patch.setattr(dynamics, "_STIFF_RUN", math.inf)
+        return integrate(*args)
+
+
+@pytest.fixture
+def once_stiff(monkeypatch):
+    """Installs fields that follow the model until the first RODAS3 step
+    and the given field from then on; returns the count of RODAS3 steps
+    tried."""
+    tries = [0]
+    kernel, make = dynamics._rosenbrock, dynamics.make_field
+
+    def counted(*args):
+        tries[0] += 1
+        return kernel(*args)
+
+    def install(late):
+        def make_switching(params):
+            field = make(params)
+
+            def switching(z, theta, eta):
+                return (late if tries[0] else field)(z, theta, eta)
+            return switching
+
+        monkeypatch.setattr(dynamics, "make_field", make_switching)
+        monkeypatch.setattr(dynamics, "_rosenbrock", counted)
+        return tries
+    return install
+
+
+class TestStiffSteps:
+    def test_reference_ramp_r5_against_dop853_alone(self, monkeypatch):
+        args = (PhaseState(z=0.01, theta=0.0), STIFF, triangular(-3.0, -8.0),
+                IntegratorConfig(sample_stride=10), (0.0, 4000.0))
+        traj, alone = integrate(*args), without_switch(monkeypatch, *args)
+        st_, ref = traj.stats, alone.stats
+        assert st_.stiff_steps > 0 and ref.stiff_steps == 0
+        assert st_.rhs_evals + st_.jacobian_evals <= 0.6 * ref.rhs_evals
+        assert traj.tau.tobytes() == alone.tau.tobytes()
+        assert np.abs(traj.z - alone.z).max() <= 1e-7
+        assert np.abs(traj.theta - alone.theta).max() <= 1e-7
+
+    def test_reference_ramp_r1_never_switches(self, monkeypatch):
+        args = (PhaseState(z=0.01, theta=0.0), ModelParams(r=1.0, nu=0.5),
+                triangular(-1.0, -3.0), IntegratorConfig(sample_stride=10),
+                (0.0, 4000.0))
+        traj, alone = integrate(*args), without_switch(monkeypatch, *args)
+        assert traj.stats == alone.stats and traj.stats.stiff_steps == 0
+        for name in ("tau", "z", "theta"):
+            assert getattr(traj, name).tobytes() == \
+                getattr(alone, name).tobytes()
+
+    def test_undamped_runs_take_no_jacobian(self):
+        traj = integrate(NEAR_TRAPPED, ModelParams(r=5.0),
+                         EtaSchedule(kind="constant", eta_start=-8.0, T=50.0),
+                         PROTOCOL, (0.0, 50.0))
+        assert traj.stats.jacobian_evals == traj.stats.stiff_steps == 0
+
+    def test_segment_on_the_self_trapped_branch_matches_radau(self):
+        solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+        start = next(PhaseState(z=p.z_star, theta=p.theta_star)
+                     for p in find_fixed_points(-8.0, 5.0) if p.z_star > 0.5)
+        sched = triangular(-8.0, -7.0, T=100.0)
+        traj = integrate(start, STIFF, sched,
+                         IntegratorConfig(sample_stride=10), (0.0, 100.0))
+        assert traj.stats.stiff_steps > 0
+
+        def rhs(t, y):
+            return vector_field(PhaseState(z=y[0], theta=y[1]),
+                                eval_schedule(sched, min(t, sched.T)), STIFF)
+
+        ref = solve_ivp(rhs, (0.0, 100.0), [start.z, start.theta],
+                        method="Radau", rtol=1e-12, atol=1e-12,
+                        t_eval=traj.tau)
+        assert np.abs(traj.z - ref.y[0]).max() <= 1e-7
+        assert np.abs(traj.theta - ref.y[1]).max() <= 1e-7
+
+    @pytest.mark.parametrize("rate", [0.5, -0.5])
+    def test_step_is_third_order_with_a_second_order_estimate(self, rate):
+        # local error ~ h^4 needs the exact Jacobian and df/dtau; the
+        # estimate, the gap to the embedded solution, goes as h^3
+        solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+        r, nu, eta0, z, theta = STIFF.r, STIFF.nu, -6.0, 0.3, 0.7
+        field = dynamics.make_field(STIFF)
+
+        def eta_at(t):
+            return eta0 + rate * t
+
+        jac = model._jacobian(z, theta, eta0, r, nu)
+        q = -model.power_difference(z, r) / 2.0 ** r * rate
+        fz, ft = field(z, theta, eta0)
+        errors, estimates = [], []
+        for h in (0.02, 0.01, 0.005):
+            evals, (zn, tn, ez, et) = dynamics._rosenbrock(
+                field, eta_at, 0.0, h, z, theta, fz, ft, jac, nu * q, q, ZMAX)
+            assert evals == 2
+            ref = solve_ivp(lambda t, y: field(y[0], y[1], eta_at(t)),
+                            (0.0, h), [z, theta], method="DOP853",
+                            rtol=1e-13, atol=1e-14).y[:, -1]
+            errors.append(max(abs(zn - ref[0]), abs(tn - ref[1])))
+            estimates.append(max(abs(ez), abs(et)))
+        for values, order in ((errors, 4.0), (estimates, 3.0)):
+            for coarse, fine in zip(values, values[1:]):
+                assert math.log2(coarse / fine) == pytest.approx(order,
+                                                                 abs=0.3)
+
+    def test_hermite_interpolant_reproduces_cubics(self):
+        # p(x) = 1 - 2 x + 3 x^2 - 5 x^3 over a step of h = 0.5
+        h = 0.5
+
+        def p(x):
+            return 1.0 - 2.0 * x + 3.0 * x * x - 5.0 * x ** 3
+
+        def slope(x):  # dp/dtau
+            return (-2.0 + 6.0 * x - 15.0 * x * x) / h
+
+        c = dynamics._hermite(p(0.0), p(1.0), h * slope(0.0), h * slope(1.0))
+        for x in (0.0, 0.1, 0.25, 0.5, 0.8, 1.0):
+            assert dynamics._interpolate(c, x) == pytest.approx(p(x),
+                                                                abs=1e-14)
+
+    def test_counts(self):
+        traj = integrate(NEAR_TRAPPED, STIFF,
+                         EtaSchedule(kind="constant", eta_start=-8.0, T=50.0),
+                         PROTOCOL, (0.0, 50.0))
+        st_ = traj.stats
+        assert st_.stiff_steps > 0 and st_.boundary_halvings == 0
+        # 2 new stages per RODAS3 try and the end-point derivative per
+        # accepted one; DOP853 as in test_dop853_counts
+        extra = st_.rhs_evals - 1 - 12 * st_.accepted - 11 * st_.rejected \
+            - 3 * st_.stiff_steps - 2 * st_.stiff_rejected
+        assert extra % 3 == 0 and 0 <= extra <= 3 * 50
+        # one Jacobian per state a RODAS3 step starts from, plus the
+        # stiffness tests
+        assert st_.stiff_steps <= st_.jacobian_evals \
+            <= st_.accepted + st_.stiff_steps
+
+    def test_outward_field_ends_in_clamps(self, once_stiff):
+        zs = []
+
+        def outward(z, theta, eta):
+            zs.append(z)
+            return math.copysign(1.0, z), 0.0
+
+        tries = once_stiff(outward)
+        config = IntegratorConfig(clamp_limit=5)
+        with pytest.raises(SingularityError, match="more than 5 times"):
+            integrate(NEAR_TRAPPED, STIFF,
+                      EtaSchedule(kind="constant", eta_start=-8.0, T=50.0),
+                      config, (0.0, 50.0))
+        assert tries[0] > 0
+        assert zs.count(ZMAX) == config.clamp_limit
+
+    def test_nan_field_ends_in_step_failure(self, once_stiff):
+        tries = once_stiff(lambda z, theta, eta: (math.nan, math.nan))
+        with pytest.raises(StepFailureError, match="underflowed"):
+            integrate(NEAR_TRAPPED, STIFF,
+                      EtaSchedule(kind="constant", eta_start=-8.0, T=50.0),
+                      PROTOCOL, (0.0, 50.0))
+        assert tries[0] > 1
+
 
 class TestStats:
     def test_dop853_counts(self):
@@ -352,6 +556,38 @@ class TestTableau:
         for c, row in stages:
             assert math.fsum(row) == pytest.approx(c, abs=1e-14)
         assert math.fsum(b) == pytest.approx(1.0, abs=1e-14)
+
+    def test_rodas3_order_conditions(self):
+        # back to the standard form (Hairer & Wanner II, section IV.7):
+        # Gamma^-1 = I / gamma - C, alpha = A Gamma, b = m Gamma
+        gamma, stages = tableau.RODAS3_GAMMA, tableau.RODAS3_STAGES
+        n = len(stages)
+        a, c = np.zeros((n, n)), np.zeros((n, n))
+        for i, (_, _, a_i, c_i) in enumerate(stages):
+            a[i, :len(a_i)], c[i, :len(c_i)] = a_i, c_i
+        big_gamma = np.linalg.inv(np.eye(n) / gamma - c)
+        alpha = a @ big_gamma
+        beta = alpha + big_gamma
+        lower = np.tril(beta, -1)
+        nodes, beta_prime = alpha.sum(axis=1), lower.sum(axis=1)
+        assert nodes == pytest.approx([s[0] for s in stages], abs=1e-15)
+        assert big_gamma.sum(axis=1) == pytest.approx(
+            [s[1] for s in stages], abs=1e-15)
+        m, e = np.array(tableau.RODAS3_M), np.array(tableau.RODAS3_E)
+
+        def defects(w):
+            return [w.sum() - 1.0, w @ beta_prime - (0.5 - gamma),
+                    w @ nodes ** 2 - 1.0 / 3.0,
+                    w @ lower @ beta_prime - (1.0 / 6.0 - gamma + gamma ** 2)]
+
+        assert max(map(abs, defects(m @ big_gamma))) < 1e-14
+        embedded = defects((m - e) @ big_gamma)
+        assert max(map(abs, embedded[:2])) < 1e-14
+        assert max(map(abs, embedded[2:])) > 1e-3
+        # L-stable: R(z) = 1 + z w (I - z beta)^-1 1 vanishes at infinity
+        for w in (m @ big_gamma, (m - e) @ big_gamma):
+            r_inf = 1.0 - w @ np.linalg.solve(beta, np.ones(n))
+            assert r_inf == pytest.approx(0.0, abs=1e-14)
 
 
 def scipy_reference(initial, params, schedule, t_end, t_eval=None):
@@ -617,6 +853,13 @@ class TestStatsCountWork:
                          EtaSchedule(kind="constant", eta_start=-1.0, T=5.0),
                          IntegratorConfig(dt=1.0), (0.0, 5.0))
         assert traj.stats.boundary_halvings > 0
+        assert traj.stats.rhs_evals == field_calls[0]
+
+    def test_stiff_steps(self, field_calls):
+        traj = integrate(NEAR_TRAPPED, STIFF,
+                         EtaSchedule(kind="constant", eta_start=-8.0, T=20.0),
+                         IntegratorConfig(sample_stride=10), (0.0, 20.0))
+        assert traj.stats.stiff_steps > 0
         assert traj.stats.rhs_evals == field_calls[0]
 
     def test_dense_output(self, field_calls):
