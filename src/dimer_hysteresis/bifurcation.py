@@ -40,9 +40,8 @@ from .errors import (
     SingularityError,
     ThresholdProximityError,
 )
-from .model import (EPS_CLAMP, ModelParams, PhaseState, _h_zz, _jacobian,
-                    _power_sum, check_count, check_power, dh_dz,
-                    power_difference)
+from .model import (EPS_CLAMP, ModelParams, PhaseState, check_count,
+                    check_power, dh_dz, power_difference)
 
 EPS_EIG = 1e-8
 
@@ -131,6 +130,11 @@ def _xi(z, r):
     return 2.0 ** (r + 1.0) * z / (np.sqrt(1.0 - z * z) * power_difference(z, r))
 
 
+def _power_sum(z, r):
+    """(1+z)^(r-1) + (1-z)^(r-1), the bulk sum of H_zz: float or array."""
+    return (1.0 + z) ** (r - 1.0) + (1.0 - z) ** (r - 1.0)
+
+
 def _xi_slope_numerator(z, r):
     """F(z) = P - r z (1 - z^2) [(1+z)^(r-1) + (1-z)^(r-1)], P = (1+z)^r - (1-z)^r.
 
@@ -150,6 +154,13 @@ def _xi_slope_numerator_slope(z, r):
     d = (1.0 + z) ** (r - 2.0) - (1.0 - z) ** (r - 2.0)
     return (3.0 * r * z * z * _power_sum(z, r)
             - r * (r - 1.0) * z * (1.0 - z * z) * d)
+
+
+def _h_zz(z, s, cos_theta, eta, r):
+    """H_zz = -2 cos(theta) / s^3 - eta r 2^-r [(1+z)^(r-1) + (1-z)^(r-1)],
+    s = sqrt(1 - z^2): float or array."""
+    return (-2.0 * cos_theta / (s * s * s)
+            - eta * r / 2.0 ** r * _power_sum(z, r))
 
 
 def _rtsafe(f, lo, hi, falling, z):
@@ -322,6 +333,15 @@ def jacobian_at(state: PhaseState, eta: float, params: ModelParams) -> tuple:
     if abs(z) >= _ZMAX:
         raise SingularityError(f"Jacobian singular near |z|=1; got z={z}")
     return _jacobian(z, theta, eta, params.r, params.nu)
+
+
+def _jacobian(z, theta, eta, r, nu):
+    """jacobian_at on plain floats, unchecked: the stepper's form."""
+    s = math.sqrt(1.0 - z * z)
+    c = math.cos(theta)
+    h_zz = _h_zz(z, s, c, eta, r)
+    h_zt = 2.0 * z * math.sin(theta) / s
+    return ((nu * h_zz - h_zt, 2.0 * s * c + nu * h_zt), (h_zz, h_zt))
 
 
 def eigenvalues_2x2(jac) -> tuple:

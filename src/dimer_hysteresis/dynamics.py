@@ -37,8 +37,10 @@ stiff, are bit-identical to DOP853 alone.
 A step of either kind whose stage leaves |z| <= 1 - EPS_CLAMP is
 halved; at min_step the state is clamped and the clamp counted. A
 non-finite error estimate rejects the step like any other, so a NaN ends
-in StepFailureError once the step underflows min_step. More than
-max_steps step attempts end in StepFailureError too.
+in StepFailureError once the step underflows min_step. So do more than
+_MAX_STEPS + _MAX_STEPS_PER_TAU * (t1 - t0) step attempts over a span
+(t0, t1): a run that stalls next to |z| = 1 ends, and a long run gets a
+budget in proportion to its length.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bifurcation import eigenvalues_2x2
+from .bifurcation import _jacobian, eigenvalues_2x2
 from .errors import DomainError, SingularityError, StepFailureError
 from .model import (
     EPS_CLAMP,
@@ -59,7 +61,6 @@ from .model import (
     PhaseState,
     PhysicalContext,
     Trajectory,
-    _jacobian,
     check_count,
     energy_functional,
     hamiltonian_column,
@@ -85,6 +86,10 @@ _ROS_EXPO = 1.0 / 3.0
 # accepted steps in a row, as in Hairer's dop853 stiffness test, RODAS3
 # takes over until |lambda| < _STIFF_OFF
 _STIFF_H, _STIFF_HLAM, _STIFF_RUN, _STIFF_OFF = 0.5, 3.0, 15, 3.0
+# step attempts of both steppers allowed over a span (t0, t1): _MAX_STEPS
+# plus _MAX_STEPS_PER_TAU per unit tau, about 25 times the 41 per unit tau
+# of an undamped r = 5 run at tolerance 1e-10
+_MAX_STEPS, _MAX_STEPS_PER_TAU = 1_000_000, 1_000
 
 
 @dataclass(frozen=True)
@@ -100,9 +105,7 @@ class IntegratorConfig:
     the number of output samples per unit tau, interpolated inside the
     steps. clamp_limit bounds how many boundary clamps are tolerated
     before the run is declared singular. min_step is the smallest step
-    tried before a boundary clamp or a StepFailureError. max_steps bounds
-    the step attempts of both steppers together (accepted, rejected,
-    halved or clamped); one more raises StepFailureError.
+    tried before a boundary clamp or a StepFailureError.
     """
 
     dt: float = 1e-3
@@ -111,7 +114,6 @@ class IntegratorConfig:
     sample_stride: int = 1
     clamp_limit: int = 100
     min_step: float = 1e-13
-    max_steps: int = 1_000_000
 
     def __post_init__(self):
         for name in ("dt", "abs_tol", "rel_tol", "min_step"):
@@ -121,7 +123,6 @@ class IntegratorConfig:
                     f"{name} must be finite and > 0, got {value}")
         check_count("sample_stride", self.sample_stride, 1)
         check_count("clamp_limit", self.clamp_limit, 0)
-        check_count("max_steps", self.max_steps, 1)
 
 
 def make_field(params: ModelParams):
@@ -365,7 +366,8 @@ def integrate(initial: PhaseState, params: ModelParams, schedule: EtaSchedule,
         return t1 if k == n else math.inf
 
     atol, rtol, min_step = config.abs_tol, config.rel_tol, config.min_step
-    max_steps = config.max_steps
+    # accepted, rejected, halved or clamped, of either stepper
+    max_steps = _MAX_STEPS + math.ceil(_MAX_STEPS_PER_TAU * (t1 - t0))
     taus, zs, thetas = [], [], []
     z, theta, t = initial.z, initial.theta, t0
     emit(t, z, theta)
@@ -373,18 +375,16 @@ def integrate(initial: PhaseState, params: ModelParams, schedule: EtaSchedule,
     ts = sample_time(k)
     fz, ft = field(z, theta, eta_at(t))
     rhs_evals, accepted, rejected, halvings, clamp_events = 1, 0, 0, 0, 0
-    stiff_steps, stiff_rejected, jacobian_evals, attempts = 0, 0, 0, 0
+    stiff_steps, stiff_rejected, jacobian_evals = 0, 0, 0
     # stiff: RODAS3 steps with lin = linearize(t, z, theta); bound
     # counts the consecutive stability-bound DOP853 steps
     stiff, bound, lin = False, 0, None
     h = min(config.dt, _MAX_STEP)
     err_old = 1.0
 
-    while t < t1:
-        attempts += 1
-        if attempts > max_steps:
-            raise StepFailureError(
-                f"more than {max_steps} step attempts at tau={t}")
+    for _ in range(max_steps):
+        if t >= t1:
+            break
         t_new = t + h
         if t_new >= t1:
             t_new, h = t1, t1 - t
@@ -422,7 +422,6 @@ def integrate(initial: PhaseState, params: ModelParams, schedule: EtaSchedule,
             _, tn, ez, et = out
             err = max(abs(ez) / (atol + rtol * abs(zn)),
                       abs(et) / (atol + rtol * abs(tn)))
-            expo = _ROS_EXPO
         else:
             _, st, ez5, et5, ez3, et3, ks = sums
             tn = theta + h * st
@@ -436,13 +435,14 @@ def integrate(initial: PhaseState, params: ModelParams, schedule: EtaSchedule,
             # error
             den = math.sqrt(e5 * e5 + 0.01 * e3 * e3)
             err = e5 * e5 / den if den else 0.0
-            expo = _EXPO
         if not err <= 1.0:
             # a non-finite estimate is a rejection like any other
             if stiff:
                 stiff_rejected += 1
+                expo = _ROS_EXPO
             else:
                 rejected += 1
+                expo = _EXPO
             fac = _SAFETY * err ** -expo if math.isfinite(err) else 0.0
             h *= max(_FAC_MIN, fac)
             if h < min_step:
@@ -451,15 +451,16 @@ def integrate(initial: PhaseState, params: ModelParams, schedule: EtaSchedule,
             continue
         if stiff:
             stiff_steps += 1
-            fac = _SAFETY * (err + 1e-300) ** -expo
+            fac = _SAFETY * (err + 1e-300) ** -_ROS_EXPO
+            # the start's derivative, for the Hermite interpolant
+            fz0, ft0 = fz, ft
         else:
             # PI control of the next step
             accepted += 1
-            fac = _SAFETY * (err + 1e-300) ** -expo * err_old ** _BETA
+            fac = _SAFETY * (err + 1e-300) ** -_EXPO * err_old ** _BETA
             err_old = max(err, 1e-4)
         h_next = min(h * min(_FAC_MAX, max(_FAC_MIN, fac)), _MAX_STEP)
 
-        fz0, ft0 = fz, ft
         fz, ft = field(zn, tn, eta_at(t_new))
         rhs_evals += 1
         dense = None
@@ -496,6 +497,8 @@ def integrate(initial: PhaseState, params: ModelParams, schedule: EtaSchedule,
         else:
             bound = 0
         h = h_next
+    if t < t1:
+        raise StepFailureError(f"more than {max_steps} step attempts at tau={t}")
 
     stats = IntegrationStats(rhs_evals, accepted, rejected, halvings,
                              stiff_steps, stiff_rejected, jacobian_evals)

@@ -300,29 +300,6 @@ def dh_dz(z, cos_theta, eta, r: float):
     return -2.0 * z * cos_theta / s - eta / (2.0 ** r) * power_difference(z, r)
 
 
-def _power_sum(z, r):
-    """(1+z)^(r-1) + (1-z)^(r-1), the bulk sum of H_zz: float or array."""
-    return (1.0 + z) ** (r - 1.0) + (1.0 - z) ** (r - 1.0)
-
-
-def _h_zz(z, s, cos_theta, eta, r):
-    """H_zz = -2 cos(theta) / s^3 - eta r 2^-r [(1+z)^(r-1) + (1-z)^(r-1)],
-    s = sqrt(1 - z^2): float or array."""
-    return (-2.0 * cos_theta / (s * s * s)
-            - eta * r / 2.0 ** r * _power_sum(z, r))
-
-
-def _jacobian(z, theta, eta, r, nu):
-    """Jacobian of the damped flow (-H_theta + nu H_z, H_z) at one state,
-    |z| < 1: ((nu H_zz - H_ztheta, 2 s cos(theta) + nu H_ztheta),
-    (H_zz, H_ztheta)), H_ztheta = 2 z sin(theta) / s."""
-    s = math.sqrt(1.0 - z * z)
-    c = math.cos(theta)
-    h_zz = _h_zz(z, s, c, eta, r)
-    h_zt = 2.0 * z * math.sin(theta) / s
-    return ((nu * h_zz - h_zt, 2.0 * s * c + nu * h_zt), (h_zz, h_zt))
-
-
 def grad_hamiltonian(state: PhaseState, eta: float, r: float) -> tuple:
     """(dH/dz, dH/dtheta) in closed form, dH/dz from dh_dz.
 

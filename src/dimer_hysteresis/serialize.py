@@ -26,7 +26,7 @@ from .model import EtaSchedule, ModelParams, Trajectory, wrap_angle
 TRAJECTORY_HEADER = "tau,eta,z,theta,H,E"
 BRANCH_HEADER = "branch_id,kind,theta_star,eta,z_star,stability"
 
-# rows formatted per block: large enough to amortize the
+# rows formatted or parsed per block: large enough to amortize the
 # per-block calls, small enough that the transient per-field strings
 # stay a small part of peak memory
 _BLOCK = 4096
@@ -56,35 +56,23 @@ def trajectory_from_csv(text: str, params: ModelParams,
     """Rebuild a Trajectory from its CSV form.
 
     params and schedule are not stored in the CSV; the caller supplies
-    the ones the run used. The rows go through numpy's C reader, fed the
-    list of lines: an io.StringIO of the text would hold it at four bytes
-    a character.
+    the ones the run used.
     """
     lines = text.strip().split("\n")
     if lines[0] != TRAJECTORY_HEADER:
         raise DomainError(f"expected header {TRAJECTORY_HEADER!r}")
-    rows = lines[1:]
     # file column order: tau, eta, z, theta, H, E
-    values = np.empty((0, 6))
-    if rows:
-        try:
-            values = np.loadtxt(rows, delimiter=",", ndmin=2, comments=None)
-        except ValueError:
-            _check_columns(rows)
-            raise
-        # the reader skips blank lines and takes any uniform width
-        if values.shape != (len(rows), 6):
-            _check_columns(rows)
+    values = np.empty((len(lines) - 1, 6))
+    for i in range(1, len(lines), _BLOCK):
+        block = lines[i:i + _BLOCK]
+        for ln in block:
+            if ln.count(",") != 5:
+                raise DomainError(
+                    f"expected 6 columns, got {ln.count(',') + 1}: {ln!r}")
+        values[i - 1:i - 1 + len(block)] = np.reshape(
+            list(map(float, ",".join(block).split(","))), (-1, 6))
     tau, eta, z, theta, H, E = values.T
     return Trajectory(tau, z, theta, eta, H, E, params, schedule)
-
-
-def _check_columns(rows: list) -> None:
-    """Refuse the first row that does not have 6 columns."""
-    for ln in rows:
-        if ln.count(",") != 5:
-            raise DomainError(
-                f"expected 6 columns, got {ln.count(',') + 1}: {ln!r}")
 
 
 def diagram_to_csv(diagram) -> str:

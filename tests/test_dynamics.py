@@ -18,10 +18,11 @@ from hypothesis import strategies as st
 from dimer_hysteresis import (DomainError, EtaSchedule,
                               IntegratorConfig, ModelParams, PhaseState,
                               PhysicalContext, SingularityError,
-                              StepFailureError, dynamics, energy_functional,
-                              eval_schedule, find_fixed_points,
-                              grad_hamiltonian, hamiltonian, integrate,
-                              model, tableau, vector_field)
+                              StepFailureError, bifurcation, dynamics,
+                              energy_functional, eval_schedule,
+                              find_fixed_points, grad_hamiltonian,
+                              hamiltonian, integrate, model, tableau,
+                              vector_field)
 import kernel_oracles
 
 PROTOCOL = IntegratorConfig()  # DOP853, 1e-9 tolerances
@@ -226,14 +227,13 @@ class TestColumns:
                 for (_, z, theta), e in zip(rows, eta)] == H
 
 
-# the step and tolerances must be finite and > 0, sample_stride and
-# max_steps integers >= 1 and clamp_limit an integer >= 0
+# the step and tolerances must be finite and > 0, sample_stride an
+# integer >= 1 and clamp_limit an integer >= 0
 BAD_SETTINGS = [
     *((name, value) for name in ("dt", "abs_tol", "rel_tol", "min_step")
       for value in (math.nan, math.inf, 0.0, -1.0)),
     *(("sample_stride", value) for value in (math.nan, math.inf, 2.5, 0)),
     *(("clamp_limit", value) for value in (math.nan, -1, 2.5)),
-    *(("max_steps", value) for value in (math.nan, 0, 1e6)),
 ]
 
 
@@ -305,14 +305,40 @@ class TestTermination:
             assert outward_field.count(1.0 - dynamics.EPS_CLAMP) == \
                 config.clamp_limit
 
-    def test_step_budget_ends_the_stall_next_to_the_pole(self):
+    def test_step_budget_ends_the_stall_next_to_the_pole(self, monkeypatch):
         # next to |z| = 1 one ulp of z moves dtheta/dtau by about 1e-3, so
         # only steps too short to move z pass the error control
+        monkeypatch.setattr(dynamics, "_MAX_STEPS", 10_000)
         sched = EtaSchedule(kind="constant", eta_start=-1.0, T=1.0)
         with pytest.raises(StepFailureError,
-                           match="more than 10000 step attempts at tau="):
+                           match="more than 11000 step attempts at tau="):
             integrate(PhaseState(z=0.9999999985), ModelParams(r=1.0), sched,
-                      IntegratorConfig(max_steps=10_000), (0.0, 1.0))
+                      PROTOCOL, (0.0, 1.0))
+
+    def test_step_budget_grows_with_the_span(self, monkeypatch):
+        args = (PhaseState(z=0.3, theta=0.7), ModelParams(r=5.0),
+                EtaSchedule(kind="constant", eta_start=-6.0, T=200.0),
+                PROTOCOL, (0.0, 200.0))
+        traj = integrate(*args)
+        st_ = traj.stats
+        attempts = st_.accepted + st_.rejected + st_.boundary_halvings
+        per_tau = attempts // 200
+        assert per_tau >= 10  # far more than the floor patched in below
+
+        def run(floor, per_unit_tau):
+            monkeypatch.setattr(dynamics, "_MAX_STEPS", floor)
+            monkeypatch.setattr(dynamics, "_MAX_STEPS_PER_TAU", per_unit_tau)
+            return integrate(*args)
+
+        # the allowance per unit tau carries a long run the floor cannot
+        assert run(100, per_tau + 1).z.tobytes() == traj.z.tobytes()
+        with pytest.raises(StepFailureError, match="step attempts"):
+            run(100, per_tau - 1)
+        # a run that ends on its last allowed attempt returns
+        assert run(attempts, 0).stats == st_
+        with pytest.raises(StepFailureError,
+                           match=f"more than {attempts - 1} step attempts"):
+            run(attempts - 1, 0)
 
     @settings(max_examples=50, deadline=None)
     @given(r=st.floats(1.0, 8.0), nu=st.floats(0.01, 1.0),
@@ -325,13 +351,16 @@ class TestTermination:
              z0=0.9999999985, theta0=0.0)
     def test_damped_ramps_end_within_the_budget(self, r, nu, eta_start,
                                                 eta_peak, T, z0, theta0):
-        # bounded by max_steps, not by a clock: each run returns or raises
-        # one of the package's errors
+        # bounded by the step budget, not by a clock: each run returns or
+        # raises one of the package's errors
         sched = triangular(eta_start, eta_peak, T=T)
         try:
-            traj = integrate(PhaseState(z=z0, theta=theta0),
-                             ModelParams(r=r, nu=nu), sched,
-                             IntegratorConfig(max_steps=20_000), (0.0, T))
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(dynamics, "_MAX_STEPS", 10_000)
+                patch.setattr(dynamics, "_MAX_STEPS_PER_TAU", 25)
+                traj = integrate(PhaseState(z=z0, theta=theta0),
+                                 ModelParams(r=r, nu=nu), sched, PROTOCOL,
+                                 (0.0, T))
         except (SingularityError, StepFailureError):
             return
         assert traj.tau[-1] == T
@@ -434,7 +463,7 @@ class TestStiffSteps:
         def eta_at(t):
             return eta0 + rate * t
 
-        jac = model._jacobian(z, theta, eta0, r, nu)
+        jac = bifurcation._jacobian(z, theta, eta0, r, nu)
         q = -model.power_difference(z, r) / 2.0 ** r * rate
         fz, ft = field(z, theta, eta0)
         errors, estimates = [], []
