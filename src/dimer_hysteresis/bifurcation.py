@@ -327,12 +327,21 @@ def jacobian_at(state: PhaseState, eta: float, params: ModelParams) -> tuple:
     [(1+z)^(r-1) + (1-z)^(r-1)] and H_ztheta = 2 z sin(theta) / s, it is
     ((nu H_zz - H_ztheta, 2 s cos(theta) + nu H_ztheta), (H_zz, H_ztheta))
     at any theta and nu. Refused within EPS_CLAMP of |z| = 1, like the
-    residual.
+    residual, and where an entry overflows, as eta r 2^-r (1-z)^(r-1)
+    does for r < 1 at couplings near the float range.
     """
     z, theta = state.z, state.theta
     if abs(z) >= _ZMAX:
         raise SingularityError(f"Jacobian singular near |z|=1; got z={z}")
-    return _jacobian(z, theta, eta, params.r, params.nu)
+    jac = _jacobian(z, theta, eta, params.r, params.nu)
+    (a, b), (c, d) = jac
+    # the terms of a finite sum are finite; only a non-finite sum needs
+    # a look at each entry
+    if not math.isfinite(a + b + c + d) \
+            and not all(map(math.isfinite, (a, b, c, d))):
+        raise DomainError(
+            f"Jacobian overflows at z={z}, eta={eta}, r={params.r}: {jac}")
+    return jac
 
 
 def _jacobian(z, theta, eta, r, nu):
@@ -350,13 +359,17 @@ def eigenvalues_2x2(jac) -> tuple:
     Where the discriminant overflows although every entry is finite, the
     eigenvalues are those of the matrix scaled by 2^-e, its largest
     entry's binary exponent, scaled back by 2^e; scaling by a power of
-    two is exact.
+    two is exact. A matrix with a non-finite entry has the eigenvalues
+    complex(nan, nan).
     """
     (a, b), (c, d) = jac
     tr = a + d
     det = a * d - b * c
     disc = tr * tr - 4.0 * det
-    if not math.isfinite(disc) and all(map(math.isfinite, (a, b, c, d))):
+    if not math.isfinite(disc):
+        # a non-finite entry makes the discriminant non-finite
+        if not all(map(math.isfinite, (a, b, c, d))):
+            return (complex(math.nan, math.nan),) * 2
         e = math.frexp(max(abs(a), abs(b), abs(c), abs(d)))[1]
         down, up, half = 2.0 ** -e, 2.0 ** (e - e // 2), 2.0 ** (e // 2)
         return tuple(lam * up * half for lam in eigenvalues_2x2(

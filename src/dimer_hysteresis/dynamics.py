@@ -10,16 +10,25 @@ the physical energy E = Omega - omega H / 2 decreases. (The opposite
 sign turns every stable center into a repeller and drives |z| -> 1.)
 
 The stepper is the Dormand-Prince 8(5,3) pair DOP853. Its stages run as
-straight-line code written out at import from the rows of tableau.py,
-each weighted sum added left to right over a row's nonzero weights. Its
-combined 5th/3rd-order error estimate is controlled per unit tau in the
-max norm over (z, theta) by a PI controller; the per-unit control keeps
-the H drift below 1e-8 over tau spans of 10^3. No step spans more than
-one unit of tau: with longer steps the absolute tolerance dominates
-near z = 0, the state stops decaying there and the delayed jump of a
-slow ramp comes early. Steps ignore the sample grid; samples inside a
-step come from DOP853's 7th-order interpolant, which costs three extra
-right-hand-side evaluations on steps that hold a sample.
+straight-line code written out from the rows of tableau.py, each
+weighted sum added left to right over a row's nonzero weights, with the
+flow written into every stage. The flow is one source text, _FLOW, with
+the schedule's coupling at the stage's time for each schedule kind;
+make_field's closure, which evaluates the start, a step's end and a
+clamp, is compiled from the same text. Each kind's kernels are compiled
+on the first run of that kind and bound to a run's r, nu and schedule
+as closure constants. The combined 5th/3rd-order error estimate is
+controlled per unit tau in the max norm over (z, theta) by a PI
+controller; the per-unit control keeps the H drift below 1e-8 over tau
+spans of 10^3. No step spans more than one unit of tau: with longer
+steps the absolute tolerance dominates near z = 0, the state stops
+decaying there and the delayed jump of a slow ramp comes early. Steps
+ignore the sample grid; samples inside a step come from DOP853's
+7th-order interpolant, which costs three extra right-hand-side
+evaluations on steps that hold a sample. Such a step records the
+interpolant's coefficients and the range of sample indices it covers;
+after the run the interpolant is evaluated once over numpy columns, in
+the same operations as for one sample, so each sample keeps its bits.
 
 Damped runs (nu > 0) switch to the linearly implicit Rosenbrock method
 RODAS3 where DOP853 is stability-bound: after 15 accepted DOP853 steps
@@ -45,9 +54,13 @@ budget in proportion to its length.
 
 from __future__ import annotations
 
+import functools
 import linecache
 import math
+import textwrap
+from array import array
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -128,29 +141,12 @@ class IntegratorConfig:
 def make_field(params: ModelParams):
     """Closure (z, theta, eta) -> (dz, dtheta) of the damped flow.
 
-    Kept free of any state boxing; this is the integrator hot path.
+    Compiled from the flow's one text, _FLOW, which the kernels inline;
+    the integrator evaluates it at a step's end, at the start and at a
+    clamp.
     """
-    r, nu = params.r, params.nu
-    two_r = 2.0 ** r
-
-    def field(z, theta, eta):
-        s = math.sqrt(1.0 - z * z)
-        a = abs(z)
-        if a == 0.0:
-            diff = 0.0
-        else:
-            # stable (1+z)^r - (1-z)^r, see model.power_difference
-            try:
-                diff = math.exp(r * math.log1p(-a)) \
-                    * math.expm1(2.0 * r * math.atanh(a))
-            except OverflowError:
-                diff = math.exp(r * math.log1p(a))
-            if z < 0:
-                diff = -diff
-        gz = -2.0 * z * math.cos(theta) / s - eta / two_r * diff
-        return 2.0 * s * math.sin(theta) + nu * gz, gz
-
-    return field
+    field, = _factory(None)
+    return field(params, None)
 
 
 def vector_field(state: PhaseState, eta: float, params: ModelParams) -> tuple:
@@ -160,24 +156,97 @@ def vector_field(state: PhaseState, eta: float, params: ModelParams) -> tuple:
     return make_field(params)(state.z, state.theta, eta)
 
 
-# The straight-line kernels, written out from tableau.py's rows.
-# _step returns (stages evaluated, None) once a stage point leaves
-# |z| <= zmax, else (11, (the b, E5 and E3 sums, kz0..kz11, kt0..kt11)).
-# _dense adds the three extra stages and returns _interpolate's
-# coefficients; kz12, kt12 are the derivative at the step's end.
+# The flow at ({z}, {theta}) with a = |{z}|, r2 = 2 r and {q} = eta / 2^r,
+# the one text of the field formula; diff is the stable (1+z)^r - (1-z)^r
+# of model.power_difference. The constant schedule binds q once as
+# e0 / two_r, which evaluates as eta / two_r does.
+_FLOW = """
+    s = sqrt(1.0 - {z} * {z})
+    if a == 0.0:
+        diff = 0.0
+    else:
+        try:
+            diff = exp(r * log1p(-a)) * expm1(r2 * atanh(a))
+        except OverflowError:
+            diff = exp(r * log1p(a))
+        if {z} < 0.0:
+            diff = -diff
+    gz = -2.0 * {z} * cos({theta}) / s - {q} * diff
+    {out}2.0 * s * sin({theta}) + nu * gz, gz"""
+
+
+class _Kind(NamedTuple):
+    """A schedule kind's part of the kernels: the constants bound from
+    the schedule, the statements that set eta to the coupling at time {t}
+    (none where the coupling is a constant), the coupling as returned by
+    eta_at, eta / 2^r as the flow reads it, and deta/dtau at t, one-sided
+    at the ramp's corner."""
+
+    constants: str
+    coupling: str
+    eta: str
+    q: str
+    rate: str
+
+
+# None is make_field's closure, which takes eta as an argument
+_KINDS = {
+    None: _Kind(constants="", coupling="", eta="", q="eta / two_r", rate=""),
+    "constant": _Kind(
+        constants="\n    e0 = schedule.eta_start\n    q = e0 / two_r",
+        coupling="", eta="e0", q="q", rate="0.0"),
+    "triangular": _Kind(
+        constants=("\n    e0, T_s = schedule.eta_start, schedule.T"
+                   "\n    half = 0.5 * T_s"
+                   "\n    rate = (schedule.eta_peak - e0) / half"),
+        coupling=("\n    x = {t} if {t} <= half else T_s - {t}"
+                  "\n    eta = e0 + rate * (x if x > 0.0 else 0.0)"),
+        eta="eta", q="eta / two_r", rate="rate if t < half else -rate"),
+}
+
+# bind(params, schedule) returns one of the kind's functions with r, nu
+# and the schedule's constants in closure cells
+_FACTORY = """\
+def bind(params, schedule):
+    r, nu = params.r, params.nu
+    two_r = 2.0 ** r
+    r2 = 2.0 * r{constants}
+{function}
+    return {name}
+"""
+_FIELD = """\
+def field(z, theta, eta):
+    a = abs(z){flow}
+"""
+
+# The straight-line kernels, written out from tableau.py's rows with the
+# flow inline. _step returns (stages evaluated, None) once a stage point
+# leaves |z| <= zmax, else (11, (the b, E5 and E3 sums, kz0..kz11,
+# kt0..kt11)). _dense adds the three extra stages and returns
+# _interpolate's coefficients; kz12, kt12 are the derivative at the
+# step's end.
 _STAGE = """
     sz = {sz}
     st = {st}
     zi = z + h * sz
-    if abs(zi) > zmax:
+    a = abs(zi)
+    if a > zmax:
         {leave}
-    kz{i}, kt{i} = field(zi, theta + h * st, eta_at(t + {c!r} * h))"""
-_KERNELS = """\
-def _step(field, eta_at, t, h, z, theta, kz0, kt0, zmax):{stages}
+    ti = theta + h * st{flow}"""
+_ETA_AT = """\
+def eta_at(t):{coupling}
+    return {eta}
+"""
+_RATE_AT = """\
+def rate_at(t):
+    return {rate}
+"""
+_STEP = """\
+def _step(t, h, z, theta, kz0, kt0, zmax):{stages}
     return {last}, ({b}, {e5}, {e3}, ({ks}))
-
-
-def _dense(field, eta_at, t, h, z, theta, zn, tn, k, kz{n}, kt{n}, zmax):
+"""
+_DENSE = """\
+def _dense(t, h, z, theta, zn, tn, k, kz{n}, kt{n}, zmax):
     {ks} = k{dense_stages}
     dz, dth = zn - z, tn - theta
     return ((z, dz, h * kz0 - dz, 2.0 * dz - h * (kz{n} + kz0), {dz}),
@@ -190,25 +259,57 @@ def _sum(row, k):
     return "0.0" + "".join(f" + {w!r} * {k}{j}" for j, w in enumerate(row) if w)
 
 
-def _kernel_source():
+def _stage_flow(kind, c, out):
+    """Source of the flow at the stage point (zi, ti) at time t + c h."""
+    coupling = ""
+    if kind.coupling:
+        coupling = f"\n    tt = t + {c!r} * h" + kind.coupling.format(t="tt")
+    return coupling + _FLOW.format(z="zi", theta="ti", q=kind.q, out=out)
+
+
+def _sources(kind):
+    """{name: source of its bind} of make_field's closure (kind None) or
+    of a schedule kind's eta_at, rate_at and kernels, in that order. Each
+    bind compiles on its own, so that the compiler's memory peaks at the
+    largest function, not at their sum."""
+    k = _KINDS[kind]
+    if kind is None:
+        functions = {"field": _FIELD.format(flow=_FLOW.format(
+            z="z", theta="theta", q=k.q, out="return "))}
+    else:
+        functions = {"eta_at": _ETA_AT.format(
+                         coupling=k.coupling.format(t="t"), eta=k.eta),
+                     "rate_at": _RATE_AT.format(rate=k.rate),
+                     **_dop853_sources(k),
+                     "_rosenbrock": _rosenbrock_source(k)}
+    return {name: _FACTORY.format(constants=k.constants, name=name,
+                                  function=textwrap.indent(text, "    "))
+            for name, text in functions.items()}
+
+
+def _dop853_sources(kind):
     n = len(DOP853_STAGES) + 1
     error = 'raise SingularityError(f"interpolation stage left |z| <= ' \
         '{zmax} at tau={t}")'
 
     def stages(table, first, leave):
-        return "".join(_STAGE.format(sz=_sum(a, "kz"), st=_sum(a, "kt"), i=i,
-                                     c=c, leave=leave(i))
-                       for i, (c, a) in enumerate(table, first))
+        return "".join(_STAGE.format(
+            sz=_sum(a, "kz"), st=_sum(a, "kt"), leave=leave(i),
+            flow=_stage_flow(kind, c, f"kz{i}, kt{i} = "))
+            for i, (c, a) in enumerate(table, first))
 
-    return _KERNELS.format(
-        stages=stages(DOP853_STAGES, 1, lambda i: f"return {i - 1}, None"),
-        dense_stages=stages(DOP853_DENSE_STAGES, n + 1, lambda i: error),
-        **{name: f"{_sum(row, 'kz')}, {_sum(row, 'kt')}" for name, row in
-           (("b", DOP853_B), ("e5", DOP853_E5), ("e3", DOP853_E3))},
-        dz=", ".join(f"h * ({_sum(d, 'kz')})" for d in DOP853_D),
-        dt=", ".join(f"h * ({_sum(d, 'kt')})" for d in DOP853_D),
-        ks=", ".join([f"kz{j}" for j in range(n)] + [f"kt{j}" for j in range(n)]),
-        last=n - 1, n=n)
+    ks = ", ".join([f"kz{j}" for j in range(n)] + [f"kt{j}" for j in range(n)])
+    return {
+        "_step": _STEP.format(
+            stages=stages(DOP853_STAGES, 1, lambda i: f"return {i - 1}, None"),
+            **{name: f"{_sum(row, 'kz')}, {_sum(row, 'kt')}" for name, row in
+               (("b", DOP853_B), ("e5", DOP853_E5), ("e3", DOP853_E3))},
+            ks=ks, last=n - 1),
+        "_dense": _DENSE.format(
+            dense_stages=stages(DOP853_DENSE_STAGES, n + 1, lambda i: error),
+            dz=", ".join(f"h * ({_sum(d, 'kz')})" for d in DOP853_D),
+            dt=", ".join(f"h * ({_sum(d, 'kt')})" for d in DOP853_D),
+            ks=ks, n=n)}
 
 
 # The RODAS3 kernel, written out from tableau.py's rows in the same way.
@@ -217,7 +318,7 @@ def _kernel_source():
 # point leaves |z| <= zmax, else (2, (zn, thetan, error in z, in theta)).
 # A singular stage matrix gives non-finite stages, which reject the step.
 _ROS_PROLOGUE = """\
-def _rosenbrock(field, eta_at, t, h, z, theta, kz0, kt0, jac, gz, gt, zmax):
+def _rosenbrock(t, h, z, theta, kz0, kt0, jac, gz, gt, zmax):
     (j11, j12), (j21, j22) = jac
     g = 1.0 / (h * {gamma!r})
     m11 = g - j11
@@ -227,9 +328,10 @@ def _rosenbrock(field, eta_at, t, h, z, theta, kz0, kt0, jac, gz, gt, zmax):
     p11, p12, p21, p22 = m22 * d, j12 * d, j21 * d, m11 * d"""
 _ROS_EVAL = """
     zi = z + ({sz})
-    if abs(zi) > zmax:
+    a = abs(zi)
+    if a > zmax:
         return {evals}, None
-    fz, ft = field(zi, theta + ({st}), eta_at(t + {alpha!r} * h))"""
+    ti = theta + ({st}){flow}"""
 _ROS_STAGE = """
     wz = {fz}{cz}{gzt}
     wt = {ft}{ct}{gtt}
@@ -240,13 +342,14 @@ _ROS_EPILOGUE = """
 """
 
 
-def _rosenbrock_source():
+def _rosenbrock_source(kind):
     parts, evals = [_ROS_PROLOGUE.format(gamma=RODAS3_GAMMA)], 0
     for i, (alpha, gamma, a, c) in enumerate(RODAS3_STAGES):
         fz, ft = "kz0", "kt0"
         if alpha or any(a):
-            parts.append(_ROS_EVAL.format(sz=_sum(a, "uz"), st=_sum(a, "ut"),
-                                          alpha=alpha, evals=evals))
+            parts.append(_ROS_EVAL.format(
+                sz=_sum(a, "uz"), st=_sum(a, "ut"), evals=evals,
+                flow=_stage_flow(kind, alpha, "fz, ft = ")))
             fz, ft, evals = "fz", "ft", evals + 1
         parts.append(_ROS_STAGE.format(
             fz=fz, ft=ft, i=i,
@@ -260,25 +363,34 @@ def _rosenbrock_source():
     return "".join(parts)
 
 
-def _compile(source, name, names):
-    """The functions names defined by source, compiled once; linecache
-    keeps the source under <name> for tracebacks and profilers."""
-    file = f"<{__name__} {name}>"
-    linecache.cache[file] = (len(source), None, source.splitlines(True), file)
-    scope = {"__name__": __name__, "SingularityError": SingularityError,
-             "inf": math.inf}
-    exec(compile(source, file, "exec"), scope)
-    return file, *(scope[n] for n in names)
+@functools.cache
+def _factory(kind):
+    """The binds of _sources(kind), compiled on first use; linecache keeps
+    each source under <dynamics kind name> for tracebacks and profilers."""
+    binds = []
+    for name, source in _sources(kind).items():
+        file = f"<{__name__} {kind} {name}>" if kind else f"<{__name__} {name}>"
+        linecache.cache[file] = (len(source), None, source.splitlines(True),
+                                 file)
+        scope = {"__name__": __name__, "SingularityError": SingularityError,
+                 "inf": math.inf, "sqrt": math.sqrt, "exp": math.exp,
+                 "log1p": math.log1p, "expm1": math.expm1,
+                 "atanh": math.atanh, "cos": math.cos, "sin": math.sin}
+        exec(compile(source, file, "exec"), scope)
+        binds.append(scope["bind"])
+    return tuple(binds)
 
 
-_SOURCE = _kernel_source()
-_FILE, _step, _dense = _compile(_SOURCE, "kernels", ("_step", "_dense"))
-_ROS_SOURCE = _rosenbrock_source()
-_ROS_FILE, _rosenbrock = _compile(_ROS_SOURCE, "rosenbrock", ("_rosenbrock",))
+def _kernels(params, schedule):
+    """make_field's closure, then eta_at, rate_at and the step, dense and
+    Rosenbrock kernels of schedule's kind bound to params and schedule."""
+    return (make_field(params),
+            *(bind(params, schedule) for bind in _factory(schedule.kind)))
 
 
 def _interpolate(c, x):
-    """Value at fraction x of the step from _dense's coefficients."""
+    """Value at fraction x of the step from _dense's coefficients: floats,
+    or arrays holding one sample each."""
     y0, f0, f1, f2, f3, f4, f5, f6 = c
     y = 1.0 - x
     return y0 + x * (f0 + y * (f1 + x * (f2 + y * (f3 + x * (f4 + y * (
@@ -291,6 +403,11 @@ def _hermite(y0, y1, hf0, hf1):
     zero."""
     dy = y1 - y0
     return (y0, dy, hf0 - dy, 2.0 * dy - (hf1 + hf0), 0.0, 0.0, 0.0, 0.0)
+
+
+# a step holding interpolated samples records (t, h, first sample, end
+# sample, 8 coefficients of z, 8 of theta)
+_RECORD = 20
 
 
 def integrate(initial: PhaseState, params: ModelParams, schedule: EtaSchedule,
@@ -313,33 +430,11 @@ def integrate(initial: PhaseState, params: ModelParams, schedule: EtaSchedule,
         raise DomainError(
             f"tau_span {tau_span} must be increasing and inside [0, {schedule.T}]")
 
-    field = make_field(params)
     zmax = 1.0 - EPS_CLAMP
     if abs(initial.z) > zmax:
         raise SingularityError(f"initial z={initial.z} within EPS_CLAMP of |z|=1")
-
-    # every stage evaluates eta(t); specialize the two schedule kinds
-    # instead of going through eval_schedule. rate_at is deta/dtau, one
-    # sided at the ramp's corner, for the stiff steps' df/dtau
-    if schedule.kind == "constant":
-        e0 = schedule.eta_start
-
-        def eta_at(t):
-            return e0
-
-        def rate_at(t):
-            return 0.0
-    else:
-        e0, T_s = schedule.eta_start, schedule.T
-        half = 0.5 * T_s
-        rate = (schedule.eta_peak - e0) / half
-
-        def eta_at(t):
-            x = t if t <= half else T_s - t
-            return e0 + rate * (x if x > 0.0 else 0.0)
-
-        def rate_at(t):
-            return rate if t < half else -rate
+    # rate_at is deta/dtau, for the stiff steps' df/dtau
+    field, eta_at, rate_at, step, dense, rosenbrock = _kernels(params, schedule)
 
     r, nu = params.r, params.nu
     two_r = 2.0 ** r
@@ -348,11 +443,6 @@ def integrate(initial: PhaseState, params: ModelParams, schedule: EtaSchedule,
         """The Jacobian and df/dtau = (nu, 1) (-P / 2^r) deta/dtau."""
         q = -power_difference(z, r) / two_r * rate_at(t)
         return _jacobian(z, theta, eta_at(t), r, nu), nu * q, q
-
-    def emit(t, z, theta):
-        taus.append(t)
-        zs.append(z)
-        thetas.append(theta)
 
     # sample k sits at t0 + k / stride, computed from k so the grid
     # cannot drift; the last one, sample n, is placed on t1
@@ -368,32 +458,33 @@ def integrate(initial: PhaseState, params: ModelParams, schedule: EtaSchedule,
     atol, rtol, min_step = config.abs_tol, config.rel_tol, config.min_step
     # accepted, rejected, halved or clamped, of either stepper
     max_steps = _MAX_STEPS + math.ceil(_MAX_STEPS_PER_TAU * (t1 - t0))
-    taus, zs, thetas = [], [], []
     z, theta, t = initial.z, initial.theta, t0
-    emit(t, z, theta)
+    # samples taken as they are, as (k, z, theta): the start, those at a
+    # step's end and those at a clamp; the others are evaluated after the
+    # run from the records of their steps
+    exact, records = [(0, z, theta)], array("d")
     k = 1
     ts = sample_time(k)
     fz, ft = field(z, theta, eta_at(t))
     rhs_evals, accepted, rejected, halvings, clamp_events = 1, 0, 0, 0, 0
-    stiff_steps, stiff_rejected, jacobian_evals = 0, 0, 0
+    stiff_steps, stiff_rejected, jacobian_evals, zero_denominators = 0, 0, 0, 0
     # stiff: RODAS3 steps with lin = linearize(t, z, theta); bound
     # counts the consecutive stability-bound DOP853 steps
     stiff, bound, lin = False, 0, None
     h = min(config.dt, _MAX_STEP)
     err_old = 1.0
 
-    for _ in range(max_steps):
+    for attempts in range(max_steps):
         if t >= t1:
             break
         t_new = t + h
         if t_new >= t1:
             t_new, h = t1, t1 - t
         if stiff:
-            evals, out = _rosenbrock(field, eta_at, t, h, z, theta, fz, ft,
-                                     *lin, zmax)
+            evals, out = rosenbrock(t, h, z, theta, fz, ft, *lin, zmax)
             leaves = out is None or abs(zn := out[0]) > zmax
         else:
-            evals, sums = _step(field, eta_at, t, h, z, theta, fz, ft, zmax)
+            evals, sums = step(t, h, z, theta, fz, ft, zmax)
             leaves = sums is None or abs(zn := z + h * sums[0]) > zmax
         rhs_evals += evals
         if leaves:
@@ -413,7 +504,7 @@ def integrate(initial: PhaseState, params: ModelParams, schedule: EtaSchedule,
                 lin = linearize(t, z, theta)
                 jacobian_evals += 1
             while ts <= t:
-                emit(ts, z, theta)
+                exact.append((k, z, theta))
                 k += 1
                 ts = sample_time(k)
             continue
@@ -427,14 +518,22 @@ def integrate(initial: PhaseState, params: ModelParams, schedule: EtaSchedule,
             tn = theta + h * st
             # 5th- and 3rd-order estimates combined as in DOP853, as an
             # error per unit tau in the max norm over (z, theta)
+            # (max(x, y) is written out as y if y > x else x, which is
+            # what the builtin computes, at a tenth of its cost)
             scale_z = atol + rtol * abs(zn)
             scale_t = atol + rtol * abs(tn)
-            e5 = max(abs(ez5) / scale_z, abs(et5) / scale_t)
-            e3 = max(abs(ez3) / scale_z, abs(et3) / scale_t)
+            x, y = abs(ez5) / scale_z, abs(et5) / scale_t
+            e5 = y if y > x else x
+            x, y = abs(ez3) / scale_z, abs(et3) / scale_t
+            e3 = y if y > x else x
             # nonzero e5 and e3 can square to 0: a zero denominator is no
             # error
             den = math.sqrt(e5 * e5 + 0.01 * e3 * e3)
-            err = e5 * e5 / den if den else 0.0
+            if den:
+                err = e5 * e5 / den
+            else:
+                err = 0.0
+                zero_denominators += 1
         if not err <= 1.0:
             # a non-finite estimate is a rejection like any other
             if stiff:
@@ -458,27 +557,36 @@ def integrate(initial: PhaseState, params: ModelParams, schedule: EtaSchedule,
             # PI control of the next step
             accepted += 1
             fac = _SAFETY * (err + 1e-300) ** -_EXPO * err_old ** _BETA
-            err_old = max(err, 1e-4)
-        h_next = min(h * min(_FAC_MAX, max(_FAC_MIN, fac)), _MAX_STEP)
+            err_old = 1e-4 if 1e-4 > err else err
+        # min(h * min(_FAC_MAX, max(_FAC_MIN, fac)), _MAX_STEP), written out
+        fac = fac if fac > _FAC_MIN else _FAC_MIN
+        h_next = h * (fac if fac < _FAC_MAX else _FAC_MAX)
+        h_next = _MAX_STEP if _MAX_STEP < h_next else h_next
 
         fz, ft = field(zn, tn, eta_at(t_new))
         rhs_evals += 1
-        dense = None
-        while ts <= t_new:
-            if ts == t_new:
-                emit(ts, zn, tn)
-            else:
-                if dense is None:
-                    if stiff:
-                        dense = (_hermite(z, zn, h * fz0, h * fz),
-                                 _hermite(theta, tn, h * ft0, h * ft))
-                    else:
-                        dense = _dense(field, eta_at, t, h, z, theta, zn, tn,
-                                       ks, fz, ft, zmax)
-                        rhs_evals += 3
-                x = (ts - t) / h
-                emit(ts, _interpolate(dense[0], x), _interpolate(dense[1], x))
-            k += 1
+        if ts <= t_new:
+            # the step holds samples k..j; j by arithmetic, then corrected
+            j = min(int((t_new - t0) * stride), n)
+            while sample_time(j) > t_new:
+                j -= 1
+            while sample_time(j + 1) <= t_new:
+                j += 1
+            end = j + 1
+            if sample_time(j) == t_new:
+                exact.append((j, zn, tn))
+                end = j
+            if k < end:
+                if stiff:
+                    cz = _hermite(z, zn, h * fz0, h * fz)
+                    ct = _hermite(theta, tn, h * ft0, h * ft)
+                else:
+                    cz, ct = dense(t, h, z, theta, zn, tn, ks, fz, ft, zmax)
+                    rhs_evals += 3
+                records.extend((t, h, k, end))
+                records.extend(cz)
+                records.extend(ct)
+            k = j + 1
             ts = sample_time(k)
         z, theta, t = zn, tn, t_new
 
@@ -497,13 +605,43 @@ def integrate(initial: PhaseState, params: ModelParams, schedule: EtaSchedule,
         else:
             bound = 0
         h = h_next
-    if t < t1:
-        raise StepFailureError(f"more than {max_steps} step attempts at tau={t}")
+    else:
+        attempts = max_steps
+        if t < t1:
+            raise StepFailureError(
+                f"more than {max_steps} step attempts at tau={t}")
 
-    stats = IntegrationStats(rhs_evals, accepted, rejected, halvings,
-                             stiff_steps, stiff_rejected, jacobian_evals)
-    tau, z, theta = np.array(taus), np.array(zs), np.array(thetas)
+    stats = IntegrationStats(
+        rhs_evals=rhs_evals, accepted=accepted, rejected=rejected,
+        boundary_halvings=halvings, stiff_steps=stiff_steps,
+        stiff_rejected=stiff_rejected, jacobian_evals=jacobian_evals,
+        attempts=attempts, zero_error_denominators=zero_denominators)
+    tau, z, theta = _samples(t0, t1, n, stride, exact, records)
     eta = schedule_column(schedule, tau)
     H = hamiltonian_column(z, theta, eta, params.r)
     return Trajectory(tau, z, theta, eta, H, energy_functional(H, ctx),
                       params, schedule, clamp_events, stats)
+
+
+def _samples(t0, t1, n, stride, exact, records):
+    """The tau, z and theta columns of samples 0..n: the exact ones as
+    given, the others from their steps' interpolants in one pass over
+    numpy columns, in the same operations as one sample at a time."""
+    tau = t0 + np.arange(n + 1) / stride
+    tau[n] = t1
+    tau[0] = t0
+    z, theta = np.empty(n + 1), np.empty(n + 1)
+    index, zs, thetas = zip(*exact)
+    index = list(index)
+    z[index], theta[index] = zs, thetas
+    if records:
+        rec = np.frombuffer(records).reshape(-1, _RECORD)
+        first, end = rec[:, 2].astype(np.intp), rec[:, 3].astype(np.intp)
+        counts = end - first
+        rows = np.repeat(np.arange(len(rec)), counts)
+        index = np.arange(len(rows)) + np.repeat(
+            first - np.cumsum(counts) + counts, counts)
+        x = (tau[index] - rec[rows, 0]) / rec[rows, 1]
+        z[index] = _interpolate([rec[rows, j] for j in range(4, 12)], x)
+        theta[index] = _interpolate([rec[rows, j] for j in range(12, 20)], x)
+    return tau, z, theta

@@ -160,7 +160,12 @@ class IntegrationStats:
     counts the step halvings forced by a stage leaving
     |z| <= 1 - EPS_CLAMP. jacobian_evals counts the closed-form
     Jacobians: the stiffness tests after damped DOP853 steps shorter than
-    0.5, and one per state a RODAS3 step starts from.
+    0.5, and one per state a RODAS3 step starts from. attempts counts the
+    step attempts of both steppers, the number the step budget bounds:
+    accepted + rejected + stiff_steps + stiff_rejected +
+    boundary_halvings plus the trajectory's clamp_events.
+    zero_error_denominators counts the DOP853 steps whose error norm's
+    denominator underflowed to zero and which were judged error-free.
     """
 
     rhs_evals: int = 0
@@ -170,6 +175,8 @@ class IntegrationStats:
     stiff_steps: int = 0
     stiff_rejected: int = 0
     jacobian_evals: int = 0
+    attempts: int = 0
+    zero_error_denominators: int = 0
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,12 +11,16 @@
   json.dumps(doc, indent=2) over the whole document.
 - step_by_loop and dense_by_loop run the former DOP853 stage loop,
   which walked the tables' sparse (index, weight) rows over growing
-  stage lists, behind the interface of the generated dynamics._step and
-  dynamics._dense.
+  stage lists and called a field closure at every stage, and
+  rosenbrock_by_loop runs RODAS3's rows the same way. kernels_by_loop
+  binds them, with the coupling closures integrate built before the flow
+  was written into the kernels (coupling_by_closure), into the form of
+  dynamics._kernels.
 """
 
 import json
 import math
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -28,7 +32,9 @@ from dimer_hysteresis.bifurcation import (_RESIDUAL_TOL, _ZMAX, _xi,
                                           _xi_slope_numerator)
 from dimer_hysteresis.model import check_power, power_difference
 from dimer_hysteresis.tableau import (DOP853_B, DOP853_D, DOP853_DENSE_STAGES,
-                                      DOP853_E3, DOP853_E5, DOP853_STAGES)
+                                      DOP853_E3, DOP853_E5, DOP853_STAGES,
+                                      RODAS3_E, RODAS3_GAMMA, RODAS3_M,
+                                      RODAS3_STAGES)
 
 
 def _bisect(above, lo, hi):
@@ -220,7 +226,7 @@ def _dense(field, eta_at, t, h, z, theta, zn, tn, kz, kt, zmax):
 
 
 def step_by_loop(field, eta_at, t, h, z, theta, fz, ft, zmax):
-    """dynamics._step's result, from the former stage loop."""
+    """The generated step kernel's result, from the former stage loop."""
     kz, kt = [fz], [ft]
     if not _stages(field, eta_at, _DOP853_STAGES, t, h, z, theta, kz, kt,
                    zmax):
@@ -231,7 +237,74 @@ def step_by_loop(field, eta_at, t, h, z, theta, fz, ft, zmax):
 
 
 def dense_by_loop(field, eta_at, t, h, z, theta, zn, tn, ks, fz, ft, zmax):
-    """dynamics._dense's result, from the former stage loop."""
+    """The generated dense kernel's result, from the former stage loop."""
     n = len(ks) // 2
     return _dense(field, eta_at, t, h, z, theta, zn, tn, [*ks[:n], fz],
                   [*ks[n:], ft], zmax)
+
+
+def rosenbrock_by_loop(field, eta_at, t, h, z, theta, kz0, kt0, jac, gz, gt,
+                       zmax):
+    """The generated Rosenbrock kernel's result, from a loop over RODAS3's
+    rows that calls field at every stage."""
+    (j11, j12), (j21, j22) = jac
+    g = 1.0 / (h * RODAS3_GAMMA)
+    m11 = g - j11
+    m22 = g - j22
+    det = m11 * m22 - j12 * j21
+    d = 1.0 / det if det else math.inf
+    p11, p12, p21, p22 = m22 * d, j12 * d, j21 * d, m11 * d
+    uz, ut, evals = [], [], 0
+    for alpha, gamma, a, c in RODAS3_STAGES:
+        wz, wt = kz0, kt0
+        if alpha or any(a):
+            sz, st = _combine(_sparse(a), uz, ut)
+            zi = z + sz
+            if abs(zi) > zmax:
+                return evals, None
+            wz, wt = field(zi, theta + st, eta_at(t + alpha * h))
+            evals += 1
+        if any(c):
+            cz, ct = _combine(_sparse(c), uz, ut)
+            wz, wt = wz + cz / h, wt + ct / h
+        if gamma:
+            wz, wt = wz + gamma * h * gz, wt + gamma * h * gt
+        uz.append(p11 * wz + p12 * wt)
+        ut.append(p21 * wz + p22 * wt)
+    mz, mt = _combine(_sparse(RODAS3_M), uz, ut)
+    return evals, (z + mz, theta + mt, *_combine(_sparse(RODAS3_E), uz, ut))
+
+
+def coupling_by_closure(schedule):
+    """(eta_at, rate_at) as integrate built them for each schedule kind
+    before the coupling was written into the kernels."""
+    if schedule.kind == "constant":
+        e0 = schedule.eta_start
+
+        def eta_at(t):
+            return e0
+
+        def rate_at(t):
+            return 0.0
+    else:
+        e0, T_s = schedule.eta_start, schedule.T
+        half = 0.5 * T_s
+        rate = (schedule.eta_peak - e0) / half
+
+        def eta_at(t):
+            x = t if t <= half else T_s - t
+            return e0 + rate * (x if x > 0.0 else 0.0)
+
+        def rate_at(t):
+            return rate if t < half else -rate
+    return eta_at, rate_at
+
+
+def kernels_by_loop(field, schedule):
+    """dynamics._kernels' result with field called at every stage: field,
+    the former coupling closures, and the loop forms of the step, dense
+    and Rosenbrock kernels bound to them."""
+    eta_at, rate_at = coupling_by_closure(schedule)
+    return (field, eta_at, rate_at, partial(step_by_loop, field, eta_at),
+            partial(dense_by_loop, field, eta_at),
+            partial(rosenbrock_by_loop, field, eta_at))

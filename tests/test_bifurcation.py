@@ -274,6 +274,32 @@ class TestStability:
         for a, b in zip(sorted(lam, key=key), sorted(want, key=key)):
             assert abs(a - b) <= 1e-15 * max(abs(b), abs(lam[0]))
 
+    @pytest.mark.parametrize("jac", [
+        ((-math.inf, math.inf), (1.0, 1.0)),     # raised OverflowError
+        ((math.nan, 0.0894), (math.inf, 0.0)),
+        ((1.0, 2.0), (3.0, -math.inf)),
+        ((math.nan, 0.0), (0.0, 1.0)),
+    ])
+    def test_eigenvalues_of_a_non_finite_matrix_are_nan(self, jac):
+        lam = eigenvalues_2x2(jac)
+        assert len(lam) == 2
+        assert all(math.isnan(v.real) and math.isnan(v.imag) for v in lam)
+        assert classify_stability(jac) == "marginal"
+
+    def test_jacobian_refuses_an_overflowing_entry(self):
+        # eta r 2^-r (1-z)^(r-1) exceeds the float range for r < 1
+        with pytest.raises(DomainError, match="Jacobian overflows"):
+            jacobian_at(PhaseState(z=0.999), -1e308, ModelParams(r=0.5))
+        jac = jacobian_at(PhaseState(z=0.999), -1e300, ModelParams(r=0.5))
+        assert all(map(math.isfinite, (*jac[0], *jac[1])))
+
+    def test_jacobian_keeps_finite_entries_whose_sum_overflows(
+            self, monkeypatch):
+        huge = ((1.7e308, 1.7e308), (0.0, -0.0))
+        monkeypatch.setattr(bifurcation, "_jacobian", lambda *args: huge)
+        assert jacobian_at(PhaseState(z=0.5), -1.0, ModelParams(r=1.0)) \
+            == huge
+
     @given(a=st.floats(-1e3, 1e3), b=st.floats(-1e3, 1e3),
            c=st.floats(-1e3, 1e3), d=st.floats(-1e3, 1e3))
     @settings(max_examples=50, deadline=None)

@@ -1,9 +1,11 @@
 """Integrator behavior: field values, conservation, control, protocol runs."""
 
 import ast
+import functools
 import hashlib
 import math
 import os
+import random
 import struct
 import subprocess
 import sys
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dimer_hysteresis import (DomainError, EtaSchedule,
+from dimer_hysteresis import (SCHEDULE_KINDS, DomainError, EtaSchedule,
                               IntegratorConfig, ModelParams, PhaseState,
                               PhysicalContext, SingularityError,
                               StepFailureError, bifurcation, dynamics,
@@ -78,9 +80,11 @@ class TestVectorField:
         assert dz == pytest.approx(-gt + nu * gz, rel=1e-14)
 
     def test_inline_power_difference_is_the_model_kernel(self):
-        # make_field inlines model.power_difference for speed; its phase
-        # equation must equal grad_hamiltonian's dH/dz, which calls the
-        # model kernel with the same surrounding arithmetic, bit for bit.
+        # the flow's one text, which make_field's closure and the kernels
+        # are compiled from, inlines model.power_difference for speed; its
+        # phase equation must equal grad_hamiltonian's dH/dz, which calls
+        # the model kernel with the same surrounding arithmetic, bit for
+        # bit.
         # With eta = -2^r the difference enters with weight exactly 1.
         # Powers from 34 on take the kernel's overflow-free branch at
         # the z closest to the boundary.
@@ -247,6 +251,14 @@ class TestConfigValidation:
             IntegratorConfig(**{name: value})
 
 
+def on_loop_kernels(monkeypatch, make):
+    """Runs integrate on the closure-calling loop kernels of
+    kernel_oracles, over the field make(params) builds: the kernels with
+    the flow written in call no field that a test could replace."""
+    monkeypatch.setattr(dynamics, "_kernels", lambda params, schedule:
+                        kernel_oracles.kernels_by_loop(make(params), schedule))
+
+
 @pytest.fixture
 def nan_field(monkeypatch):
     def make_nan_field(params):
@@ -254,7 +266,7 @@ def nan_field(monkeypatch):
             return math.nan, math.nan
         return field
 
-    monkeypatch.setattr(dynamics, "make_field", make_nan_field)
+    on_loop_kernels(monkeypatch, make_nan_field)
 
 
 @pytest.fixture
@@ -269,7 +281,7 @@ def outward_field(monkeypatch):
             return math.copysign(1.0, z), 0.0
         return field
 
-    monkeypatch.setattr(dynamics, "make_field", make_outward_field)
+    on_loop_kernels(monkeypatch, make_outward_field)
     return zs
 
 
@@ -289,6 +301,7 @@ class TestTermination:
                          (0.0, 2000.0))
         assert traj.tau[-1] == 2000.0
         assert abs(traj.z[-1]) < 1e-160
+        assert traj.stats.zero_error_denominators >= 1
 
     def test_flow_into_boundary_ends_in_package_error(self, outward_field):
         # stages past the margin halve the step down to min_step, then
@@ -322,6 +335,9 @@ class TestTermination:
         traj = integrate(*args)
         st_ = traj.stats
         attempts = st_.accepted + st_.rejected + st_.boundary_halvings
+        assert st_.attempts == attempts
+        assert st_.attempts <= dynamics._MAX_STEPS \
+            + dynamics._MAX_STEPS_PER_TAU * 200
         per_tau = attempts // 200
         assert per_tau >= 10  # far more than the floor patched in below
 
@@ -381,26 +397,27 @@ def without_switch(monkeypatch, *args):
 
 @pytest.fixture
 def once_stiff(monkeypatch):
-    """Installs fields that follow the model until the first RODAS3 step
-    and the given field from then on; returns the count of RODAS3 steps
-    tried."""
+    """Runs integrate on the loop kernels over a field that follows the
+    model until the first RODAS3 step and the given field from then on;
+    returns the count of RODAS3 steps tried."""
     tries = [0]
-    kernel, make = dynamics._rosenbrock, dynamics.make_field
-
-    def counted(*args):
-        tries[0] += 1
-        return kernel(*args)
 
     def install(late):
-        def make_switching(params):
-            field = make(params)
+        def kernels(params, schedule):
+            field = dynamics.make_field(params)
 
             def switching(z, theta, eta):
                 return (late if tries[0] else field)(z, theta, eta)
-            return switching
 
-        monkeypatch.setattr(dynamics, "make_field", make_switching)
-        monkeypatch.setattr(dynamics, "_rosenbrock", counted)
+            *rest, rosenbrock = kernel_oracles.kernels_by_loop(switching,
+                                                               schedule)
+
+            def counted(*args):
+                tries[0] += 1
+                return rosenbrock(*args)
+            return (*rest, counted)
+
+        monkeypatch.setattr(dynamics, "_kernels", kernels)
         return tries
     return install
 
@@ -456,20 +473,20 @@ class TestStiffSteps:
     def test_step_is_third_order_with_a_second_order_estimate(self, rate):
         # local error ~ h^4 needs the exact Jacobian and df/dtau; the
         # estimate, the gap to the embedded solution, goes as h^3
+        # on the ramp's first half eta = -6 + rate * tau
         solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
         r, nu, eta0, z, theta = STIFF.r, STIFF.nu, -6.0, 0.3, 0.7
-        field = dynamics.make_field(STIFF)
-
-        def eta_at(t):
-            return eta0 + rate * t
+        field, eta_at, rate_at, *_, rosenbrock = dynamics._kernels(
+            STIFF, triangular(eta0, eta0 + 5.0 * rate, T=10.0))
+        assert rate_at(0.0) == rate
 
         jac = bifurcation._jacobian(z, theta, eta0, r, nu)
         q = -model.power_difference(z, r) / 2.0 ** r * rate
         fz, ft = field(z, theta, eta0)
         errors, estimates = [], []
         for h in (0.02, 0.01, 0.005):
-            evals, (zn, tn, ez, et) = dynamics._rosenbrock(
-                field, eta_at, 0.0, h, z, theta, fz, ft, jac, nu * q, q, ZMAX)
+            evals, (zn, tn, ez, et) = rosenbrock(
+                0.0, h, z, theta, fz, ft, jac, nu * q, q, ZMAX)
             assert evals == 2
             ref = solve_ivp(lambda t, y: field(y[0], y[1], eta_at(t)),
                             (0.0, h), [z, theta], method="DOP853",
@@ -675,143 +692,230 @@ def bits(x):
     return x
 
 
-def recorded(field, calls):
-    """field, appending each call's arguments and result to calls."""
-    def wrapped(z, theta, eta):
-        out = field(z, theta, eta)
-        calls.append((z, theta, eta, *out))
-        return out
-    return wrapped
-
-
-def both_kernels(make, eta_at, t, h, z, theta, zmax=ZMAX):
-    """(result, field calls) of _step, then of _dense where the step
-    stays inside, for the generated kernels and for the former loop;
-    make() builds a fresh field for each."""
+def both_kernels(params, schedule, t, h, z, theta, zmax=ZMAX):
+    """(eta_at(t), rate_at(t), eta_at(t + h)), then the results of the
+    step kernel, of the dense kernel where the step stays inside (None
+    where it does not) and of the Rosenbrock kernel, bits packed: first
+    for the generated kernels with the flow inline, then for the loop
+    kernels calling make_field's closure at every stage."""
     runs = []
-    for step, dense in ((dynamics._step, dynamics._dense),
-                        (kernel_oracles.step_by_loop,
-                         kernel_oracles.dense_by_loop)):
-        calls = []
-        f = recorded(make(), calls)
-        fz, ft = f(z, theta, eta_at(t))
-        evals, sums = out = step(f, eta_at, t, h, z, theta, fz, ft, zmax)
-        result = [out]
+    r, nu = params.r, params.nu
+    for field, eta_at, rate_at, step, dense, rosenbrock in (
+            dynamics._kernels(params, schedule),
+            kernel_oracles.kernels_by_loop(dynamics.make_field(params),
+                                           schedule)):
+        fz, ft = field(z, theta, eta_at(t))
+        evals, sums = out = step(t, h, z, theta, fz, ft, zmax)
+        interpolant = None
         if sums is not None and not abs(z + h * sums[0]) > zmax:
             zn, tn = z + h * sums[0], theta + h * sums[1]
-            fzn, ftn = f(zn, tn, eta_at(t + h))
+            fzn, ftn = field(zn, tn, eta_at(t + h))
             try:
-                result.append(dense(f, eta_at, t, h, z, theta, zn, tn,
-                                    sums[-1], fzn, ftn, zmax))
+                interpolant = dense(t, h, z, theta, zn, tn, sums[-1], fzn,
+                                    ftn, zmax)
             except SingularityError as exc:
-                result.append(str(exc))
-        runs.append((bits(result), bits(calls)))
+                interpolant = str(exc)
+        q = -model.power_difference(z, r) / 2.0 ** r * rate_at(t)
+        jac = bifurcation._jacobian(z, theta, eta_at(t), r, nu)
+        runs.append(bits(((eta_at(t), rate_at(t), eta_at(t + h)), out,
+                          interpolant, rosenbrock(t, h, z, theta, fz, ft,
+                                                  jac, nu * q, q, zmax))))
     return runs
 
 
+def stage_points(params, schedule, t, h, z, theta):
+    """|z| at the 11 stage points of a step, at its end and at the 3
+    dense stage points, where all of them lie inside; else None."""
+    calls = []
+    field = dynamics.make_field(params)
+
+    def recorded(z, theta, eta):
+        calls.append(abs(z))
+        return field(z, theta, eta)
+
+    _, eta_at, _, step, dense, _ = kernel_oracles.kernels_by_loop(recorded,
+                                                                  schedule)
+    fz, ft = recorded(z, theta, eta_at(t))
+    _, sums = step(t, h, z, theta, fz, ft, ZMAX)
+    if sums is None or abs(z + h * sums[0]) > ZMAX:
+        return None
+    zn, tn = z + h * sums[0], theta + h * sums[1]
+    fzn, ftn = recorded(zn, tn, eta_at(t + h))
+    try:
+        dense(t, h, z, theta, zn, tn, sums[-1], fzn, ftn, ZMAX)
+    except SingularityError:
+        return None
+    return calls[1:]
+
+
+@functools.cache
+def exit_inputs(kind):
+    """For each of the 15 points of stage_points, seeded inputs of the
+    real flow under a schedule of kind and a margin zmax at which that
+    point is the first to leave |z| <= zmax: the point lies farther out
+    than every point before it, and zmax is the farthest of those."""
+    rng = random.Random(f"exits/{kind}")
+    found = {}
+    for _ in range(5000):
+        if len(found) == 15:
+            return found
+        params = ModelParams(r=rng.uniform(0.5, 8.0),
+                             nu=rng.choice([0.0, 0.5]))
+        schedule = EtaSchedule(kind=kind, eta_start=rng.uniform(-20.0, 20.0),
+                               eta_peak=rng.uniform(-20.0, 20.0), T=100.0)
+        args = (params, schedule, rng.uniform(0.0, 100.0),
+                rng.uniform(0.05, 2.0), rng.uniform(-0.99, 0.99),
+                rng.uniform(-3.0, 3.0))
+        points = stage_points(*args)
+        for j, a in enumerate(points or ()):
+            farthest = max(points[:j], default=0.0)
+            if j not in found and a > farthest:
+                found[j] = (*args, farthest)
+    raise AssertionError(f"first exits found only at {sorted(found)}")
+
+
 class TestKernels:
-    """The generated straight-line kernels against the former stage loop
-    kept in kernel_oracles."""
+    """The generated kernels, with the flow written in, against the loop
+    kernels of kernel_oracles, which call make_field's closure."""
 
     @given(r=st.floats(0.5, 40.0), nu=st.sampled_from([0.0, 0.5]),
-           e0=st.floats(-50.0, 50.0), rate=st.floats(-1.0, 1.0),
-           t=st.floats(0.0, 4000.0), h=st.floats(1e-6, 1.0),
+           kind=st.sampled_from(SCHEDULE_KINDS), e0=st.floats(-50.0, 50.0),
+           peak=st.floats(-50.0, 50.0), T=st.floats(1.0, 4000.0),
+           at=st.floats(0.0, 1.0), h=st.floats(1e-6, 1.0),
            z=st.one_of(st.floats(-ZMAX, ZMAX),
                        st.floats(0.99, ZMAX).map(lambda z: -z),
                        st.floats(0.99, ZMAX)),
            theta=st.floats(-10.0, 10.0))
-    @example(r=1.0, nu=0.0, e0=-1.0, rate=0.0, t=0.0, h=0.5,
-             z=0.9999, theta=1.5)
-    @example(r=5.0, nu=0.5, e0=-8.0, rate=0.0, t=0.0, h=1.0,
-             z=-0.999, theta=-1.5)
+    @example(r=1.0, nu=0.0, kind="constant", e0=-1.0, peak=-1.0, T=1.0,
+             at=0.0, h=0.5, z=0.9999, theta=1.5)
+    @example(r=5.0, nu=0.5, kind="constant", e0=-8.0, peak=-8.0, T=1.0,
+             at=0.0, h=1.0, z=-0.999, theta=-1.5)
+    @example(r=5.0, nu=0.5, kind="triangular", e0=-3.0, peak=-8.0, T=10.0,
+             at=0.45, h=1.0, z=0.3, theta=0.7)  # stages across the corner
     @settings(max_examples=300, deadline=None)
-    def test_stages_sums_and_dense_match_the_loop(self, r, nu, e0, rate, t,
-                                                  h, z, theta):
-        field = dynamics.make_field(ModelParams(r=r, nu=nu))
-        new, old = both_kernels(lambda: field, lambda t: e0 + rate * t, t,
+    def test_stages_sums_and_dense_match_the_loop(self, r, nu, kind, e0, peak,
+                                                  T, at, h, z, theta):
+        schedule = EtaSchedule(kind=kind, eta_start=e0, eta_peak=peak, T=T)
+        new, old = both_kernels(ModelParams(r=r, nu=nu), schedule, at * T,
                                 h, z, theta)
         assert new == old
 
     @pytest.mark.parametrize("jump", range(15))
     def test_every_exit_stage_matches_the_loop(self, jump):
-        # a field at rest until its call number `jump` (call 0 is the
-        # step's first derivative) leaves the margin at the next stage:
-        # 11 stages of the step, the step's end, then 3 dense stages.
-        # At rest it returns -0.0 at z = -0.0: each sum starts from 0.0,
-        # so the stage points are +0.0
-        def make():
-            calls = []
+        # the first point to leave is stage jump + 1 of the step for jump
+        # below 11, the step's end for 11, dense stage jump - 11 above
+        for kind in SCHEDULE_KINDS:
+            *args, zmax = exit_inputs(kind)[jump]
+            new, old = both_kernels(*args, zmax=zmax)
+            assert new == old
+            _, (evals, sums), interpolant, _ = new
+            assert evals == min(jump, 11)
+            assert (sums is None) == (jump < 11)
+            assert (interpolant is None) == (jump < 12)
+            if jump >= 12:
+                assert interpolant.startswith("interpolation stage left")
 
-            def field(z, theta, eta):
-                calls.append(z)
-                return (1e3 if len(calls) > jump else -0.0), -0.0
-            return field
-
-        new, old = both_kernels(make, lambda t: -1.0, 0.0, 1.0, -0.0, -0.0)
-        assert new == old
-        (evals, sums), *dense = new[0]
-        assert evals == min(jump, 11)
-        assert (sums is None) == (jump < 11)
-        assert len(dense) == (jump >= 12)
-        if dense:
-            assert dense[0].startswith("interpolation stage left")
-
-    @pytest.mark.parametrize("params, schedule, config", [
-        *[(ModelParams(r=r, nu=0.0),
+    @pytest.mark.parametrize("start, params, schedule, config", [
+        *[(PhaseState(z=0.3, theta=0.7), ModelParams(r=r),
            EtaSchedule(kind="constant", eta_start=eta, T=1000.0),
            IntegratorConfig(abs_tol=1e-10, rel_tol=1e-10))
           for r in (1.0, 5.0) for eta in (-1.0, -6.0)],
-        (ModelParams(r=1.0, nu=0.5), triangular(-1.0, -3.0),
+        *[(PhaseState(z=z0), ModelParams(r=r, nu=0.5),
+           triangular(*etas), IntegratorConfig(sample_stride=10))
+          for r, etas in ((1.0, (-1.0, -3.0)), (5.0, (-3.0, -8.0)))
+          for z0 in (0.01, 0.3, -0.5)],
+        (NEAR_TRAPPED, STIFF, EtaSchedule(kind="constant", eta_start=-8.0,
+                                          T=50.0),
          IntegratorConfig(sample_stride=10)),
-        (ModelParams(r=5.0, nu=0.5), triangular(-3.0, -8.0),
-         IntegratorConfig(sample_stride=10)),
+        (PhaseState(z=0.9, theta=1.5), ModelParams(r=1.0),
+         EtaSchedule(kind="constant", eta_start=-1.0, T=5.0),
+         IntegratorConfig(dt=1.0)),
     ], ids=["c6-r1-eta-1", "c6-r1-eta-6", "c6-r5-eta-1", "c6-r5-eta-6",
-            "ramp-r1", "ramp-r5"])
-    def test_integrate_matches_the_loop(self, monkeypatch, params, schedule,
-                                        config):
-        start = PhaseState(z=0.3, theta=0.7) if params.nu == 0.0 \
-            else PhaseState(z=0.01, theta=0.0)
+            *(f"ramp-r{r}" + ("" if z0 == 0.01 else f"-z{z0}")
+              for r in (1, 5) for z0 in (0.01, 0.3, -0.5)),
+            "stiff-eta-8", "boundary"])
+    def test_integrate_matches_the_loop(self, monkeypatch, start, params,
+                                        schedule, config):
         runs = []
-        for step, dense in ((dynamics._step, dynamics._dense),
-                            (kernel_oracles.step_by_loop,
-                             kernel_oracles.dense_by_loop)):
-            monkeypatch.setattr(dynamics, "_step", step)
-            monkeypatch.setattr(dynamics, "_dense", dense)
+        for loop in (False, True):
+            if loop:
+                on_loop_kernels(monkeypatch, dynamics.make_field)
             traj = integrate(start, params, schedule, config,
                              (0.0, schedule.T))
             runs.append((traj.tau.tobytes(), traj.z.tobytes(),
-                         traj.theta.tobytes(), traj.stats, traj.clamp_events))
+                         traj.theta.tobytes(), traj.H.tobytes(), traj.stats,
+                         traj.clamp_events))
         assert runs[0] == runs[1]
 
     def test_source_is_deterministic(self):
-        assert dynamics._kernel_source() == dynamics._SOURCE
+        kinds = (None, *SCHEDULE_KINDS)
         code = ("import hashlib; from dimer_hysteresis import dynamics; "
-                "print(hashlib.sha256(dynamics._SOURCE.encode()).hexdigest())")
+                f"print([hashlib.sha256(str(dynamics._sources(kind)).encode())"
+                f".hexdigest() for kind in {kinds!r}])")
         src = str(Path(dynamics.__file__).parents[1])
         digests = {subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True,
             check=True, env={**os.environ, "PYTHONPATH": src,
                              "PYTHONHASHSEED": seed}).stdout
             for seed in ("1", "2")}
-        assert digests == {hashlib.sha256(
-            dynamics._SOURCE.encode()).hexdigest() + "\n"}
+        assert digests == {str([hashlib.sha256(
+            str(dynamics._sources(kind)).encode()).hexdigest()
+            for kind in kinds]) + "\n"}
 
     def test_source_holds_the_tableau_and_nothing_else(self):
-        # every float literal, in source order: 0.0 starts each sum and
-        # 2.0 sits in the interpolant's third coefficient; the rest are
-        # the tables' nonzero weights and nodes, row by row
-        def nonzero(row):
-            return [w for w in row if w]
+        for kind in (None, *SCHEDULE_KINDS):
+            want = self.tableau_and_flow(kind)
+            assert list(dynamics._sources(kind)) == list(want)
+            for name, source in dynamics._sources(kind).items():
+                assert self.float_literals(source) == bits(want[name]), name
 
-        want = []
+    @staticmethod
+    def tableau_and_flow(kind):
+        # every float literal of each function's source, in source order:
+        # 2.0 in two_r = 2.0 ** r and r2 = 2.0 * r and the ramp's 0.5 in
+        # half = 0.5 * T_s, bound for every function; the ramp's coupling,
+        # x > 0.0 else 0.0, in eta_at and after each stage's node; the
+        # constant kind's deta/dtau, 0.0; 0.0 starting each sum; the
+        # flow's 1.0 - z z, a == 0.0, diff = 0.0, z < 0.0, -2.0 z and
+        # 2.0 s; 2.0 in the interpolant's third coefficient; 1.0 and
+        # gamma in g = 1.0 / (h gamma) and 1.0 in d = 1.0 / det. The rest
+        # are the tables' nonzero weights and nodes, row by row.
+        ramp = kind == "triangular"
+        coupling = [0.0, 0.0] if ramp else []
+        flow = [1.0, 0.0, 0.0, 0.0, -2.0, 2.0]
+
+        def total(row):
+            return [0.0] + [w for w in row if w]
+
+        def stage(c):
+            return ([c] + coupling if ramp else []) + flow
+
+        if kind is None:
+            return {"field": [2.0, 2.0] + flow}
+        want = {"eta_at": coupling, "rate_at": [] if ramp else [0.0],
+                "_step": [], "_dense": [], "_rosenbrock": []}
         for c, row in tableau.DOP853_STAGES:
-            want += nonzero(row) * 2 + [c]
+            want["_step"] += total(row) * 2 + stage(c)
         for row in (tableau.DOP853_B, tableau.DOP853_E5, tableau.DOP853_E3):
-            want += nonzero(row) * 2
+            want["_step"] += total(row) * 2
         for c, row in tableau.DOP853_DENSE_STAGES:
-            want += nonzero(row) * 2 + [c]
+            want["_dense"] += total(row) * 2 + stage(c)
         for _ in "zt":
-            want += [w for row in tableau.DOP853_D for w in nonzero(row)]
+            want["_dense"] += [2.0] + [w for d in tableau.DOP853_D
+                                       for w in total(d)]
+        ros = want["_rosenbrock"]
+        ros += [1.0, tableau.RODAS3_GAMMA, 1.0]
+        for alpha, gamma, a, c in tableau.RODAS3_STAGES:
+            if alpha or any(a):
+                ros += total(a) * 2 + stage(alpha)
+            ros += ((total(c) if any(c) else [])
+                    + ([gamma] if gamma else [])) * 2
+        ros += total(tableau.RODAS3_M) * 2 + total(tableau.RODAS3_E) * 2
+        bound = [2.0, 2.0] + ([0.5] if ramp else [])
+        return {name: bound + floats for name, floats in want.items()}
+
+    @staticmethod
+    def float_literals(source):
         found = []
 
         class Floats(ast.NodeVisitor):
@@ -825,51 +929,65 @@ class TestKernels:
             def visit_Constant(self, node):
                 found.append(node.value)
 
-        Floats().visit(ast.parse(dynamics._SOURCE))
-        floats = [x for x in found if isinstance(x, float)]
-        assert [x for x in floats if x not in (0.0, 2.0)] == want
-        assert floats.count(0.0) == 2 * (11 + 3 + 3 + 4)
+        Floats().visit(ast.parse(source))
+        return bits([x for x in found if isinstance(x, float)])
 
-    def test_traceback_shows_the_generated_line(self, monkeypatch):
-        make = dynamics.make_field
-
-        def make_failing(params):
-            field, calls = make(params), []
-
-            def failing(z, theta, eta):
-                calls.append(z)
-                if len(calls) == 5:  # stage 4 of the first step
-                    raise ZeroDivisionError("in the field")
-                return field(z, theta, eta)
-            return failing
-
-        monkeypatch.setattr(dynamics, "make_field", make_failing)
-        with pytest.raises(ZeroDivisionError) as info:
-            integrate(PhaseState(z=0.3, theta=0.7), ModelParams(r=1.0),
-                      EtaSchedule(kind="constant", eta_start=-1.0, T=1.0),
-                      PROTOCOL, (0.0, 1.0))
+    def test_traceback_shows_the_generated_line(self):
+        # theta = inf makes the first stage's cos(ti) raise
+        _, _, _, step, _, _ = dynamics._kernels(
+            ModelParams(r=1.0), EtaSchedule(kind="constant", eta_start=-1.0))
+        with pytest.raises(ValueError, match="math domain error") as info:
+            step(0.0, 0.5, 0.3, math.inf, 0.1, 0.1, ZMAX)
         text = "".join(traceback.format_exception(info.value))
-        assert f'File "{dynamics._FILE}", line ' in text
-        assert "in _step\n    kz4, kt4 = field(zi, theta + h * st, " \
-            "eta_at(t + 0.2816496580927726 * h))\n" in text
+        file = f"<{dynamics.__name__} constant _step>"
+        line = "gz = -2.0 * zi * cos(ti) / s - q * diff"
+        number = [s.strip() for s in dynamics._sources("constant")["_step"]
+                  .splitlines()].index(line)
+        assert f'File "{file}", line {number + 1}, in _step\n    {line}\n' \
+            in text
+
+
+class TestSamples:
+    def test_interpolate_on_arrays_is_the_float_form(self):
+        rng = np.random.default_rng(5)
+        c = rng.normal(size=(8, 200)) * 10.0 ** rng.integers(-5, 5, (8, 200))
+        x = rng.uniform(0.0, 1.0, 200)
+        bulk = dynamics._interpolate(list(c), x)
+        one = [dynamics._interpolate(c[:, i].tolist(), float(x[i]))
+               for i in range(200)]
+        assert bulk.tobytes() == np.array(one).tobytes()
+
+    def test_samples_at_shared_times_agree_across_strides(self):
+        # the steps do not depend on the stride, and sample 5 k at stride
+        # 10 sits at the tau of sample k at stride 2, so both hold the
+        # same bits; the last sample of each is the span's end
+        args = (PhaseState(z=0.2, theta=0.4), ModelParams(r=5.0, nu=0.5),
+                triangular(-3.0, -8.0, T=100.0))
+        fine, coarse = (integrate(*args, IntegratorConfig(sample_stride=s),
+                                  (0.3, 77.7)) for s in (10, 2))
+        assert len(fine.tau) == 775 and len(coarse.tau) == 156
+        for name in ("tau", "z", "theta"):
+            f, c = getattr(fine, name), getattr(coarse, name)
+            assert f[::5].tobytes() == c[:-1].tobytes()
+            assert f[-1] == c[-1]
 
 
 @pytest.fixture
 def field_calls(monkeypatch):
-    """Counts every call of the fields make_field builds, the way the
-    benchmark's tracer does."""
+    """Runs integrate on the loop kernels over the model's field and
+    counts every call of it; test_integrate_matches_the_loop holds the
+    generated kernels' counts to those of the loop kernels."""
     calls = [0]
-    make = dynamics.make_field
 
     def make_counted(params):
-        field = make(params)
+        field = dynamics.make_field(params)
 
         def counted(z, theta, eta):
             calls[0] += 1
             return field(z, theta, eta)
         return counted
 
-    monkeypatch.setattr(dynamics, "make_field", make_counted)
+    on_loop_kernels(monkeypatch, make_counted)
     return calls
 
 
@@ -901,3 +1019,23 @@ class TestStatsCountWork:
             - 11 * stats.rejected
         assert dense > 0
         assert stats.rhs_evals == field_calls[0]
+
+    @pytest.mark.parametrize("start, params, schedule, config", [
+        (PhaseState(z=0.9, theta=1.5), ModelParams(r=1.0),
+         EtaSchedule(kind="constant", eta_start=-1.0, T=5.0),
+         IntegratorConfig(dt=1.0)),
+        (NEAR_TRAPPED, STIFF,
+         EtaSchedule(kind="constant", eta_start=-8.0, T=50.0), PROTOCOL),
+        (PhaseState(z=0.01), STIFF, triangular(-3.0, -8.0, T=400.0),
+         IntegratorConfig(sample_stride=10)),
+    ], ids=["boundary", "stiff", "ramp"])
+    def test_attempts_are_the_outcomes_within_the_budget(self, start, params,
+                                                         schedule, config):
+        traj = integrate(start, params, schedule, config, (0.0, schedule.T))
+        st_ = traj.stats
+        assert st_.attempts == st_.accepted + st_.rejected \
+            + st_.boundary_halvings + st_.stiff_steps + st_.stiff_rejected \
+            + traj.clamp_events
+        assert 0 < st_.attempts <= dynamics._MAX_STEPS \
+            + dynamics._MAX_STEPS_PER_TAU * schedule.T
+        assert st_.zero_error_denominators == 0
