@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Compare the CLI's outputs on the working tree with those of a revision.
 
-Checks the revision out with `git worktree` into a temporary directory,
-runs the same commands with each side's `src/` on the path, and compares
-every output file byte for byte after replacing the side's output
-directory, which the JSON files record in their settings, by a
+Exports the revision's `src/` with `git archive` into a temporary
+directory, runs the same commands with each side's `src/` on the path,
+and compares every output file byte for byte after replacing the side's
+output directory, which the JSON files record in their settings, by a
 placeholder:
 
 - `simulate` (CSV and SVG) and `sweep --hysteresis` (JSON and SVG) on
@@ -12,8 +12,13 @@ placeholder:
   nu = 0.5, T = 4000, stride 10;
 - one criterion-6 `simulate` (r = 5, nu = 0, eta = -6, T = 1000,
   tolerance 1e-10), CSV and SVG;
+- one damped constant-coupling `simulate` that turns stiff (r = 5,
+  nu = 0.5, eta = -8, z0 = 0.95, T = 50, stride 10; 153 RODAS3 steps),
+  CSV and SVG;
 - `bifurcate --r 5` over |eta| in [1.6, 8.96] at 400 steps (CSV, JSON
-  and SVG).
+  and SVG);
+- `critical --r 1 --r 4 --r 5`, whose JSON lines go to stdout, kept as
+  a file.
 
 Prints "identical" or the first differing line for each file, and exits
 0 only when every file is identical:
@@ -46,9 +51,16 @@ RUNS = [
                      "constant", "--eta-start", "-6", "--T", "1000",
                      "--z0", "0.3", "--theta0", "0.7", "--abs-tol", "1e-10",
                      "--rel-tol", "1e-10"], (".csv", ".svg")),
+    ("stiff-simulate", ["simulate", "--r", "5", "--nu", "0.5",
+                        "--schedule", "constant", "--eta-start=-8",
+                        "--z0", "0.95", "--theta0", "0.1", "--T", "50",
+                        "--sample-stride", "10"], (".csv", ".svg")),
     ("r5-bifurcate", ["bifurcate", "--r", "5", "--eta-min", "1.6",
                       "--eta-max", "8.96", "--steps", "400"],
      (".csv", ".json", ".svg")),
+    # critical has no --out; its stdout is the file
+    ("critical", ["critical", "--r", "1", "--r", "4", "--r", "5"],
+     (".jsonl",)),
 ]
 
 
@@ -58,7 +70,7 @@ def run_all(src: Path, out: Path) -> None:
     env.pop("DIMER_HYSTERESIS_CONFIG", None)
     for stem, argv, suffixes in RUNS:
         first = out / (stem + suffixes[0])
-        files = ["--out", str(first)]
+        files = [] if argv[0] == "critical" else ["--out", str(first)]
         if ".svg" in suffixes:
             files += ["--plot", str(out / (stem + ".svg"))]
         done = subprocess.run(
@@ -67,6 +79,8 @@ def run_all(src: Path, out: Path) -> None:
         if done.returncode != 0:
             raise SystemExit(f"{src}: {' '.join(argv)} exited "
                              f"{done.returncode}: {done.stderr.strip()}")
+        if not files:
+            first.write_text(done.stdout, encoding="utf-8")
 
 
 def first_difference(a: str, b: str):
@@ -88,18 +102,18 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="same-outputs-") as tmp:
         tmp = Path(tmp)
         base = tmp / "base"
-        subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach",
-                        "--quiet", str(base), args.base], check=True)
-        try:
-            sides = {}
-            for name, src in (("base", base / "src"), ("work", ROOT / "src")):
-                out = tmp / f"out-{name}"
-                out.mkdir()
-                run_all(src, out)
-                sides[name] = out
-        finally:
-            subprocess.run(["git", "-C", str(ROOT), "worktree", "remove",
-                            "--force", str(base)], check=True)
+        base.mkdir()
+        archive = subprocess.run(
+            ["git", "-C", str(ROOT), "archive", args.base, "src"],
+            check=True, capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(base)], input=archive,
+                       check=True)
+        sides = {}
+        for name, src in (("base", base / "src"), ("work", ROOT / "src")):
+            out = tmp / f"out-{name}"
+            out.mkdir()
+            run_all(src, out)
+            sides[name] = out
         same = True
         for stem, _, suffixes in RUNS:
             for suffix in suffixes:

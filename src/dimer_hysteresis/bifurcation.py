@@ -59,6 +59,7 @@ _SLOPE_NOISE = 2e-15
 _ROOT_NOISE = 16.0 * np.finfo(np.float64).eps
 # a Newton step this many ulps of z long or shorter is the last
 _STEP_ULPS = 4.0 * np.finfo(np.float64).eps
+_PROBE_DEPTH = 1e-3
 
 
 @dataclass(frozen=True)
@@ -209,9 +210,10 @@ def _fold(r: float) -> Optional[tuple]:
     no reliable sign and is skipped; this only happens within about 1e-7
     of r_threshold. F < 0 then F > 0 is a fold, solved by safeguarded
     Newton on F with its closed-form slope F' inside the bracketing
-    grid cell; F > 0 throughout is a monotone graph. Any other pattern
-    raises NoConvergenceError, so xi is never assumed unimodal without
-    being checked.
+    grid cell; F > 0 throughout is a monotone graph, or with kappa < 0 a
+    fold too shallow for the scan, which raises ThresholdProximityError.
+    Any other pattern raises NoConvergenceError, so xi is never assumed
+    unimodal without being checked.
 
     The fold is checked as a double root: at (z_f, -eta_plus), |G| and
     |dG/dz| (jacobian_at's H_zz) must be at most 1e-10 times their terms'
@@ -229,6 +231,9 @@ def _fold(r: float) -> Optional[tuple]:
             f"slope of the branch graph changes sign {len(flips)} times "
             f"at r={r}; expected a monotone graph or one fold")
     if len(flips) == 0:
+        if pitchfork_cubic_coefficient(r) < 0.0:
+            raise ThresholdProximityError(
+                f"r={r}: subcritical, but the fold is too shallow to resolve")
         return None
     i = flips[0]
     lo, hi = zs[i:i + 1], zs[i + 1:i + 2]
@@ -457,20 +462,19 @@ def pitchfork_cubic_coefficient(r: float) -> float:
     return 1.0 - (r - 1.0) * (r - 2.0) / 3.0
 
 
-def asymmetric_states_below_star(r: float, delta_frac: float = 1e-3) -> bool:
+def asymmetric_states_below_star(r: float) -> bool:
     """Probe: do asymmetric stationary states exist just below eta_star?
 
-    Read off the branch graph at |eta| = eta_star * (1 - delta_frac),
-    0 < delta_frac < 1: they exist exactly when xi has a fold and
+    Read off the branch graph at |eta| = eta_star (1 - _PROBE_DEPTH),
+    _PROBE_DEPTH = 1e-3: they exist exactly when xi has a fold and
     eta_plus lies below that magnitude. True implies a subcritical
     pitchfork. Caveat: just above r_threshold the fold sits within
     O(kappa^2) of eta_star, so the probe reports False although the
-    bifurcation is subcritical; use the sign of
-    pitchfork_cubic_coefficient near the threshold.
+    bifurcation is subcritical, or raises ThresholdProximityError as
+    find_eta_plus does; use the sign of pitchfork_cubic_coefficient
+    near the threshold.
     """
-    if not 0.0 < delta_frac < 1.0:
-        raise DomainError(f"delta_frac must lie in (0, 1), got {delta_frac}")
-    m = find_eta_star(r) * (1.0 - delta_frac)
+    m = find_eta_star(r) * (1.0 - _PROBE_DEPTH)
     fold = _fold(r)
     return fold is not None and fold[1] < m
 
@@ -526,7 +530,8 @@ def find_eta_plus(r: float) -> Optional[float]:
 
     eta_plus = xi(z_f) at the interior minimum of the branch graph xi,
     as _fold finds and checks it; a fold failing the check raises
-    NoConvergenceError.
+    NoConvergenceError; a subcritical fold too shallow to resolve raises
+    ThresholdProximityError.
     """
     fold = _fold(r)
     return None if fold is None else fold[1]

@@ -7,7 +7,8 @@ JSON lines), sweep (threshold bisection, or a full hysteresis run with
 be set in the key=value file named by DIMER_HYSTERESIS_CONFIG, and an
 explicit flag wins.
 
-Exit codes: 0 success, 1 numerical failure, 2 argument or config error.
+Exit codes: 0 success, 1 numerical failure or a failed allocation, 2
+argument or config error.
 """
 
 from __future__ import annotations
@@ -166,8 +167,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, RuntimeError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -108,14 +108,13 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
     return values
 
 
-def load_config(path: str | None = None) -> dict:
-    """Read the config file named by `path` or the environment.
+def load_config() -> dict:
+    """Read the config file that DIMER_HYSTERESIS_CONFIG names.
 
-    Returns {} when neither names a file. A path that is set but
-    unreadable is an error: silently ignoring it would mask typos.
+    Returns {} when the variable is unset or empty. A path that is set
+    but unreadable is an error: silently ignoring it would mask typos.
     """
-    if path is None:
-        path = os.environ.get(ENV_VAR)
+    path = os.environ.get(ENV_VAR)
     if not path:
         return {}
     try:

@@ -44,9 +44,9 @@ Undamped runs never switch, so they, and damped runs that never become
 stiff, are bit-identical to DOP853 alone.
 
 A step of either kind whose stage leaves |z| <= 1 - EPS_CLAMP is
-halved; at min_step the state is clamped and the clamp counted. A
+halved; at _MIN_STEP the state is clamped, at most _CLAMP_LIMIT times. A
 non-finite error estimate rejects the step like any other, so a NaN ends
-in StepFailureError once the step underflows min_step. So do more than
+in StepFailureError once the step underflows _MIN_STEP. So do more than
 _MAX_STEPS + _MAX_STEPS_PER_TAU * (t1 - t0) step attempts over a span
 (t0, t1): a run that stalls next to |z| = 1 ends, and a long run gets a
 budget in proportion to its length.
@@ -103,39 +103,33 @@ _STIFF_H, _STIFF_HLAM, _STIFF_RUN, _STIFF_OFF = 0.5, 3.0, 15, 3.0
 # plus _MAX_STEPS_PER_TAU per unit tau, about 25 times the 41 per unit tau
 # of an undamped r = 5 run at tolerance 1e-10
 _MAX_STEPS, _MAX_STEPS_PER_TAU = 1_000_000, 1_000
+# clamps allowed before a SingularityError; the smallest step tried
+_CLAMP_LIMIT, _MIN_STEP = 100, 1e-13
 
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Control knobs of the stepper.
+    """The stepper's settings, each one a CLI flag and config key.
 
     dt is the initial step; later steps are chosen by error control and
     never exceed one unit of tau. abs_tol and rel_tol bound the error
     per unit tau of a DOP853 step and the error per step of a RODAS3
-    step; RODAS3 takes over from DOP853 only on damped runs (nu > 0),
-    where DOP853 has been stability-bound for 15 accepted steps in a row,
-    so undamped runs are bit-identical to DOP853 alone. sample_stride is
-    the number of output samples per unit tau, interpolated inside the
-    steps. clamp_limit bounds how many boundary clamps are tolerated
-    before the run is declared singular. min_step is the smallest step
-    tried before a boundary clamp or a StepFailureError.
+    step. sample_stride is the number of output samples per unit tau,
+    interpolated inside the steps.
     """
 
     dt: float = 1e-3
     abs_tol: float = 1e-9
     rel_tol: float = 1e-9
     sample_stride: int = 1
-    clamp_limit: int = 100
-    min_step: float = 1e-13
 
     def __post_init__(self):
-        for name in ("dt", "abs_tol", "rel_tol", "min_step"):
+        for name in ("dt", "abs_tol", "rel_tol"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise DomainError(
                     f"{name} must be finite and > 0, got {value}")
         check_count("sample_stride", self.sample_stride, 1)
-        check_count("clamp_limit", self.clamp_limit, 0)
 
 
 def make_field(params: ModelParams):
@@ -151,6 +145,8 @@ def make_field(params: ModelParams):
 
 def vector_field(state: PhaseState, eta: float, params: ModelParams) -> tuple:
     """(dz/dtau, dtheta/dtau) at one state."""
+    if not math.isfinite(eta):
+        raise DomainError(f"eta must be finite, got {eta}")
     if abs(state.z) >= 1.0 - EPS_CLAMP:
         raise SingularityError(f"vector field singular near |z|=1; got z={state.z}")
     return make_field(params)(state.z, state.theta, eta)
@@ -411,15 +407,13 @@ _RECORD = 20
 
 
 def integrate(initial: PhaseState, params: ModelParams, schedule: EtaSchedule,
-              config: IntegratorConfig, tau_span: tuple,
-              ctx: PhysicalContext = PhysicalContext()) -> Trajectory:
+              config: IntegratorConfig, tau_span: tuple) -> Trajectory:
     """Integrate from tau_span[0] to tau_span[1], sampling on a uniform grid.
 
     Sample k is emitted at tau_span[0] + k / sample_stride, and the last
     one at tau_span[1]. The stepper records only (tau, z, theta); the
-    eta, H and E = energy_functional(H, ctx) columns are computed from
-    them after the run. ctx defaults to omega=1, Omega=0 so the E column
-    is -H/2 unless a physical context is supplied. The returned
+    eta, H and E = energy_functional(H, PhysicalContext()) = -H/2
+    columns are computed from them after the run. The returned
     trajectory's stats count the work done.
 
     Deterministic: identical inputs give bit-identical trajectories.
@@ -455,7 +449,7 @@ def integrate(initial: PhaseState, params: ModelParams, schedule: EtaSchedule,
             return t0 + k / stride
         return t1 if k == n else math.inf
 
-    atol, rtol, min_step = config.abs_tol, config.rel_tol, config.min_step
+    atol, rtol = config.abs_tol, config.rel_tol
     # accepted, rejected, halved or clamped, of either stepper
     max_steps = _MAX_STEPS + math.ceil(_MAX_STEPS_PER_TAU * (t1 - t0))
     z, theta, t = initial.z, initial.theta, t0
@@ -488,15 +482,15 @@ def integrate(initial: PhaseState, params: ModelParams, schedule: EtaSchedule,
             leaves = sums is None or abs(zn := z + h * sums[0]) > zmax
         rhs_evals += evals
         if leaves:
-            if h > min_step:
+            if h > _MIN_STEP:
                 h *= 0.5
                 halvings += 1
                 continue
             # boundary unavoidable at the smallest step: clamp and count
             clamp_events += 1
-            if clamp_events > config.clamp_limit:
+            if clamp_events > _CLAMP_LIMIT:
                 raise SingularityError(
-                    f"clamped at |z|=1 more than {config.clamp_limit} times")
+                    f"clamped at |z|=1 more than {_CLAMP_LIMIT} times")
             z, t = math.copysign(zmax, z), min(t + h, t1)
             fz, ft = field(z, theta, eta_at(t))
             rhs_evals += 1
@@ -544,9 +538,9 @@ def integrate(initial: PhaseState, params: ModelParams, schedule: EtaSchedule,
                 expo = _EXPO
             fac = _SAFETY * err ** -expo if math.isfinite(err) else 0.0
             h *= max(_FAC_MIN, fac)
-            if h < min_step:
+            if h < _MIN_STEP:
                 raise StepFailureError(
-                    f"step size underflowed {min_step} at tau={t}")
+                    f"step size underflowed {_MIN_STEP} at tau={t}")
             continue
         if stiff:
             stiff_steps += 1
@@ -619,8 +613,10 @@ def integrate(initial: PhaseState, params: ModelParams, schedule: EtaSchedule,
     tau, z, theta = _samples(t0, t1, n, stride, exact, records)
     eta = schedule_column(schedule, tau)
     H = hamiltonian_column(z, theta, eta, params.r)
-    return Trajectory(tau, z, theta, eta, H, energy_functional(H, ctx),
-                      params, schedule, clamp_events, stats)
+    # not -0.5 * H, which turns +0.0 into -0.0
+    E = energy_functional(H, PhysicalContext())
+    return Trajectory(tau, z, theta, eta, H, E, params, schedule,
+                      clamp_events, stats)
 
 
 def _samples(t0, t1, n, stride, exact, records):

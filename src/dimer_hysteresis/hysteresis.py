@@ -137,22 +137,27 @@ def sweep_report(traj: Trajectory, grid_size: int) -> HysteresisReport:
     """Quantify the forward/backward gap of a trajectory over a full sweep.
 
     traj must cover its schedule's whole span [0, T], as run_sweep's
-    integration does; a constant schedule gives a zero-area report.
-    grid_size bins cover [min |eta|, max |eta|].
+    integration does, to within 1e-9 max(1, T), else DomainError; a
+    constant schedule gives a zero-area report. grid_size bins cover
+    [min |eta|, max |eta|].
     """
     params, schedule = traj.params, traj.schedule
     check_count("grid_size", grid_size, 16)
+    taus, T = traj.tau, schedule.T
+    slack = 1e-9 * max(1.0, T)
+    if len(taus) < 2 or abs(taus[0]) > slack or abs(taus[-1] - T) > slack:
+        raise DomainError(f"sweep_report needs samples over [0, {T}], got "
+                          f"{len(taus)} over {taus[:1]}..{taus[-1:]}")
     reference = {
         "eta_star": find_eta_star(params.r),
         "eta_plus": find_eta_plus(params.r),
     }
-    taus = traj.tau
     abs_zs = np.abs(traj.z)
 
     if schedule.kind == "constant":
         # degenerate ramp: both passes traverse identical couplings
         m = abs(schedule.eta_start)
-        forward = taus < schedule.T / 2.0
+        forward = taus < T / 2.0
         zf = float(np.mean(abs_zs[forward]))
         zb = float(np.mean(abs_zs[~forward]))
         trace_f = tuple((m, zf) for _ in range(grid_size))
@@ -168,7 +173,7 @@ def sweep_report(traj: Trajectory, grid_size: int) -> HysteresisReport:
     if not hi > lo:
         raise DomainError("triangular schedule must change |eta|")
     centers, zf, zb = _bin_passes(taus, np.abs(traj.eta), abs_zs,
-                                  schedule.T, lo, hi, grid_size)
+                                  T, lo, hi, grid_size)
     gap = np.abs(zf - zb)
     loop_area = float(np.trapezoid(gap, centers))
     bistable = centers <= reference["eta_star"]

@@ -604,12 +604,6 @@ class TestBranchGraph:
             for a, b in zip(sorted(zs), expected):
                 assert a == pytest.approx(b, abs=1e-6), (r, eta)
 
-    @pytest.mark.parametrize("delta_frac", [0.0, 1.0, 2.0, -0.5, math.nan])
-    def test_probe_rejects_delta_frac_outside_the_unit_interval(self,
-                                                                 delta_frac):
-        with pytest.raises(DomainError):
-            asymmetric_states_below_star(3.5, delta_frac)
-
     @pytest.mark.parametrize("patch", [
         # two sign changes
         lambda mp: mp.setattr(bifurcation, "_xi_slope_numerator",
@@ -658,10 +652,41 @@ class TestBranchGraph:
         7.462935686310144e-09, 2.4620924014946255e-08,  # fold depth ~ ulps
         1e-7, 5e-7, -1e-7))
     def test_inside_refusal_band_ends_in_a_result(self, offset):
+        # subcritical powers whose fold the scan cannot see refuse
         r = R_THRESHOLD + offset
+        if 0.0 < offset < 1e-7:
+            with pytest.raises(ThresholdProximityError):
+                find_eta_plus(r)
+            with pytest.raises(ThresholdProximityError):
+                find_fixed_points(-2.9878, r)
+            return
         plus = find_eta_plus(r)
         assert plus is None or 0.0 < plus < find_eta_star(r)
         assert len(find_fixed_points(-2.9878, r)) >= 2
+
+    @pytest.mark.parametrize("offset", (1e-9, 1e-8, 2e-8, 5e-8))
+    def test_unresolvable_subcritical_fold_refuses(self, offset):
+        # kappa < 0, but the fold lies below the scan's resolution: no
+        # finder may answer "no fold"
+        r = R_THRESHOLD + offset
+        assert pitchfork_cubic_coefficient(r) < 0.0
+        for finder in (find_eta_plus, predict_window,
+                       asymmetric_states_below_star,
+                       lambda r: find_fixed_points(-2.9878, r)):
+            with pytest.raises(ThresholdProximityError):
+                finder(r)
+        sched = EtaSchedule(kind="triangular", eta_start=-2.0,
+                            eta_peak=-4.0, T=1.0)
+        traj = integrate(PhaseState(z=0.01), ModelParams(r=r, nu=0.5),
+                         sched, IntegratorConfig(), (0.0, 1.0))
+        with pytest.raises(ThresholdProximityError):
+            sweep_report(traj, 16)
+
+    def test_fold_next_to_the_band_is_unchanged(self):
+        assert find_eta_plus(R_THRESHOLD + 1e-7) == 2.987827226272193
+        assert predict_window(R_THRESHOLD + 1e-7)[0] == 2.987827226272193
+        assert find_eta_plus(R_THRESHOLD - 1e-8) is None
+        assert predict_window(R_THRESHOLD - 1e-8) is None
 
     def test_diagram_scans_for_the_fold_once(self, monkeypatch):
         scans = []

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, run in process via main()."""
 
+import dataclasses
 import json
 import math
 import xml.etree.ElementTree as ET
@@ -123,6 +124,26 @@ class TestSimulate:
             "--schedule", "constant", "--T", "5")
         assert code == 1
         assert "error:" in err
+
+    def test_failed_allocation_exits_one(self, capsys, monkeypatch):
+        # a stride of 10^12 over one unit of tau asks numpy for 7.28 TiB
+        # of samples; the callees raise in its place, with numpy's message
+        # and bare
+        def numpy_refuses(*args):
+            raise MemoryError("Unable to allocate 7.28 TiB")
+
+        def bare(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "integrate", numpy_refuses)
+        code, _, err = run_cli(
+            capsys, "simulate", "--r", "1", "--schedule", "constant",
+            "--T", "1", "--sample-stride", "1000000000000")
+        assert (code, err) == (1, "error: Unable to allocate 7.28 TiB\n")
+        monkeypatch.setattr(cli, "trace_branches", bare)
+        code, _, err = run_cli(capsys, "bifurcate", "--r", "5",
+                               "--eta-min", "1", "--eta-max", "8")
+        assert (code, err) == (1, "error: MemoryError\n")
 
     def test_triangular_needs_peak(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--r", "1", "--T", "5")
@@ -400,6 +421,12 @@ class TestConfigFile:
         monkeypatch.setenv(ENV_VAR, str(tmp_path / "absent.cfg"))
         code, _, err = run_cli(capsys, "critical", "--r", "1")
         assert code == 2
+
+
+def test_every_integrator_setting_is_a_cli_setting():
+    # a stepper setting that only tests can set is a constant
+    for field in dataclasses.fields(IntegratorConfig):
+        assert field.name.replace("_", "-") in config.SETTINGS
 
 
 SUBCOMMAND_KEYS = {"simulate": cli._SIM_KEYS, "bifurcate": cli._BIF_KEYS,

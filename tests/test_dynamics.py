@@ -79,6 +79,11 @@ class TestVectorField:
         assert dtheta == pytest.approx(gz, rel=1e-14)
         assert dz == pytest.approx(-gt + nu * gz, rel=1e-14)
 
+    @pytest.mark.parametrize("eta", (math.nan, math.inf, -math.inf))
+    def test_non_finite_coupling_is_refused(self, eta):
+        with pytest.raises(DomainError, match="eta must be finite"):
+            vector_field(PhaseState(z=0.3), eta, ModelParams(r=1.0))
+
     def test_inline_power_difference_is_the_model_kernel(self):
         # the flow's one text, which make_field's closure and the kernels
         # are compiled from, inlines model.power_difference for speed; its
@@ -211,12 +216,11 @@ class TestColumns:
     ])
     def test_columns_match_the_scalar_model_functions(self, schedule):
         # the columns and their one-row forms against the per-sample
-        # formulas in plain math, bit for bit
-        ctx = PhysicalContext(omega=2.0, Omega=0.5)
+        # formulas in plain math, bit for bit; E in the default context
         traj = integrate(PhaseState(z=0.01, theta=0.0),
                          ModelParams(r=5.0, nu=0.5), schedule,
                          IntegratorConfig(sample_stride=10),
-                         (0.0, schedule.T), ctx)
+                         (0.0, schedule.T))
         rows = list(zip(traj.tau.tolist(), traj.z.tolist(),
                         traj.theta.tolist()))
         eta = [eta_by_formula(schedule, t) for t, _, _ in rows]
@@ -225,19 +229,19 @@ class TestColumns:
         assert len(eta) == 4001
         assert traj.eta.tolist() == eta
         assert traj.H.tolist() == H
-        assert traj.E.tolist() == [energy_functional(h, ctx) for h in H]
+        assert traj.E.tolist() == [energy_functional(h, PhysicalContext())
+                                   for h in H]
         assert [eval_schedule(schedule, t) for t, _, _ in rows] == eta
         assert [hamiltonian(PhaseState(z=z, theta=theta), e, 5.0)
                 for (_, z, theta), e in zip(rows, eta)] == H
 
 
 # the step and tolerances must be finite and > 0, sample_stride an
-# integer >= 1 and clamp_limit an integer >= 0
+# integer >= 1
 BAD_SETTINGS = [
-    *((name, value) for name in ("dt", "abs_tol", "rel_tol", "min_step")
+    *((name, value) for name in ("dt", "abs_tol", "rel_tol")
       for value in (math.nan, math.inf, 0.0, -1.0)),
     *(("sample_stride", value) for value in (math.nan, math.inf, 2.5, 0)),
-    *(("clamp_limit", value) for value in (math.nan, -1, 2.5)),
 ]
 
 
@@ -303,20 +307,21 @@ class TestTermination:
         assert abs(traj.z[-1]) < 1e-160
         assert traj.stats.zero_error_denominators >= 1
 
-    def test_flow_into_boundary_ends_in_package_error(self, outward_field):
-        # stages past the margin halve the step down to min_step, then
-        # each clamp counts against clamp_limit
+    def test_flow_into_boundary_ends_in_package_error(self, outward_field,
+                                                       monkeypatch):
+        # stages past the margin halve the step down to _MIN_STEP, then
+        # each clamp counts against _CLAMP_LIMIT
         sched = EtaSchedule(kind="constant", eta_start=-1.0, T=50.0)
-        for config in (PROTOCOL, IntegratorConfig(clamp_limit=3)):
+        for limit in (dynamics._CLAMP_LIMIT, 3):
+            monkeypatch.setattr(dynamics, "_CLAMP_LIMIT", limit)
             outward_field.clear()
             with pytest.raises(SingularityError,
-                               match=f"more than {config.clamp_limit} times"):
+                               match=f"more than {limit} times"):
                 integrate(PhaseState(z=0.3, theta=0.7),
-                          ModelParams(r=1.0, nu=0.5), sched, config,
+                          ModelParams(r=1.0, nu=0.5), sched, PROTOCOL,
                           (0.0, 50.0))
             # each clamp evaluates the field once, on the margin itself
-            assert outward_field.count(1.0 - dynamics.EPS_CLAMP) == \
-                config.clamp_limit
+            assert outward_field.count(1.0 - dynamics.EPS_CLAMP) == limit
 
     def test_step_budget_ends_the_stall_next_to_the_pole(self, monkeypatch):
         # next to |z| = 1 one ulp of z moves dtheta/dtau by about 1e-3, so
@@ -529,7 +534,7 @@ class TestStiffSteps:
         assert st_.stiff_steps <= st_.jacobian_evals \
             <= st_.accepted + st_.stiff_steps
 
-    def test_outward_field_ends_in_clamps(self, once_stiff):
+    def test_outward_field_ends_in_clamps(self, once_stiff, monkeypatch):
         zs = []
 
         def outward(z, theta, eta):
@@ -537,13 +542,13 @@ class TestStiffSteps:
             return math.copysign(1.0, z), 0.0
 
         tries = once_stiff(outward)
-        config = IntegratorConfig(clamp_limit=5)
+        monkeypatch.setattr(dynamics, "_CLAMP_LIMIT", 5)
         with pytest.raises(SingularityError, match="more than 5 times"):
             integrate(NEAR_TRAPPED, STIFF,
                       EtaSchedule(kind="constant", eta_start=-8.0, T=50.0),
-                      config, (0.0, 50.0))
+                      PROTOCOL, (0.0, 50.0))
         assert tries[0] > 0
-        assert zs.count(ZMAX) == config.clamp_limit
+        assert zs.count(ZMAX) == dynamics._CLAMP_LIMIT
 
     def test_nan_field_ends_in_step_failure(self, once_stiff):
         tries = once_stiff(lambda z, theta, eta: (math.nan, math.nan))

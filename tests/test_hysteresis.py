@@ -13,6 +13,9 @@ from dimer_hysteresis import (AREA_THRESHOLD, DomainError, EtaSchedule,
                               Z_GAP_THRESHOLD, find_eta_star, integrate,
                               predict_window, run_sweep, sweep_report)
 from dimer_hysteresis.hysteresis import _bin_passes, _longest_gap_window
+from dimer_hysteresis.serialize import (TRAJECTORY_HEADER,
+                                        trajectory_from_csv,
+                                        trajectory_to_csv)
 
 
 def make_report(**overrides):
@@ -298,6 +301,32 @@ class TestRunSweepValidation:
         traj = integrate(initial, params, schedule, config, (0.0, 400.0))
         assert run_sweep(initial, params, schedule, config, 32) == \
             sweep_report(traj, 32)
+
+    @pytest.mark.parametrize("kind", ("constant", "triangular"))
+    @pytest.mark.parametrize("span", ((0.0, 25.0), (25.0, 100.0)))
+    def test_partial_span_is_refused(self, kind, span):
+        # a partial constant run gave a NaN trace, a partial triangular
+        # one a GridCoverageError that blamed the grid
+        sched = EtaSchedule(kind=kind, eta_start=-1.0, eta_peak=-3.0,
+                            T=100.0)
+        traj = integrate(PhaseState(z=0.01), ModelParams(r=1.0, nu=0.5),
+                         sched, IntegratorConfig(), span)
+        with pytest.raises(DomainError, match=r"over \[0, 100.0\]"):
+            sweep_report(traj, 16)
+
+    def test_csv_trajectories_are_checked_for_their_span(self):
+        sched = EtaSchedule(kind="triangular", eta_start=-1.0,
+                            eta_peak=-3.0, T=100.0)
+        params = ModelParams(r=1.0, nu=0.5)
+        traj = integrate(PhaseState(z=0.01), params, sched,
+                         IntegratorConfig(), (0.0, 100.0))
+        back = trajectory_from_csv(trajectory_to_csv(traj), params, sched)
+        # read back to 15 digits, so the report itself may move in
+        # the last bits
+        assert len(sweep_report(back, 16).forward_trace) == 16
+        empty = trajectory_from_csv(TRAJECTORY_HEADER + "\n", params, sched)
+        with pytest.raises(DomainError, match="got 0 over"):
+            sweep_report(empty, 16)
 
     def test_constant_schedule_degenerates(self):
         rep = run_sweep(PhaseState(z=0.01), ModelParams(r=1.0, nu=0.5),
