@@ -10,6 +10,9 @@ placeholder:
 - `simulate` (CSV and SVG) and `sweep --hysteresis` (JSON and SVG) on
   the reference ramps, r = 1 (eta -1 -> -3) and r = 5 (eta -3 -> -8),
   nu = 0.5, T = 4000, stride 10;
+- the slow r = 5 ramp, `simulate` at T = 16000 (stride 10), CSV and
+  SVG: its z column falls to 6e-320, so the file carries subnormals and
+  three-digit exponents;
 - one criterion-6 `simulate` (r = 5, nu = 0, eta = -6, T = 1000,
   tolerance 1e-10), CSV and SVG;
 - one damped constant-coupling `simulate` that turns stiff (r = 5,
@@ -20,8 +23,8 @@ placeholder:
 - `critical --r 1 --r 4 --r 5`, whose JSON lines go to stdout, kept as
   a file.
 
-Prints "identical" or the first differing line for each file, and exits
-0 only when every file is identical:
+Prints "identical" or the first differing line for each of the 18
+files, and exits 0 only when every file is identical:
 
     python3 scripts/same_outputs.py --base HEAD~
 """
@@ -47,6 +50,10 @@ RUNS = [
           ("simulate", [], (".csv", ".svg")),
           ("sweep", ["--hysteresis", "--grid", "256"],
            (".json", ".svg")))),
+    # the later --T overrides RAMP's
+    ("r5-slow-simulate", ["simulate", "--r", "5", "--eta-start", "-3",
+                          "--eta-peak", "-8", *RAMP, "--T", "16000"],
+     (".csv", ".svg")),
     ("c6-simulate", ["simulate", "--r", "5", "--nu", "0", "--schedule",
                      "constant", "--eta-start", "-6", "--T", "1000",
                      "--z0", "0.3", "--theta0", "0.7", "--abs-tol", "1e-10",

@@ -12,9 +12,9 @@ from .bifurcation import (R_THRESHOLD, BifurcationDiagram, Branch,
                           pitchfork_cubic_coefficient, stationary_residual,
                           trace_branches)
 from .dynamics import IntegratorConfig, integrate, vector_field
-from .errors import (ConfigError, DomainError, GridCoverageError,
-                     NoConvergenceError, SingularityError, StepFailureError,
-                     ThresholdProximityError)
+from .errors import (ConfigError, DomainError, FloatFloorError,
+                     GridCoverageError, NoConvergenceError, SingularityError,
+                     StepFailureError, ThresholdProximityError)
 from .hysteresis import (AREA_THRESHOLD, Z_GAP_THRESHOLD, HysteresisReport,
                          predict_window, run_sweep, sweep_report)
 from .model import (SCHEDULE_KINDS, EtaSchedule, IntegrationStats,
@@ -31,7 +31,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AREA_THRESHOLD", "BifurcationDiagram", "Branch", "ConfigError",
-    "DomainError", "EtaSchedule", "FixedPoint", "GridCoverageError",
+    "DomainError", "EtaSchedule", "FixedPoint", "FloatFloorError",
+    "GridCoverageError",
     "HysteresisReport", "IntegrationStats", "IntegratorConfig",
     "ModelParams", "NoConvergenceError", "PhaseState", "PhysicalContext",
     "R_THRESHOLD", "SCHEDULE_KINDS", "Sample", "SingularityError",

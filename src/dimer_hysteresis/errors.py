@@ -31,3 +31,8 @@ class NoConvergenceError(RuntimeError):
 
 class GridCoverageError(RuntimeError):
     """A sweep bin received no samples; the grid is too fine for the run."""
+
+
+class FloatFloorError(RuntimeError):
+    """A run's state underflowed to exactly the symmetric point (0, 0),
+    which the flow cannot leave."""

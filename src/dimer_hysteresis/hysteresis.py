@@ -24,7 +24,7 @@ import numpy as np
 
 from .bifurcation import find_eta_plus, find_eta_star
 from .dynamics import IntegratorConfig, integrate
-from .errors import DomainError, GridCoverageError
+from .errors import DomainError, FloatFloorError, GridCoverageError
 from .model import (EtaSchedule, ModelParams, PhaseState, Trajectory,
                     check_count)
 
@@ -139,7 +139,9 @@ def sweep_report(traj: Trajectory, grid_size: int) -> HysteresisReport:
     traj must cover its schedule's whole span [0, T], as run_sweep's
     integration does, to within 1e-9 max(1, T), else DomainError; a
     constant schedule gives a zero-area report. grid_size bins cover
-    [min |eta|, max |eta|].
+    [min |eta|, max |eta|]. A triangular run whose state reaches exactly
+    (z, theta) = (0, 0) after starting elsewhere has hit the float
+    floor, where the flow is stuck: FloatFloorError, naming the tau.
     """
     params, schedule = traj.params, traj.schedule
     check_count("grid_size", grid_size, 16)
@@ -172,6 +174,13 @@ def sweep_report(traj: Trajectory, grid_size: int) -> HysteresisReport:
     hi = max(abs(schedule.eta_start), abs(schedule.eta_peak))
     if not hi > lo:
         raise DomainError("triangular schedule must change |eta|")
+    floor = (traj.z == 0.0) & (traj.theta == 0.0)
+    if floor.any() and not floor[0]:
+        tau = float(taus[np.argmax(floor)])
+        raise FloatFloorError(
+            f"the state underflowed to exactly (z, theta) = (0, 0) at "
+            f"tau={tau}, a fixed point the flow cannot leave; the ramp is "
+            f"too slow for float range to show a loop")
     centers, zf, zb = _bin_passes(taus, np.abs(traj.eta), abs_zs,
                                   T, lo, hi, grid_size)
     gap = np.abs(zf - zb)

@@ -184,7 +184,8 @@ class Trajectory:
     """Samples of one integration as float64 columns, plus its inputs.
 
     tau, z, theta, eta, H and E are equal-length read-only arrays, row k
-    holding sample k; samples rebuilds the rows as Sample tuples.
+    holding sample k, every value finite; samples rebuilds the rows as
+    Sample tuples.
     clamp_events counts the times the integrator had to clamp z at the
     configured boundary margin; zero on a healthy run. stats records the
     integrator's work; all zeros for a trajectory read back from CSV.
@@ -208,13 +209,14 @@ class Trajectory:
                 raise DomainError(
                     f"trajectory column {name} must be 1-d with one value "
                     f"per tau, got shape {col.shape}")
+            if not np.all(np.isfinite(col)):
+                raise DomainError(f"trajectory column {name} must be finite")
             col.setflags(write=False)
             object.__setattr__(self, name, col)
         if not np.all(self.tau[1:] > self.tau[:-1]):
             raise DomainError("trajectory tau values must be strictly increasing")
-        # written so that a NaN z fails too
         if not np.all(np.abs(self.z) <= 1.0):
-            raise DomainError("trajectory contains |z| > 1 or a NaN z")
+            raise DomainError("trajectory contains |z| > 1")
 
     @property
     def samples(self) -> tuple:
@@ -356,9 +358,17 @@ def amplitudes_from_state(state: PhaseState) -> tuple:
     return p, q
 
 
-def wrap_angle(theta: float) -> float:
-    """Map an unwrapped phase to (-pi, pi] for display and serialization."""
-    w = math.remainder(theta, math.tau)
-    if w <= -math.pi:
-        w += math.tau
-    return w
+def wrap_angle(theta):
+    """Map an unwrapped phase to (-pi, pi] for display and serialization.
+
+    theta may be a float or a numpy array (elementwise, bit for bit the
+    float form). fmod is exact, and so is the one correction by tau:
+    by Sterbenz's lemma for w - tau with w in (pi, tau) and for w + tau
+    with w in (-tau, -pi]. A non-finite theta is refused.
+    """
+    if not np.all(np.isfinite(theta)):
+        raise DomainError(f"wrap_angle needs a finite theta, got {theta}")
+    w = np.fmod(theta, math.tau)
+    w = np.where(w > math.pi, w - math.tau, w)
+    w = np.where(w <= -math.pi, w + math.tau, w)
+    return w if isinstance(theta, np.ndarray) else float(w)

@@ -13,6 +13,8 @@ import sys
 
 import numpy as np
 
+from .serialize import _decimal_text
+
 _WIDTH = 640
 _HEIGHT = 420
 _MARGIN = 52
@@ -106,16 +108,17 @@ def render_panel(series, xlabel: str, ylabel: str, title: str) -> str:
             f'fill="#333">{_fmt(t)}</text>')
     for k, (x, y, label, style) in enumerate(series):
         finite = np.isfinite(x) & np.isfinite(y)
-        xy = np.column_stack((px(x[finite]), py(y[finite]))).ravel().tolist()
-        if not xy:
+        xy = (px(x[finite]), py(y[finite]))
+        if not len(xy[0]):
             continue
         color = _COLORS[k % len(_COLORS)]
         dash = ' stroke-dasharray="6 4"' if style == "dashed" else ""
-        if len(xy) == 2:
-            parts.append('<circle cx="%.2f" cy="%.2f" r="3" fill="%s"/>'
-                         % (*xy, color))
+        if len(xy[0]) == 1:
+            cx, cy = _decimal_text(xy, "  ", fixed=True)[0].split()
+            parts.append(f'<circle cx="{cx}" cy="{cy}" r="3" '
+                         f'fill="{color}"/>')
         else:
-            coords = " ".join(["%.2f,%.2f"] * (len(xy) // 2)) % tuple(xy)
+            coords = _decimal_text(xy, ", ", fixed=True)[0][:-1]
             parts.append(f'<polyline points="{coords}" fill="none" '
                          f'stroke="{color}" stroke-width="1.6"{dash}/>')
         ly = _MARGIN + 16 + 15 * k

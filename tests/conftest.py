@@ -1,6 +1,10 @@
-"""Collects per-criterion verdicts and prints them after the run."""
+"""Collects per-criterion verdicts and prints them after the run, and
+holds the fixtures that several test modules share."""
 
 import pytest
+
+from dimer_hysteresis import (EtaSchedule, IntegratorConfig, ModelParams,
+                              PhaseState, integrate)
 
 _RESULTS = {}
 
@@ -34,3 +38,15 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         label, ok = _RESULTS[num]
         verdict = "PASS" if ok else "FAIL"
         terminalreporter.write_line(f"CRITERION {num}: {verdict} - {label}")
+
+
+@pytest.fixture(scope="session", params=[(1.0, -1.0, -3.0), (5.0, -3.0, -8.0)],
+                ids=["r1", "r5"])
+def reference_ramp(request):
+    """The reference ramps: nu 0.5, T 4000, z0 0.01, every 10th sample."""
+    r, eta_start, eta_peak = request.param
+    schedule = EtaSchedule(kind="triangular", eta_start=eta_start,
+                           eta_peak=eta_peak, T=4000.0)
+    return integrate(PhaseState(z=0.01, theta=0.0), ModelParams(r=r, nu=0.5),
+                     schedule, IntegratorConfig(sample_stride=10),
+                     (0.0, schedule.T))

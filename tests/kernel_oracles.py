@@ -9,6 +9,10 @@
   finite-difference slope, using no closed-form derivative.
 - diagram_json_by_dumps is the former diagram writer, one
   json.dumps(doc, indent=2) over the whole document.
+- wrap_angle_by_remainder is the former wrap_angle, a math.remainder
+  per float; csv_by_percent and coords_by_percent are the former
+  trajectory CSV writer and SVG coordinate writer, one % conversion per
+  value, which the decimal kernel in serialize replaced.
 - step_by_loop and dense_by_loop run the former DOP853 stage loop,
   which walked the tables' sparse (index, weight) rows over growing
   stage lists and called a field closure at every stage, and
@@ -162,6 +166,33 @@ def diagram_json_by_dumps(diagram, effective: dict | None = None) -> str:
     }
     doc["effective_config"] = dict(effective or {})
     return json.dumps(doc, indent=2) + "\n"
+
+
+def wrap_angle_by_remainder(theta: float) -> float:
+    """The former wrap_angle: theta's remainder by tau, in (-pi, pi]."""
+    w = math.remainder(theta, math.tau)
+    if w <= -math.pi:
+        w += math.tau
+    return w
+
+
+def csv_by_percent(traj) -> str:
+    """The former trajectory_to_csv: %.15g per value, in blocks of 4096
+    rows, the phase wrapped one float at a time."""
+    theta = np.array([wrap_angle_by_remainder(x) for x in traj.theta.tolist()])
+    cols = (traj.tau, traj.eta, traj.z, theta, traj.H, traj.E)
+    row = ",".join(["%.15g"] * 6) + "\n"
+    parts = ["tau,eta,z,theta,H,E\n"]
+    for i in range(0, len(theta), 4096):
+        rows = np.column_stack([c[i:i + 4096] for c in cols])
+        parts.append(row * len(rows) % tuple(rows.ravel().tolist()))
+    return "".join(parts)
+
+
+def coords_by_percent(xy) -> str:
+    """The former polyline coordinates of an (n, 2) array: "%.2f,%.2f"
+    per point, joined by spaces."""
+    return " ".join(["%.2f,%.2f"] * len(xy)) % tuple(xy.ravel().tolist())
 
 
 def _sparse(row):

@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dimer_hysteresis import (AREA_THRESHOLD, DomainError, EtaSchedule,
-                              GridCoverageError, HysteresisReport,
-                              IntegratorConfig, ModelParams, PhaseState,
-                              Z_GAP_THRESHOLD, find_eta_star, integrate,
-                              predict_window, run_sweep, sweep_report)
+                              FloatFloorError, GridCoverageError,
+                              HysteresisReport, IntegratorConfig, ModelParams,
+                              PhaseState, Trajectory, Z_GAP_THRESHOLD,
+                              find_eta_star, integrate, predict_window,
+                              run_sweep, schedule_column, sweep_report)
 from dimer_hysteresis.hysteresis import _bin_passes, _longest_gap_window
 from dimer_hysteresis.serialize import (TRAJECTORY_HEADER,
                                         trajectory_from_csv,
@@ -327,6 +328,34 @@ class TestRunSweepValidation:
         empty = trajectory_from_csv(TRAJECTORY_HEADER + "\n", params, sched)
         with pytest.raises(DomainError, match="got 0 over"):
             sweep_report(empty, 16)
+
+    @staticmethod
+    def floor_trajectory(kind, z0, theta0):
+        """A hand-built run that decays from (z0, theta0) and is exactly
+        (0, 0) from tau = 30 on."""
+        schedule = EtaSchedule(kind=kind, eta_start=-3.0, eta_peak=-8.0,
+                               T=100.0)
+        tau = np.linspace(0.0, 100.0, 201)
+        decay = np.where(tau < 30.0, np.exp(-tau), 0.0)
+        zeros = np.zeros_like(tau)
+        return Trajectory(tau, z0 * decay, theta0 * decay,
+                          schedule_column(schedule, tau), zeros, zeros,
+                          ModelParams(r=5.0, nu=0.5), schedule)
+
+    @pytest.mark.parametrize("z0, theta0", [(0.01, 0.0), (0.0, 0.1)])
+    def test_float_floor_is_refused_naming_the_tau(self, z0, theta0):
+        traj = self.floor_trajectory("triangular", z0, theta0)
+        with pytest.raises(FloatFloorError, match=r"at tau=30\.0,"):
+            sweep_report(traj, 16)
+        assert issubclass(FloatFloorError, RuntimeError)
+
+    def test_start_at_the_symmetric_point_is_no_floor(self):
+        traj = self.floor_trajectory("triangular", 0.0, 0.0)
+        assert sweep_report(traj, 16).loop_area == 0.0
+
+    def test_constant_schedule_keeps_its_degenerate_report(self):
+        traj = self.floor_trajectory("constant", 0.01, 0.0)
+        assert sweep_report(traj, 16).loop_area == 0.0
 
     def test_constant_schedule_degenerates(self):
         rep = run_sweep(PhaseState(z=0.01), ModelParams(r=1.0, nu=0.5),

@@ -16,6 +16,8 @@ from dimer_hysteresis import (DomainError, EtaSchedule, ModelParams,
                               hamiltonian_column, power_difference,
                               wrap_angle)
 
+from kernel_oracles import wrap_angle_by_remainder
+
 finite_theta = st.floats(-50.0, 50.0)
 interior_z = st.floats(-0.999, 0.999)
 powers = st.floats(0.3, 6.0)
@@ -256,6 +258,27 @@ class TestWrapAngle:
         assert wrap_angle(theta + k * math.tau) == pytest.approx(
             wrap_angle(theta), abs=1e-9)
 
+    @given(theta=st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from([math.pi, -math.pi, math.tau, -math.tau, 0.0, -0.0,
+                         3 * math.pi, -3 * math.pi, 1e308, -1e308])))
+    def test_equals_the_remainder_form_bit_for_bit(self, theta):
+        assert wrap_angle(theta).hex() == wrap_angle_by_remainder(theta).hex()
+
+    @given(thetas=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           max_size=30))
+    def test_array_form_is_the_float_form_bit_for_bit(self, thetas):
+        got = wrap_angle(np.array(thetas + [math.pi, -math.pi, -0.0]))
+        want = [wrap_angle(t) for t in thetas + [math.pi, -math.pi, -0.0]]
+        assert got.tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+    def test_refuses_non_finite(self, theta):
+        with pytest.raises(DomainError, match="finite"):
+            wrap_angle(theta)
+        with pytest.raises(DomainError, match="finite"):
+            wrap_angle(np.array([0.5, theta]))
+
 
 class TestValidation:
     def test_model_params(self):
@@ -322,6 +345,13 @@ class TestTrajectory:
     def test_rejects_non_increasing_tau(self, tau):
         with pytest.raises(DomainError):
             make_trajectory(tau=tau)
+
+    @pytest.mark.parametrize("name", ["tau", "theta", "eta", "H", "E"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_values(self, name, value):
+        column = COLUMNS[name][:-1] + [value]
+        with pytest.raises(DomainError, match=f"column {name} must be finite"):
+            make_trajectory(**{name: column})
 
     def test_rejects_ragged_columns(self):
         with pytest.raises(DomainError):

@@ -192,20 +192,6 @@ def plot_sweep(report) -> str:
 
 # --- byte identity with the oracle ---------------------------------------
 
-def ramp(r, eta_start, eta_peak):
-    schedule = EtaSchedule(kind="triangular", eta_start=eta_start,
-                           eta_peak=eta_peak, T=4000.0)
-    return integrate(PhaseState(z=0.01, theta=0.0), ModelParams(r=r, nu=0.5),
-                     schedule, IntegratorConfig(sample_stride=10),
-                     (0.0, schedule.T))
-
-
-@pytest.fixture(scope="module", params=[(1.0, -1.0, -3.0), (5.0, -3.0, -8.0)],
-                ids=["r1", "r5"])
-def reference_ramp(request):
-    return ramp(*request.param)
-
-
 def assert_same_plot(new, old):
     assert new == old
     ET.fromstring(new)
