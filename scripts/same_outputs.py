@@ -20,10 +20,15 @@ placeholder:
   CSV and SVG;
 - `bifurcate --r 5` over |eta| in [1.6, 8.96] at 400 steps (CSV, JSON
   and SVG);
+- the atlas diagrams: `bifurcate` over (0.25, 1.4) eta_star, eta_star =
+  2^r / r, at 400 steps for r = 0.5, 1, 2, 3, 3.4, 4, 4.5 and 6 (CSV,
+  JSON and SVG);
+- `bifurcate --r 1013` over |eta| in [1, 1e300] at 400 steps (CSV, JSON
+  and SVG);
 - `critical --r 1 --r 4 --r 5`, whose JSON lines go to stdout, kept as
   a file.
 
-Prints "identical" or the first differing line for each of the 18
+Prints "identical" or the first differing line for each of the 45
 files, and exits 0 only when every file is identical:
 
     python3 scripts/same_outputs.py --base HEAD~
@@ -64,6 +69,14 @@ RUNS = [
                         "--sample-stride", "10"], (".csv", ".svg")),
     ("r5-bifurcate", ["bifurcate", "--r", "5", "--eta-min", "1.6",
                       "--eta-max", "8.96", "--steps", "400"],
+     (".csv", ".json", ".svg")),
+    *((f"atlas-r{r}-bifurcate",
+       ["bifurcate", "--r", repr(r), "--eta-min", repr(0.25 * 2.0 ** r / r),
+        "--eta-max", repr(1.4 * 2.0 ** r / r), "--steps", "400"],
+       (".csv", ".json", ".svg"))
+      for r in (0.5, 1.0, 2.0, 3.0, 3.4, 4.0, 4.5, 6.0)),
+    ("r1013-bifurcate", ["bifurcate", "--r", "1013", "--eta-min", "1",
+                         "--eta-max", "1e300", "--steps", "400"],
      (".csv", ".json", ".svg")),
     # critical has no --out; its stdout is the file
     ("critical", ["critical", "--r", "1", "--r", "4", "--r", "5"],

@@ -24,6 +24,11 @@ The fold and the roots come from one safeguarded-Newton kernel with
 closed-form slopes: F' for the fold (see _fold) and H_zz for G. Each
 root is bracketed first, so a Newton step that would leave its bracket
 bisects instead.
+
+Stability comes from the closed-form Jacobian (jacobian_at) and its
+eigenvalues (eigenvalues_2x2). trace_branches evaluates both over
+numpy columns, once per branch (_fixed_points), bit for bit the scalar
+form that find_fixed_points uses point by point.
 """
 
 from __future__ import annotations
@@ -60,6 +65,8 @@ _ROOT_NOISE = 16.0 * np.finfo(np.float64).eps
 # a Newton step this many ulps of z long or shorter is the last
 _STEP_ULPS = 4.0 * np.finfo(np.float64).eps
 _PROBE_DEPTH = 1e-3
+# the real part of c_pow's unit root at phase atan2(0, disc < 0) / 2
+_COS_HALF_PI = math.cos(math.atan2(0.0, -1.0) * 0.5)
 
 
 @dataclass(frozen=True)
@@ -157,11 +164,11 @@ def _xi_slope_numerator_slope(z, r):
             - r * (r - 1.0) * z * (1.0 - z * z) * d)
 
 
-def _h_zz(z, s, cos_theta, eta, r):
+def _h_zz(s, cos_theta, eta, r, power_sum):
     """H_zz = -2 cos(theta) / s^3 - eta r 2^-r [(1+z)^(r-1) + (1-z)^(r-1)],
-    s = sqrt(1 - z^2): float or array."""
+    s = sqrt(1 - z^2), from the bulk sum _power_sum(z, r): float or array."""
     return (-2.0 * cos_theta / (s * s * s)
-            - eta * r / 2.0 ** r * _power_sum(z, r))
+            - eta * r / 2.0 ** r * power_sum)
 
 
 def _rtsafe(f, lo, hi, falling, z):
@@ -303,11 +310,15 @@ def _graph_roots(mags, r: float, fold: Optional[tuple]) -> tuple:
         # G's terms are 2 z/s and m P/2^r, both positive, summing to G + 4 z/s
         s = np.sqrt(1.0 - z * z)
         g = stationary_residual(z, 0.0, eta, r)
-        return g, _h_zz(z, s, 1.0, eta, r), _ROOT_NOISE * (g + 4.0 * z / s)
+        return (g, _h_zz(s, 1.0, eta, r, _power_sum(z, r)),
+                _ROOT_NOISE * (g + 4.0 * z / s))
 
     mid = 0.5 * (lo + hi)
-    start = np.where(hi == _ZMAX,
-                     np.sqrt(1.0 - 4.0 / np.maximum(m * m, 4.0)), mid)
+    # m * m overflows above about 1.3e154, only in rows of pieces below
+    # the fold, since m < xi(1 - EPS_CLAMP), about 4.5e4, on the last
+    with np.errstate(over="ignore"):
+        start = np.where(hi == _ZMAX,
+                         np.sqrt(1.0 - 4.0 / np.maximum(m * m, 4.0)), mid)
     if fold is not None:
         below = hi == fold[0]
         start[below] = fold[0] * np.sqrt((ends[0][1] - m[below])
@@ -353,7 +364,7 @@ def _jacobian(z, theta, eta, r, nu):
     """jacobian_at on plain floats, unchecked: the stepper's form."""
     s = math.sqrt(1.0 - z * z)
     c = math.cos(theta)
-    h_zz = _h_zz(z, s, c, eta, r)
+    h_zz = _h_zz(s, c, eta, r, _power_sum(z, r))
     h_zt = 2.0 * z * math.sin(theta) / s
     return ((nu * h_zz - h_zt, 2.0 * s * c + nu * h_zt), (h_zz, h_zt))
 
@@ -414,6 +425,63 @@ def _make_fixed_point(z_root: float, theta_star: float, eta: float,
         z_star=z_root, theta_star=theta_star, eta=eta,
         stability=_classify(*eigenvalues), eigenvalues=eigenvalues,
         kind="symmetric" if z_root == 0.0 else "asymmetric")
+
+
+def _fixed_points(z, theta_star: float, etas, r: float) -> list:
+    """_make_fixed_point at every row of the float64 columns z and etas,
+    bit for bit: the Jacobian, eigenvalues and stability over columns,
+    with the scalar path's operations in its order.
+
+    The powers are Python's float ** per element, as in
+    hamiltonian_column. complex(disc, 0.0) ** 0.5 is CPython's c_pow:
+    |disc| ** 0.5 times (cos(pi/2), 1) below zero and (1, 0) above, and
+    0 at disc = 0. (tr +- root) / 2.0 adds tr as (tr, 0.0) and divides
+    by (2.0, 0.0) with Smith's quotient. Rows with a non-finite
+    discriminant, or within EPS_CLAMP of |z| = 1, go through
+    _make_fixed_point, which rescales or refuses them.
+    """
+    c, sn = math.cos(theta_star), math.sin(theta_star)
+    inside = abs(z) < _ZMAX
+    with np.errstate(all="ignore"):
+        s = np.sqrt(1.0 - z * z)
+        # no power of a row outside (0 ** (r - 1) raises for r < 1);
+        # _make_fixed_point refuses it below
+        power_sum = [_power_sum(x, r)
+                     for x in np.where(inside, z, 0.0).tolist()]
+        h_zz = _h_zz(s, c, etas, r, np.array(power_sum))
+        h_zt = 2.0 * z * sn / s
+        # nu = 0 times an entry, as in _jacobian: it carries signed zeros
+        a, b = 0.0 * h_zz - h_zt, 2.0 * s * c + 0.0 * h_zt
+        tr = a + h_zt
+        disc = tr * tr - 4.0 * (a * h_zt - b * h_zz)
+        size = np.array([x ** 0.5 for x in abs(disc).tolist()])
+        below = disc < 0.0
+        root_re = np.where(below, size * _COS_HALF_PI, size)
+        root_im = np.where(below, size, 0.0)
+        parts = []
+        for x, y in ((tr + root_re, 0.0 + root_im),
+                     (tr - root_re, 0.0 - root_im)):
+            parts += [(x + y * 0.0) / 2.0, (y - x * 0.0) / 2.0]
+    re1, im1, re2, im2 = parts
+    # _classify's tests, in its order
+    stability = np.select(
+        [(re1 < -EPS_EIG) & (re2 < -EPS_EIG),
+         (re1 > EPS_EIG) | (re2 > EPS_EIG),
+         (abs(re1) <= EPS_EIG) & (abs(re2) <= EPS_EIG)
+         & (abs(im1) > EPS_EIG) & (abs(im2) > EPS_EIG)],
+        ["stable", "unstable", "stable"], "marginal").tolist()
+    zs, etas = z.tolist(), etas.tolist()
+    points = [
+        FixedPoint(z_star=zz, theta_star=theta_star, eta=eta, stability=st,
+                   eigenvalues=eig,
+                   kind="symmetric" if zz == 0.0 else "asymmetric")
+        for zz, eta, st, eig in zip(
+            zs, etas, stability,
+            zip(map(complex, re1.tolist(), im1.tolist()),
+                map(complex, re2.tolist(), im2.tolist())))]
+    for i in np.flatnonzero(~(inside & np.isfinite(disc))).tolist():
+        points[i] = _make_fixed_point(zs[i], theta_star, etas[i], r)
+    return points
 
 
 def find_fixed_points(eta: float, r: float) -> list:
@@ -559,19 +627,18 @@ def trace_branches(r: float, eta_range: tuple, steps: int) -> BifurcationDiagram
     classification = classify_pitchfork(r)
 
     mags = np.linspace(lo, hi, steps)
-    etas = (-mags).tolist()
+    etas = -mags
     born = [(0, 0.0, "symmetric",
-             [_make_fixed_point(0.0, 0.0, eta, r) for eta in etas])]
+             _fixed_points(np.zeros(steps), 0.0, etas, r))]
     fold = _fold(r)
     piece, index, zs = _graph_roots(mags, r, fold)
     for p in sorted(set(piece.tolist())):
-        idx, z = index[piece == p].tolist(), zs[piece == p].tolist()
-        upper = [_make_fixed_point(zz, 0.0, etas[k], r)
-                 for k, zz in zip(idx, z)]
-        lower = [_make_fixed_point(-zz, 0.0, etas[k], r)
-                 for k, zz in zip(idx, z)]
-        born += [(idx[0], -z[0], "asymmetric", lower),
-                 (idx[0], z[0], "asymmetric", upper)]
+        idx, z = index[piece == p], zs[piece == p]
+        upper = _fixed_points(z, 0.0, etas[idx], r)
+        lower = _fixed_points(-z, 0.0, etas[idx], r)
+        first, z0 = int(idx[0]), float(z[0])
+        born += [(first, -z0, "asymmetric", lower),
+                 (first, z0, "asymmetric", upper)]
     born.sort(key=lambda b: b[:2])
     built = tuple(
         Branch(branch_id=i, kind=kind, theta_star=0.0, points=tuple(points))

@@ -263,8 +263,20 @@ def trajectory_from_csv(text: str, params: ModelParams,
             if ln.count(",") != 5:
                 raise DomainError(
                     f"expected 6 columns, got {ln.count(',') + 1}: {ln!r}")
-        values[i - 1:i - 1 + len(block)] = np.reshape(
-            list(map(float, ",".join(block).split(","))), (-1, 6))
+        try:
+            values[i - 1:i - 1 + len(block)] = np.reshape(
+                list(map(float, ",".join(block).split(","))), (-1, 6))
+        except ValueError:
+            # block[0] is line i + 1 after the lines strip() dropped
+            first = i + 1 + text[:len(text) - len(text.lstrip())].count("\n")
+            for k, ln in enumerate(block):
+                for field in ln.split(","):
+                    try:
+                        float(field)
+                    except ValueError:
+                        raise DomainError(f"line {first + k}: {field!r} is "
+                                          f"not a number: {ln!r}") from None
+            raise
     tau, eta, z, theta, H, E = values.T
     return Trajectory(tau, z, theta, eta, H, E, params, schedule)
 

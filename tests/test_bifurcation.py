@@ -5,15 +5,20 @@ finder: plain pow arithmetic on a dense grid plus bisection. The
 stability oracle is the central finite-difference Jacobian of
 vector_field that the closed-form jacobian_at replaced. The
 all-bisection fold and root kernels that safeguarded Newton replaced,
-and the json.dumps diagram writer, are oracles in kernel_oracles.
+and the json.dumps diagram writer, are oracles in kernel_oracles. The
+per-point _make_fixed_point is the bit-exact oracle for the spectra
+trace_branches computes over columns.
 """
 
 import math
 import random
+import re
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dimer_hysteresis import (DomainError, EtaSchedule, IntegratorConfig,
@@ -80,6 +85,46 @@ def fold_oracle(r, points=100_001):
     i = int(np.argmin(xi(z)))
     z = np.linspace(z[max(i - 1, 0)], z[min(i + 1, points - 1)], points)
     return float(xi(z).min())
+
+
+def hexes(eigenvalues):
+    """Both eigenvalues as exact bits, signed zeros included."""
+    assert type(eigenvalues) is tuple and len(eigenvalues) == 2
+    assert all(type(v) is complex for v in eigenvalues)
+    return [(v.real.hex(), v.imag.hex()) for v in eigenvalues]
+
+
+def point_bits(p):
+    return (p.z_star.hex(), p.theta_star, p.eta.hex(), p.stability,
+            hexes(p.eigenvalues), p.kind)
+
+
+def scalar_fixed_points(z, theta_star, etas, r):
+    """The former per-point loop of trace_branches: _fixed_points' oracle."""
+    return [bifurcation._make_fixed_point(zz, theta_star, eta, r)
+            for zz, eta in zip(z.tolist(), etas.tolist())]
+
+
+def diagram_outcome(r, eta_range, steps):
+    """trace_branches' branches as exact bits, or its error's type and
+    message."""
+    try:
+        d = trace_branches(r, eta_range, steps)
+    except (ValueError, RuntimeError) as e:
+        return type(e), str(e)
+    return (d.eta_star, d.eta_plus, d.classification,
+            [(b.branch_id, b.kind, b.theta_star,
+              list(map(point_bits, b.points))) for b in d.branches])
+
+
+def assert_scalar_spectra(diagram):
+    """Every point of the diagram is the one the scalar path builds:
+    _make_fixed_point's eigenvalues, bit for bit, and stability."""
+    for b in diagram.branches:
+        for p in b.points:
+            want = bifurcation._make_fixed_point(p.z_star, p.theta_star,
+                                                 p.eta, diagram.r)
+            assert point_bits(p) == point_bits(want), p
 
 
 def diagram_csv_by_rows(diagram):
@@ -317,23 +362,59 @@ class TestStability:
         assert eigenvalues_2x2(jac) == (0.0, 0.0)
         assert classify_stability(jac) == "marginal"
 
-    def test_eigenvalues_once_per_fixed_point(self, monkeypatch):
-        # the diagram's points take their stability from the eigenvalues
-        # they store; the pitchfork coupling 2 at r = 1 gives "marginal"
-        calls = []
-
-        def counted(jac):
-            calls.append(jac)
-            return eigenvalues_2x2(jac)
-
-        monkeypatch.setattr(bifurcation, "eigenvalues_2x2", counted)
+    def test_diagram_spectra_are_the_scalar_path(self):
+        # the pitchfork coupling 2 at r = 1 has a discriminant of exactly
+        # 0, so a "marginal" point with eigenvalues (0j, 0j)
         diagram = trace_branches(1.0, (1.0, 3.0), 3)
-        points = [p for b in diagram.branches for p in b.points]
-        assert len(calls) == len(points)
-        assert "marginal" in {p.stability for p in points}
-        for p, jac in zip(points, calls):
-            assert p.eigenvalues == eigenvalues_2x2(jac)
-            assert p.stability == classify_stability(jac)
+        assert_scalar_spectra(diagram)
+        pitchfork = [p for b in diagram.branches for p in b.points
+                     if p.stability == "marginal"]
+        assert [hexes(p.eigenvalues) for p in pitchfork] == \
+            [hexes((0j, 0j))]
+        for r in sorted(GOLDEN_ATLAS):
+            assert_scalar_spectra(atlas_diagram(r, 400))
+
+    @given(r=st.one_of(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0, 1013.0]),
+                       st.floats(0.3, 1013.0)),
+           top=st.floats(0.0, 308.2), share=st.floats(0.0, 0.999),
+           steps=st.integers(2, 40))
+    @example(r=0.5, top=308.2, share=0.06, steps=40)  # rescaled
+    @example(r=3.0, top=308.2, share=0.0, steps=40)  # refused
+    @settings(max_examples=80, deadline=None)
+    def test_diagram_spectra_are_the_scalar_path_up_to_the_float_range(
+            self, r, top, share, steps):
+        # above about 1e300 the discriminant overflows, and
+        # eigenvalues_2x2 rescales the matrix; further up jacobian_at
+        # refuses an overflowing entry, at the same first point
+        assume(abs(r - R_THRESHOLD) > 1e-5)
+        hi = 10.0 ** top
+        got = diagram_outcome(r, (share * hi, hi), steps)
+        with mock.patch.object(bifurcation, "_fixed_points",
+                               scalar_fixed_points):
+            assert got == diagram_outcome(r, (share * hi, hi), steps)
+
+    @given(rows=st.lists(st.tuples(st.floats(-1.0, 1.0),
+                                   st.floats(-1.7e308, 1.7e308)),
+                         min_size=1, max_size=12),
+           theta_star=st.sampled_from([0.0, math.pi]),
+           r=st.one_of(st.sampled_from([0.5, 1.0, 2.0, 5.0, 1013.0]),
+                       st.floats(0.3, 1013.0)))
+    @settings(max_examples=200, deadline=None)
+    def test_column_points_are_make_fixed_point(self, rows, theta_star, r):
+        # any z and eta, both sheets: the same points, or the same error
+        # at the same first failing row, and no numpy warning
+        z, etas = (np.array(col) for col in zip(*rows))
+
+        def outcome(build):
+            try:
+                return list(map(point_bits, build(z, theta_star, etas, r)))
+            except (DomainError, SingularityError) as e:
+                return type(e), str(e)
+
+        want = outcome(scalar_fixed_points)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert outcome(bifurcation._fixed_points) == want
 
     @given(z=st.floats(-0.99, 0.99), theta=st.floats(-4.0, 4.0),
            eta=st.floats(-10.0, 10.0), r=st.floats(0.3, 8.0),
@@ -904,6 +985,19 @@ class TestLargePowers:
     @pytest.mark.parametrize("r", (106.0, 300.0, 1013.0))
     def test_fold_matches_a_dense_oracle(self, r):
         assert find_eta_plus(r) == pytest.approx(fold_oracle(r), rel=1e-9)
+
+    def test_roots_at_couplings_up_to_1e300_warn_nothing(self):
+        # the Newton start's m * m overflows above about 1.3e154, in rows
+        # below the fold, which take the parabola's start instead
+        mags = np.linspace(1.0, 1e300, 4)
+        fold = bifurcation._fold(1013.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            piece, index, z = bifurcation._graph_roots(mags, 1013.0, fold)
+        assert (piece.tolist(), index.tolist()) == ([0, 0, 0], [1, 2, 3])
+        for k, zz in zip(index.tolist(), z.tolist()):
+            assert abs(stationary_residual(zz, 0.0, -mags[k], 1013.0)) \
+                <= 1e-10 * mags[k] * power_difference(zz, 1013.0) / 2.0 ** 1013
 
     def test_every_finder_answers_at_r_300(self):
         plus = find_eta_plus(300.0)

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import warnings
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -242,6 +243,18 @@ class TestBifurcate:
             assert (im1, im2) == (0.0, 0.0)
             assert re1 == pytest.approx(root, rel=1e-15)
             assert re2 == pytest.approx(-root, rel=1e-15)
+
+    def test_couplings_up_to_1e300_at_the_largest_power_warn_nothing(
+            self, capsys, tmp_path):
+        # the Newton start's m * m overflows above about 1.3e154
+        out = tmp_path / "b.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run_cli(
+                capsys, "bifurcate", "--r", "1013", "--eta-min", "1",
+                "--eta-max", "1e300", "--steps", "4", "--out", str(out))
+        assert (code, err) == (0, "")
+        assert "asymmetric" in out.read_text()
 
     def test_stdout_without_out_flag(self, capsys, tmp_path):
         code, out, _ = run_cli(

@@ -3,6 +3,7 @@
 non-finite values."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -161,6 +162,24 @@ class TestTrajectoryCsv:
             trajectory_from_csv(text, ModelParams(r=1.0),
                                 EtaSchedule(kind="constant", eta_start=-1.0,
                                             T=1.0))
+
+    @pytest.mark.parametrize("rows", [1, serialize._BLOCK + 2])
+    @pytest.mark.parametrize("field", ["abc", "", "1.5.2"])
+    @pytest.mark.parametrize("blank", [0, 2])
+    def test_non_numeric_fields_are_refused_with_their_line(self, rows,
+                                                            field, blank):
+        lines = ["%d,-1,0.5,0.25,1.5,-0.75" % k for k in range(rows + 1)]
+        lines[rows] = "%d,-1,0.5,%s,1.5,-0.75" % (rows, field)
+        text = "\n" * blank + TRAJECTORY_HEADER + "\n" + "\n".join(lines) \
+            + "\n"
+        # the header is line blank + 1, so lines[rows] is line
+        # blank + rows + 2
+        message = f"line {blank + rows + 2}: {field!r} is not a number: " \
+            f"'{lines[rows]}'"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            trajectory_from_csv(text, ModelParams(r=1.0),
+                                EtaSchedule(kind="constant", eta_start=-1.0,
+                                            T=float(rows + 1)))
 
     @settings(max_examples=50)
     @given(rows=st.lists(st.tuples(st.floats(-1.0, 1.0),
