@@ -103,15 +103,29 @@ def run_all(src: Path, out: Path) -> None:
             first.write_text(done.stdout, encoding="utf-8")
 
 
-def first_difference(a: str, b: str):
-    """(line number, line of a, line of b) where a and b first differ."""
-    lines_a, lines_b = a.splitlines(), b.splitlines()
-    for i in range(max(len(lines_a), len(lines_b))):
-        la = lines_a[i] if i < len(lines_a) else "<end of file>"
-        lb = lines_b[i] if i < len(lines_b) else "<end of file>"
-        if la != lb:
-            return i + 1, la, lb
-    return None
+def first_difference(a: bytes, b: bytes):
+    """None if a and b are the same bytes, else (line number, line of a,
+    line of b, note) at the first line where they differ. Where the two
+    lines differ only in their line endings, note names that, and the
+    final newline where one side has none; it is "" otherwise."""
+    if a == b:
+        return None
+    lines_a, lines_b = a.splitlines(True), b.splitlines(True)
+    i = 0
+    while i < min(len(lines_a), len(lines_b)) and lines_a[i] == lines_b[i]:
+        i += 1
+    la, lb = (lines[i] if i < len(lines) else b""
+              for lines in (lines_a, lines_b))
+    body_a, body_b = la.rstrip(b"\r\n"), lb.rstrip(b"\r\n")
+    note = ""
+    if body_a == body_b and la and lb:
+        ends = (la[len(body_a):], lb[len(body_b):])
+        note = ("only the final newline differs" if b"" in ends else
+                "only the line ending differs")
+        note += f": {ends[0]!r} against {ends[1]!r}"
+    la, lb = (line.decode("utf-8", "replace").rstrip("\r\n")
+              if line else "<end of file>" for line in (la, lb))
+    return i + 1, la, lb, note
 
 
 def main(argv=None) -> int:
@@ -138,16 +152,17 @@ def main(argv=None) -> int:
         for stem, _, suffixes in RUNS:
             for suffix in suffixes:
                 file = stem + suffix
-                a, b = ((sides[n] / file).read_text(encoding="utf-8")
-                        .replace(str(sides[n]), "<out>")
+                a, b = ((sides[n] / file).read_bytes()
+                        .replace(str(sides[n]).encode(), b"<out>")
                         for n in ("base", "work"))
                 diff = first_difference(a, b)
                 if diff is None:
                     print(f"{file}: identical")
                 else:
                     same = False
-                    line, la, lb = diff
-                    print(f"{file}: differs at line {line}\n"
+                    line, la, lb, note = diff
+                    print(f"{file}: differs at line {line}"
+                          + (f", {note}" if note else "") + "\n"
                           f"  {args.base}: {la[:200]}\n  work: {lb[:200]}")
     return 0 if same else 1
 

@@ -26,9 +26,9 @@ root is bracketed first, so a Newton step that would leave its bracket
 bisects instead.
 
 Stability comes from the closed-form Jacobian (jacobian_at) and its
-eigenvalues (eigenvalues_2x2). trace_branches evaluates both over
-numpy columns, once per branch (_fixed_points), bit for bit the scalar
-form that find_fixed_points uses point by point.
+eigenvalues (eigenvalues_2x2). trace_branches keeps both as columns of
+each Branch, computed once per branch (_fixed_points) bit for bit as
+find_fixed_points computes them point by point.
 """
 
 from __future__ import annotations
@@ -89,12 +89,25 @@ class FixedPoint:
 
 @dataclass(frozen=True)
 class Branch:
-    """One branch of stationary states across the eta grid."""
+    """One branch of stationary states across the eta grid: its points'
+    eta, z_star, stability and (complex, complex) eigenvalues as tuples
+    ordered by |eta|, rebuilt as FixedPoints by points."""
 
     branch_id: int
     kind: str
     theta_star: float
-    points: tuple  # FixedPoint entries ordered by |eta|
+    eta: tuple
+    z_star: tuple
+    stability: tuple
+    eigenvalues: tuple
+
+    @property
+    def points(self) -> tuple:
+        """The rows as FixedPoints, built from the columns on each access."""
+        return tuple(FixedPoint(z, self.theta_star, eta, *rest,
+                                "symmetric" if z == 0.0 else "asymmetric")
+                     for eta, z, *rest in zip(self.eta, self.z_star,
+                                              self.stability, self.eigenvalues))
 
 
 @dataclass(frozen=True)
@@ -427,10 +440,10 @@ def _make_fixed_point(z_root: float, theta_star: float, eta: float,
         kind="symmetric" if z_root == 0.0 else "asymmetric")
 
 
-def _fixed_points(z, theta_star: float, etas, r: float) -> list:
-    """_make_fixed_point at every row of the float64 columns z and etas,
-    bit for bit: the Jacobian, eigenvalues and stability over columns,
-    with the scalar path's operations in its order.
+def _fixed_points(z, theta_star: float, etas, r: float) -> tuple:
+    """_make_fixed_point's (stability, eigenvalues) at every row of the
+    float64 columns z and etas, bit for bit, as two tuples: the Jacobian,
+    eigenvalues and stability over columns, in the scalar path's order.
 
     The powers are Python's float ** per element, as in
     hamiltonian_column. complex(disc, 0.0) ** 0.5 is CPython's c_pow:
@@ -470,18 +483,12 @@ def _fixed_points(z, theta_star: float, etas, r: float) -> list:
          (abs(re1) <= EPS_EIG) & (abs(re2) <= EPS_EIG)
          & (abs(im1) > EPS_EIG) & (abs(im2) > EPS_EIG)],
         ["stable", "unstable", "stable"], "marginal").tolist()
-    zs, etas = z.tolist(), etas.tolist()
-    points = [
-        FixedPoint(z_star=zz, theta_star=theta_star, eta=eta, stability=st,
-                   eigenvalues=eig,
-                   kind="symmetric" if zz == 0.0 else "asymmetric")
-        for zz, eta, st, eig in zip(
-            zs, etas, stability,
-            zip(map(complex, re1.tolist(), im1.tolist()),
-                map(complex, re2.tolist(), im2.tolist())))]
+    eigenvalues = list(zip(map(complex, re1.tolist(), im1.tolist()),
+                           map(complex, re2.tolist(), im2.tolist())))
     for i in np.flatnonzero(~(inside & np.isfinite(disc))).tolist():
-        points[i] = _make_fixed_point(zs[i], theta_star, etas[i], r)
-    return points
+        p = _make_fixed_point(float(z[i]), theta_star, float(etas[i]), r)
+        stability[i], eigenvalues[i] = p.stability, p.eigenvalues
+    return tuple(stability), tuple(eigenvalues)
 
 
 def find_fixed_points(eta: float, r: float) -> list:
@@ -628,21 +635,24 @@ def trace_branches(r: float, eta_range: tuple, steps: int) -> BifurcationDiagram
 
     mags = np.linspace(lo, hi, steps)
     etas = -mags
-    born = [(0, 0.0, "symmetric",
-             _fixed_points(np.zeros(steps), 0.0, etas, r))]
+
+    def columns(z, eta):
+        return (tuple(eta.tolist()), tuple(z.tolist()),
+                *_fixed_points(z, 0.0, eta, r))
+
+    born = [(0, 0.0, "symmetric", columns(np.zeros(steps), etas))]
     fold = _fold(r)
     piece, index, zs = _graph_roots(mags, r, fold)
     for p in sorted(set(piece.tolist())):
         idx, z = index[piece == p], zs[piece == p]
-        upper = _fixed_points(z, 0.0, etas[idx], r)
-        lower = _fixed_points(-z, 0.0, etas[idx], r)
+        upper = columns(z, etas[idx])
+        lower = columns(-z, etas[idx])
         first, z0 = int(idx[0]), float(z[0])
         born += [(first, -z0, "asymmetric", lower),
                  (first, z0, "asymmetric", upper)]
     born.sort(key=lambda b: b[:2])
-    built = tuple(
-        Branch(branch_id=i, kind=kind, theta_star=0.0, points=tuple(points))
-        for i, (_, _, kind, points) in enumerate(born))
+    built = tuple(Branch(i, kind, 0.0, *cols)
+                  for i, (_, _, kind, cols) in enumerate(born))
     return BifurcationDiagram(
         r=r, branches=built,
         eta_star=find_eta_star(r),

@@ -71,6 +71,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _distinct_outputs(eff, sidecar: str | None = None):
+    """Refuse two of out, plot and bifurcate's JSON sidecar naming one file."""
+    seen = {}
+    for name, path in (("out", eff["out"]), ("plot", eff["plot"]),
+                       ("the JSON sidecar of out", sidecar)):
+        if not path:
+            continue
+        path = Path(path).resolve()
+        if path in seen:
+            raise ConfigError(f"{seen[path]} and {name} both name {path}")
+        seen[path] = name
+
+
 def _write_text(path: str | None, text: str):
     if path:
         Path(path).write_text(text, encoding="utf-8")
@@ -80,6 +93,7 @@ def _write_text(path: str | None, text: str):
 
 def _build_run(eff):
     _require(eff, ("r",))
+    _distinct_outputs(eff)
     if eff["schedule"] == "triangular" and eff["eta-peak"] is None:
         raise ConfigError("a triangular schedule requires eta-peak")
     params = ModelParams(r=eff["r"], nu=eff["nu"])
@@ -105,13 +119,13 @@ def _cmd_simulate(args, file_cfg) -> int:
 def _cmd_bifurcate(args, file_cfg) -> int:
     eff = cfgmod.resolve(file_cfg, args, _BIF_KEYS)
     _require(eff, ("r", "eta-min", "eta-max"))
+    sidecar = eff["out"] and str(Path(eff["out"]).with_suffix(".json"))
+    _distinct_outputs(eff, sidecar)
     diagram = trace_branches(eff["r"], (eff["eta-min"], eff["eta-max"]),
                              eff["steps"])
     _write_text(eff["out"], serialize.diagram_to_csv(diagram))
-    if eff["out"]:
-        sidecar = Path(eff["out"]).with_suffix(".json")
-        sidecar.write_text(serialize.diagram_to_json(diagram, effective=eff),
-                           encoding="utf-8")
+    if sidecar:
+        _write_text(sidecar, serialize.diagram_to_json(diagram, effective=eff))
     if eff["plot"]:
         _write_text(eff["plot"], svgplot.plot_diagram(diagram))
     return 0

@@ -423,6 +423,11 @@ def integrate(initial: PhaseState, params: ModelParams, schedule: EtaSchedule,
     if not (t0 >= -slack and t1 <= schedule.T + slack and t0 < t1):
         raise DomainError(
             f"tau_span {tau_span} must be increasing and inside [0, {schedule.T}]")
+    stride = config.sample_stride
+    # the sample count and the step budget grow with the span
+    if not math.isfinite((t1 - t0) * max(stride, _MAX_STEPS_PER_TAU)):
+        raise DomainError(f"tau_span {tau_span} is too long to count its "
+                          f"samples and steps")
 
     zmax = 1.0 - EPS_CLAMP
     if abs(initial.z) > zmax:
@@ -440,7 +445,6 @@ def integrate(initial: PhaseState, params: ModelParams, schedule: EtaSchedule,
 
     # sample k sits at t0 + k / stride, computed from k so the grid
     # cannot drift; the last one, sample n, is placed on t1
-    stride = config.sample_stride
     span = (t1 - t0) * stride
     n = math.ceil(span - 1e-9 * max(1.0, span))
 

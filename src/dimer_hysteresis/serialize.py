@@ -32,7 +32,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -54,6 +53,13 @@ _DIAGRAM_JSON = ('{\n  "r": %s,\n  "eta_star": %s,\n  "eta_plus": %s,\n'
                  '  "effective_config": %s\n}\n')
 _BRANCH_JSON = ('    {\n      "branch_id": %s,\n      "kind": %s,\n'
                 '      "theta_star": %s,\n      "points": %s\n    }')
+# one point, at the depth of a branch's points: eta, z_star, stability
+# and the real and imaginary parts of its two eigenvalues
+_POINT_JSON = ('        {\n          "eta": %s,\n          "z_star": %s,\n'
+               '          "stability": %s,\n          "eigenvalues": [\n'
+               + ',\n'.join(['            [\n              %s,\n'
+                              '              %s\n            ]'] * 2)
+               + '\n          ]\n        }')
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 # The decimal kernel. Its working type only sets how often a value
@@ -250,10 +256,11 @@ def trajectory_from_csv(text: str, params: ModelParams,
     """Rebuild a Trajectory from its CSV form.
 
     params and schedule are not stored in the CSV; the caller supplies
-    the ones the run used.
+    the ones the run used. Lines may end in "\n" or "\r\n".
     """
     lines = text.strip().split("\n")
-    if lines[0] != TRAJECTORY_HEADER:
+    # float() ignores the "\r" that ends a line of a CRLF file
+    if lines[0].removesuffix("\r") != TRAJECTORY_HEADER:
         raise DomainError(f"expected header {TRAJECTORY_HEADER!r}")
     # file column order: tau, eta, z, theta, H, E
     values = np.empty((len(lines) - 1, 6))
@@ -282,9 +289,9 @@ def trajectory_from_csv(text: str, params: ModelParams,
 
 
 def diagram_to_csv(diagram) -> str:
-    values = tuple(v for b in diagram.branches for p in b.points
-                   for v in (b.branch_id, b.kind, b.theta_star, p.eta,
-                             p.z_star, p.stability))
+    values = tuple(v for b in diagram.branches
+                   for row in zip(b.eta, b.z_star, b.stability)
+                   for v in (b.branch_id, b.kind, b.theta_star, *row))
     return BRANCH_HEADER + "\n" + _BRANCH_ROW * (len(values) // 6) % values
 
 
@@ -310,34 +317,18 @@ def _list(items: list, indent: str) -> str:
     return "[\n" + ",\n".join(items) + "\n" + indent + "]"
 
 
-@functools.cache
-def _point_template(n: int) -> str:
-    """One point with n eigenvalues, laid out at the depth of a branch's
-    points; %s slots for eta, z_star, stability and each eigenvalue's
-    real and imaginary part."""
-    pair = "            [\n              %s,\n              %s\n            ]"
-    pairs = [pair] * n
-    return ("        {\n          \"eta\": %s,\n          \"z_star\": %s,\n"
-            "          \"stability\": %s,\n          \"eigenvalues\": "
-            + _list(pairs, "          ") + "\n        }")
-
-
-def _points_json(points) -> str:
+def _points_json(branch) -> str:
     """A branch's points as json lays them out, filled into one
     %-template."""
-    if not points:
-        return "[]"
-    template = ",\n".join(_point_template(len(p.eigenvalues)) for p in points)
-    floats = iter(_json_floats(
-        [v for p in points
-         for v in (p.eta, p.z_star,
-                   *(c for ev in p.eigenvalues for c in (ev.real, ev.imag)))]))
-    stability = {s: json.dumps(s) for s in {p.stability for p in points}}
+    floats = _json_floats([
+        v for eta, z, (lam1, lam2) in zip(branch.eta, branch.z_star,
+                                          branch.eigenvalues)
+        for v in (eta, z, lam1.real, lam1.imag, lam2.real, lam2.imag)])
+    names = {s: json.dumps(s) for s in set(branch.stability)}
     values = []
-    for p in points:
-        values += (next(floats), next(floats), stability[p.stability])
-        values += islice(floats, 2 * len(p.eigenvalues))
-    return "[\n" + template % tuple(values) + "\n      ]"
+    for (eta, z, *lams), s in zip(zip(*[iter(floats)] * 6), branch.stability):
+        values += (eta, z, names[s], *lams)
+    return _list([_POINT_JSON] * len(branch.eta), "      ") % tuple(values)
 
 
 def diagram_to_json(diagram, effective: dict | None = None) -> str:
@@ -345,8 +336,7 @@ def diagram_to_json(diagram, effective: dict | None = None) -> str:
     diagram's document, with the points of each branch filled into one
     %-template."""
     branches = [_BRANCH_JSON % (json.dumps(b.branch_id), json.dumps(b.kind),
-                                json.dumps(b.theta_star),
-                                _points_json(b.points))
+                                json.dumps(b.theta_star), _points_json(b))
                 for b in diagram.branches]
     config = json.dumps(dict(effective or {}), indent=2)
     return _DIAGRAM_JSON % (

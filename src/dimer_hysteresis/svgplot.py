@@ -153,14 +153,9 @@ def plot_trajectory(traj) -> str:
 
 def plot_diagram(diagram) -> str:
     """Bifurcation diagram: z* against |eta|, stability by line style."""
-    series = []
-    for branch in diagram.branches:
-        eta, z = np.reshape([(p.eta, p.z_star) for p in branch.points],
-                            (-1, 2)).T
-        style = "solid" if all(
-            p.stability == "stable" for p in branch.points) else "dashed"
-        series.append((np.abs(eta), z, f"{branch.kind} {branch.branch_id}",
-                       style))
+    series = [(np.abs(b.eta), np.asarray(b.z_star), f"{b.kind} {b.branch_id}",
+               "solid" if all(s == "stable" for s in b.stability) else "dashed")
+              for b in diagram.branches]
     return _svg(_HEIGHT, render_panel(series, "|eta|", "z*",
                                       f"stationary states, r={diagram.r:g}"))
 

@@ -9,6 +9,9 @@
   finite-difference slope, using no closed-form derivative.
 - diagram_json_by_dumps is the former diagram writer, one
   json.dumps(doc, indent=2) over the whole document.
+- branches_by_points is the former branch assembly of trace_branches,
+  which stored each branch as a tuple of FixedPoints that
+  _make_fixed_point built one by one.
 - wrap_angle_by_remainder is the former wrap_angle, a math.remainder
   per float; csv_by_percent and coords_by_percent are the former
   trajectory CSV writer and SVG coordinate writer, one % conversion per
@@ -30,8 +33,8 @@ from typing import Optional
 import numpy as np
 
 from dimer_hysteresis import (ModelParams, NoConvergenceError, PhaseState,
-                              SingularityError, find_eta_star, jacobian_at,
-                              stationary_residual)
+                              SingularityError, bifurcation, find_eta_star,
+                              jacobian_at, stationary_residual)
 from dimer_hysteresis.bifurcation import (_RESIDUAL_TOL, _ZMAX, _xi,
                                           _xi_slope_numerator)
 from dimer_hysteresis.model import check_power, power_difference
@@ -141,6 +144,29 @@ def eta_star_numeric(r: float) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def branches_by_points(r: float, eta_range: tuple, steps: int) -> list:
+    """The former trace_branches' branches as (branch_id, kind,
+    theta_star, points): the same roots, each point a FixedPoint from
+    _make_fixed_point."""
+    mags = np.linspace(*eta_range, steps)
+    etas = -mags
+
+    def points(z, eta):
+        return [bifurcation._make_fixed_point(zz, 0.0, e, r)
+                for zz, e in zip(z.tolist(), eta.tolist())]
+
+    born = [(0, 0.0, "symmetric", points(np.zeros(steps), etas))]
+    fold = bifurcation._fold(r)
+    piece, index, zs = bifurcation._graph_roots(mags, r, fold)
+    for p in sorted(set(piece.tolist())):
+        idx, z = index[piece == p], zs[piece == p]
+        first, z0 = int(idx[0]), float(z[0])
+        born += [(first, -z0, "asymmetric", points(-z, etas[idx])),
+                 (first, z0, "asymmetric", points(z, etas[idx]))]
+    born.sort(key=lambda b: b[:2])
+    return [(i, kind, 0.0, pts) for i, (_, _, kind, pts) in enumerate(born)]
 
 
 def diagram_json_by_dumps(diagram, effective: dict | None = None) -> str:

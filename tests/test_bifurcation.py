@@ -34,12 +34,13 @@ from dimer_hysteresis import (DomainError, EtaSchedule, IntegratorConfig,
                               stationary_residual, sweep_report,
                               trace_branches, vector_field)
 from dimer_hysteresis.bifurcation import (BifurcationDiagram, Branch,
-                                          FixedPoint, eigenvalues_2x2)
+                                          eigenvalues_2x2)
 from dimer_hysteresis.model import EPS_CLAMP, power_difference
 from dimer_hysteresis.serialize import BRANCH_HEADER, diagram_to_json
 import kernel_oracles
-from kernel_oracles import (diagram_json_by_dumps, eta_star_numeric,
-                            fold_by_bisection, graph_roots_by_bisection)
+from kernel_oracles import (branches_by_points, diagram_json_by_dumps,
+                            eta_star_numeric, fold_by_bisection,
+                            graph_roots_by_bisection)
 
 
 def oracle_roots(eta, r, theta_star, grid=100_001):
@@ -100,9 +101,12 @@ def point_bits(p):
 
 
 def scalar_fixed_points(z, theta_star, etas, r):
-    """The former per-point loop of trace_branches: _fixed_points' oracle."""
-    return [bifurcation._make_fixed_point(zz, theta_star, eta, r)
-            for zz, eta in zip(z.tolist(), etas.tolist())]
+    """The former per-point loop of trace_branches, as _fixed_points'
+    (stability, eigenvalues) columns: _fixed_points' oracle."""
+    points = [bifurcation._make_fixed_point(zz, theta_star, eta, r)
+              for zz, eta in zip(z.tolist(), etas.tolist())]
+    return (tuple(p.stability for p in points),
+            tuple(p.eigenvalues for p in points))
 
 
 def diagram_outcome(r, eta_range, steps):
@@ -407,9 +411,10 @@ class TestStability:
 
         def outcome(build):
             try:
-                return list(map(point_bits, build(z, theta_star, etas, r)))
+                stability, eigenvalues = build(z, theta_star, etas, r)
             except (DomainError, SingularityError) as e:
                 return type(e), str(e)
+            return stability, list(map(hexes, eigenvalues))
 
         want = outcome(scalar_fixed_points)
         with warnings.catch_warnings():
@@ -845,6 +850,32 @@ def oracle_atlas_powers():
             + [rng.uniform(lo, hi) for lo, hi in bands for _ in range(4)])
 
 
+class TestBranchColumns:
+    """Branches store columns; points rebuilds the FixedPoints that the
+    former per-point assembly stored."""
+
+    @pytest.mark.parametrize("r, eta_range", [
+        *((r, (0.25 * find_eta_star(r), 1.4 * find_eta_star(r)))
+          for r in sorted(GOLDEN_ATLAS)),
+        (1013.0, (1.0, 1e300))])
+    def test_points_are_the_former_fixed_points(self, r, eta_range):
+        # r = 1013 spans couplings from 1 to 1e300
+        d = trace_branches(r, eta_range, 400)
+        for b in d.branches:
+            columns = (b.eta, b.z_star, b.stability, b.eigenvalues)
+            assert all(type(c) is tuple for c in columns)
+            assert len(set(map(len, columns))) == 1
+            assert all(type(v) is float for v in b.eta + b.z_star)
+        got = [(b.branch_id, b.kind, b.theta_star,
+                list(map(point_bits, b.points))) for b in d.branches]
+        want = [(i, kind, theta_star, list(map(point_bits, points)))
+                for i, kind, theta_star, points
+                in branches_by_points(r, eta_range, 400)]
+        assert got == want
+        again = trace_branches(r, eta_range, 400).branches
+        assert again == d.branches and hash(again) == hash(d.branches)
+
+
 class TestNewtonKernel:
     """Safeguarded Newton against the all-bisection kernels it replaced."""
 
@@ -946,22 +977,17 @@ class TestDiagramJson:
         assert diagram_to_json(d) == diagram_json_by_dumps(d)
 
     def test_non_finite_values_and_numpy_floats(self):
-        points = (
-            FixedPoint(z_star=np.float64(0.5), theta_star=0.0, eta=-1.0,
-                       stability="stable",
-                       eigenvalues=(complex(math.nan, math.inf),
-                                    complex(-math.inf, np.float64(2.5))),
-                       kind="asymmetric"),
-            FixedPoint(z_star=0.0, theta_star=np.float64(0.0),
-                       eta=np.float64(-2.0), stability="marginal",
-                       eigenvalues=(np.complex128(1e-300 - 1e300j),),
-                       kind="symmetric"),
-            FixedPoint(z_star=0.0, theta_star=0.0, eta=-3.0,
-                       stability="unstable", eigenvalues=(), kind="symmetric"))
+        columns = (
+            (-1.0, np.float64(-2.0), -math.inf),
+            (np.float64(0.5), 0.0, math.nan),
+            ("stable", "marginal", "unstable"),
+            ((complex(math.nan, math.inf), complex(-math.inf, np.float64(2.5))),
+             (np.complex128(1e-300 - 1e300j), 0j),
+             (1j, complex(0.0, -0.0))))
         d = BifurcationDiagram(
             r=np.float64(5.0),
-            branches=(Branch(0, "symmetric", 0.0, points),
-                      Branch(1, "asymmetric", math.nan, ())),
+            branches=(Branch(0, "asymmetric", np.float64(0.0), *columns),
+                      Branch(1, "asymmetric", math.nan, (), (), (), ())),
             eta_star=6.4, eta_plus=np.float64(4.4),
             classification="subcritical")
         text = diagram_to_json(d, {"note": "x"})

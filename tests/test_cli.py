@@ -23,6 +23,9 @@ def isolated_env(monkeypatch):
     monkeypatch.delenv(ENV_VAR, raising=False)
 
 
+BIFURCATE = ["--r", "5", "--eta-min", "3", "--eta-max", "8", "--steps", "5"]
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -58,6 +61,15 @@ class TestSimulate:
         assert back.theta.tolist() == [
             float("%.15g" % wrap_angle(t)) for t in traj.theta.tolist()]
         assert -math.pi < back.theta.min() and back.theta.max() <= math.pi
+
+    def test_a_span_too_long_to_count_is_an_error_line(self, capsys):
+        # 1000 T overflows the step budget: an OverflowError traceback
+        code, out, err = run_cli(
+            capsys, "simulate", "--r", "1", "--schedule", "constant",
+            "--eta-start=-1", "--T", "1e306")
+        assert code == 1 and out == ""
+        assert err == ("error: tau_span (0.0, 1e+306) is too long to count "
+                       "its samples and steps\n")
 
     def test_csv_rows_must_have_six_columns(self):
         # a long row next to a short one must not pass as two full rows
@@ -278,6 +290,43 @@ class TestBifurcate:
         code, _, err = run_cli(capsys, "bifurcate", "--r", "1")
         assert code == 2
         assert "eta-m" in err
+
+
+class TestOutputPaths:
+    """Outputs that would overwrite one another are refused before any
+    work, with exit 2 and no file written."""
+
+    @pytest.mark.parametrize("argv, names", [
+        (["bifurcate", *BIFURCATE, "--out", "d.json"],
+         "out and the JSON sidecar of out"),
+        (["bifurcate", *BIFURCATE, "--out", "d.csv", "--plot", "d.json"],
+         "plot and the JSON sidecar of out"),
+        (["bifurcate", *BIFURCATE, "--out", "d.csv", "--plot", "./d.csv"],
+         "out and plot"),
+        (["simulate", "--r", "1", "--T", "1", "--out", "a.csv",
+          "--plot", "a.csv"], "out and plot"),
+        (["sweep", "--hysteresis", "--r", "1", "--schedule", "triangular",
+          "--eta-start=-1", "--eta-peak=-3", "--T", "10",
+          "--out", "a.json", "--plot", "sub/../a.json"], "out and plot"),
+    ])
+    def test_coinciding_outputs_exit_2(self, capsys, tmp_path, monkeypatch,
+                                       argv, names):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err.startswith(f"error: {names} both name {tmp_path}")
+        assert out == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["sub"]
+
+    def test_distinct_outputs_are_all_written(self, capsys, tmp_path,
+                                              monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run_cli(capsys, "bifurcate", *BIFURCATE,
+                               "--out", "d.csv", "--plot", "d.svg")
+        assert code == 0, err
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["d.csv", "d.json", "d.svg"]
 
 
 class TestCritical:

@@ -290,6 +290,20 @@ def outward_field(monkeypatch):
 
 
 class TestTermination:
+    @pytest.mark.parametrize("T, stride", [(1e306, 1), (1e306, 1000),
+                                           (1.7e308, 1)])
+    def test_spans_too_long_to_count_are_refused_before_any_work(
+            self, monkeypatch, T, stride):
+        # 1000 T overflows the step budget, stride T the sample count
+        def no_kernels(*args):
+            raise AssertionError("kernels built for a refused span")
+
+        monkeypatch.setattr(dynamics, "_kernels", no_kernels)
+        sched = EtaSchedule(kind="constant", eta_start=-1.0, T=T)
+        with pytest.raises(DomainError, match=r"tau_span \(0\.0, .*too long"):
+            integrate(PhaseState(z=0.1, theta=0.0), ModelParams(r=1.0),
+                      sched, IntegratorConfig(sample_stride=stride), (0.0, T))
+
     def test_nan_field_raises_step_failure(self, nan_field):
         sched = EtaSchedule(kind="constant", eta_start=-1.0, T=10.0)
         with pytest.raises(StepFailureError):

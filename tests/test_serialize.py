@@ -181,6 +181,23 @@ class TestTrajectoryCsv:
                                 EtaSchedule(kind="constant", eta_start=-1.0,
                                             T=float(rows + 1)))
 
+    def test_crlf_text_reads_as_the_lf_text(self, reference_ramp):
+        text = trajectory_to_csv(reference_ramp)
+        args = (reference_ramp.params, reference_ramp.schedule)
+        want = trajectory_from_csv(text, *args)
+        got = trajectory_from_csv(text.replace("\n", "\r\n"), *args)
+        for name in ("tau", "eta", "z", "theta", "H", "E"):
+            assert getattr(got, name).tolist() == getattr(want, name).tolist()
+
+    def test_crlf_bad_field_is_named_by_its_line(self):
+        text = (TRAJECTORY_HEADER + "\n0,-1,0.5,0.25,1.5,-0.75\n"
+                "1,-1,0.5,abc,1.5,-0.75\n").replace("\n", "\r\n")
+        with pytest.raises(DomainError,
+                           match="^line 3: 'abc' is not a number: "):
+            trajectory_from_csv(text, ModelParams(r=1.0),
+                                EtaSchedule(kind="constant", eta_start=-1.0,
+                                            T=1.0))
+
     @settings(max_examples=50)
     @given(rows=st.lists(st.tuples(st.floats(-1.0, 1.0),
                                    st.floats(-1e6, 1e6)), min_size=1,
