@@ -26,9 +26,11 @@ root is bracketed first, so a Newton step that would leave its bracket
 bisects instead.
 
 Stability comes from the closed-form Jacobian (jacobian_at) and its
-eigenvalues (eigenvalues_2x2). trace_branches keeps both as columns of
-each Branch, computed once per branch (_fixed_points) bit for bit as
-find_fixed_points computes them point by point.
+eigenvalues (eigenvalues_2x2), in real arithmetic. On the sheet
+theta* = 0 that trace_branches draws, the Jacobian at nu = 0 is
+((0, 2 s), (H_zz, 0)), so the eigenvalues are +-sqrt(2 s H_zz):
+_fixed_points computes them as columns of each Branch from that, bit
+for bit as find_fixed_points computes them point by point.
 """
 
 from __future__ import annotations
@@ -65,8 +67,6 @@ _ROOT_NOISE = 16.0 * np.finfo(np.float64).eps
 # a Newton step this many ulps of z long or shorter is the last
 _STEP_ULPS = 4.0 * np.finfo(np.float64).eps
 _PROBE_DEPTH = 1e-3
-# the real part of c_pow's unit root at phase atan2(0, disc < 0) / 2
-_COS_HALF_PI = math.cos(math.atan2(0.0, -1.0) * 0.5)
 
 
 @dataclass(frozen=True)
@@ -355,10 +355,13 @@ def jacobian_at(state: PhaseState, eta: float, params: ModelParams) -> tuple:
     With s = sqrt(1 - z^2), H_zz = -2 cos(theta) / s^3 - eta r 2^-r
     [(1+z)^(r-1) + (1-z)^(r-1)] and H_ztheta = 2 z sin(theta) / s, it is
     ((nu H_zz - H_ztheta, 2 s cos(theta) + nu H_ztheta), (H_zz, H_ztheta))
-    at any theta and nu. Refused within EPS_CLAMP of |z| = 1, like the
-    residual, and where an entry overflows, as eta r 2^-r (1-z)^(r-1)
-    does for r < 1 at couplings near the float range.
+    at any theta and nu. Refused for a non-finite eta, within EPS_CLAMP
+    of |z| = 1, like the residual, and where an entry overflows, as
+    eta r 2^-r (1-z)^(r-1) does for r < 1 at couplings near the float
+    range.
     """
+    if not math.isfinite(eta):
+        raise DomainError(f"eta must be finite, got {eta}")
     z, theta = state.z, state.theta
     if abs(z) >= _ZMAX:
         raise SingularityError(f"Jacobian singular near |z|=1; got z={z}")
@@ -385,11 +388,14 @@ def _jacobian(z, theta, eta, r, nu):
 def eigenvalues_2x2(jac) -> tuple:
     """Both eigenvalues of a real 2x2 matrix, always as complex numbers.
 
-    Where the discriminant overflows although every entry is finite, the
-    eigenvalues are those of the matrix scaled by 2^-e, its largest
-    entry's binary exponent, scaled back by 2^e; scaling by a power of
-    two is exact. A matrix with a non-finite entry has the eigenvalues
-    complex(nan, nan).
+    With tr the trace and disc the discriminant tr^2 - 4 det, they are
+    complex(tr/2, +-sqrt(-disc)/2) for disc < 0 and
+    complex((tr +- sqrt(disc))/2, 0.0) otherwise, in real arithmetic, so
+    a center's real parts are exactly tr/2. Where the discriminant
+    overflows although every entry is finite, the eigenvalues are those
+    of the matrix scaled by 2^-e, its largest entry's binary exponent,
+    scaled back by 2^e; scaling by a power of two is exact. A matrix
+    with a non-finite entry has the eigenvalues complex(nan, nan).
     """
     (a, b), (c, d) = jac
     tr = a + d
@@ -403,8 +409,10 @@ def eigenvalues_2x2(jac) -> tuple:
         down, up, half = 2.0 ** -e, 2.0 ** (e - e // 2), 2.0 ** (e // 2)
         return tuple(lam * up * half for lam in eigenvalues_2x2(
             ((a * down, b * down), (c * down, d * down))))
-    root = complex(disc, 0.0) ** 0.5
-    return ((tr + root) / 2.0, (tr - root) / 2.0)
+    root = math.sqrt(abs(disc))
+    if disc < 0.0:
+        return complex(tr / 2.0, root / 2.0), complex(tr / 2.0, -root / 2.0)
+    return complex((tr + root) / 2.0, 0.0), complex((tr - root) / 2.0, 0.0)
 
 
 def classify_stability(jac) -> str:
@@ -440,20 +448,20 @@ def _make_fixed_point(z_root: float, theta_star: float, eta: float,
         kind="symmetric" if z_root == 0.0 else "asymmetric")
 
 
-def _fixed_points(z, theta_star: float, etas, r: float) -> tuple:
-    """_make_fixed_point's (stability, eigenvalues) at every row of the
-    float64 columns z and etas, bit for bit, as two tuples: the Jacobian,
-    eigenvalues and stability over columns, in the scalar path's order.
+def _fixed_points(z, etas, r: float) -> tuple:
+    """_make_fixed_point's (stability, eigenvalues) on the sheet
+    theta* = 0 at every row of the float64 columns z and etas, bit for
+    bit, as two tuples.
 
-    The powers are Python's float ** per element, as in
-    hamiltonian_column. complex(disc, 0.0) ** 0.5 is CPython's c_pow:
-    |disc| ** 0.5 times (cos(pi/2), 1) below zero and (1, 0) above, and
-    0 at disc = 0. (tr +- root) / 2.0 adds tr as (tr, 0.0) and divides
-    by (2.0, 0.0) with Smith's quotient. Rows with a non-finite
-    discriminant, or within EPS_CLAMP of |z| = 1, go through
+    There, at nu = 0, the Jacobian is ((0, 2 s), (H_zz, 0)): its trace is
+    +0.0 and its discriminant 4 q, q = 2 s H_zz, so the eigenvalues are
+    +-sqrt(q), a saddle ("unstable") for q > 0 and a center ("stable")
+    for q < 0, and "marginal" where sqrt(|q|) <= EPS_EIG. eigenvalues_2x2
+    reaches the same bits with the same IEEE operations. The powers are
+    Python's float ** per element, as in hamiltonian_column. Rows where
+    4 q is not finite, or within EPS_CLAMP of |z| = 1, go through
     _make_fixed_point, which rescales or refuses them.
     """
-    c, sn = math.cos(theta_star), math.sin(theta_star)
     inside = abs(z) < _ZMAX
     with np.errstate(all="ignore"):
         s = np.sqrt(1.0 - z * z)
@@ -461,32 +469,20 @@ def _fixed_points(z, theta_star: float, etas, r: float) -> tuple:
         # _make_fixed_point refuses it below
         power_sum = [_power_sum(x, r)
                      for x in np.where(inside, z, 0.0).tolist()]
-        h_zz = _h_zz(s, c, etas, r, np.array(power_sum))
-        h_zt = 2.0 * z * sn / s
-        # nu = 0 times an entry, as in _jacobian: it carries signed zeros
-        a, b = 0.0 * h_zz - h_zt, 2.0 * s * c + 0.0 * h_zt
-        tr = a + h_zt
-        disc = tr * tr - 4.0 * (a * h_zt - b * h_zz)
-        size = np.array([x ** 0.5 for x in abs(disc).tolist()])
-        below = disc < 0.0
-        root_re = np.where(below, size * _COS_HALF_PI, size)
-        root_im = np.where(below, size, 0.0)
-        parts = []
-        for x, y in ((tr + root_re, 0.0 + root_im),
-                     (tr - root_re, 0.0 - root_im)):
-            parts += [(x + y * 0.0) / 2.0, (y - x * 0.0) / 2.0]
-    re1, im1, re2, im2 = parts
-    # _classify's tests, in its order
-    stability = np.select(
-        [(re1 < -EPS_EIG) & (re2 < -EPS_EIG),
-         (re1 > EPS_EIG) | (re2 > EPS_EIG),
-         (abs(re1) <= EPS_EIG) & (abs(re2) <= EPS_EIG)
-         & (abs(im1) > EPS_EIG) & (abs(im2) > EPS_EIG)],
-        ["stable", "unstable", "stable"], "marginal").tolist()
+        q = 2.0 * s * _h_zz(s, 1.0, etas, r, np.array(power_sum))
+        size = np.sqrt(abs(q))
+        center = q < 0.0
+        re1, im1 = np.where(center, 0.0, size), np.where(center, size, 0.0)
+        # with tr = +0.0 the second eigenvalue is 0.0 minus the first,
+        # signed zeros included
+        re2, im2 = 0.0 - re1, 0.0 - im1
+        scalar = ~(inside & np.isfinite(4.0 * q))
+    stability = np.where(size <= EPS_EIG, "marginal",
+                         np.where(center, "stable", "unstable")).tolist()
     eigenvalues = list(zip(map(complex, re1.tolist(), im1.tolist()),
                            map(complex, re2.tolist(), im2.tolist())))
-    for i in np.flatnonzero(~(inside & np.isfinite(disc))).tolist():
-        p = _make_fixed_point(float(z[i]), theta_star, float(etas[i]), r)
+    for i in np.flatnonzero(scalar).tolist():
+        p = _make_fixed_point(float(z[i]), 0.0, float(etas[i]), r)
         stability[i], eigenvalues[i] = p.stability, p.eigenvalues
     return tuple(stability), tuple(eigenvalues)
 
@@ -638,7 +634,7 @@ def trace_branches(r: float, eta_range: tuple, steps: int) -> BifurcationDiagram
 
     def columns(z, eta):
         return (tuple(eta.tolist()), tuple(z.tolist()),
-                *_fixed_points(z, 0.0, eta, r))
+                *_fixed_points(z, eta, r))
 
     born = [(0, 0.0, "symmetric", columns(np.zeros(steps), etas))]
     fold = _fold(r)

@@ -100,10 +100,11 @@ def point_bits(p):
             hexes(p.eigenvalues), p.kind)
 
 
-def scalar_fixed_points(z, theta_star, etas, r):
-    """The former per-point loop of trace_branches, as _fixed_points'
-    (stability, eigenvalues) columns: _fixed_points' oracle."""
-    points = [bifurcation._make_fixed_point(zz, theta_star, eta, r)
+def scalar_fixed_points(z, etas, r):
+    """The former per-point loop of trace_branches on the sheet
+    theta* = 0, as _fixed_points' (stability, eigenvalues) columns:
+    _fixed_points' oracle."""
+    points = [bifurcation._make_fixed_point(zz, 0.0, eta, r)
               for zz, eta in zip(z.tolist(), etas.tolist())]
     return (tuple(p.stability for p in points),
             tuple(p.eigenvalues for p in points))
@@ -286,6 +287,23 @@ class TestStability:
         # eigenvalues +-2i
         assert classify_stability(((0.0, 2.0), (-2.0, 0.0))) == "stable"
 
+    def test_fast_center_counts_as_stable(self):
+        # eigenvalues +-2e8 i: the real parts are exactly 0, not a
+        # rounding residue of the square root above EPS_EIG
+        jac = ((0.0, 2.0), (-2e16, 0.0))
+        assert hexes(eigenvalues_2x2(jac)) == hexes(
+            (complex(0.0, 2e8), complex(0.0, -2e8)))
+        assert classify_stability(jac) == "stable"
+
+    def test_symmetric_center_at_a_large_coupling_is_stable(self):
+        # at theta* = pi the symmetric point is a center with eigenvalues
+        # about +-1.4e10 i
+        (p,) = [p for p in find_fixed_points(-1e20, 1.0)
+                if p.theta_star == math.pi]
+        assert p.z_star == 0.0 and p.stability == "stable"
+        assert [v.real.hex() for v in p.eigenvalues] == [(0.0).hex()] * 2
+        assert p.eigenvalues[0].imag > 1e10
+
     def test_saddle_is_unstable(self):
         # eigenvalues +-2
         assert classify_stability(((0.0, 2.0), (2.0, 0.0))) == "unstable"
@@ -335,6 +353,12 @@ class TestStability:
         assert all(math.isnan(v.real) and math.isnan(v.imag) for v in lam)
         assert classify_stability(jac) == "marginal"
 
+    @pytest.mark.parametrize("eta", [math.nan, math.inf, -math.inf])
+    def test_jacobian_refuses_a_non_finite_coupling(self, eta):
+        with pytest.raises(DomainError,
+                           match=f"eta must be finite, got {eta}$"):
+            jacobian_at(PhaseState(z=0.5), eta, ModelParams(r=2.0))
+
     def test_jacobian_refuses_an_overflowing_entry(self):
         # eta r 2^-r (1-z)^(r-1) exceeds the float range for r < 1
         with pytest.raises(DomainError, match="Jacobian overflows"):
@@ -351,13 +375,19 @@ class TestStability:
 
     @given(a=st.floats(-1e3, 1e3), b=st.floats(-1e3, 1e3),
            c=st.floats(-1e3, 1e3), d=st.floats(-1e3, 1e3))
+    @example(a=0.0, b=2.0, c=-1.0, d=0.0)
+    @example(a=-0.0, b=1.0, c=-1.0, d=-0.0)
     @settings(max_examples=50, deadline=None)
-    def test_eigenvalues_keep_the_complex_square_root(self, a, b, c, d):
-        # ** 0.5 leaves a rounding-sized real part on a center's root,
-        # which cmath.sqrt would not; the written eigenvalues keep it
-        root = complex((a + d) ** 2 - 4.0 * (a * d - b * c), 0.0) ** 0.5
-        assert eigenvalues_2x2(((a, b), (c, d))) == (
-            (a + d + root) / 2.0, (a + d - root) / 2.0)
+    def test_eigenvalues_are_the_real_closed_form(self, a, b, c, d):
+        # a center's real parts are exactly tr / 2, signed zeros included
+        tr = a + d
+        disc = tr * tr - 4.0 * (a * d - b * c)
+        root = math.sqrt(abs(disc))
+        want = ((complex(tr / 2.0, root / 2.0),
+                 complex(tr / 2.0, -root / 2.0)) if disc < 0.0 else
+                (complex((tr + root) / 2.0, 0.0),
+                 complex((tr - root) / 2.0, 0.0)))
+        assert hexes(eigenvalues_2x2(((a, b), (c, d)))) == hexes(want)
 
     def test_pitchfork_point_is_degenerate(self):
         # at eta = -eta_star the closed form's H_zz is exactly 0
@@ -400,18 +430,17 @@ class TestStability:
     @given(rows=st.lists(st.tuples(st.floats(-1.0, 1.0),
                                    st.floats(-1.7e308, 1.7e308)),
                          min_size=1, max_size=12),
-           theta_star=st.sampled_from([0.0, math.pi]),
            r=st.one_of(st.sampled_from([0.5, 1.0, 2.0, 5.0, 1013.0]),
                        st.floats(0.3, 1013.0)))
     @settings(max_examples=200, deadline=None)
-    def test_column_points_are_make_fixed_point(self, rows, theta_star, r):
-        # any z and eta, both sheets: the same points, or the same error
-        # at the same first failing row, and no numpy warning
+    def test_column_points_are_make_fixed_point(self, rows, r):
+        # any z and eta on the sheet theta* = 0: the same points, or the
+        # same error at the same first failing row, and no numpy warning
         z, etas = (np.array(col) for col in zip(*rows))
 
         def outcome(build):
             try:
-                stability, eigenvalues = build(z, theta_star, etas, r)
+                stability, eigenvalues = build(z, etas, r)
             except (DomainError, SingularityError) as e:
                 return type(e), str(e)
             return stability, list(map(hexes, eigenvalues))
