@@ -20,10 +20,11 @@ pitchfork is supercritical; above it xi first falls to an interior
 minimum, the saddle-node eta_plus < eta_star that bounds the bistable
 window, and the pitchfork is subcritical.
 
-The fold and the roots come from one safeguarded-Newton kernel with
-closed-form slopes: F' for the fold (see _fold) and H_zz for G. Each
-root is bracketed first, so a Newton step that would leave its bracket
-bisects instead.
+The fold and every root come from one scalar safeguarded-Newton kernel
+on floats, one bracket at a time, with closed-form slopes: F' for the
+fold (see _fold) and H_zz for G. Each root is bracketed first, so a
+Newton step that would leave its bracket bisects instead. A root
+depends on (|eta|, r) alone, so every finder gets it bit for bit.
 
 Stability comes from the closed-form Jacobian (jacobian_at) and its
 eigenvalues (eigenvalues_2x2), in real arithmetic. On the sheet
@@ -63,9 +64,9 @@ _ZMAX = 1.0 - EPS_CLAMP
 _FOLD_SCAN = np.geomspace(1e-4, _ZMAX, 64)
 _SLOPE_NOISE = 2e-15
 # |G| below this fraction of its terms' sizes has no reliable sign
-_ROOT_NOISE = 16.0 * np.finfo(np.float64).eps
+_ROOT_NOISE = 16.0 * math.ulp(1.0)
 # a Newton step this many ulps of z long or shorter is the last
-_STEP_ULPS = 4.0 * np.finfo(np.float64).eps
+_STEP_ULPS = 4.0 * math.ulp(1.0)
 _PROBE_DEPTH = 1e-3
 
 
@@ -147,8 +148,8 @@ def stationary_residual(z, theta_star: float, eta, r: float):
 
 
 def _xi(z, r):
-    """The branch graph xi(z) for 0 < z < 1: float or array."""
-    return 2.0 ** (r + 1.0) * z / (np.sqrt(1.0 - z * z) * power_difference(z, r))
+    """The branch graph xi(z) for 0 < z < 1, on floats."""
+    return 2.0 ** (r + 1.0) * z / (math.sqrt(1.0 - z * z) * power_difference(z, r))
 
 
 def _power_sum(z, r):
@@ -184,40 +185,53 @@ def _h_zz(s, cos_theta, eta, r, power_sum):
             - eta * r / 2.0 ** r * power_sum)
 
 
-def _rtsafe(f, lo, hi, falling, z):
-    """The root in every bracket (lo, hi), 0 <= lo < hi, at once, by
-    safeguarded Newton (Numerical Recipes' rtsafe) from z inside it.
+def _sheet_residual(z, m, r):
+    """(G, dG/dz = H_zz, noise) on floats at theta* = 0, eta = -m: G is
+    stationary_residual's value, bit for bit, the difference of its
+    positive terms m P / 2^r and 2 z/s, and noise is _ROOT_NOISE times
+    their sum."""
+    s = math.sqrt(1.0 - z * z)
+    bulk = m / 2.0 ** r * power_difference(z, r)
+    wall = 2.0 * z / s
+    return (bulk - wall, _h_zz(s, 1.0, -m, r, _power_sum(z, r)),
+            _ROOT_NOISE * (bulk + wall))
 
-    f(z) gives (value, slope, noise) for an array z; value > 0 exactly
-    below the root where falling is True and exactly above it elsewhere.
-    Each iteration evaluates f once and shrinks every bracket by the
-    sign of value. The Newton step is kept when it lands strictly inside
-    the bracket and is at most half as long as the step before last;
-    otherwise the step bisects, so no bracket converges slower than by
-    bisection. A root is done at z once |value| <= noise, below which
-    its sign is rounding, or once no float lies strictly inside its
-    bracket; it is done one Newton step on from z once that step is
-    within _STEP_ULPS of z.
+
+def _rtsafe(f, lo, hi, falling, z):
+    """The root in the bracket (lo, hi), 0 <= lo < hi, by safeguarded
+    Newton (Numerical Recipes' rtsafe) from z inside it: the one Newton
+    loop, on floats, for the fold and every root.
+
+    f(z) gives (value, slope, noise); value > 0 exactly below the root
+    where falling is True and exactly above it elsewhere. Each iteration
+    evaluates f once and shrinks the bracket by the sign of value. The
+    Newton step is kept when it lands strictly inside the bracket and is
+    at most half as long as the step before last; otherwise, NaN and a
+    zero slope included, the step bisects, so the bracket never shrinks
+    slower than by bisection. The root is done at z once |value| <=
+    noise, below which its sign is rounding, or once no float lies
+    strictly inside the bracket; it is done one Newton step on from z
+    once that step is within _STEP_ULPS of z.
     """
     step = before = hi - lo
-    done = np.zeros(z.shape, dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        while not done.all():
-            value, slope, noise = f(z)
-            above = (value > 0) == falling
-            lo = np.where(above, z, lo)
-            hi = np.where(above, hi, z)
-            mid = 0.5 * (lo + hi)
-            done |= (abs(value) <= noise) | (mid == lo) | (mid == hi)
-            new = z - value / slope
-            dz = abs(new - z)
-            last = dz <= _STEP_ULPS * z
-            keep = (lo < new) & (new < hi) & (dz + dz <= before)
-            new = np.where(keep, new, np.where(last, z, mid))
-            before, step = step, abs(new - z)
-            z = np.where(done, z, new)
-            done |= last
-    return z
+    while True:
+        value, slope, noise = f(z)
+        if (value > 0) == falling:
+            lo = z
+        else:
+            hi = z
+        mid = 0.5 * (lo + hi)
+        if abs(value) <= noise or mid == lo or mid == hi:
+            return z
+        new = z - value / slope if slope else math.nan
+        dz = abs(new - z)
+        keep = lo < new < hi and dz + dz <= before
+        if dz <= _STEP_ULPS * z:
+            return new if keep else z
+        if not keep:
+            new = mid
+        before, step = step, abs(new - z)
+        z = new
 
 
 def _fold(r: float) -> Optional[tuple]:
@@ -228,17 +242,17 @@ def _fold(r: float) -> Optional[tuple]:
     F is the difference of two terms equal to P at leading order, each
     with a few ulps of rounding, so a value within 2e-15 P of zero has
     no reliable sign and is skipped; this only happens within about 1e-7
-    of r_threshold. F < 0 then F > 0 is a fold, solved by safeguarded
-    Newton on F with its closed-form slope F' inside the bracketing
-    grid cell; F > 0 throughout is a monotone graph, or with kappa < 0 a
-    fold too shallow for the scan, which raises ThresholdProximityError.
-    Any other pattern raises NoConvergenceError, so xi is never assumed
-    unimodal without being checked.
+    of r_threshold. F < 0 then F > 0 is a fold, solved by _rtsafe on F
+    with its closed-form slope F' inside the bracketing grid cell; F > 0
+    throughout is a monotone graph, or with kappa < 0 a fold too shallow
+    for the scan, which raises ThresholdProximityError. Any other
+    pattern raises NoConvergenceError, so xi is never assumed unimodal
+    without being checked.
 
     The fold is checked as a double root: at (z_f, -eta_plus), |G| and
-    |dG/dz| (jacobian_at's H_zz) must be at most 1e-10 times their terms'
-    sizes 2 z/s and 2/s^3, s = sqrt(1 - z^2), which grow as z_f -> 1 at
-    large r; and 0 < eta_plus < eta_star. Else NoConvergenceError.
+    |dG/dz| (H_zz) must be at most 1e-10 times their terms' sizes 2 z/s
+    and 2/s^3, s = sqrt(1 - z^2), which grow as z_f -> 1 at large r;
+    and 0 < eta_plus < eta_star. Else NoConvergenceError.
     """
     eta_star = find_eta_star(r)
     f = _xi_slope_numerator(_FOLD_SCAN, r)
@@ -255,8 +269,7 @@ def _fold(r: float) -> Optional[tuple]:
             raise ThresholdProximityError(
                 f"r={r}: subcritical, but the fold is too shallow to resolve")
         return None
-    i = flips[0]
-    lo, hi = zs[i:i + 1], zs[i + 1:i + 2]
+    lo, hi = zs[flips[0]:flips[0] + 2].tolist()
     # P rises with z, so its value at lo bounds F's noise in the cell
     noise = _SLOPE_NOISE * power_difference(lo, r)
 
@@ -264,11 +277,10 @@ def _fold(r: float) -> Optional[tuple]:
         return (_xi_slope_numerator(z, r), _xi_slope_numerator_slope(z, r),
                 noise)
 
-    z = float(_rtsafe(slope_numerator, lo, hi, False, 0.5 * (lo + hi))[0])
-    m = float(_xi(z, r))
+    z = _rtsafe(slope_numerator, lo, hi, False, 0.5 * (lo + hi))
+    m = _xi(z, r)
     s = math.sqrt(1.0 - z * z)
-    g = stationary_residual(z, 0.0, -m, r)
-    dg = jacobian_at(PhaseState(z=z), -m, ModelParams(r=r))[1][0]
+    g, dg, _ = _sheet_residual(z, m, r)
     if not (abs(g) <= _RESIDUAL_TOL * 2.0 * z / s
             and abs(dg) <= _RESIDUAL_TOL * 2.0 / (s * s * s)):
         raise NoConvergenceError(
@@ -286,67 +298,54 @@ def _graph_roots(mags, r: float, fold: Optional[tuple]) -> tuple:
     of xi: one piece without a fold, two split at z_f with one. A piece
     holds one root at m exactly when m lies strictly between xi at its
     two ends, where xi(0+) = eta_star; at m = eta_plus the single root is
-    z_f. All roots are solved together by safeguarded Newton on G at
-    theta* = 0, eta = -m, with dG/dz = H_zz; a root is done once |G| is
-    within _ROOT_NOISE of its terms 2 z/s + m P/2^r. Newton starts where
-    xi's shape puts the root: on the piece that ends at 1 - EPS_CLAMP,
-    where 2/s = m, as xi -> 2/s when P -> 2^r (exactly so at r = 1 and
-    2); below a fold, on the parabola that falls from eta_star at z = 0
-    to eta_plus at z_f; elsewhere, or where that start lies outside the
-    piece, in the middle of the piece. Where G is steep,
-    the float grid around the root is coarser than G's rounding, so
-    each root then moves to whichever of itself and its float
-    neighbours inside its piece has the smallest |G|. Roots below 1e-9
-    are dropped as numerical shadows of the symmetric root.
+    z_f. Each root is solved on its own, from m and r alone, by _rtsafe
+    on _sheet_residual: G at theta* = 0, eta = -m, with dG/dz = H_zz; it
+    is done once |G| is within _ROOT_NOISE of its terms 2 z/s + m P/2^r.
+    Newton starts where xi's shape puts the root: on the piece that ends
+    at 1 - EPS_CLAMP, where 2/s = m, as xi -> 2/s when P -> 2^r (exactly
+    so at r = 1 and 2); below a fold, on the parabola that falls from
+    eta_star at z = 0 to eta_plus at z_f; where that start lies outside
+    the piece, in the middle of the piece. Where G is steep, the float
+    grid around the root is coarser than G's rounding, so each root then
+    moves to whichever of itself and its float neighbours inside its
+    piece has the smallest |G|. Roots below 1e-9 are dropped as
+    numerical shadows of the symmetric root.
 
     Returns (piece, index, z) arrays, ordered by piece and then by index
     into mags; the pieces are numbered in increasing z.
     """
     mags = np.asarray(mags, dtype=np.float64)
+    eta_star = find_eta_star(r)
     # (z, xi(z)) at the ends of the pieces
-    ends = [(0.0, find_eta_star(r)), *([fold] if fold else []),
-            (_ZMAX, float(_xi(_ZMAX, r)))]
-    parts = []
+    ends = [(0.0, eta_star), *([fold] if fold else []),
+            (_ZMAX, _xi(_ZMAX, r))]
+    piece, index, roots = [], [], []
     for p, ((a, xa), (b, xb)) in enumerate(zip(ends, ends[1:])):
         holds = (min(xa, xb) < mags) & (mags < max(xa, xb))
         if p == 1:
             holds |= mags == xa
-        idx = np.flatnonzero(holds)
-        n = len(idx)
-        parts.append((np.full(n, p), idx, np.full(n, a), np.full(n, b),
-                      np.full(n, xb > xa)))
-    piece, index, lo, hi, rises = map(np.concatenate, zip(*parts))
-    m = mags[index]
-    eta = -m
-
-    def residual(z):
-        # G's terms are 2 z/s and m P/2^r, both positive, summing to G + 4 z/s
-        s = np.sqrt(1.0 - z * z)
-        g = stationary_residual(z, 0.0, eta, r)
-        return (g, _h_zz(s, 1.0, eta, r, _power_sum(z, r)),
-                _ROOT_NOISE * (g + 4.0 * z / s))
-
-    mid = 0.5 * (lo + hi)
-    # m * m overflows above about 1.3e154, only in rows of pieces below
-    # the fold, since m < xi(1 - EPS_CLAMP), about 4.5e4, on the last
-    with np.errstate(over="ignore"):
-        start = np.where(hi == _ZMAX,
-                         np.sqrt(1.0 - 4.0 / np.maximum(m * m, 4.0)), mid)
-    if fold is not None:
-        below = hi == fold[0]
-        start[below] = fold[0] * np.sqrt((ends[0][1] - m[below])
-                                         / (ends[0][1] - fold[1]))
-    start = np.where((lo < start) & (start < hi), start, mid)
-    # G > 0 exactly where xi(z) < m
-    z = _rtsafe(residual, lo, hi, rises, start)
-    near = np.stack([z, np.nextafter(z, 0.0), np.nextafter(z, 1.0)])
-    near = np.where((lo < near) & (near < hi), near, z)
-    g = stationary_residual(near, 0.0, eta, r)
-    z = near[abs(g).argmin(axis=0), np.arange(len(z))]
-    if fold is not None:
-        z[m == fold[1]] = fold[0]
+        idx = np.flatnonzero(holds).tolist()
+        piece += [p] * len(idx)
+        index += idx
+        for m in mags[idx].tolist():
+            if p == 1 and m == xa:
+                roots.append(a)
+                continue
+            if b == _ZMAX:
+                z = math.sqrt(1.0 - 4.0 / max(m * m, 4.0))
+            else:
+                z = b * math.sqrt((eta_star - m) / (eta_star - xb))
+            if not a < z < b:
+                z = 0.5 * (a + b)
+            # G > 0 exactly where xi(z) < m
+            z = _rtsafe(lambda z: _sheet_residual(z, m, r), a, b, xb > xa, z)
+            near = (z, math.nextafter(z, 0.0), math.nextafter(z, 1.0))
+            roots.append(min((x for x in near if a < x < b),
+                             key=lambda x: abs(_sheet_residual(x, m, r)[0])))
+    z = np.array(roots, dtype=np.float64)
     keep = z >= 1e-9
-    return piece[keep], index[keep], z[keep]
+    return (np.array(piece, dtype=np.int64)[keep],
+            np.array(index, dtype=np.intp)[keep], z[keep])
 
 
 def jacobian_at(state: PhaseState, eta: float, params: ModelParams) -> tuple:

@@ -49,7 +49,8 @@ non-finite error estimate rejects the step like any other, so a NaN ends
 in StepFailureError once the step underflows _MIN_STEP. So do more than
 _MAX_STEPS + _MAX_STEPS_PER_TAU * (t1 - t0) step attempts over a span
 (t0, t1): a run that stalls next to |z| = 1 ends, and a long run gets a
-budget in proportion to its length.
+budget in proportion to its length. A span asking for more than
+_MAX_SAMPLES samples past the first is refused before any work.
 """
 
 from __future__ import annotations
@@ -105,6 +106,9 @@ _STIFF_H, _STIFF_HLAM, _STIFF_RUN, _STIFF_OFF = 0.5, 3.0, 15, 3.0
 _MAX_STEPS, _MAX_STEPS_PER_TAU = 1_000_000, 1_000
 # clamps allowed before a SingularityError; the smallest step tried
 _CLAMP_LIMIT, _MIN_STEP = 100, 1e-13
+# samples allowed over a span, past the first: their six float64 columns
+# take 480 MB, against 320 001 samples in the slowest reference ramp
+_MAX_SAMPLES = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -428,6 +432,14 @@ def integrate(initial: PhaseState, params: ModelParams, schedule: EtaSchedule,
     if not math.isfinite((t1 - t0) * max(stride, _MAX_STEPS_PER_TAU)):
         raise DomainError(f"tau_span {tau_span} is too long to count its "
                           f"samples and steps")
+    # sample k sits at t0 + k / stride, computed from k so the grid
+    # cannot drift; the last one, sample n, is placed on t1
+    span = (t1 - t0) * stride
+    n = math.ceil(span - 1e-9 * max(1.0, span))
+    if n > _MAX_SAMPLES:
+        raise DomainError(f"tau_span {tau_span} at sample_stride {stride} "
+                          f"asks for {n} samples past the first, more "
+                          f"than {_MAX_SAMPLES}")
 
     zmax = 1.0 - EPS_CLAMP
     if abs(initial.z) > zmax:
@@ -442,11 +454,6 @@ def integrate(initial: PhaseState, params: ModelParams, schedule: EtaSchedule,
         """The Jacobian and df/dtau = (nu, 1) (-P / 2^r) deta/dtau."""
         q = -power_difference(z, r) / two_r * rate_at(t)
         return _jacobian(z, theta, eta_at(t), r, nu), nu * q, q
-
-    # sample k sits at t0 + k / stride, computed from k so the grid
-    # cannot drift; the last one, sample n, is placed on t1
-    span = (t1 - t0) * stride
-    n = math.ceil(span - 1e-9 * max(1.0, span))
 
     def sample_time(k):
         if k < n:

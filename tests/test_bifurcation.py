@@ -14,6 +14,7 @@ import math
 import random
 import re
 import warnings
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -21,6 +22,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from dimer_hysteresis import errors
 from dimer_hysteresis import (DomainError, EtaSchedule, IntegratorConfig,
                               ModelParams, NoConvergenceError, PhaseState,
                               R_THRESHOLD, SingularityError,
@@ -726,8 +728,9 @@ class TestBranchGraph:
         # xi falling at the top
         lambda mp: mp.setattr(bifurcation, "_xi_slope_numerator",
                               lambda z, r: 0.5 - z),
-        # the fold fails its residual check
-        lambda mp: mp.setattr(bifurcation, "_RESIDUAL_TOL", 0.0),
+        # the fold fails its residual check; at r = 5 both residuals
+        # are exactly 0.0, so only a negative tolerance fails it
+        lambda mp: mp.setattr(bifurcation, "_RESIDUAL_TOL", -1.0),
     ])
     def test_unexpected_slope_signs_raise(self, monkeypatch, patch):
         patch(monkeypatch)
@@ -845,6 +848,8 @@ class TestBranchGraph:
 
 
 EPS = np.finfo(np.float64).eps
+PACKAGE_ERRORS = tuple(e for e in vars(errors).values()
+                       if isinstance(e, type) and issubclass(e, Exception))
 
 
 def by_bisection(mp):
@@ -870,6 +875,20 @@ def assert_same_states(got, want, r):
         terms = (abs(2.0 * z * cos_theta / math.sqrt(1.0 - z * z))
                  + abs(p.eta * power_difference(z, r) / 2.0 ** r))
         assert abs(g[0]) <= max(abs(g[1]), 64.0 * EPS * terms), (r, p, q)
+
+
+def residual_rounding(z, theta_star, eta, r):
+    """A bound on |G| at a root z > 0 found to float resolution: 64 ulps
+    of G's terms 2 z/s and eta P/2^r, plus the rounding of P =
+    exp(r log1p(-z)) expm1(2 r atanh z), whose arguments carry about
+    their own size in ulps, plus |dG/dz| times the float spacing at z."""
+    wall = abs(2.0 * z * math.cos(theta_star) / math.sqrt(1.0 - z * z))
+    bulk = abs(eta * power_difference(z, r) / 2.0 ** r)
+    exponents = r * (abs(math.log1p(-z)) + 2.0 * math.atanh(z))
+    slope = jacobian_at(PhaseState(z=z, theta=theta_star), eta,
+                        ModelParams(r=r))[1][0]
+    return (EPS * (64.0 * (wall + bulk) + 4.0 * bulk * exponents)
+            + abs(slope) * math.ulp(z))
 
 
 def oracle_atlas_powers():
@@ -940,6 +959,69 @@ class TestNewtonKernel:
             assert bifurcation._fold(r)[1] == pytest.approx(
                 fold_by_bisection(r)[1], rel=16.0 * r * EPS)
 
+    @pytest.mark.parametrize("r, eta_range", [
+        *((r, (0.25 * find_eta_star(r), 1.4 * find_eta_star(r)))
+          for r in oracle_atlas_powers()),
+        (1013.0, (1.0, 1e300))])
+    def test_fixed_points_are_the_diagram_roots(self, r, eta_range):
+        # one code path: a root depends on (|eta|, r) alone, so
+        # find_fixed_points at a grid magnitude gives the diagram's roots
+        # there bit for bit, at each piece's first, last and inner rows
+        upper = [b for b in trace_branches(r, eta_range, 400).branches
+                 if b.kind == "asymmetric" and b.z_star[0] > 0.0]
+        rows = {b.eta[k] for b in upper
+                for k in (0, len(b.eta) // 4, len(b.eta) // 2, -1)}
+        assert rows
+        for eta in rows:
+            want = {z.hex() for b in upper
+                    for e, z in zip(b.eta, b.z_star) if e == eta}
+            got = {p.z_star.hex() for p in find_fixed_points(eta, r)
+                   if p.z_star > 0.0}
+            assert got == want, (r, eta)
+
+    @given(r=st.floats(0.3, 1013.0),
+           eta=st.floats(-1e300, 1e300, allow_nan=False))
+    @example(r=5.0, eta=-6.0)
+    @example(r=107.0, eta=109.0)
+    @example(r=1013.0, eta=-1e300)
+    @example(r=R_THRESHOLD + 1e-8, eta=-2.9878)
+    @settings(max_examples=150, deadline=None)
+    def test_finders_answer_or_refuse(self, r, eta):
+        # every finite input ends in a result or a package error; every
+        # root leaves |G| within 64 ulps of G's terms, widened by the
+        # rounding of G itself, which grows with r, and by the float
+        # spacing where G is steep
+        try:
+            find_eta_plus(r)
+        except PACKAGE_ERRORS:
+            pass
+        try:
+            points = find_fixed_points(eta, r)
+        except PACKAGE_ERRORS:
+            return
+        for p in points:
+            if p.kind == "asymmetric":
+                z = abs(p.z_star)
+                assert abs(stationary_residual(z, p.theta_star, eta, r)) \
+                    <= residual_rounding(z, p.theta_star, eta, r), (r, p)
+
+    @pytest.mark.parametrize("value, slope", [
+        (math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan),
+        (1.0, 0.0), (1.0, math.inf)])
+    @pytest.mark.parametrize("falling", (False, True))
+    def test_rejected_steps_bisect(self, value, slope, falling):
+        # a Newton step rejected for a NaN or useless slope bisects, so
+        # the loop ends with the bracket at float resolution
+        seen = []
+
+        def f(z):
+            seen.append(z)
+            return value, slope, 0.0
+
+        z = bifurcation._rtsafe(f, 0.25, 0.75, falling, 0.5)
+        assert 0.25 < z < 0.75 and len(seen) <= 60
+        assert all(a != b for a, b in zip(seen, seen[1:]))
+
     # (eta, r): the r = 5 window, the fold next to the threshold power
     # (find_eta_plus and a 50-step atlas diagram, as in
     # test_fold_found_next_to_threshold), and the largest power
@@ -950,18 +1032,35 @@ class TestNewtonKernel:
 
     @staticmethod
     def evaluations(monkeypatch, fold, roots, eta, r):
-        """(F evaluations of one fold solve, G evaluations of one root
-        solve), counted by wrapping the two residuals."""
-        counts = {"F": 0, "G": 0}
-        for name, key in (("_xi_slope_numerator", "F"),
-                          ("stationary_residual", "G")):
-            def counted(*args, _f=getattr(bifurcation, name), _k=key):
-                counts[_k] += 1
-                return _f(*args)
-            for module in (bifurcation, kernel_oracles):
-                monkeypatch.setattr(module, name, counted)
+        """(F evaluations of one fold solve, G evaluations of the costliest
+        root solve), counted by wrapping the residuals: F, the package's
+        scalar G (_sheet_residual) and the oracle's stationary_residual.
+        Each _rtsafe call opens a new solve, which counts the G
+        evaluations up to the next one, its float-neighbour polish
+        included; the oracle's lockstep bisection is one solve."""
+        f_evals, solves = [0], [0]
+
+        def counted_f(*args, _f=bifurcation._xi_slope_numerator):
+            f_evals[0] += 1
+            return _f(*args)
+
+        def counted_g(*args, _f):
+            solves[-1] += 1
+            return _f(*args)
+
+        def opened(*args, _f=bifurcation._rtsafe):
+            solves.append(0)
+            return _f(*args)
+
+        for module in (bifurcation, kernel_oracles):
+            monkeypatch.setattr(module, "_xi_slope_numerator", counted_f)
+        monkeypatch.setattr(bifurcation, "_rtsafe", opened)
+        monkeypatch.setattr(bifurcation, "_sheet_residual", partial(
+            counted_g, _f=bifurcation._sheet_residual))
+        monkeypatch.setattr(kernel_oracles, "stationary_residual", partial(
+            counted_g, _f=kernel_oracles.stationary_residual))
         found = fold(r)
-        f_evals, counts["G"] = counts["F"], 0
+        fold_evals, solves[:] = f_evals[0], [0]
         if eta is None:
             star = find_eta_star(r)
             mags = np.linspace(0.25 * star, 1.4 * star, 50)
@@ -969,13 +1068,13 @@ class TestNewtonKernel:
             mags = [abs(eta)]
         assert len(roots(mags, r, found)[2]) > 0
         monkeypatch.undo()
-        return f_evals, counts["G"]
+        return fold_evals, max(solves)
 
     @pytest.mark.parametrize("eta, r", COUNTED)
     def test_at_most_16_evaluations_per_solve(self, monkeypatch, eta, r):
         f_evals, g_evals = self.evaluations(
             monkeypatch, bifurcation._fold, bifurcation._graph_roots, eta, r)
-        assert f_evals <= 16 and g_evals <= 16
+        assert f_evals <= 16 and 0 < g_evals <= 16
 
     @pytest.mark.parametrize("eta, r", COUNTED[:1] + COUNTED[-1:])
     def test_bisection_needs_more_than_40(self, monkeypatch, eta, r):
@@ -1042,8 +1141,8 @@ class TestLargePowers:
         assert find_eta_plus(r) == pytest.approx(fold_oracle(r), rel=1e-9)
 
     def test_roots_at_couplings_up_to_1e300_warn_nothing(self):
-        # the Newton start's m * m overflows above about 1.3e154, in rows
-        # below the fold, which take the parabola's start instead
+        # m * m overflows above about 1.3e154, in rows below the fold,
+        # which start on the parabola instead
         mags = np.linspace(1.0, 1e300, 4)
         fold = bifurcation._fold(1013.0)
         with warnings.catch_warnings():

@@ -11,7 +11,7 @@ import pytest
 from dimer_hysteresis import (DomainError, EtaSchedule, IntegratorConfig,
                               ModelParams, PhaseState, R_THRESHOLD, integrate,
                               trace_branches, trajectory_from_csv, wrap_angle)
-from dimer_hysteresis import cli, config
+from dimer_hysteresis import cli, config, dynamics
 from dimer_hysteresis.cli import main
 from dimer_hysteresis.config import ENV_VAR
 from dimer_hysteresis.serialize import TRAJECTORY_HEADER, trajectory_to_csv
@@ -70,6 +70,21 @@ class TestSimulate:
         assert code == 1 and out == ""
         assert err == ("error: tau_span (0.0, 1e+306) is too long to count "
                        "its samples and steps\n")
+
+    def test_a_span_with_too_many_samples_is_an_error_line(
+            self, capsys, monkeypatch):
+        # a finite budget that once ran for hours with no output
+        def no_kernels(*args):
+            raise AssertionError("kernels built for a refused span")
+
+        monkeypatch.setattr(dynamics, "_kernels", no_kernels)
+        code, out, err = run_cli(
+            capsys, "simulate", "--r", "1", "--schedule", "constant",
+            "--eta-start=-1", "--T", "1e12")
+        assert code == 1 and out == ""
+        assert err == ("error: tau_span (0.0, 1000000000000.0) at "
+                       "sample_stride 1 asks for 999999999000 samples past "
+                       "the first, more than 10000000\n")
 
     def test_csv_rows_must_have_six_columns(self):
         # a long row next to a short one must not pass as two full rows
@@ -258,7 +273,7 @@ class TestBifurcate:
 
     def test_couplings_up_to_1e300_at_the_largest_power_warn_nothing(
             self, capsys, tmp_path):
-        # the Newton start's m * m overflows above about 1.3e154
+        # m * m overflows above about 1.3e154, in rows below the fold
         out = tmp_path / "b.csv"
         with warnings.catch_warnings():
             warnings.simplefilter("error")

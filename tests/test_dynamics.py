@@ -304,6 +304,26 @@ class TestTermination:
             integrate(PhaseState(z=0.1, theta=0.0), ModelParams(r=1.0),
                       sched, IntegratorConfig(sample_stride=stride), (0.0, T))
 
+    @pytest.mark.parametrize("T, stride, refused", [
+        (1e12, 1, True), (1e5, 101, True),
+        (dynamics._MAX_SAMPLES, 1, False), (dynamics._MAX_SAMPLES + 1, 1, True)])
+    def test_spans_with_too_many_samples_are_refused_before_any_work(
+            self, monkeypatch, T, stride, refused):
+        # finite budgets that would run for hours and fill memory; the
+        # limit itself passes on to the kernels
+        class Built(Exception):
+            pass
+
+        def built(*args):
+            raise Built
+
+        monkeypatch.setattr(dynamics, "_kernels", built)
+        sched = EtaSchedule(kind="constant", eta_start=-1.0, T=float(T))
+        with (pytest.raises(DomainError, match="samples past the first")
+              if refused else pytest.raises(Built)):
+            integrate(PhaseState(z=0.1, theta=0.0), ModelParams(r=1.0), sched,
+                      IntegratorConfig(sample_stride=stride), (0.0, float(T)))
+
     def test_nan_field_raises_step_failure(self, nan_field):
         sched = EtaSchedule(kind="constant", eta_start=-1.0, T=10.0)
         with pytest.raises(StepFailureError):
