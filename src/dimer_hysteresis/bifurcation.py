@@ -22,7 +22,8 @@ window, and the pitchfork is subcritical.
 
 The fold and every root come from one scalar safeguarded-Newton kernel
 on floats, one bracket at a time, with closed-form slopes: F' for the
-fold (see _fold) and H_zz for G. Each root is bracketed first, so a
+fold (see _fold) and H_zz for G, from closures that bind a coupling's
+constants once (_sheet_kernels). Each root is bracketed first, so a
 Newton step that would leave its bracket bisects instead. A root
 depends on (|eta|, r) alone, so every finder gets it bit for bit.
 
@@ -31,7 +32,8 @@ eigenvalues (eigenvalues_2x2), in real arithmetic. On the sheet
 theta* = 0 that trace_branches draws, the Jacobian at nu = 0 is
 ((0, 2 s), (H_zz, 0)), so the eigenvalues are +-sqrt(2 s H_zz):
 _fixed_points computes them as columns of each Branch from that, bit
-for bit as find_fixed_points computes them point by point.
+for bit as find_fixed_points computes them point by point. s and H_zz
+are even in z, so each mirror state -z takes its twin's spectrum.
 """
 
 from __future__ import annotations
@@ -48,8 +50,8 @@ from .errors import (
     SingularityError,
     ThresholdProximityError,
 )
-from .model import (EPS_CLAMP, ModelParams, PhaseState, check_count,
-                    check_power, dh_dz, power_difference)
+from .model import (EPS_CLAMP, ModelParams, PhaseState, _power_difference,
+                    check_count, check_power, dh_dz, power_difference)
 
 EPS_EIG = 1e-8
 
@@ -63,6 +65,11 @@ _ZMAX = 1.0 - EPS_CLAMP
 # no reliable sign
 _FOLD_SCAN = np.geomspace(1e-4, _ZMAX, 64)
 _SLOPE_NOISE = 2e-15
+# the scan's terms that do not depend on r
+_SCAN_UP, _SCAN_DOWN = 1.0 + _FOLD_SCAN, 1.0 - _FOLD_SCAN
+_SCAN_QUAD = 1.0 - _FOLD_SCAN * _FOLD_SCAN
+_SCAN_LOG_UP, _SCAN_LOG_DOWN = np.log1p(_FOLD_SCAN), np.log1p(-_FOLD_SCAN)
+_SCAN_ATANH = np.arctanh(_FOLD_SCAN)
 # |G| below this fraction of its terms' sizes has no reliable sign
 _ROOT_NOISE = 16.0 * math.ulp(1.0)
 # a Newton step this many ulps of z long or shorter is the last
@@ -149,7 +156,8 @@ def stationary_residual(z, theta_star: float, eta, r: float):
 
 def _xi(z, r):
     """The branch graph xi(z) for 0 < z < 1, on floats."""
-    return 2.0 ** (r + 1.0) * z / (math.sqrt(1.0 - z * z) * power_difference(z, r))
+    return (2.0 ** (r + 1.0) * z
+            / (math.sqrt(1.0 - z * z) * _power_difference(z, r)))
 
 
 def _power_sum(z, r):
@@ -185,16 +193,27 @@ def _h_zz(s, cos_theta, eta, r, power_sum):
             - eta * r / 2.0 ** r * power_sum)
 
 
-def _sheet_residual(z, m, r):
-    """(G, dG/dz = H_zz, noise) on floats at theta* = 0, eta = -m: G is
-    stationary_residual's value, bit for bit, the difference of its
-    positive terms m P / 2^r and 2 z/s, and noise is _ROOT_NOISE times
-    their sum."""
-    s = math.sqrt(1.0 - z * z)
-    bulk = m / 2.0 ** r * power_difference(z, r)
-    wall = 2.0 * z / s
-    return (bulk - wall, _h_zz(s, 1.0, -m, r, _power_sum(z, r)),
-            _ROOT_NOISE * (bulk + wall))
+def _sheet_kernels(m, r):
+    """(f, g) on floats 0 < z < 1 at theta* = 0, eta = -m: f(z) is (G,
+    dG/dz = H_zz, noise), G stationary_residual's value and H_zz _h_zz's,
+    bit for bit, G the difference of its terms m P / 2^r and 2 z/s, noise
+    _ROOT_NOISE times their sum; g(z) is G alone."""
+    scale, slope, r1 = m / 2.0 ** r, -m * r / 2.0 ** r, r - 1.0
+
+    def f(z):
+        s = math.sqrt(1.0 - z * z)
+        bulk = scale * _power_difference(z, r)
+        wall = 2.0 * z / s
+        return (bulk - wall,
+                -2.0 / (s * s * s) - slope * ((1.0 + z) ** r1
+                                              + (1.0 - z) ** r1),
+                _ROOT_NOISE * (bulk + wall))
+
+    def g(z):
+        return (scale * _power_difference(z, r)
+                - 2.0 * z / math.sqrt(1.0 - z * z))
+
+    return f, g
 
 
 def _rtsafe(f, lo, hi, falling, z):
@@ -238,16 +257,16 @@ def _fold(r: float) -> Optional[tuple]:
     """(z_f, eta_plus = xi(z_f)) at the interior minimum of xi, checked,
     or None if xi is monotone. Every finder takes its fold from here.
 
-    Scans the sign of F on a coarse geometric grid over [1e-4, 1 - EPS_CLAMP].
-    F is the difference of two terms equal to P at leading order, each
-    with a few ulps of rounding, so a value within 2e-15 P of zero has
-    no reliable sign and is skipped; this only happens within about 1e-7
-    of r_threshold. F < 0 then F > 0 is a fold, solved by _rtsafe on F
-    with its closed-form slope F' inside the bracketing grid cell; F > 0
-    throughout is a monotone graph, or with kappa < 0 a fold too shallow
-    for the scan, which raises ThresholdProximityError. Any other
-    pattern raises NoConvergenceError, so xi is never assumed unimodal
-    without being checked.
+    Scans the sign of F on a coarse geometric grid over [1e-4, 1 - EPS_CLAMP]
+    (_fold_signs). F is the difference of two terms equal to P at leading
+    order, each with a few ulps of rounding, so a value within 2e-15 P of
+    zero has no reliable sign and is skipped; this only happens within
+    about 1e-7 of r_threshold. F < 0 then F > 0 is a fold, solved by
+    _rtsafe on F with its closed-form slope F' inside the bracketing grid
+    cell; F > 0 throughout is a monotone graph, or with kappa < 0 a fold
+    too shallow for the scan, which raises ThresholdProximityError. Any
+    other pattern raises NoConvergenceError, so xi is never assumed
+    unimodal without being checked.
 
     The fold is checked as a double root: at (z_f, -eta_plus), |G| and
     |dG/dz| (H_zz) must be at most 1e-10 times their terms' sizes 2 z/s
@@ -255,9 +274,7 @@ def _fold(r: float) -> Optional[tuple]:
     and 0 < eta_plus < eta_star. Else NoConvergenceError.
     """
     eta_star = find_eta_star(r)
-    f = _xi_slope_numerator(_FOLD_SCAN, r)
-    signs = np.where(abs(f) > _SLOPE_NOISE * power_difference(_FOLD_SCAN, r),
-                     np.sign(f), 0.0)
+    signs = _fold_signs(r)
     zs, signs = _FOLD_SCAN[signs != 0], signs[signs != 0]
     flips = np.flatnonzero(signs[1:] != signs[:-1])
     if len(flips) > 1 or len(signs) == 0 or signs[-1] < 0:
@@ -271,7 +288,7 @@ def _fold(r: float) -> Optional[tuple]:
         return None
     lo, hi = zs[flips[0]:flips[0] + 2].tolist()
     # P rises with z, so its value at lo bounds F's noise in the cell
-    noise = _SLOPE_NOISE * power_difference(lo, r)
+    noise = _SLOPE_NOISE * _power_difference(lo, r)
 
     def slope_numerator(z):
         return (_xi_slope_numerator(z, r), _xi_slope_numerator_slope(z, r),
@@ -280,7 +297,7 @@ def _fold(r: float) -> Optional[tuple]:
     z = _rtsafe(slope_numerator, lo, hi, False, 0.5 * (lo + hi))
     m = _xi(z, r)
     s = math.sqrt(1.0 - z * z)
-    g, dg, _ = _sheet_residual(z, m, r)
+    g, dg, _ = _sheet_kernels(m, r)[0](z)
     if not (abs(g) <= _RESIDUAL_TOL * 2.0 * z / s
             and abs(dg) <= _RESIDUAL_TOL * 2.0 / (s * s * s)):
         raise NoConvergenceError(
@@ -291,6 +308,19 @@ def _fold(r: float) -> Optional[tuple]:
     return z, m
 
 
+def _fold_signs(r):
+    """The sign of F at each _FOLD_SCAN point, or 0 where |F| is within
+    _SLOPE_NOISE P of zero: _xi_slope_numerator and P over the scan, bit
+    for bit, with P computed once from the scan's precomputed terms."""
+    x = 2.0 * r * _SCAN_ATANH
+    p = np.exp(r * _SCAN_LOG_DOWN) * np.expm1(np.minimum(x, 709.0))
+    big = x > 709.0
+    p[big] = np.exp(r * _SCAN_LOG_UP[big])
+    f = p - r * _FOLD_SCAN * _SCAN_QUAD * (_SCAN_UP ** (r - 1.0)
+                                           + _SCAN_DOWN ** (r - 1.0))
+    return np.where(abs(f) > _SLOPE_NOISE * p, np.sign(f), 0.0)
+
+
 def _graph_roots(mags, r: float, fold: Optional[tuple]) -> tuple:
     """Positive roots of |eta| = xi(z) at the coupling magnitudes mags.
 
@@ -299,17 +329,18 @@ def _graph_roots(mags, r: float, fold: Optional[tuple]) -> tuple:
     holds one root at m exactly when m lies strictly between xi at its
     two ends, where xi(0+) = eta_star; at m = eta_plus the single root is
     z_f. Each root is solved on its own, from m and r alone, by _rtsafe
-    on _sheet_residual: G at theta* = 0, eta = -m, with dG/dz = H_zz; it
-    is done once |G| is within _ROOT_NOISE of its terms 2 z/s + m P/2^r.
-    Newton starts where xi's shape puts the root: on the piece that ends
-    at 1 - EPS_CLAMP, where 2/s = m, as xi -> 2/s when P -> 2^r (exactly
-    so at r = 1 and 2); below a fold, on the parabola that falls from
-    eta_star at z = 0 to eta_plus at z_f; where that start lies outside
-    the piece, in the middle of the piece. Where G is steep, the float
-    grid around the root is coarser than G's rounding, so each root then
-    moves to whichever of itself and its float neighbours inside its
-    piece has the smallest |G|. Roots below 1e-9 are dropped as
-    numerical shadows of the symmetric root.
+    on f of _sheet_kernels(m, r): G at theta* = 0, eta = -m, with
+    dG/dz = H_zz; it is done once |G| is within _ROOT_NOISE of its
+    terms 2 z/s + m P/2^r. Newton starts where xi's shape puts the
+    root: on the piece that ends at 1 - EPS_CLAMP, where 2/s = m, as
+    xi -> 2/s when P -> 2^r (exactly so at r = 1 and 2); below a fold,
+    on the parabola that falls from eta_star at z = 0 to eta_plus at
+    z_f; where that start lies outside the piece, in the middle of the
+    piece. Where G is steep, the float grid around the root is coarser
+    than G's rounding, so each root then moves to whichever of itself
+    and its float neighbours inside its piece has the smallest |G|,
+    compared by the G-only g. Roots below 1e-9 are dropped as numerical
+    shadows of the symmetric root.
 
     Returns (piece, index, z) arrays, ordered by piece and then by index
     into mags; the pieces are numbered in increasing z.
@@ -337,11 +368,12 @@ def _graph_roots(mags, r: float, fold: Optional[tuple]) -> tuple:
                 z = b * math.sqrt((eta_star - m) / (eta_star - xb))
             if not a < z < b:
                 z = 0.5 * (a + b)
+            f, g = _sheet_kernels(m, r)
             # G > 0 exactly where xi(z) < m
-            z = _rtsafe(lambda z: _sheet_residual(z, m, r), a, b, xb > xa, z)
+            z = _rtsafe(f, a, b, xb > xa, z)
             near = (z, math.nextafter(z, 0.0), math.nextafter(z, 1.0))
             roots.append(min((x for x in near if a < x < b),
-                             key=lambda x: abs(_sheet_residual(x, m, r)[0])))
+                             key=lambda x: abs(g(x))))
     z = np.array(roots, dtype=np.float64)
     keep = z >= 1e-9
     return (np.array(piece, dtype=np.int64)[keep],
@@ -507,8 +539,9 @@ def find_fixed_points(eta: float, r: float) -> list:
         if theta_star != sheet:
             continue
         for z_root in roots:
-            points.append(_make_fixed_point(z_root, theta_star, eta, r))
-            points.append(_make_fixed_point(-z_root, theta_star, eta, r))
+            p = _make_fixed_point(z_root, theta_star, eta, r)
+            points += [p, FixedPoint(-z_root, theta_star, eta, p.stability,
+                                     p.eigenvalues, "asymmetric")]
     return points
 
 
@@ -641,7 +674,8 @@ def trace_branches(r: float, eta_range: tuple, steps: int) -> BifurcationDiagram
     for p in sorted(set(piece.tolist())):
         idx, z = index[piece == p], zs[piece == p]
         upper = columns(z, etas[idx])
-        lower = columns(-z, etas[idx])
+        # the mirror's spectrum, bit for bit: s and H_zz are even in z
+        lower = (upper[0], tuple((-z).tolist()), *upper[2:])
         first, z0 = int(idx[0]), float(z[0])
         born += [(first, -z0, "asymmetric", lower),
                  (first, z0, "asymmetric", upper)]

@@ -46,10 +46,12 @@ stiff, are bit-identical to DOP853 alone.
 A step of either kind whose stage leaves |z| <= 1 - EPS_CLAMP is
 halved; at _MIN_STEP the state is clamped, at most _CLAMP_LIMIT times. A
 non-finite error estimate rejects the step like any other, so a NaN ends
-in StepFailureError once the step underflows _MIN_STEP. So do more than
-_MAX_STEPS + _MAX_STEPS_PER_TAU * (t1 - t0) step attempts over a span
-(t0, t1): a run that stalls next to |z| = 1 ends, and a long run gets a
-budget in proportion to its length. A span asking for more than
+in StepFailureError once the step underflows _MIN_STEP; an underflow
+within _POLE_MARGIN of |z| = 1 has met the pole and raises
+SingularityError. More than _MAX_STEPS + _MAX_STEPS_PER_TAU * (t1 - t0)
+step attempts over a span (t0, t1) end in StepFailureError too: a run
+that stalls next to |z| = 1 ends, and a long run gets a budget in
+proportion to its length. A span asking for more than
 _MAX_SAMPLES samples past the first is refused before any work.
 """
 
@@ -106,6 +108,8 @@ _STIFF_H, _STIFF_HLAM, _STIFF_RUN, _STIFF_OFF = 0.5, 3.0, 15, 3.0
 _MAX_STEPS, _MAX_STEPS_PER_TAU = 1_000_000, 1_000
 # clamps allowed before a SingularityError; the smallest step tried
 _CLAMP_LIMIT, _MIN_STEP = 100, 1e-13
+# a step underflowing _MIN_STEP this close to |z| = 1 has met the pole
+_POLE_MARGIN = 1e-6
 # samples allowed over a span, past the first: their six float64 columns
 # take 480 MB, against 320 001 samples in the slowest reference ramp
 _MAX_SAMPLES = 10_000_000
@@ -550,6 +554,9 @@ def integrate(initial: PhaseState, params: ModelParams, schedule: EtaSchedule,
             fac = _SAFETY * err ** -expo if math.isfinite(err) else 0.0
             h *= max(_FAC_MIN, fac)
             if h < _MIN_STEP:
+                if abs(z) > 1.0 - _POLE_MARGIN:
+                    raise SingularityError(f"reached the pole |z|=1 at "
+                                           f"tau={t}: z={z}")
                 raise StepFailureError(
                     f"step size underflowed {_MIN_STEP} at tau={t}")
             continue

@@ -262,11 +262,16 @@ def power_difference(z, r: float):
         return 0.0
     if a >= 1.0:
         raise DomainError(f"power_difference requires |z| < 1, got {z}")
-    try:
-        val = math.exp(r * math.log1p(-a)) * math.expm1(2.0 * r * math.atanh(a))
-    except OverflowError:
-        val = math.exp(r * math.log1p(a))
+    val = _power_difference(a, r)
     return val if z > 0 else -val
+
+
+def _power_difference(a, r):
+    """power_difference's float form for 0 < a < 1, unchecked."""
+    try:
+        return math.exp(r * math.log1p(-a)) * math.expm1(2.0 * r * math.atanh(a))
+    except OverflowError:
+        return math.exp(r * math.log1p(a))
 
 
 def hamiltonian(state: PhaseState, eta: float, r: float) -> float:

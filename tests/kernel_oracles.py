@@ -5,6 +5,11 @@
   the same code under new names and shorter docstrings: every bracket
   is halved to float resolution, about 55 residual evaluations per
   solve.
+- sheet_residual is the former scalar residual of the root kernel, G
+  and H_zz through the checked power_difference, _h_zz and _power_sum,
+  which the bound closures of bifurcation._sheet_kernels replaced;
+  fold_scan_signs is the former 64-point sign scan of _fold, which
+  computed P twice and every term of the scan on each call.
 - eta_star_numeric locates the pitchfork coupling by bisection on a
   finite-difference slope, using no closed-form derivative.
 - diagram_json_by_dumps is the former diagram writer, one
@@ -35,7 +40,9 @@ import numpy as np
 from dimer_hysteresis import (ModelParams, NoConvergenceError, PhaseState,
                               SingularityError, bifurcation, find_eta_star,
                               jacobian_at, stationary_residual)
-from dimer_hysteresis.bifurcation import (_RESIDUAL_TOL, _ZMAX, _xi,
+from dimer_hysteresis.bifurcation import (_RESIDUAL_TOL, _ROOT_NOISE,
+                                          _SLOPE_NOISE, _ZMAX, _h_zz,
+                                          _power_sum, _xi,
                                           _xi_slope_numerator)
 from dimer_hysteresis.model import check_power, power_difference
 from dimer_hysteresis.tableau import (DOP853_B, DOP853_D, DOP853_DENSE_STAGES,
@@ -59,13 +66,31 @@ def _bisect(above, lo, hi):
         hi = np.where(up, hi, mid)
 
 
+def sheet_residual(z, m, r):
+    """(G, dG/dz = H_zz, noise) on floats at theta* = 0, eta = -m, as the
+    former _sheet_residual computed them."""
+    s = math.sqrt(1.0 - z * z)
+    bulk = m / 2.0 ** r * power_difference(z, r)
+    wall = 2.0 * z / s
+    return (bulk - wall, _h_zz(s, 1.0, -m, r, _power_sum(z, r)),
+            _ROOT_NOISE * (bulk + wall))
+
+
+def fold_scan_signs(r: float):
+    """The former fold scan: the sign of F on 64 geometric points over
+    [1e-4, 1 - EPS_CLAMP], or 0 within _SLOPE_NOISE P of zero."""
+    zs = np.geomspace(1e-4, _ZMAX, 64)
+    f = _xi_slope_numerator(zs, r)
+    return np.where(abs(f) > _SLOPE_NOISE * power_difference(zs, r),
+                    np.sign(f), 0.0)
+
+
 def fold_by_bisection(r: float) -> Optional[tuple]:
     """(z_f, eta_plus) as the former _fold found it: the same 64-point
     sign scan and checks, one bisection of F to float resolution."""
     check_power(r)
     zs = np.geomspace(1e-4, _ZMAX, 64)
-    f = _xi_slope_numerator(zs, r)
-    signs = np.where(abs(f) > 2e-15 * power_difference(zs, r), np.sign(f), 0.0)
+    signs = fold_scan_signs(r)
     zs, signs = zs[signs != 0], signs[signs != 0]
     flips = np.flatnonzero(signs[1:] != signs[:-1])
     if len(flips) > 1 or len(signs) == 0 or signs[-1] < 0:

@@ -227,8 +227,11 @@ class TestFindFixedPoints:
                 p.z_star, p.theta_star, p.eta, 5.0)) < 1e-10
 
     @given(eta=st.floats(-8.0, -0.5), r=st.floats(0.5, 6.0))
+    @example(eta=6.0, r=5.0)  # two pairs on the sheet theta* = pi
     @settings(max_examples=25, deadline=None)
     def test_mirror_symmetry_with_shared_spectrum(self, eta, r):
+        # the mirror takes its twin's spectrum, which is the one
+        # _make_fixed_point computes at -z, bit for bit
         pts = find_fixed_points(eta, r)
         by_key = {(p.theta_star, p.z_star): p for p in pts}
         for p in pts:
@@ -238,6 +241,9 @@ class TestFindFixedPoints:
             assert mirror is not None
             assert mirror.stability == p.stability
             assert mirror.eigenvalues == p.eigenvalues
+            assert point_bits(mirror) == point_bits(
+                bifurcation._make_fixed_point(mirror.z_star, p.theta_star,
+                                              eta, r))
 
     def test_mirror_spectrum_agrees_when_recomputed(self):
         pts = [p for p in find_fixed_points(-5.0, 5.0)
@@ -923,6 +929,31 @@ class TestBranchColumns:
         again = trace_branches(r, eta_range, 400).branches
         assert again == d.branches and hash(again) == hash(d.branches)
 
+    @pytest.mark.parametrize("r, eta_range", [
+        *((r, (0.25 * find_eta_star(r), 1.4 * find_eta_star(r)))
+          for r in oracle_atlas_powers()),
+        (1013.0, (1.0, 1e300))])
+    def test_lower_branches_share_the_upper_spectrum(self, r, eta_range):
+        # each lower branch (-z) takes its upper twin's stability and
+        # eigenvalues; both equal, bit for bit, the per-point scalar path
+        # at -z, so the rows that _fixed_points hands to it as well
+        d = trace_branches(r, eta_range, 400)
+        upper = {(b.eta, b.z_star): b for b in d.branches
+                 if b.kind == "asymmetric" and b.z_star[0] > 0.0}
+        lower = [b for b in d.branches
+                 if b.kind == "asymmetric" and b.z_star[0] < 0.0]
+        assert len(lower) == len(upper) > 0
+        for b in lower:
+            twin = upper[b.eta, tuple(-z for z in b.z_star)]
+            assert b.stability == twin.stability
+            assert list(map(hexes, b.eigenvalues)) \
+                == list(map(hexes, twin.eigenvalues))
+            stability, eigenvalues = scalar_fixed_points(
+                np.array(b.z_star), np.array(b.eta), r)
+            assert b.stability == stability
+            assert list(map(hexes, b.eigenvalues)) \
+                == list(map(hexes, eigenvalues))
+
 
 class TestNewtonKernel:
     """Safeguarded Newton against the all-bisection kernels it replaced."""
@@ -1022,6 +1053,30 @@ class TestNewtonKernel:
         assert 0.25 < z < 0.75 and len(seen) <= 60
         assert all(a != b for a, b in zip(seen, seen[1:]))
 
+    @given(z=st.floats(0.0, 1.0 - EPS_CLAMP, exclude_min=True,
+                       exclude_max=True),
+           m=st.floats(0.0, 1e300),
+           r=st.floats(0.0, 1014.0, exclude_min=True, exclude_max=True))
+    @example(z=0.5, m=1e300, r=1013.0)  # expm1 overflows
+    @example(z=(1.0 - EPS_CLAMP) * (1.0 - EPS), m=3.0, r=1013.0)
+    @example(z=5e-324, m=2.0, r=1.0)
+    @example(z=0.3, m=0.0, r=0.05)
+    @settings(max_examples=300, deadline=None)
+    def test_kernels_are_the_former_residual(self, z, m, r):
+        f, g = bifurcation._sheet_kernels(m, r)
+        want = kernel_oracles.sheet_residual(z, m, r)
+        assert tuple(map(float.hex, f(z))) == tuple(map(float.hex, want))
+        assert g(z).hex() == want[0].hex()
+
+    @given(r=st.floats(0.05, 1013.0))
+    @example(r=R_THRESHOLD + 1e-7)
+    @example(r=R_THRESHOLD - 1e-8)
+    @example(r=1013.0)
+    @settings(max_examples=150, deadline=None)
+    def test_fold_scan_is_the_former_scan(self, r):
+        got = bifurcation._fold_signs(r)
+        assert got.tolist() == kernel_oracles.fold_scan_signs(r).tolist()
+
     # (eta, r): the r = 5 window, the fold next to the threshold power
     # (find_eta_plus and a 50-step atlas diagram, as in
     # test_fold_found_next_to_threshold), and the largest power
@@ -1034,9 +1089,10 @@ class TestNewtonKernel:
     def evaluations(monkeypatch, fold, roots, eta, r):
         """(F evaluations of one fold solve, G evaluations of the costliest
         root solve), counted by wrapping the residuals: F, the package's
-        scalar G (_sheet_residual) and the oracle's stationary_residual.
-        Each _rtsafe call opens a new solve, which counts the G
-        evaluations up to the next one, its float-neighbour polish
+        scalar G (both closures of _sheet_kernels: f in the Newton loop,
+        g in the float-neighbour polish) and the oracle's
+        stationary_residual. Each _rtsafe call opens a new solve, which
+        counts the G evaluations up to the next one, its polish
         included; the oracle's lockstep bisection is one solve."""
         f_evals, solves = [0], [0]
 
@@ -1055,8 +1111,10 @@ class TestNewtonKernel:
         for module in (bifurcation, kernel_oracles):
             monkeypatch.setattr(module, "_xi_slope_numerator", counted_f)
         monkeypatch.setattr(bifurcation, "_rtsafe", opened)
-        monkeypatch.setattr(bifurcation, "_sheet_residual", partial(
-            counted_g, _f=bifurcation._sheet_residual))
+        def counted_kernels(*args, _k=bifurcation._sheet_kernels):
+            return tuple(partial(counted_g, _f=k) for k in _k(*args))
+
+        monkeypatch.setattr(bifurcation, "_sheet_kernels", counted_kernels)
         monkeypatch.setattr(kernel_oracles, "stationary_residual", partial(
             counted_g, _f=kernel_oracles.stationary_residual))
         found = fold(r)
@@ -1121,6 +1179,28 @@ class TestDiagramJson:
         text = diagram_to_json(d, {"note": "x"})
         assert text == diagram_json_by_dumps(d, {"note": "x"})
         assert "NaN" in text and "-Infinity" in text
+
+    @given(rows=st.lists(st.tuples(*[st.floats(allow_nan=False,
+                                               allow_infinity=False)] * 6),
+                         max_size=24),
+           split=st.integers(0, 24))
+    @example(rows=[(-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300)] * 2,
+             split=1)
+    @settings(max_examples=100, deadline=None)
+    def test_finite_values_bytes(self, rows, split):
+        # each distinct magnitude is formatted once and signed by its
+        # sign bit: -0.0, subnormals and shared magnitudes included
+        def branch(i, part):
+            return Branch(i, "asymmetric", 0.0,
+                          tuple(r[0] for r in part), tuple(r[1] for r in part),
+                          ("stable",) * len(part),
+                          tuple((complex(r[2], r[3]), complex(r[4], r[5]))
+                                for r in part))
+
+        d = BifurcationDiagram(
+            r=5.0, branches=(branch(0, rows[:split]), branch(1, rows[split:])),
+            eta_star=6.4, eta_plus=None, classification="supercritical")
+        assert diagram_to_json(d) == diagram_json_by_dumps(d)
 
     def test_empty_diagram_bytes(self):
         d = BifurcationDiagram(r=1.0, branches=(), eta_star=2.0,

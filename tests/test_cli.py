@@ -86,6 +86,15 @@ class TestSimulate:
                        "sample_stride 1 asks for 999999999000 samples past "
                        "the first, more than 10000000\n")
 
+    def test_a_damped_arrival_at_the_pole_is_an_error_line(self, capsys):
+        code, out, err = run_cli(
+            capsys, "simulate", "--r", "1", "--nu", "0.5", "--schedule",
+            "constant", "--eta-start=-1", "--T", "5", "--z0", "0.9",
+            "--theta0", "1.5")
+        assert code == 1 and out == ""
+        assert err.startswith("error: reached the pole |z|=1 at tau=0.10")
+        assert err.count("\n") == 1
+
     def test_csv_rows_must_have_six_columns(self):
         # a long row next to a short one must not pass as two full rows
         text = "\n".join([TRAJECTORY_HEADER, "0,1,0,0,1,1,9", "1,1,0,0,1"])

@@ -330,6 +330,17 @@ class TestTermination:
             integrate(PhaseState(z=0.1, theta=0.0), ModelParams(r=1.0),
                       sched, PROTOCOL, (0.0, 10.0))
 
+    def test_damped_arrival_at_the_pole_is_a_singularity(self):
+        # the damped flow reaches |z| = 1 in finite time; the step
+        # underflows at z = 1 - 1.45e-8, inside the clamp margin
+        sched = EtaSchedule(kind="constant", eta_start=-1.0, T=5.0)
+        with pytest.raises(SingularityError,
+                           match=r"reached the pole \|z\|=1 at tau=0\.10"
+                                 r".*z=0\.99999998"):
+            integrate(PhaseState(z=0.9, theta=1.5),
+                      ModelParams(r=1.0, nu=0.5), sched, PROTOCOL,
+                      (0.0, 5.0))
+
     def test_decay_below_the_square_underflow_ends(self):
         # the damped state decays onto z = 0 until both error estimates'
         # squares underflow; a zero norm denominator is zero error
