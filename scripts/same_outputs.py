@@ -30,10 +30,14 @@ placeholder:
 - `find_fixed_points` at 200 seeded (eta, r) in [-8, -0.5] x [0.5, 6],
   the benchmark's ranges, and at three large couplings, one JSON line
   per call with each point's z_star, theta_star, stability and
-  eigenvalue parts, run with `python -c` and kept as a file.
+  eigenvalue parts, run with `python -c` and kept as a file;
+- for each `simulate` CSV, a read-back file: the columns that side's
+  `trajectory_from_csv` reads from it, a header and one row per sample
+  of `float.hex` values, so that a change to the reader shows too.
 
-Prints "identical" or the first differing line for each of the 46
-files. For a CSV, JSON or JSON-lines file that differs it then prints,
+Prints "identical" or the first differing line for each of the 51
+files. For a CSV, JSON, JSON-lines or read-back file that differs it
+then prints,
 for each CSV column or JSON key path, how many numbers differ, the
 largest |difference|, how many became exactly 0.0, and how many floats
 apart the others are at most (ulps); a key path writes an index into a
@@ -68,10 +72,24 @@ for eta, r in calls + [(-1e20, 1.0), (1e20, 1.0), (-1e300, 5.0)]:
          "eigenvalues": [[v.real, v.imag] for v in p.eigenvalues]}
         for p in find_fixed_points(eta, r)]}))
 """
+# the columns trajectory_from_csv reads from the CSV argv[1], written as
+# float.hex; the reader uses neither params nor schedule
+READ_BACK = """
+import sys
+from pathlib import Path
+from dimer_hysteresis import EtaSchedule, ModelParams, trajectory_from_csv
+traj = trajectory_from_csv(Path(sys.argv[1]).read_text(encoding="utf-8"),
+                           ModelParams(r=1.0), EtaSchedule(kind="constant"))
+names = ("tau", "eta", "z", "theta", "H", "E")
+print(",".join(names))
+for row in zip(*(getattr(traj, name).tolist() for name in names)):
+    print(",".join(map(float.hex, row)))
+"""
 RAMP = ["--nu", "0.5", "--T", "4000", "--schedule", "triangular",
         "--z0", "0.01", "--theta0", "0", "--sample-stride", "10"]
 # (output stem, Python arguments, suffixes written next to the stem); a
-# .jsonl file is the command's stdout
+# .jsonl or .hex file is the command's stdout, and "<out>" in an
+# argument is the output directory
 RUNS = [
     *((f"{name}-{cmd}", [*CLI, cmd, "--r", r, "--eta-start", start,
                           "--eta-peak", peak, *RAMP, *extra],
@@ -110,6 +128,8 @@ RUNS = [
      (".jsonl",)),
     ("fixed-points", ["-c", FIXED_POINTS], (".jsonl",)),
 ]
+RUNS += [(f"{stem}-read-back", ["-c", READ_BACK, f"<out>/{stem}.csv"],
+          (".hex",)) for stem, _, _ in RUNS if stem.endswith("-simulate")]
 
 
 def run_all(src: Path, out: Path) -> None:
@@ -117,8 +137,10 @@ def run_all(src: Path, out: Path) -> None:
     env = {**os.environ, "PYTHONPATH": str(src)}
     env.pop("DIMER_HYSTERESIS_CONFIG", None)
     for stem, argv, suffixes in RUNS:
+        argv = [arg.replace("<out>", str(out)) for arg in argv]
         first = out / (stem + suffixes[0])
-        files = [] if suffixes == (".jsonl",) else ["--out", str(first)]
+        stdout = suffixes[0] in (".jsonl", ".hex")
+        files = [] if stdout else ["--out", str(first)]
         if ".svg" in suffixes:
             files += ["--plot", str(out / (stem + ".svg"))]
         done = subprocess.run(
@@ -127,7 +149,7 @@ def run_all(src: Path, out: Path) -> None:
         if done.returncode != 0:
             raise SystemExit(f"{src}: {' '.join(argv)[:200]} exited "
                              f"{done.returncode}: {done.stderr.strip()}")
-        if not files:
+        if stdout:
             first.write_text(done.stdout, encoding="utf-8")
 
 
@@ -157,17 +179,19 @@ def first_difference(a: bytes, b: bytes):
 
 
 def _leaves(suffix: str, text: str) -> list:
-    """(path, value) for every CSV cell or JSON leaf, in file order; a
-    CSV cell's path is its column's name, and a cell that reads as a
-    float is that float."""
-    if suffix == ".csv":
+    """(path, value) for every CSV or read-back cell or JSON leaf, in
+    file order; a cell's path is its column's name, and a cell that
+    reads as a float (by float.fromhex in a read-back file) is that
+    float."""
+    if suffix in (".csv", ".hex"):
         header, *rows = text.splitlines()
         names = header.split(",")
+        parse = float.fromhex if suffix == ".hex" else float
         leaves = []
         for row in rows:
             for name, cell in zip(names, row.split(",")):
                 try:
-                    cell = float(cell)
+                    cell = parse(cell)
                 except ValueError:
                     pass
                 leaves.append((name, cell))
@@ -202,18 +226,18 @@ def _number(x) -> bool:
 
 
 def number_report(suffix: str, a: bytes, b: bytes) -> list:
-    """For a CSV, JSON or JSON-lines pair, one line per CSV column or
-    JSON key path that differs: how many numbers differ of how many, the
+    """For a CSV, JSON, JSON-lines or read-back pair, one line per column
+    or JSON key path that differs: how many numbers differ of how many, the
     largest |difference|, how many became exactly 0.0, and the largest
     distance of the others in ulps (floats apart), then how many other
     values differ. When the two files' paths differ, one line saying
     how. Other files, and identical columns, give no line."""
-    if suffix not in (".csv", ".json", ".jsonl"):
+    if suffix not in (".csv", ".json", ".jsonl", ".hex"):
         return []
     texts = a.decode("utf-8"), b.decode("utf-8")
     left, right = (_leaves(suffix, t) for t in texts)
     if [p for p, _ in left] != [p for p, _ in right]:
-        if suffix == ".csv":
+        if suffix in (".csv", ".hex"):
             sizes = [len(t.splitlines()) - 1 for t in texts]
             if sizes[0] != sizes[1]:
                 return [f"{sizes[0]} rows against {sizes[1]}"]

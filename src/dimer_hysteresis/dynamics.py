@@ -25,10 +25,13 @@ steps the absolute tolerance dominates near z = 0, the state stops
 decaying there and the delayed jump of a slow ramp comes early. Steps
 ignore the sample grid; samples inside a step come from DOP853's
 7th-order interpolant, which costs three extra right-hand-side
-evaluations on steps that hold a sample. Such a step records the
-interpolant's coefficients and the range of sample indices it covers;
-after the run the interpolant is evaluated once over numpy columns, in
-the same operations as for one sample, so each sample keeps its bits.
+evaluations on steps that hold a sample. Such a step records t, h, the
+range of sample indices it covers, (z, theta) at both ends, its 12
+stages, the derivative at its end and the three extra stages. After
+the run the interpolant's coefficients (Hairer, Norsett & Wanner,
+Solving ODEs I, section II.6) and then its samples are computed over
+numpy columns of all the records, in the same operations as for one
+step and one sample, so each sample keeps its bits.
 
 Damped runs (nu > 0) switch to the linearly implicit Rosenbrock method
 RODAS3 where DOP853 is stability-bound: after 15 accepted DOP853 steps
@@ -39,7 +42,8 @@ A RODAS3 step costs one Jacobian and two new field evaluations besides
 the end-point one; its order-2 error estimate is controlled per step,
 not per unit tau (the per-unit rule serves the H drift at nu = 0 and the
 decay near z = 0, where no stiff step runs), and its samples come from
-the cubic Hermite interpolant of the step's end values and derivatives.
+the cubic Hermite interpolant of the step's end values and derivatives,
+whose coefficients the step records.
 Undamped runs never switch, so they, and damped runs that never become
 stiff, are bit-identical to DOP853 alone.
 
@@ -226,9 +230,9 @@ def field(z, theta, eta):
 # The straight-line kernels, written out from tableau.py's rows with the
 # flow inline. _step returns (stages evaluated, None) once a stage point
 # leaves |z| <= zmax, else (11, (the b, E5 and E3 sums, kz0..kz11,
-# kt0..kt11)). _dense adds the three extra stages and returns
-# _interpolate's coefficients; kz12, kt12 are the derivative at the
-# step's end.
+# kt0..kt11)). _dense returns the three extra stages, (kz13, kz14,
+# kz15, kt13, kt14, kt15); kz12, kt12 are the derivative at the step's
+# end.
 _STAGE = """
     sz = {sz}
     st = {st}
@@ -250,11 +254,9 @@ def _step(t, h, z, theta, kz0, kt0, zmax):{stages}
     return {last}, ({b}, {e5}, {e3}, ({ks}))
 """
 _DENSE = """\
-def _dense(t, h, z, theta, zn, tn, k, kz{n}, kt{n}, zmax):
+def _dense(t, h, z, theta, k, kz{n}, kt{n}, zmax):
     {ks} = k{dense_stages}
-    dz, dth = zn - z, tn - theta
-    return ((z, dz, h * kz0 - dz, 2.0 * dz - h * (kz{n} + kz0), {dz}),
-            (theta, dth, h * kt0 - dth, 2.0 * dth - h * (kt{n} + kt0), {dt}))
+    return {extra}
 """
 
 
@@ -311,8 +313,8 @@ def _dop853_sources(kind):
             ks=ks, last=n - 1),
         "_dense": _DENSE.format(
             dense_stages=stages(DOP853_DENSE_STAGES, n + 1, lambda i: error),
-            dz=", ".join(f"h * ({_sum(d, 'kz')})" for d in DOP853_D),
-            dt=", ".join(f"h * ({_sum(d, 'kt')})" for d in DOP853_D),
+            extra=", ".join(f"k{y}{j}" for y in "zt" for j in range(
+                n + 1, n + 1 + len(DOP853_DENSE_STAGES))),
             ks=ks, n=n)}
 
 
@@ -393,7 +395,7 @@ def _kernels(params, schedule):
 
 
 def _interpolate(c, x):
-    """Value at fraction x of the step from _dense's coefficients: floats,
+    """Value at fraction x of the step from its 8 coefficients: floats,
     or arrays holding one sample each."""
     y0, f0, f1, f2, f3, f4, f5, f6 = c
     y = 1.0 - x
@@ -403,15 +405,47 @@ def _interpolate(c, x):
 
 def _hermite(y0, y1, hf0, hf1):
     """_interpolate's coefficients of the cubic through y0 and y1 with
-    slopes hf0 and hf1 per step: the first four of _dense's, the rest
-    zero."""
+    slopes hf0 and hf1 per step: the first four of DOP853's form, the
+    rest zero."""
     dy = y1 - y0
     return (y0, dy, hf0 - dy, 2.0 * dy - (hf1 + hf0), 0.0, 0.0, 0.0, 0.0)
 
 
-# a step holding interpolated samples records (t, h, first sample, end
-# sample, 8 coefficients of z, 8 of theta)
-_RECORD = 20
+def _weighted(row, k):
+    """0.0 + w * k[j] + ... over row's nonzero weights w, left to right:
+    _sum's sum, on numpy columns."""
+    total = 0.0
+    for w, kj in zip(row, k):
+        if w:
+            total = total + w * kj
+    return total
+
+
+def _dop853_coefficients(rec):
+    """_interpolate's coefficients of z and of theta for DOP853 records,
+    given as rows of columns: the continuous extension of Hairer, Norsett
+    & Wanner, Solving ODEs I, section II.6, with the operations of one
+    step on floats, so each coefficient keeps its bits."""
+    h = rec[1]
+    stages = rec[8:32].reshape(2, 12, -1)
+    extra = rec[34:40].reshape(2, 3, -1)
+    coefficients = []
+    for i in (0, 1):
+        y0, y1 = rec[4 + i], rec[6 + i]
+        k = [*stages[i], rec[32 + i], *extra[i]]
+        dy = y1 - y0
+        coefficients.append((
+            y0, dy, h * k[0] - dy, 2.0 * dy - h * (k[12] + k[0]),
+            *(h * _weighted(d, k) for d in DOP853_D)))
+    return coefficients
+
+
+# A step holding interpolated samples appends a record of its kind: t, h,
+# its first sample and the end of its samples, then for DOP853 (z, theta)
+# at its start and at its end, kz0..kz11, kt0..kt11, the derivative at
+# its end (kz12, kt12) and _dense's three extra stages, and for RODAS3
+# _hermite's 8 coefficients of z and of theta
+_DOP853_RECORD, _HERMITE_RECORD = 40, 20
 
 
 def integrate(initial: PhaseState, params: ModelParams, schedule: EtaSchedule,
@@ -471,7 +505,7 @@ def integrate(initial: PhaseState, params: ModelParams, schedule: EtaSchedule,
     # samples taken as they are, as (k, z, theta): the start, those at a
     # step's end and those at a clamp; the others are evaluated after the
     # run from the records of their steps
-    exact, records = [(0, z, theta)], array("d")
+    exact, dop853, hermite = [(0, z, theta)], array("d"), array("d")
     k = 1
     ts = sample_time(k)
     fz, ft = field(z, theta, eta_at(t))
@@ -589,15 +623,16 @@ def integrate(initial: PhaseState, params: ModelParams, schedule: EtaSchedule,
                 exact.append((j, zn, tn))
                 end = j
             if k < end:
+                # (fromlist takes a record at a third of extend's cost)
                 if stiff:
-                    cz = _hermite(z, zn, h * fz0, h * fz)
-                    ct = _hermite(theta, tn, h * ft0, h * ft)
+                    hermite.fromlist([
+                        t, h, k, end, *_hermite(z, zn, h * fz0, h * fz),
+                        *_hermite(theta, tn, h * ft0, h * ft)])
                 else:
-                    cz, ct = dense(t, h, z, theta, zn, tn, ks, fz, ft, zmax)
+                    dop853.fromlist([
+                        t, h, k, end, z, theta, zn, tn, *ks, fz, ft,
+                        *dense(t, h, z, theta, ks, fz, ft, zmax)])
                     rhs_evals += 3
-                records.extend((t, h, k, end))
-                records.extend(cz)
-                records.extend(ct)
             k = j + 1
             ts = sample_time(k)
         z, theta, t = zn, tn, t_new
@@ -628,7 +663,7 @@ def integrate(initial: PhaseState, params: ModelParams, schedule: EtaSchedule,
         boundary_halvings=halvings, stiff_steps=stiff_steps,
         stiff_rejected=stiff_rejected, jacobian_evals=jacobian_evals,
         attempts=attempts, zero_error_denominators=zero_denominators)
-    tau, z, theta = _samples(t0, t1, n, stride, exact, records)
+    tau, z, theta = _samples(t0, t1, n, stride, exact, dop853, hermite)
     eta = schedule_column(schedule, tau)
     H = hamiltonian_column(z, theta, eta, params.r)
     # not -0.5 * H, which turns +0.0 into -0.0
@@ -637,10 +672,11 @@ def integrate(initial: PhaseState, params: ModelParams, schedule: EtaSchedule,
                       clamp_events, stats)
 
 
-def _samples(t0, t1, n, stride, exact, records):
+def _samples(t0, t1, n, stride, exact, dop853, hermite):
     """The tau, z and theta columns of samples 0..n: the exact ones as
-    given, the others from their steps' interpolants in one pass over
-    numpy columns, in the same operations as one sample at a time."""
+    given, the others from the interpolants of their steps' records, in
+    one pass over numpy columns per kind of record, with the operations
+    of one sample at a time."""
     tau = t0 + np.arange(n + 1) / stride
     tau[n] = t1
     tau[0] = t0
@@ -648,14 +684,21 @@ def _samples(t0, t1, n, stride, exact, records):
     index, zs, thetas = zip(*exact)
     index = list(index)
     z[index], theta[index] = zs, thetas
-    if records:
-        rec = np.frombuffer(records).reshape(-1, _RECORD)
-        first, end = rec[:, 2].astype(np.intp), rec[:, 3].astype(np.intp)
+    for records, width in ((dop853, _DOP853_RECORD),
+                           (hermite, _HERMITE_RECORD)):
+        if not records:
+            continue
+        rec = np.frombuffer(records).reshape(-1, width).T.copy()
+        if width == _DOP853_RECORD:
+            cz, ct = _dop853_coefficients(rec)
+        else:
+            cz, ct = rec[4:12], rec[12:20]
+        first, end = rec[2].astype(np.intp), rec[3].astype(np.intp)
         counts = end - first
-        rows = np.repeat(np.arange(len(rec)), counts)
+        rows = np.repeat(np.arange(len(first)), counts)
         index = np.arange(len(rows)) + np.repeat(
             first - np.cumsum(counts) + counts, counts)
-        x = (tau[index] - rec[rows, 0]) / rec[rows, 1]
-        z[index] = _interpolate([rec[rows, j] for j in range(4, 12)], x)
-        theta[index] = _interpolate([rec[rows, j] for j in range(12, 20)], x)
+        x = (tau[index] - rec[0, rows]) / rec[1, rows]
+        z[index] = _interpolate([c[rows] for c in cz], x)
+        theta[index] = _interpolate([c[rows] for c in ct], x)
     return tau, z, theta

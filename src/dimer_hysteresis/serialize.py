@@ -21,6 +21,19 @@ fallback is the exactness guard: where longdouble is a plain double,
 more values take it and the text stays the same. The kernel counts
 them.
 
+The trajectory CSV reader parses the body with one np.fromstring call,
+newlines turned into commas, once one bytes.translate has shown that
+the body holds only the bytes of numbers and that each row has six
+fields. On any doubt it reads the body again line by line with float():
+that names the first line without six fields, else the first field
+float() refuses, and otherwise reads what float() reads but
+np.fromstring does not, such as 1_5 or a padded value. Doubt is a byte
+outside a number (whitespace, which np.fromstring reads as -1.0 in a
+blank field, or the "(" of "nan(1)", which it reads as nan), a row
+without six fields, a ValueError (numpy 2.4 raises one at an
+unparsable field), a DeprecationWarning (older numpy warns instead and
+returns what it read so far) or a wrong count of values.
+
 JSON is json.dumps(doc, indent=2)'s layout, floats in full repr. The
 diagram writer lays that out itself: with indent, json runs its
 pure-Python encoder, so diagram_to_json fills each branch's points into
@@ -33,6 +46,7 @@ import functools
 import itertools
 import json
 import math
+import warnings
 from typing import NamedTuple
 
 import numpy as np
@@ -43,10 +57,11 @@ from .model import EtaSchedule, ModelParams, Trajectory, wrap_angle
 TRAJECTORY_HEADER = "tau,eta,z,theta,H,E"
 BRANCH_HEADER = "branch_id,kind,theta_star,eta,z_star,stability"
 
-# rows parsed per block: large enough to amortize the per-block calls,
-# small enough that the transient per-field strings stay a small part of
-# peak memory
-_BLOCK = 4096
+# the bytes of the numbers the one-call parse reads, a row without them,
+# and the table that joins the rows into one comma-separated list
+_NUMBER = b"0123456789+-.eE"
+_ROW = b",,,,,\n"
+_FIELDS = bytes.maketrans(b"\n", b",")
 _BRANCH_ROW = "%d,%s,%.15g,%.15g,%.15g,%s\n"
 # json.dumps(doc, indent=2)'s layout of a diagram and of one branch
 _DIAGRAM_JSON = ('{\n  "r": %s,\n  "eta_star": %s,\n  "eta_plus": %s,\n'
@@ -257,36 +272,65 @@ def trajectory_from_csv(text: str, params: ModelParams,
     """Rebuild a Trajectory from its CSV form.
 
     params and schedule are not stored in the CSV; the caller supplies
-    the ones the run used. Lines may end in "\n" or "\r\n".
+    the ones the run used. Lines may end in "\n" or "\r\n". See the
+    module docstring for the method.
     """
-    lines = text.strip().split("\n")
+    head, _, body = text.strip().partition("\n")
     # float() ignores the "\r" that ends a line of a CRLF file
-    if lines[0].removesuffix("\r") != TRAJECTORY_HEADER:
+    if head.removesuffix("\r") != TRAJECTORY_HEADER:
         raise DomainError(f"expected header {TRAJECTORY_HEADER!r}")
+    values = None
+    if body.isascii():
+        data = body.replace("\r\n", "\n").encode()
+        # only the caller's text and data stay alive while parsing
+        del body
+        values = _parse_body(data)
+        del data
+    if values is None:
+        values = _parse_lines(text)
     # file column order: tau, eta, z, theta, H, E
-    values = np.empty((len(lines) - 1, 6))
-    for i in range(1, len(lines), _BLOCK):
-        block = lines[i:i + _BLOCK]
-        for ln in block:
-            if ln.count(",") != 5:
-                raise DomainError(
-                    f"expected 6 columns, got {ln.count(',') + 1}: {ln!r}")
-        try:
-            values[i - 1:i - 1 + len(block)] = np.reshape(
-                list(map(float, ",".join(block).split(","))), (-1, 6))
-        except ValueError:
-            # block[0] is line i + 1 after the lines strip() dropped
-            first = i + 1 + text[:len(text) - len(text.lstrip())].count("\n")
-            for k, ln in enumerate(block):
-                for field in ln.split(","):
-                    try:
-                        float(field)
-                    except ValueError:
-                        raise DomainError(f"line {first + k}: {field!r} is "
-                                          f"not a number: {ln!r}") from None
-            raise
     tau, eta, z, theta, H, E = values.T
     return Trajectory(tau, z, theta, eta, H, E, params, schedule)
+
+
+def _parse_body(data: bytes):
+    """The (rows, 6) values of an ASCII body by one np.fromstring call,
+    or None on any doubt that it reads as float() does."""
+    rows = data.count(b"\n") + 1
+    if data.translate(None, _NUMBER) != _ROW * (rows - 1) + _ROW[:-1]:
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            values = np.fromstring(data.translate(_FIELDS), sep=",")
+    except (ValueError, DeprecationWarning):
+        return None
+    if values.size != 6 * rows:
+        return None
+    return values.reshape(rows, 6)
+
+
+def _parse_lines(text: str) -> np.ndarray:
+    """The (rows, 6) values of text's body by float() per field, or a
+    DomainError naming the first line without six fields, else the first
+    field float() refuses. Lines count from text's first, blank ones
+    included."""
+    lines = text.strip().split("\n")[1:]
+    # lines[0] is line 2 after the lines strip() dropped
+    first = 2 + text[:len(text) - len(text.lstrip())].count("\n")
+    for n, line in enumerate(lines, first):
+        if line.count(",") != 5:
+            raise DomainError(f"line {n}: expected 6 columns, got "
+                              f"{line.count(',') + 1}: {line!r}")
+    values = []
+    for n, line in enumerate(lines, first):
+        for field in line.split(","):
+            try:
+                values.append(float(field))
+            except ValueError:
+                raise DomainError(f"line {n}: {field!r} is not a number: "
+                                  f"{line!r}") from None
+    return np.reshape(values, (-1, 6))
 
 
 def diagram_to_csv(diagram) -> str:

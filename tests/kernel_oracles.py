@@ -27,7 +27,13 @@
   rosenbrock_by_loop runs RODAS3's rows the same way. kernels_by_loop
   binds them, with the coupling closures integrate built before the flow
   was written into the kernels (coupling_by_closure), into the form of
-  dynamics._kernels.
+  dynamics._kernels. _dense is the former per-step computation of the
+  interpolant's coefficients, in floats, which dynamics now does over
+  numpy columns after the run.
+- trajectory_from_csv_by_blocks is the former trajectory CSV reader,
+  one float() per field in blocks of CSV_BLOCK rows, which the one-call
+  np.fromstring parse replaced; its count message names the line, as
+  the reader's now does.
 """
 
 import json
@@ -37,14 +43,16 @@ from typing import Optional
 
 import numpy as np
 
-from dimer_hysteresis import (ModelParams, NoConvergenceError, PhaseState,
-                              SingularityError, bifurcation, find_eta_star,
-                              jacobian_at, stationary_residual)
+from dimer_hysteresis import (DomainError, ModelParams, NoConvergenceError,
+                              PhaseState, SingularityError, Trajectory,
+                              bifurcation, find_eta_star, jacobian_at,
+                              stationary_residual)
 from dimer_hysteresis.bifurcation import (_RESIDUAL_TOL, _ROOT_NOISE,
                                           _SLOPE_NOISE, _ZMAX, _h_zz,
                                           _power_sum, _xi,
                                           _xi_slope_numerator)
 from dimer_hysteresis.model import check_power, power_difference
+from dimer_hysteresis.serialize import TRAJECTORY_HEADER
 from dimer_hysteresis.tableau import (DOP853_B, DOP853_D, DOP853_DENSE_STAGES,
                                       DOP853_E3, DOP853_E5, DOP853_STAGES,
                                       RODAS3_E, RODAS3_GAMMA, RODAS3_M,
@@ -318,11 +326,16 @@ def step_by_loop(field, eta_at, t, h, z, theta, fz, ft, zmax):
                          *_combine(_DOP853_E3, kz, kt), (*kz, *kt))
 
 
-def dense_by_loop(field, eta_at, t, h, z, theta, zn, tn, ks, fz, ft, zmax):
-    """The generated dense kernel's result, from the former stage loop."""
+def dense_by_loop(field, eta_at, t, h, z, theta, ks, fz, ft, zmax):
+    """The generated dense kernel's result, the three extra stages, from
+    the former stage loop."""
     n = len(ks) // 2
-    return _dense(field, eta_at, t, h, z, theta, zn, tn, [*ks[:n], fz],
-                  [*ks[n:], ft], zmax)
+    kz, kt = [*ks[:n], fz], [*ks[n:], ft]
+    if not _stages(field, eta_at, _DOP853_DENSE_STAGES, t, h, z, theta,
+                   kz, kt, zmax):
+        raise SingularityError(
+            f"interpolation stage left |z| <= {zmax} at tau={t}")
+    return (*kz[n + 1:], *kt[n + 1:])
 
 
 def rosenbrock_by_loop(field, eta_at, t, h, z, theta, kz0, kt0, jac, gz, gt,
@@ -390,3 +403,40 @@ def kernels_by_loop(field, schedule):
     return (field, eta_at, rate_at, partial(step_by_loop, field, eta_at),
             partial(dense_by_loop, field, eta_at),
             partial(rosenbrock_by_loop, field, eta_at))
+
+
+# rows the former trajectory CSV reader parsed per block
+CSV_BLOCK = 4096
+
+
+def trajectory_from_csv_by_blocks(text, params, schedule):
+    """The former trajectory_from_csv: float() per field, block by block
+    of CSV_BLOCK rows, each block's rows checked for six fields first."""
+    lines = text.strip().split("\n")
+    if lines[0].removesuffix("\r") != TRAJECTORY_HEADER:
+        raise DomainError(f"expected header {TRAJECTORY_HEADER!r}")
+    # lines[i] is line i + lead after the lines strip() dropped
+    lead = 1 + text[:len(text) - len(text.lstrip())].count("\n")
+    values = np.empty((len(lines) - 1, 6))
+    for i in range(1, len(lines), CSV_BLOCK):
+        block = lines[i:i + CSV_BLOCK]
+        for k, ln in enumerate(block):
+            if ln.count(",") != 5:
+                raise DomainError(
+                    f"line {i + k + lead}: expected 6 columns, got "
+                    f"{ln.count(',') + 1}: {ln!r}")
+        try:
+            values[i - 1:i - 1 + len(block)] = np.reshape(
+                list(map(float, ",".join(block).split(","))), (-1, 6))
+        except ValueError:
+            for k, ln in enumerate(block):
+                for field in ln.split(","):
+                    try:
+                        float(field)
+                    except ValueError:
+                        raise DomainError(f"line {i + k + lead}: {field!r} "
+                                          f"is not a number: {ln!r}") \
+                            from None
+            raise
+    tau, eta, z, theta, H, E = values.T
+    return Trajectory(tau, z, theta, eta, H, E, params, schedule)

@@ -105,7 +105,7 @@ class TestSimulate:
     @pytest.mark.parametrize("rows", [
         ["0,1,0,0,1,1,9", "1,1,0,0,1,1,9"],  # every row one too long
         ["0,1,0,0,1"],
-        ["0,1,0,0,1,1", "", "1,1,0,0,1,1"],  # the reader skips blank lines
+        ["0,1,0,0,1,1", "", "1,1,0,0,1,1"],  # a blank line is a row of one field
     ], ids=["seven-wide", "one-short-row", "blank-line"])
     def test_csv_of_another_width_is_refused(self, rows):
         text = "\n".join([TRAJECTORY_HEADER, *rows])

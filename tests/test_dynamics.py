@@ -742,29 +742,50 @@ def bits(x):
     return x
 
 
+def dop853_record(t, h, z, theta, zn, tn, ks, fz, ft, extra):
+    """One DOP853 record of integrate, for sample 0 alone, as the rows of
+    columns that dynamics._dop853_coefficients takes."""
+    return np.array([[t, h, 0.0, 1.0, z, theta, zn, tn, *ks, fz, ft,
+                      *extra]]).T.copy()
+
+
 def both_kernels(params, schedule, t, h, z, theta, zmax=ZMAX):
     """(eta_at(t), rate_at(t), eta_at(t + h)), then the results of the
-    step kernel, of the dense kernel where the step stays inside (None
-    where it does not) and of the Rosenbrock kernel, bits packed: first
-    for the generated kernels with the flow inline, then for the loop
-    kernels calling make_field's closure at every stage."""
+    step kernel, of the dense kernel with the interpolant's coefficients
+    where the step stays inside (None where it does not) and of the
+    Rosenbrock kernel, bits packed: first for the generated kernels with
+    the flow inline, the coefficients over numpy columns, then for the
+    loop kernels calling make_field's closure at every stage, the
+    coefficients from the former per-step floats."""
     runs = []
     r, nu = params.r, params.nu
-    for field, eta_at, rate_at, step, dense, rosenbrock in (
-            dynamics._kernels(params, schedule),
-            kernel_oracles.kernels_by_loop(dynamics.make_field(params),
-                                           schedule)):
+    for generated, (field, eta_at, rate_at, step, dense, rosenbrock) in (
+            (True, dynamics._kernels(params, schedule)),
+            (False, kernel_oracles.kernels_by_loop(
+                dynamics.make_field(params), schedule))):
         fz, ft = field(z, theta, eta_at(t))
         evals, sums = out = step(t, h, z, theta, fz, ft, zmax)
         interpolant = None
         if sums is not None and not abs(z + h * sums[0]) > zmax:
             zn, tn = z + h * sums[0], theta + h * sums[1]
             fzn, ftn = field(zn, tn, eta_at(t + h))
+            ks = sums[-1]
             try:
-                interpolant = dense(t, h, z, theta, zn, tn, sums[-1], fzn,
-                                    ftn, zmax)
+                extra = dense(t, h, z, theta, ks, fzn, ftn, zmax)
             except SingularityError as exc:
                 interpolant = str(exc)
+            else:
+                if generated:
+                    coefficients = [[float(c[0]) for c in cs] for cs in
+                                    dynamics._dop853_coefficients(
+                                        dop853_record(t, h, z, theta, zn, tn,
+                                                      ks, fzn, ftn, extra))]
+                else:
+                    n = len(ks) // 2
+                    coefficients = kernel_oracles._dense(
+                        field, eta_at, t, h, z, theta, zn, tn,
+                        [*ks[:n], fzn], [*ks[n:], ftn], zmax)
+                interpolant = extra, coefficients
         q = -model.power_difference(z, r) / 2.0 ** r * rate_at(t)
         jac = bifurcation._jacobian(z, theta, eta_at(t), r, nu)
         runs.append(bits(((eta_at(t), rate_at(t), eta_at(t + h)), out,
@@ -792,7 +813,7 @@ def stage_points(params, schedule, t, h, z, theta):
     zn, tn = z + h * sums[0], theta + h * sums[1]
     fzn, ftn = recorded(zn, tn, eta_at(t + h))
     try:
-        dense(t, h, z, theta, zn, tn, sums[-1], fzn, ftn, ZMAX)
+        dense(t, h, z, theta, sums[-1], fzn, ftn, ZMAX)
     except SingularityError:
         return None
     return calls[1:]
@@ -927,9 +948,10 @@ class TestKernels:
         # x > 0.0 else 0.0, in eta_at and after each stage's node; the
         # constant kind's deta/dtau, 0.0; 0.0 starting each sum; the
         # flow's 1.0 - z z, a == 0.0, diff = 0.0, z < 0.0, -2.0 z and
-        # 2.0 s; 2.0 in the interpolant's third coefficient; 1.0 and
-        # gamma in g = 1.0 / (h gamma) and 1.0 in d = 1.0 / det. The rest
-        # are the tables' nonzero weights and nodes, row by row.
+        # 2.0 s; 1.0 and gamma in g = 1.0 / (h gamma) and 1.0 in
+        # d = 1.0 / det. The rest are the tables' nonzero weights and
+        # nodes, row by row; the D rows of the interpolant are in no
+        # kernel.
         ramp = kind == "triangular"
         coupling = [0.0, 0.0] if ramp else []
         flow = [1.0, 0.0, 0.0, 0.0, -2.0, 2.0]
@@ -950,9 +972,6 @@ class TestKernels:
             want["_step"] += total(row) * 2
         for c, row in tableau.DOP853_DENSE_STAGES:
             want["_dense"] += total(row) * 2 + stage(c)
-        for _ in "zt":
-            want["_dense"] += [2.0] + [w for d in tableau.DOP853_D
-                                       for w in total(d)]
         ros = want["_rosenbrock"]
         ros += [1.0, tableau.RODAS3_GAMMA, 1.0]
         for alpha, gamma, a, c in tableau.RODAS3_STAGES:
@@ -1006,6 +1025,57 @@ class TestSamples:
         one = [dynamics._interpolate(c[:, i].tolist(), float(x[i]))
                for i in range(200)]
         assert bulk.tobytes() == np.array(one).tobytes()
+
+    def test_coefficients_and_samples_match_the_per_step_floats(
+            self, monkeypatch):
+        # a run with both kinds of record: each DOP853 record's extra
+        # stages and coefficients over columns against the former
+        # per-step floats of kernel_oracles._dense, and every
+        # interpolated sample against _interpolate on those floats or on
+        # a RODAS3 record's stored coefficients
+        calls = []
+        samples = dynamics._samples
+
+        def recorded(*args):
+            calls.append(args)
+            return samples(*args)
+
+        monkeypatch.setattr(dynamics, "_samples", recorded)
+        schedule = EtaSchedule(kind="constant", eta_start=-8.0, T=50.0)
+        traj = integrate(NEAR_TRAPPED, STIFF, schedule,
+                         IntegratorConfig(sample_stride=10), (0.0, 50.0))
+        *_, exact, dop853, hermite = calls[0]
+        field, eta_at, *_ = kernel_oracles.kernels_by_loop(
+            dynamics.make_field(STIFF), schedule)
+        rec = np.frombuffer(dop853).reshape(-1, dynamics._DOP853_RECORD)
+        columns = dynamics._dop853_coefficients(rec.T.copy())
+        interpolated = 0
+        for i, row in enumerate(rec.tolist()):
+            t, h, first, end, z, theta, zn, tn = row[:8]
+            kz, kt = row[8:20] + row[32:33], row[20:32] + row[33:34]
+            want = kernel_oracles._dense(field, eta_at, t, h, z, theta, zn,
+                                         tn, kz, kt, ZMAX)
+            assert bits(row[34:]) == bits(kz[13:] + kt[13:])
+            assert bits([[float(c[i]) for c in cs] for cs in columns]) \
+                == bits(want)
+            interpolated += self.assert_interpolated(traj, t, h, first, end,
+                                                     *want)
+        stiff = np.frombuffer(hermite).reshape(-1, dynamics._HERMITE_RECORD)
+        for t, h, first, end, *c in stiff.tolist():
+            interpolated += self.assert_interpolated(traj, t, h, first, end,
+                                                     c[:8], c[8:])
+        assert len(rec) > 0 and len(stiff) > 0
+        assert interpolated + len(exact) == len(traj.tau)
+
+    @staticmethod
+    def assert_interpolated(traj, t, h, first, end, cz, ct):
+        """Samples first..end - 1 of traj are _interpolate on floats from
+        the step's coefficients; returns their count."""
+        for k in range(int(first), int(end)):
+            x = (float(traj.tau[k]) - t) / h
+            assert bits((float(traj.z[k]), float(traj.theta[k]))) == bits(
+                (dynamics._interpolate(cz, x), dynamics._interpolate(ct, x)))
+        return int(end - first)
 
     def test_samples_at_shared_times_agree_across_strides(self):
         # the steps do not depend on the stride, and sample 5 k at stride

@@ -1,6 +1,8 @@
 """The decimal kernel of the trajectory CSV and SVG writers against the
-% conversions it replaced, byte for byte, and the CSV's refusal of
-non-finite values."""
+% conversions it replaced, byte for byte; the trajectory CSV reader
+against the block reader it replaced, bit for bit and message for
+message, and its refusal of non-finite values and of rows without six
+fields."""
 
 import math
 import re
@@ -8,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dimer_hysteresis import (DomainError, EtaSchedule, ModelParams,
@@ -16,7 +18,8 @@ from dimer_hysteresis import (DomainError, EtaSchedule, ModelParams,
 from dimer_hysteresis import serialize
 from dimer_hysteresis.serialize import TRAJECTORY_HEADER, _decimal_text
 
-from kernel_oracles import coords_by_percent, csv_by_percent
+from kernel_oracles import (CSV_BLOCK, coords_by_percent, csv_by_percent,
+                            trajectory_from_csv_by_blocks)
 
 
 def percent_text(values, seps, fmt):
@@ -163,7 +166,7 @@ class TestTrajectoryCsv:
                                 EtaSchedule(kind="constant", eta_start=-1.0,
                                             T=1.0))
 
-    @pytest.mark.parametrize("rows", [1, serialize._BLOCK + 2])
+    @pytest.mark.parametrize("rows", [1, CSV_BLOCK + 2])
     @pytest.mark.parametrize("field", ["abc", "", "1.5.2"])
     @pytest.mark.parametrize("blank", [0, 2])
     def test_non_numeric_fields_are_refused_with_their_line(self, rows,
@@ -212,3 +215,120 @@ class TestTrajectoryCsv:
                                T=max(1.0, tau[-1]))
         traj = trajectory_from_csv(text, ModelParams(r=1.0), schedule)
         assert trajectory_to_csv(traj) == csv_by_percent(traj)
+
+    @pytest.mark.parametrize("blank", [0, 2])
+    @pytest.mark.parametrize("rows, line, got", [
+        (["0,-1,0.5,0.25,1.5,-0.75", "1,-1,0.5,0.25,1.5"], 3, 5),
+        (["0,-1,0.5,0.25,1.5,-0.75", "", "1,-1,0.5,0.25,1.5,-0.75"], 3, 1),
+        (["0,-1,0.5,0.25,1.5,-0.75,9"], 2, 7),
+    ], ids=["short-row", "blank-middle-line", "long-row"])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_rows_without_six_fields_are_refused_with_their_line(
+            self, blank, rows, line, got, newline):
+        # a full row after the bad one, which so keeps a CRLF line's "\r"
+        text = (newline * blank + TRAJECTORY_HEADER + newline
+                + newline.join(rows + ["9,-1,0.5,0.25,1.5,-0.75"]) + newline)
+        bad = rows[line - 2] + newline[:-1]
+        message = f"line {blank + line}: expected 6 columns, got {got}: " \
+            f"{bad!r}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            trajectory_from_csv(text, ModelParams(r=1.0),
+                                EtaSchedule(kind="constant", eta_start=-1.0,
+                                            T=1.0))
+
+
+# fields that float() refuses, or reads although np.fromstring does not
+# (1_5, the Arabic-Indic 12, the padded values), or that np.fromstring
+# alone would read (the blank field as -1.0, nan(1) as nan)
+TOKENS = ["", " ", "abc", "1_5", " 1.5", "2.5 ", "\t2", "nan", "-inf",
+          "Infinity", "nan(1)", "1.5.2", "0x10", "1e", "+1", "-0", ".5", "5.",
+          "1e5", "\u0661\u0662", "1\x002", "1 2", "--1"]
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+           1.7976931348623157e308, -1.7976931348623157e308]
+finite = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.sampled_from(SPECIAL))
+unit = st.one_of(st.floats(-1.0, 1.0), st.sampled_from(SPECIAL[:6]))
+
+
+@st.composite
+def csv_texts(draw):
+    """Trajectory CSV texts: rows of %.15g or repr values, tau the row's
+    index and z in [-1, 1], with drawn tokens in place of some fields, a
+    short, long or blank row, leading blank lines, CRLF line ends and
+    an optional final newline."""
+    rows = []
+    for k in range(draw(st.integers(1, 8))):
+        values = [float(k), draw(finite), draw(unit),
+                  *(draw(finite) for _ in range(3))]
+        rows.append([repr(v) if draw(st.booleans()) else "%.15g" % v
+                     for v in values])
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, 5))] = draw(st.sampled_from(TOKENS))
+    lines = [",".join(row) for row in rows]
+    i = draw(st.integers(0, len(lines) - 1))
+    width = draw(st.sampled_from(["six"] * 5 + ["short", "long", "blank"]))
+    if width == "short":
+        lines[i] = lines[i].rpartition(",")[0]
+    elif width == "long":
+        lines[i] += ",1"
+    elif width == "blank":
+        lines.insert(i, "")
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = (newline * draw(st.integers(0, 2)) + TRAJECTORY_HEADER + newline
+            + newline.join(lines))
+    return text + newline if draw(st.booleans()) else text
+
+
+def read_back(reader, text):
+    """The columns reader reads from text, bits packed, or the message
+    of the DomainError it raises."""
+    try:
+        traj = reader(text, ModelParams(r=1.0),
+                      EtaSchedule(kind="constant", eta_start=-1.0, T=1.0))
+    except DomainError as exc:
+        return str(exc)
+    return [getattr(traj, name).tobytes()
+            for name in ("tau", "eta", "z", "theta", "H", "E")]
+
+
+class TestReaderOracle:
+    """trajectory_from_csv against the former block reader: the same
+    column bits, or the same DomainError message."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=csv_texts())
+    # an empty last field ends the body in a separator, which
+    # np.fromstring reads past, one value short
+    @example(text=TRAJECTORY_HEADER + "\n0,-1,0.5,0.25,1.5,\n")
+    @example(text=TRAJECTORY_HEADER + "\r\n0,-1,0.5,0.25,1.5,\r\n")
+    def test_row_texts_read_as_the_block_reader(self, text):
+        assert read_back(trajectory_from_csv, text) == \
+            read_back(trajectory_from_csv_by_blocks, text)
+
+    def test_reference_ramp_reads_as_the_block_reader(self, reference_ramp):
+        text = trajectory_to_csv(reference_ramp)
+        for crlf in (False, True):
+            if crlf:
+                text = text.replace("\n", "\r\n")
+            assert read_back(trajectory_from_csv, text) == \
+                read_back(trajectory_from_csv_by_blocks, text)
+
+    @pytest.mark.parametrize("field, value", [
+        ("1_5", 15.0), (" 1.5", 1.5), ("\u0661\u0662", 12.0)])
+    def test_fields_float_reads_and_fromstring_refuses_read_as_float(
+            self, field, value):
+        # the per-line fallback reads them as the block reader did
+        text = TRAJECTORY_HEADER + "\n0,-1,0.5,%s,1.5,-0.75\n" % field
+        traj = trajectory_from_csv(text, ModelParams(r=1.0),
+                                   EtaSchedule(kind="constant", T=1.0))
+        assert traj.theta.tolist() == [value]
+
+    @pytest.mark.parametrize("field", [" ", "nan(1)"])
+    def test_fields_only_fromstring_reads_are_refused(self, field):
+        # np.fromstring reads " " as -1.0 and "nan(1)" as nan
+        text = TRAJECTORY_HEADER + "\n0,-1,0.5,%s,1.5,-0.75\n" % field
+        message = f"line 2: {field!r} is not a number: "
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}"):
+            trajectory_from_csv(text, ModelParams(r=1.0),
+                                EtaSchedule(kind="constant", T=1.0))
