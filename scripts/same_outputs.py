@@ -37,13 +37,12 @@ placeholder:
 
 Prints "identical" or the first differing line for each of the 51
 files. For a CSV, JSON, JSON-lines or read-back file that differs it
-then prints,
-for each CSV column or JSON key path, how many numbers differ, the
-largest |difference|, how many became exactly 0.0, and how many floats
-apart the others are at most (ulps); a key path writes an index into a
-list of lists or objects as [] and keeps an index into a list of plain
-values, so each eigenvalue's real and imaginary parts are separate
-paths. It exits 0 only when every file is identical:
+then prints, for each column or JSON key path, how many numbers
+differ, the largest |difference|, how many became exactly 0.0, and how
+many floats apart the others are at most (ulps); a key path writes an
+index into a list of lists or objects as [] and keeps an index into a
+list of plain values, so each eigenvalue's real and imaginary parts
+are separate paths. It exits 0 only when every file is identical:
 
     python3 scripts/same_outputs.py --base HEAD~
 """
@@ -226,12 +225,12 @@ def _number(x) -> bool:
 
 
 def number_report(suffix: str, a: bytes, b: bytes) -> list:
-    """For a CSV, JSON, JSON-lines or read-back pair, one line per column
-    or JSON key path that differs: how many numbers differ of how many, the
-    largest |difference|, how many became exactly 0.0, and the largest
-    distance of the others in ulps (floats apart), then how many other
-    values differ. When the two files' paths differ, one line saying
-    how. Other files, and identical columns, give no line."""
+    """For a CSV, JSON, JSON-lines or read-back pair, one line per
+    column or JSON key path that differs: how many numbers differ of how
+    many, the largest |difference|, how many became exactly 0.0, and the
+    largest distance of the others in ulps (floats apart), then how many
+    other values differ. When the two files' paths differ, one line
+    saying how. Other files, and identical columns, give no line."""
     if suffix not in (".csv", ".json", ".jsonl", ".hex"):
         return []
     texts = a.decode("utf-8"), b.decode("utf-8")
