@@ -21,11 +21,12 @@ minimum, the saddle-node eta_plus < eta_star that bounds the bistable
 window, and the pitchfork is subcritical.
 
 The fold and every root come from one scalar safeguarded-Newton kernel
-on floats, one bracket at a time, with closed-form slopes: F' for the
-fold (see _fold) and H_zz for G, from closures that bind a coupling's
-constants once (_sheet_kernels). Each root is bracketed first, so a
+on floats, one bracket at a time, with closed-form slopes from float
+closures bound once: F' for the fold per power (_slope_kernel), H_zz
+for G per coupling (_sheet_kernels). Each root is bracketed first, so a
 Newton step that would leave its bracket bisects instead. A root
-depends on (|eta|, r) alone, so every finder gets it bit for bit.
+depends on (|eta|, r) alone, and both finders read it from the
+per-piece lists of _graph_roots, so every finder gets it bit for bit.
 
 Stability comes from the closed-form Jacobian (jacobian_at) and its
 eigenvalues (eigenvalues_2x2), in real arithmetic. On the sheet
@@ -51,7 +52,7 @@ from .errors import (
     ThresholdProximityError,
 )
 from .model import (EPS_CLAMP, ModelParams, PhaseState, _power_difference,
-                    check_count, check_power, dh_dz, power_difference)
+                    check_count, check_power, dh_dz)
 
 EPS_EIG = 1e-8
 
@@ -165,27 +166,6 @@ def _power_sum(z, r):
     return (1.0 + z) ** (r - 1.0) + (1.0 - z) ** (r - 1.0)
 
 
-def _xi_slope_numerator(z, r):
-    """F(z) = P - r z (1 - z^2) [(1+z)^(r-1) + (1-z)^(r-1)], P = (1+z)^r - (1-z)^r.
-
-    xi'/xi = F / (z (1 - z^2) P), so F has the sign of xi' for 0 < z < 1.
-    Near 0, F ~ 2 r kappa z^3 with kappa = pitchfork_cubic_coefficient(r).
-    Written this way because 1/z + z/(1-z^2) - r psum / P, the
-    logarithmic derivative itself, cancels at small z.
-    """
-    return power_difference(z, r) - r * z * (1.0 - z * z) * _power_sum(z, r)
-
-
-def _xi_slope_numerator_slope(z, r):
-    """F'(z) = 3 r z^2 S_(r-1) - r (r-1) z (1 - z^2) D_(r-2): float or array.
-
-    S_k = (1+z)^k + (1-z)^k and D_k = (1+z)^k - (1-z)^k.
-    """
-    d = (1.0 + z) ** (r - 2.0) - (1.0 - z) ** (r - 2.0)
-    return (3.0 * r * z * z * _power_sum(z, r)
-            - r * (r - 1.0) * z * (1.0 - z * z) * d)
-
-
 def _h_zz(s, cos_theta, eta, r, power_sum):
     """H_zz = -2 cos(theta) / s^3 - eta r 2^-r [(1+z)^(r-1) + (1-z)^(r-1)],
     s = sqrt(1 - z^2), from the bulk sum _power_sum(z, r): float or array."""
@@ -214,6 +194,27 @@ def _sheet_kernels(m, r):
                 - 2.0 * z / math.sqrt(1.0 - z * z))
 
     return f, g
+
+
+def _slope_kernel(r, noise):
+    """z -> (F, F', noise) on floats 0 < z < 1, bound once per power.
+
+    F = P - r z (1 - z^2) S_(r-1) has the sign of xi' (xi'/xi = F /
+    (z (1 - z^2) P)); the logarithmic derivative itself cancels at
+    small z, where F ~ 2 r kappa z^3. F' = 3 r z^2 S_(r-1) - r (r-1) z
+    (1 - z^2) D_(r-2), S_k = (1+z)^k + (1-z)^k, D_k = (1+z)^k - (1-z)^k,
+    P = D_r; S_(r-1) is computed once per evaluation.
+    """
+    r1, r2, r3, rr1 = r - 1.0, r - 2.0, 3.0 * r, r * (r - 1.0)
+
+    def f(z):
+        up, down, quad = 1.0 + z, 1.0 - z, 1.0 - z * z
+        total = up ** r1 + down ** r1
+        return (_power_difference(z, r) - r * z * quad * total,
+                r3 * z * z * total - rr1 * z * quad * (up ** r2 - down ** r2),
+                noise)
+
+    return f
 
 
 def _rtsafe(f, lo, hi, falling, z):
@@ -288,13 +289,8 @@ def _fold(r: float) -> Optional[tuple]:
         return None
     lo, hi = zs[flips[0]:flips[0] + 2].tolist()
     # P rises with z, so its value at lo bounds F's noise in the cell
-    noise = _SLOPE_NOISE * _power_difference(lo, r)
-
-    def slope_numerator(z):
-        return (_xi_slope_numerator(z, r), _xi_slope_numerator_slope(z, r),
-                noise)
-
-    z = _rtsafe(slope_numerator, lo, hi, False, 0.5 * (lo + hi))
+    slope = _slope_kernel(r, _SLOPE_NOISE * _power_difference(lo, r))
+    z = _rtsafe(slope, lo, hi, False, 0.5 * (lo + hi))
     m = _xi(z, r)
     s = math.sqrt(1.0 - z * z)
     g, dg, _ = _sheet_kernels(m, r)[0](z)
@@ -310,8 +306,8 @@ def _fold(r: float) -> Optional[tuple]:
 
 def _fold_signs(r):
     """The sign of F at each _FOLD_SCAN point, or 0 where |F| is within
-    _SLOPE_NOISE P of zero: _xi_slope_numerator and P over the scan, bit
-    for bit, with P computed once from the scan's precomputed terms."""
+    _SLOPE_NOISE P of zero: _slope_kernel's F and P over the scan, with
+    P computed once from the scan's precomputed terms."""
     x = 2.0 * r * _SCAN_ATANH
     p = np.exp(r * _SCAN_LOG_DOWN) * np.expm1(np.minimum(x, 709.0))
     big = x > 709.0
@@ -321,8 +317,9 @@ def _fold_signs(r):
     return np.where(abs(f) > _SLOPE_NOISE * p, np.sign(f), 0.0)
 
 
-def _graph_roots(mags, r: float, fold: Optional[tuple]) -> tuple:
-    """Positive roots of |eta| = xi(z) at the coupling magnitudes mags.
+def _graph_roots(mags: list, r: float, fold: Optional[tuple]) -> list:
+    """Positive roots of |eta| = xi(z) at the coupling magnitudes mags,
+    a list of floats.
 
     fold is _fold(r). (0, 1 - EPS_CLAMP) splits into the monotone pieces
     of xi: one piece without a fold, two split at z_f with one. A piece
@@ -342,42 +339,41 @@ def _graph_roots(mags, r: float, fold: Optional[tuple]) -> tuple:
     compared by the G-only g. Roots below 1e-9 are dropped as numerical
     shadows of the symmetric root.
 
-    Returns (piece, index, z) arrays, ordered by piece and then by index
-    into mags; the pieces are numbered in increasing z.
+    Returns one (indices into mags, roots) pair of lists for each piece
+    that holds a root, in increasing z of the pieces.
     """
-    mags = np.asarray(mags, dtype=np.float64)
     eta_star = find_eta_star(r)
     # (z, xi(z)) at the ends of the pieces
     ends = [(0.0, eta_star), *([fold] if fold else []),
             (_ZMAX, _xi(_ZMAX, r))]
-    piece, index, roots = [], [], []
+    pieces = []
     for p, ((a, xa), (b, xb)) in enumerate(zip(ends, ends[1:])):
-        holds = (min(xa, xb) < mags) & (mags < max(xa, xb))
-        if p == 1:
-            holds |= mags == xa
-        idx = np.flatnonzero(holds).tolist()
-        piece += [p] * len(idx)
-        index += idx
-        for m in mags[idx].tolist():
-            if p == 1 and m == xa:
-                roots.append(a)
-                continue
-            if b == _ZMAX:
-                z = math.sqrt(1.0 - 4.0 / max(m * m, 4.0))
+        low, high = min(xa, xb), max(xa, xb)
+        index, roots = [], []
+        for i, m in enumerate(mags):
+            if low < m < high:
+                if b == _ZMAX:
+                    z = math.sqrt(1.0 - 4.0 / max(m * m, 4.0))
+                else:
+                    z = b * math.sqrt((eta_star - m) / (eta_star - xb))
+                if not a < z < b:
+                    z = 0.5 * (a + b)
+                f, g = _sheet_kernels(m, r)
+                # G > 0 exactly where xi(z) < m
+                z = _rtsafe(f, a, b, xb > xa, z)
+                near = (z, math.nextafter(z, 0.0), math.nextafter(z, 1.0))
+                z = min((x for x in near if a < x < b),
+                        key=lambda x: abs(g(x)))
+            elif p == 1 and m == xa:
+                z = a
             else:
-                z = b * math.sqrt((eta_star - m) / (eta_star - xb))
-            if not a < z < b:
-                z = 0.5 * (a + b)
-            f, g = _sheet_kernels(m, r)
-            # G > 0 exactly where xi(z) < m
-            z = _rtsafe(f, a, b, xb > xa, z)
-            near = (z, math.nextafter(z, 0.0), math.nextafter(z, 1.0))
-            roots.append(min((x for x in near if a < x < b),
-                             key=lambda x: abs(g(x))))
-    z = np.array(roots, dtype=np.float64)
-    keep = z >= 1e-9
-    return (np.array(piece, dtype=np.int64)[keep],
-            np.array(index, dtype=np.intp)[keep], z[keep])
+                continue
+            if z >= 1e-9:
+                index.append(i)
+                roots.append(z)
+        if index:
+            pieces.append((index, roots))
+    return pieces
 
 
 def jacobian_at(state: PhaseState, eta: float, params: ModelParams) -> tuple:
@@ -531,7 +527,7 @@ def find_fixed_points(eta: float, r: float) -> list:
     check_power(r)
     if not math.isfinite(eta):
         raise DomainError(f"eta must be finite, got {eta}")
-    roots = _graph_roots([abs(eta)], r, _fold(r))[2].tolist()
+    roots = [z for _, (z,) in _graph_roots([abs(float(eta))], r, _fold(r))]
     sheet = 0.0 if eta < 0 else math.pi
     points = []
     for theta_star in (0.0, math.pi):
@@ -670,13 +666,12 @@ def trace_branches(r: float, eta_range: tuple, steps: int) -> BifurcationDiagram
 
     born = [(0, 0.0, "symmetric", columns(np.zeros(steps), etas))]
     fold = _fold(r)
-    piece, index, zs = _graph_roots(mags, r, fold)
-    for p in sorted(set(piece.tolist())):
-        idx, z = index[piece == p], zs[piece == p]
-        upper = columns(z, etas[idx])
+    for index, roots in _graph_roots(mags.tolist(), r, fold):
+        z = np.array(roots)
+        upper = columns(z, etas[index])
         # the mirror's spectrum, bit for bit: s and H_zz are even in z
         lower = (upper[0], tuple((-z).tolist()), *upper[2:])
-        first, z0 = int(idx[0]), float(z[0])
+        first, z0 = index[0], roots[0]
         born += [(first, -z0, "asymmetric", lower),
                  (first, z0, "asymmetric", upper)]
     born.sort(key=lambda b: b[:2])

@@ -115,7 +115,8 @@ _CLAMP_LIMIT, _MIN_STEP = 100, 1e-13
 # a step underflowing _MIN_STEP this close to |z| = 1 has met the pole
 _POLE_MARGIN = 1e-6
 # samples allowed over a span, past the first: their six float64 columns
-# take 480 MB, against 320 001 samples in the slowest reference ramp
+# take 480 MB and the run peaks (in _samples) near 2.8 times that, 1.4 GB,
+# against 320 001 samples in the slowest reference ramp
 _MAX_SAMPLES = 10_000_000
 
 

@@ -10,6 +10,10 @@
   which the bound closures of bifurcation._sheet_kernels replaced;
   fold_scan_signs is the former 64-point sign scan of _fold, which
   computed P twice and every term of the scan on each call.
+- xi_slope_numerator and xi_slope_numerator_slope are the former F and
+  F' of the fold, checked and on floats or arrays, which the bound
+  closure of bifurcation._slope_kernel replaced; F computed P through
+  the checked power_difference, and the two computed S_(r-1) once each.
 - eta_star_numeric locates the pitchfork coupling by bisection on a
   finite-difference slope, using no closed-form derivative.
 - diagram_json_by_dumps is the former diagram writer, one
@@ -49,8 +53,7 @@ from dimer_hysteresis import (DomainError, ModelParams, NoConvergenceError,
                               stationary_residual)
 from dimer_hysteresis.bifurcation import (_RESIDUAL_TOL, _ROOT_NOISE,
                                           _SLOPE_NOISE, _ZMAX, _h_zz,
-                                          _power_sum, _xi,
-                                          _xi_slope_numerator)
+                                          _power_sum, _xi)
 from dimer_hysteresis.model import check_power, power_difference
 from dimer_hysteresis.serialize import TRAJECTORY_HEADER
 from dimer_hysteresis.tableau import (DOP853_B, DOP853_D, DOP853_DENSE_STAGES,
@@ -84,11 +87,25 @@ def sheet_residual(z, m, r):
             _ROOT_NOISE * (bulk + wall))
 
 
+def xi_slope_numerator(z, r):
+    """F(z) = P - r z (1 - z^2) [(1+z)^(r-1) + (1-z)^(r-1)], P = (1+z)^r
+    - (1-z)^r, on floats or arrays: the sign of xi' for 0 < z < 1."""
+    return power_difference(z, r) - r * z * (1.0 - z * z) * _power_sum(z, r)
+
+
+def xi_slope_numerator_slope(z, r):
+    """F'(z) = 3 r z^2 S_(r-1) - r (r-1) z (1 - z^2) D_(r-2), with S_k =
+    (1+z)^k + (1-z)^k and D_k = (1+z)^k - (1-z)^k: float or array."""
+    d = (1.0 + z) ** (r - 2.0) - (1.0 - z) ** (r - 2.0)
+    return (3.0 * r * z * z * _power_sum(z, r)
+            - r * (r - 1.0) * z * (1.0 - z * z) * d)
+
+
 def fold_scan_signs(r: float):
     """The former fold scan: the sign of F on 64 geometric points over
     [1e-4, 1 - EPS_CLAMP], or 0 within _SLOPE_NOISE P of zero."""
     zs = np.geomspace(1e-4, _ZMAX, 64)
-    f = _xi_slope_numerator(zs, r)
+    f = xi_slope_numerator(zs, r)
     return np.where(abs(f) > _SLOPE_NOISE * power_difference(zs, r),
                     np.sign(f), 0.0)
 
@@ -108,7 +125,7 @@ def fold_by_bisection(r: float) -> Optional[tuple]:
     if len(flips) == 0:
         return None
     i = flips[0]
-    z = float(_bisect(lambda z: _xi_slope_numerator(z, r) < 0,
+    z = float(_bisect(lambda z: xi_slope_numerator(z, r) < 0,
                       zs[i], zs[i + 1]))
     m = float(_xi(z, r))
     s = math.sqrt(1.0 - z * z)
@@ -125,9 +142,11 @@ def fold_by_bisection(r: float) -> Optional[tuple]:
     return z, m
 
 
-def graph_roots_by_bisection(mags, r: float, fold: Optional[tuple]) -> tuple:
-    """(piece, index, z) of the positive roots of |eta| = xi(z), as the
-    former _graph_roots found them: every root bisected on G."""
+def graph_roots_by_bisection(mags, r: float, fold: Optional[tuple]) -> list:
+    """The positive roots of |eta| = xi(z) as the former _graph_roots
+    found them, every root bisected on G, in the form the package's
+    returns: one (indices into mags, roots) pair of lists for each piece
+    that holds a root, in increasing z of the pieces."""
     mags = np.asarray(mags, dtype=np.float64)
     ends = [(0.0, find_eta_star(r)), *([fold] if fold else []),
             (_ZMAX, float(_xi(_ZMAX, r)))]
@@ -148,7 +167,9 @@ def graph_roots_by_bisection(mags, r: float, fold: Optional[tuple]) -> tuple:
     if fold is not None:
         z[m == fold[1]] = fold[0]
     keep = z >= 1e-9
-    return piece[keep], index[keep], z[keep]
+    piece, index, z = piece[keep], index[keep], z[keep]
+    return [(index[piece == p].tolist(), z[piece == p].tolist())
+            for p in np.unique(piece).tolist()]
 
 
 def eta_star_numeric(r: float) -> float:
@@ -192,12 +213,11 @@ def branches_by_points(r: float, eta_range: tuple, steps: int) -> list:
 
     born = [(0, 0.0, "symmetric", points(np.zeros(steps), etas))]
     fold = bifurcation._fold(r)
-    piece, index, zs = bifurcation._graph_roots(mags, r, fold)
-    for p in sorted(set(piece.tolist())):
-        idx, z = index[piece == p], zs[piece == p]
-        first, z0 = int(idx[0]), float(z[0])
-        born += [(first, -z0, "asymmetric", points(-z, etas[idx])),
-                 (first, z0, "asymmetric", points(z, etas[idx]))]
+    for index, roots in bifurcation._graph_roots(mags.tolist(), r, fold):
+        z = np.array(roots)
+        first, z0 = index[0], roots[0]
+        born += [(first, -z0, "asymmetric", points(-z, etas[index])),
+                 (first, z0, "asymmetric", points(z, etas[index]))]
     born.sort(key=lambda b: b[:2])
     return [(i, kind, 0.0, pts) for i, (_, _, kind, pts) in enumerate(born)]
 

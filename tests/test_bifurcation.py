@@ -165,6 +165,36 @@ class TestResidual:
             for r in (1.0, 2.5, 5.0):
                 assert stationary_residual(0.0, 0.0, eta, r) == 0.0
 
+    @pytest.mark.parametrize("theta_star", (1.0, -math.pi, math.nan))
+    def test_theta_star_must_be_0_or_pi(self, theta_star):
+        with pytest.raises(DomainError, match=re.escape(
+                f"theta_star must be 0 or pi, got {theta_star}")):
+            stationary_residual(0.5, theta_star, -3.0, 5.0)
+
+    @pytest.mark.parametrize("z_star, kind, message", [
+        (0.0, "saddle", "bad fixed point kind 'saddle'"),
+        (0.1, "symmetric", "kind must be symmetric exactly when z_star == 0"),
+        (0.0, "asymmetric", "kind must be symmetric exactly when z_star == 0"),
+    ])
+    def test_fixed_point_invariants(self, z_star, kind, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            bifurcation.FixedPoint(z_star, 0.0, -3.0, "stable",
+                                   (1j, -1j), kind)
+
+    @pytest.mark.parametrize("eta_plus, classification, message", [
+        (None, "subcritical",
+         "eta_plus must be present exactly for subcritical diagrams"),
+        (4.0, "supercritical",
+         "eta_plus must be present exactly for subcritical diagrams"),
+        (6.4, "subcritical", "require 0 < eta_plus < eta_star"),
+        (0.0, "subcritical", "require 0 < eta_plus < eta_star"),
+    ])
+    def test_diagram_invariants(self, eta_plus, classification, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            BifurcationDiagram(r=5.0, branches=(), eta_star=6.4,
+                               eta_plus=eta_plus,
+                               classification=classification)
+
     def test_hand_value(self):
         assert stationary_residual(0.5, 0.0, 0.0, 1.0) == pytest.approx(
             -2.0 * 0.5 / math.sqrt(0.75), rel=1e-15)
@@ -571,6 +601,10 @@ class TestPitchforkClass:
         with pytest.raises(DomainError, match="tol"):
             find_r_threshold(3.0, 4.0, tol)
 
+    def test_threshold_bracket_must_be_ordered(self):
+        with pytest.raises(DomainError, match="^require 0 < r_min < r_max$"):
+            find_r_threshold(4.0, 3.0)
+
     def test_threshold_requires_straddling_bracket(self):
         with pytest.raises(DomainError):
             find_r_threshold(1.0, 2.0, 1e-4)
@@ -727,29 +761,39 @@ class TestBranchGraph:
             for a, b in zip(sorted(zs), expected):
                 assert a == pytest.approx(b, abs=1e-6), (r, eta)
 
-    @pytest.mark.parametrize("patch", [
+    @pytest.mark.parametrize("patch, message", [
         # two sign changes
-        lambda mp: mp.setattr(bifurcation, "_xi_slope_numerator",
-                              lambda z, r: (z - 0.1) * (z - 0.5)),
+        (lambda mp: mp.setattr(bifurcation, "_fold_signs", lambda r: np.sign(
+            (bifurcation._FOLD_SCAN - 0.1) * (bifurcation._FOLD_SCAN - 0.5))),
+         re.escape("slope of the branch graph changes sign 2 times at "
+                   "r=5.0; expected a monotone graph or one fold")),
         # xi falling at the top
-        lambda mp: mp.setattr(bifurcation, "_xi_slope_numerator",
-                              lambda z, r: 0.5 - z),
+        (lambda mp: mp.setattr(bifurcation, "_fold_signs", lambda r: np.sign(
+            0.5 - bifurcation._FOLD_SCAN)),
+         re.escape("slope of the branch graph changes sign 1 times at "
+                   "r=5.0; expected a monotone graph or one fold")),
+        # no reliable sign anywhere
+        (lambda mp: mp.setattr(bifurcation, "_fold_signs",
+                               lambda r: np.zeros(64)),
+         re.escape("slope of the branch graph changes sign 0 times at "
+                   "r=5.0; expected a monotone graph or one fold")),
         # the fold fails its residual check; at r = 5 both residuals
         # are exactly 0.0, so only a negative tolerance fails it
-        lambda mp: mp.setattr(bifurcation, "_RESIDUAL_TOL", -1.0),
+        (lambda mp: mp.setattr(bifurcation, "_RESIDUAL_TOL", -1.0),
+         re.escape("fold residuals 0.00e+00, 0.00e+00 at r=5.0 above -1.0 "
+                   "of their terms")),
+        # the fold lies above eta_star
+        (lambda mp: mp.setattr(bifurcation, "find_eta_star", lambda r: 1.0),
+         r"fold magnitude 4\.\d+ outside \(0, 1\.0\)"),
     ])
-    def test_unexpected_slope_signs_raise(self, monkeypatch, patch):
+    def test_unexpected_slope_signs_raise(self, monkeypatch, patch, message):
         patch(monkeypatch)
-        with pytest.raises(NoConvergenceError):
-            predict_window(5.0)
-        with pytest.raises(NoConvergenceError):
-            find_eta_plus(5.0)
-        with pytest.raises(NoConvergenceError):
-            find_fixed_points(-5.0, 5.0)
-        with pytest.raises(NoConvergenceError):
-            trace_branches(5.0, (3.0, 8.0), 10)
-        with pytest.raises(NoConvergenceError):
-            asymmetric_states_below_star(5.0)
+        for finder in (predict_window, find_eta_plus,
+                       partial(find_fixed_points, -5.0),
+                       lambda r: trace_branches(r, (3.0, 8.0), 10),
+                       asymmetric_states_below_star):
+            with pytest.raises(NoConvergenceError, match=message):
+                finder(5.0)
 
     @given(r=st.floats(0.05, 20.0))
     @settings(max_examples=60, deadline=None)
@@ -1068,6 +1112,21 @@ class TestNewtonKernel:
         assert tuple(map(float.hex, f(z))) == tuple(map(float.hex, want))
         assert g(z).hex() == want[0].hex()
 
+    @given(z=st.floats(0.0, 1.0 - EPS_CLAMP, exclude_min=True,
+                       exclude_max=True),
+           r=st.floats(0.0, 1014.0, exclude_min=True, exclude_max=True),
+           noise=st.floats(0.0, 1e300))
+    @example(z=0.5, r=1013.0, noise=0.0)  # expm1 overflows
+    @example(z=(1.0 - EPS_CLAMP) * (1.0 - EPS), r=1013.0, noise=1.0)
+    @example(z=5e-324, r=2.0, noise=0.0)
+    @example(z=0.3, r=0.05, noise=0.0)
+    @settings(max_examples=300, deadline=None)
+    def test_slope_kernel_is_the_former_slope(self, z, r, noise):
+        got = bifurcation._slope_kernel(r, noise)(z)
+        want = (kernel_oracles.xi_slope_numerator(z, r),
+                kernel_oracles.xi_slope_numerator_slope(z, r), noise)
+        assert tuple(map(float.hex, got)) == tuple(map(float.hex, want))
+
     @given(r=st.floats(0.05, 1013.0))
     @example(r=R_THRESHOLD + 1e-7)
     @example(r=R_THRESHOLD - 1e-8)
@@ -1088,7 +1147,8 @@ class TestNewtonKernel:
     @staticmethod
     def evaluations(monkeypatch, fold, roots, eta, r):
         """(F evaluations of one fold solve, G evaluations of the costliest
-        root solve), counted by wrapping the residuals: F, the package's
+        root solve), counted by wrapping the residuals: F (the closure of
+        _slope_kernel, and the oracle's xi_slope_numerator), the package's
         scalar G (both closures of _sheet_kernels: f in the Newton loop,
         g in the float-neighbour polish) and the oracle's
         stationary_residual. Each _rtsafe call opens a new solve, which
@@ -1096,7 +1156,7 @@ class TestNewtonKernel:
         included; the oracle's lockstep bisection is one solve."""
         f_evals, solves = [0], [0]
 
-        def counted_f(*args, _f=bifurcation._xi_slope_numerator):
+        def counted_f(*args, _f):
             f_evals[0] += 1
             return _f(*args)
 
@@ -1108,12 +1168,16 @@ class TestNewtonKernel:
             solves.append(0)
             return _f(*args)
 
-        for module in (bifurcation, kernel_oracles):
-            monkeypatch.setattr(module, "_xi_slope_numerator", counted_f)
-        monkeypatch.setattr(bifurcation, "_rtsafe", opened)
+        def counted_slope(*args, _k=bifurcation._slope_kernel):
+            return partial(counted_f, _f=_k(*args))
+
         def counted_kernels(*args, _k=bifurcation._sheet_kernels):
             return tuple(partial(counted_g, _f=k) for k in _k(*args))
 
+        monkeypatch.setattr(bifurcation, "_slope_kernel", counted_slope)
+        monkeypatch.setattr(kernel_oracles, "xi_slope_numerator", partial(
+            counted_f, _f=kernel_oracles.xi_slope_numerator))
+        monkeypatch.setattr(bifurcation, "_rtsafe", opened)
         monkeypatch.setattr(bifurcation, "_sheet_kernels", counted_kernels)
         monkeypatch.setattr(kernel_oracles, "stationary_residual", partial(
             counted_g, _f=kernel_oracles.stationary_residual))
@@ -1121,10 +1185,10 @@ class TestNewtonKernel:
         fold_evals, solves[:] = f_evals[0], [0]
         if eta is None:
             star = find_eta_star(r)
-            mags = np.linspace(0.25 * star, 1.4 * star, 50)
+            mags = np.linspace(0.25 * star, 1.4 * star, 50).tolist()
         else:
             mags = [abs(eta)]
-        assert len(roots(mags, r, found)[2]) > 0
+        assert len(roots(mags, r, found)) > 0
         monkeypatch.undo()
         return fold_evals, max(solves)
 
@@ -1223,13 +1287,13 @@ class TestLargePowers:
     def test_roots_at_couplings_up_to_1e300_warn_nothing(self):
         # m * m overflows above about 1.3e154, in rows below the fold,
         # which start on the parabola instead
-        mags = np.linspace(1.0, 1e300, 4)
+        mags = np.linspace(1.0, 1e300, 4).tolist()
         fold = bifurcation._fold(1013.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            piece, index, z = bifurcation._graph_roots(mags, 1013.0, fold)
-        assert (piece.tolist(), index.tolist()) == ([0, 0, 0], [1, 2, 3])
-        for k, zz in zip(index.tolist(), z.tolist()):
+            (index, z), = bifurcation._graph_roots(mags, 1013.0, fold)
+        assert index == [1, 2, 3]
+        for k, zz in zip(index, z):
             assert abs(stationary_residual(zz, 0.0, -mags[k], 1013.0)) \
                 <= 1e-10 * mags[k] * power_difference(zz, 1013.0) / 2.0 ** 1013
 

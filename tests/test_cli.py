@@ -3,14 +3,16 @@
 import dataclasses
 import json
 import math
+import re
 import warnings
 import xml.etree.ElementTree as ET
 
 import pytest
 
-from dimer_hysteresis import (DomainError, EtaSchedule, IntegratorConfig,
-                              ModelParams, PhaseState, R_THRESHOLD, integrate,
-                              trace_branches, trajectory_from_csv, wrap_angle)
+from dimer_hysteresis import (ConfigError, DomainError, EtaSchedule,
+                              IntegratorConfig, ModelParams, PhaseState,
+                              R_THRESHOLD, integrate, trace_branches,
+                              trajectory_from_csv, wrap_angle)
 from dimer_hysteresis import cli, config, dynamics
 from dimer_hysteresis.cli import main
 from dimer_hysteresis.config import ENV_VAR
@@ -502,6 +504,27 @@ class TestConfigFile:
         monkeypatch.setenv(ENV_VAR, str(cfg))
         code, _, err = run_cli(capsys, "critical")
         assert code == 2
+
+    def test_line_without_equals_is_refused(self):
+        with pytest.raises(ConfigError, match=re.escape(
+                "run.cfg:2: expected key=value, got 'r 2.0'")):
+            config.parse_config_text("# a run\nr 2.0  # no =\n", "run.cfg")
+
+    @pytest.mark.parametrize("text", ("off", "false", "No", "0"))
+    def test_false_booleans_read_as_false(self, text):
+        assert config.parse_config_text(f"hysteresis = {text}\n") == {
+            "hysteresis": False}
+
+    def test_critical_takes_r_from_the_file(self, capsys, tmp_path,
+                                            monkeypatch):
+        cfg = self.write_cfg(tmp_path, "r = 4\n")
+        monkeypatch.setenv(ENV_VAR, str(cfg))
+        code, out, err = run_cli(capsys, "critical")
+        assert code == 0, err
+        doc = json.loads(out)
+        assert (doc["r"], doc["eta_star"], doc["classification"]) == (
+            4.0, 4.0, "subcritical")
+        assert doc["effective_config"] == {"r": [4.0]}
 
     def test_missing_file_rejected(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv(ENV_VAR, str(tmp_path / "absent.cfg"))

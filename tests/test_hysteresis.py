@@ -289,6 +289,16 @@ class TestRunSweepValidation:
             with pytest.raises(DomainError):
                 sweep_report(traj, grid)
 
+    def test_triangular_ramp_must_change_the_magnitude(self):
+        # -3 -> 3 passes through 0 but starts and peaks at |eta| = 3
+        sched = EtaSchedule(kind="triangular", eta_start=-3.0,
+                            eta_peak=3.0, T=20.0)
+        traj = integrate(PhaseState(z=0.01), ModelParams(r=1.0, nu=0.5),
+                         sched, IntegratorConfig(), (0.0, sched.T))
+        with pytest.raises(DomainError,
+                           match="^triangular schedule must change \\|eta\\|$"):
+            sweep_report(traj, 16)
+
     def test_grid_outrunning_samples_is_reported(self):
         sched = EtaSchedule(kind="triangular", eta_start=-1.0,
                             eta_peak=-3.0, T=100.0)
@@ -386,6 +396,13 @@ class TestSweepVerdicts:
             rep = sweep(r, -1.0, -1.5 * find_eta_star(r))
             assert rep.detected is False, r
             assert rep.bistable_area < AREA_THRESHOLD, r
+
+    def test_no_bistable_area_without_two_bins_below_star(self):
+        # r = 1: eta_star = 2, and every bin of 2.5 -> 6 lies above it
+        rep = sweep(1.0, -2.5, -6.0)
+        assert all(c > rep.reference["eta_star"]
+                   for c, _ in rep.forward_trace)
+        assert rep.bistable_area == 0.0 and rep.detected is False
 
     def test_subcritical_sweep_detected(self, r5_report):
         assert r5_report.detected is True

@@ -184,6 +184,15 @@ class TestTrajectoryCsv:
                                 EtaSchedule(kind="constant", eta_start=-1.0,
                                             T=float(rows + 1)))
 
+    @pytest.mark.parametrize("header", ["tau,eta,z,theta,H", "tau,z,eta,theta,H,E"])
+    def test_wrong_header_is_refused(self, header):
+        text = header + "\n0,-1,0.5,0.25,1.5,-0.75\n"
+        message = f"expected header {TRAJECTORY_HEADER!r}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            trajectory_from_csv(text, ModelParams(r=1.0),
+                                EtaSchedule(kind="constant", eta_start=-1.0,
+                                            T=1.0))
+
     def test_crlf_text_reads_as_the_lf_text(self, reference_ramp):
         text = trajectory_to_csv(reference_ramp)
         args = (reference_ramp.params, reference_ramp.schedule)
