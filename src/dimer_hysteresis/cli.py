@@ -14,7 +14,6 @@ argument or config error.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from pathlib import Path
@@ -141,14 +140,12 @@ def _cmd_critical(args, file_cfg) -> int:
         # classify first: inside its refusal band the fold is not
         # resolvable either, and the refusal is the clearer error
         classification = classify_pitchfork(r)
-        record = {
+        sys.stdout.write(serialize._json({
             "r": r,
             "eta_star": find_eta_star(r),
             "eta_plus": find_eta_plus(r),
             "classification": classification,
-            "effective_config": {"r": rs},
-        }
-        sys.stdout.write(json.dumps(record) + "\n")
+        }, {"r": rs}, indent=None))
     return 0
 
 

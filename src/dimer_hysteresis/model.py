@@ -344,6 +344,9 @@ def schedule_column(schedule: EtaSchedule, taus) -> np.ndarray:
 
     A relative slack of a few ulp is tolerated at the ends so that
     integrator stage times produced by summation never trip the check.
+    The stepper's coupling is the same ramp by another formula, e0 +
+    rate x with x the time from the nearer end, and differs from this
+    column by up to 2 ulps at some samples of the reference ramps.
     """
     taus = np.asarray(taus, dtype=np.float64)
     T = schedule.T

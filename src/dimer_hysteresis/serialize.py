@@ -34,10 +34,9 @@ without six fields, a ValueError (numpy 2.4 raises one at an
 unparsable field), a DeprecationWarning (older numpy warns instead and
 returns what it read so far) or a wrong count of values.
 
-JSON is json.dumps(doc, indent=2)'s layout, floats in full repr. The
-diagram writer lays that out itself: with indent, json runs its
-pure-Python encoder, so diagram_to_json fills each branch's points into
-one %-template instead, byte for byte the same text.
+JSON is json.dumps(doc, indent=2), floats in full repr, laid out by
+_json. With indent, json runs its pure-Python encoder, so a diagram's
+points alone are filled into one %-template instead, in place of null.
 """
 
 from __future__ import annotations
@@ -63,12 +62,6 @@ _NUMBER = b"0123456789+-.eE"
 _ROW = b",,,,,\n"
 _FIELDS = bytes.maketrans(b"\n", b",")
 _BRANCH_ROW = "%d,%s,%.15g,%.15g,%.15g,%s\n"
-# json.dumps(doc, indent=2)'s layout of a diagram and of one branch
-_DIAGRAM_JSON = ('{\n  "r": %s,\n  "eta_star": %s,\n  "eta_plus": %s,\n'
-                 '  "classification": %s,\n  "branches": %s,\n'
-                 '  "effective_config": %s\n}\n')
-_BRANCH_JSON = ('    {\n      "branch_id": %s,\n      "kind": %s,\n'
-                '      "theta_star": %s,\n      "points": %s\n    }')
 # one point, at the depth of a branch's points: eta, z_star, stability
 # and the real and imaginary parts of its two eigenvalues
 _POINT_JSON = ('        {\n          "eta": %s,\n          "z_star": %s,\n'
@@ -279,13 +272,13 @@ def trajectory_from_csv(text: str, params: ModelParams,
     # float() ignores the "\r" that ends a line of a CRLF file
     if head.removesuffix("\r") != TRAJECTORY_HEADER:
         raise DomainError(f"expected header {TRAJECTORY_HEADER!r}")
-    values = None
-    if body.isascii():
-        data = body.replace("\r\n", "\n").encode()
-        # only the caller's text and data stay alive while parsing
-        del body
-        values = _parse_body(data)
-        del data
+    # a character outside ASCII, or a lone surrogate as "?", fails
+    # _parse_body's byte check
+    data = body.replace("\r\n", "\n").encode(errors="replace")
+    # only the caller's text and data stay alive while parsing
+    del body
+    values = _parse_body(data)
+    del data
     if values is None:
         values = _parse_lines(text)
     # file column order: tau, eta, z, theta, H, E
@@ -294,8 +287,8 @@ def trajectory_from_csv(text: str, params: ModelParams,
 
 
 def _parse_body(data: bytes):
-    """The (rows, 6) values of an ASCII body by one np.fromstring call,
-    or None on any doubt that it reads as float() does."""
+    """The (rows, 6) values of a body by one np.fromstring call, or None
+    on any doubt that it reads as float() does."""
     rows = data.count(b"\n") + 1
     if data.translate(None, _NUMBER) != _ROW * (rows - 1) + _ROW[:-1]:
         return None
@@ -340,10 +333,11 @@ def diagram_to_csv(diagram) -> str:
     return BRANCH_HEADER + "\n" + _BRANCH_ROW * (len(values) // 6) % values
 
 
-def _json(doc: dict, effective: dict | None) -> str:
-    """doc with the effective settings as its last key, indented."""
+def _json(doc: dict, effective: dict | None, indent: int | None = 2) -> str:
+    """doc with the effective settings as its last key, as one document
+    indented by indent, or as one line for indent None."""
     doc["effective_config"] = dict(effective or {})
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, indent=indent) + "\n"
 
 
 def _json_floats(values: list) -> list:
@@ -365,40 +359,42 @@ def _json_floats(values: list) -> list:
     return table[at].tolist()
 
 
-def _list(items: list, indent: str) -> str:
-    """A list of already laid-out items, one level below indent."""
-    if not items:
-        return "[]"
-    return "[\n" + ",\n".join(items) + "\n" + indent + "]"
-
-
 def _points_json(branch, floats) -> str:
     """A branch's points as json lays them out, filled into one
     %-template; floats yields the texts of its floats in point order."""
+    if not branch.eta:
+        return "[]"
     names = {s: json.dumps(s) for s in set(branch.stability)}
     values = []
     for (eta, z, *lams), s in zip(zip(*[iter(floats)] * 6), branch.stability):
         values += (eta, z, names[s], *lams)
-    return _list([_POINT_JSON] * len(branch.eta), "      ") % tuple(values)
+    return ("[\n" + ",\n".join([_POINT_JSON] * len(branch.eta)) % tuple(values)
+            + "\n      ]")
 
 
 def diagram_to_json(diagram, effective: dict | None = None) -> str:
     """Byte for byte what json.dumps(doc, indent=2) writes for the
-    diagram's document, with the points of each branch filled into one
-    %-template, and every point's floats written by one _json_floats."""
+    diagram's document: _json's text with each branch's points as null,
+    then its first '"points": null' per branch (json escapes a string's
+    quotes; effective_config comes last) replaced by the branch's points,
+    all of their floats written by one _json_floats."""
     floats = iter(_json_floats([
         v for b in diagram.branches
         for eta, z, (lam1, lam2) in zip(b.eta, b.z_star, b.eigenvalues)
         for v in (eta, z, lam1.real, lam1.imag, lam2.real, lam2.imag)]))
-    branches = [_BRANCH_JSON % (
-        json.dumps(b.branch_id), json.dumps(b.kind), json.dumps(b.theta_star),
-        _points_json(b, itertools.islice(floats, 6 * len(b.eta))))
-        for b in diagram.branches]
-    config = json.dumps(dict(effective or {}), indent=2)
-    return _DIAGRAM_JSON % (
-        json.dumps(diagram.r), json.dumps(diagram.eta_star),
-        json.dumps(diagram.eta_plus), json.dumps(diagram.classification),
-        _list(branches, "  "), config.replace("\n", "\n  "))
+    points = [_points_json(b, itertools.islice(floats, 6 * len(b.eta)))
+              for b in diagram.branches]
+    text = _json({
+        "r": diagram.r,
+        "eta_star": diagram.eta_star,
+        "eta_plus": diagram.eta_plus,
+        "classification": diagram.classification,
+        "branches": [{"branch_id": b.branch_id, "kind": b.kind,
+                      "theta_star": b.theta_star, "points": None}
+                     for b in diagram.branches],
+    }, effective)
+    head, *tails = text.split('"points": null', len(points))
+    return head + "".join('"points": ' + p + t for p, t in zip(points, tails))
 
 
 def report_to_json(report, effective: dict | None = None) -> str:

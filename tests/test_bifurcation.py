@@ -1240,8 +1240,9 @@ class TestDiagramJson:
                       Branch(1, "asymmetric", math.nan, (), (), (), ())),
             eta_star=6.4, eta_plus=np.float64(4.4),
             classification="subcritical")
-        text = diagram_to_json(d, {"note": "x"})
-        assert text == diagram_json_by_dumps(d, {"note": "x"})
+        for effective in ({"note": "x"}, {"points": None}):
+            text = diagram_to_json(d, effective)
+            assert text == diagram_json_by_dumps(d, effective)
         assert "NaN" in text and "-Infinity" in text
 
     @given(rows=st.lists(st.tuples(*[st.floats(allow_nan=False,
@@ -1266,10 +1267,30 @@ class TestDiagramJson:
             eta_star=6.4, eta_plus=None, classification="supercritical")
         assert diagram_to_json(d) == diagram_json_by_dumps(d)
 
-    def test_empty_diagram_bytes(self):
+    @pytest.mark.parametrize("effective", [None, {"points": None}])
+    def test_empty_diagram_bytes(self, effective):
         d = BifurcationDiagram(r=1.0, branches=(), eta_star=2.0,
                                eta_plus=None, classification="supercritical")
-        assert diagram_to_json(d) == diagram_json_by_dumps(d)
+        assert (diagram_to_json(d, effective)
+                == diagram_json_by_dumps(d, effective))
+
+    def test_points_null_in_strings_and_settings_bytes(self):
+        # the text is split at its first '"points": null' per branch:
+        # json escapes the quotes of a string that holds one, and the
+        # settings, whose keys may be "points" too, come after every
+        # branch
+        trap = '"points": null'
+        row = ((-5.0,), (0.25,), (trap,), ((complex(1.0, -2.0), 0j),))
+        d = BifurcationDiagram(
+            r=5.0, branches=(Branch(0, trap, 0.0, *row),
+                             Branch(1, "x" + trap, math.pi, (), (), (), ()),
+                             Branch(2, trap + "x", 0.0, *row)),
+            eta_star=6.4, eta_plus=None, classification="supercritical")
+        effective = {"points": None, trap: None, 'a"points': None,
+                     "out": 'dir"/b.csv'}
+        text = diagram_to_json(d, effective)
+        assert text == diagram_json_by_dumps(d, effective)
+        assert text.count(trap) == 2
 
 
 class TestLargePowers:

@@ -1077,6 +1077,24 @@ class TestSamples:
                 (dynamics._interpolate(cz, x), dynamics._interpolate(ct, x)))
         return int(end - first)
 
+    def test_samples_inside_clamped_steps_sit_on_the_margin(self):
+        # a run that starts on the clamp margin, pushed outward, ends
+        # every step in a clamp; the samples inside a clamped step are
+        # the margin state itself
+        traj = integrate(PhaseState(z=ZMAX, theta=math.pi),
+                         ModelParams(r=1.0, nu=0.5),
+                         EtaSchedule(kind="constant", eta_start=-1.0,
+                                     T=3e-13),
+                         IntegratorConfig(sample_stride=10 ** 13),
+                         (0.0, 3e-13))
+        assert traj.tau.tolist() == [0.0, 1e-13, 2e-13, 3e-13]
+        assert traj.z.tolist() == [ZMAX] * 4
+        assert traj.theta.tolist() == [math.pi] * 4
+        assert traj.clamp_events == 4
+        st = traj.stats
+        assert (st.boundary_halvings, st.attempts, st.rhs_evals) == (2, 6, 5)
+        assert st.accepted == st.rejected == 0
+
     def test_samples_at_shared_times_agree_across_strides(self):
         # the steps do not depend on the stride, and sample 5 k at stride
         # 10 sits at the tau of sample k at stride 2, so both hold the

@@ -333,6 +333,17 @@ class TestReaderOracle:
                                    EtaSchedule(kind="constant", T=1.0))
         assert traj.theta.tolist() == [value]
 
+    @pytest.mark.parametrize("field", ["1\u00e9", "\ud800"])
+    def test_non_ascii_fields_are_refused_with_their_line(self, field):
+        # a lone surrogate cannot be encoded as UTF-8 and is read as "?"
+        text = TRAJECTORY_HEADER + "\n0,-1,0.5,%s,1.5,-0.75\n" % field
+        message = f"line 2: {field!r} is not a number: "
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}"):
+            trajectory_from_csv(text, ModelParams(r=1.0),
+                                EtaSchedule(kind="constant", T=1.0))
+        assert read_back(trajectory_from_csv, text) == \
+            read_back(trajectory_from_csv_by_blocks, text)
+
     @pytest.mark.parametrize("field", [" ", "nan(1)"])
     def test_fields_only_fromstring_reads_are_refused(self, field):
         # np.fromstring reads " " as -1.0 and "nan(1)" as nan
