@@ -8,7 +8,7 @@ be set in the key=value file named by DIMER_HYSTERESIS_CONFIG, and an
 explicit flag wins.
 
 Exit codes: 0 success, 1 numerical failure or a failed allocation, 2
-argument or config error.
+argument or config error or an output file that cannot be written.
 """
 
 from __future__ import annotations
@@ -175,7 +175,7 @@ def main(argv=None) -> int:
     try:
         file_cfg = cfgmod.load_config()
         return args.handler(args, file_cfg)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError, MemoryError) as exc:

@@ -205,9 +205,7 @@ _KINDS = {
         constants="\n    e0 = schedule.eta_start\n    q = e0 / two_r",
         coupling="", eta="e0", q="q", rate="0.0"),
     "triangular": _Kind(
-        constants=("\n    e0, T_s = schedule.eta_start, schedule.T"
-                   "\n    half = 0.5 * T_s"
-                   "\n    rate = (schedule.eta_peak - e0) / half"),
+        constants="\n    e0, half, T_s, rate = schedule.ramp",
         coupling=("\n    x = {t} if {t} <= half else T_s - {t}"
                   "\n    eta = e0 + rate * (x if x > 0.0 else 0.0)"),
         eta="eta", q="eta / two_r", rate="rate if t < half else -rate"),

@@ -139,6 +139,14 @@ class EtaSchedule:
         if self.kind == "triangular" and self.eta_peak is None:
             raise DomainError("triangular schedule requires eta_peak")
 
+    @property
+    def ramp(self) -> tuple:
+        """(e0, half, T, rate) of the triangular kind, the one definition
+        of its ramp: eta(tau) = e0 + rate x, x the time from the nearer
+        end, with half = T / 2 and rate = (eta_peak - e0) / half."""
+        e0, half = self.eta_start, 0.5 * self.T
+        return e0, half, self.T, (self.eta_peak - e0) / half
+
 
 class Sample(NamedTuple):
     tau: float
@@ -226,6 +234,8 @@ class Trajectory:
 
     @property
     def final_state(self) -> PhaseState:
+        if not len(self.tau):
+            raise DomainError("trajectory has no samples, so no final state")
         return PhaseState(z=float(self.z[-1]), theta=float(self.theta[-1]))
 
 
@@ -342,11 +352,13 @@ def eval_schedule(schedule: EtaSchedule, tau: float) -> float:
 def schedule_column(schedule: EtaSchedule, taus) -> np.ndarray:
     """eta(tau) at every tau of an array; each tau must lie in [0, T].
 
-    A relative slack of a few ulp is tolerated at the ends so that
-    integrator stage times produced by summation never trip the check.
-    The stepper's coupling is the same ramp by another formula, e0 +
-    rate x with x the time from the nearer end, and differs from this
-    column by up to 2 ulps at some samples of the reference ramps.
+    Bitwise the coupling the integrator's kernels use: e0 + rate x with
+    x = tau up to half and T - tau after it, clamped at 0, from
+    EtaSchedule.ramp and with the kernels' operations (numpy's
+    elementwise + and * round as Python's floats do). A tau up to
+    1e-9 max(1, T) outside [0, T] is tolerated, so that integrator stage
+    times produced by summation never trip the check; the ramp is
+    constant past either end.
     """
     taus = np.asarray(taus, dtype=np.float64)
     T = schedule.T
@@ -355,8 +367,9 @@ def schedule_column(schedule: EtaSchedule, taus) -> np.ndarray:
         raise DomainError(f"tau values outside schedule domain [0, {T}]")
     if schedule.kind == "constant":
         return np.full(taus.shape, schedule.eta_start)
-    ramp = 1.0 - np.abs(2.0 * np.clip(taus, 0.0, T) / T - 1.0)
-    return schedule.eta_start + (schedule.eta_peak - schedule.eta_start) * ramp
+    e0, half, T, rate = schedule.ramp
+    x = np.where(taus <= half, taus, T - taus)
+    return e0 + rate * np.where(x > 0.0, x, 0.0)
 
 
 def amplitudes_from_state(state: PhaseState) -> tuple:

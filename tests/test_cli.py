@@ -26,6 +26,7 @@ def isolated_env(monkeypatch):
 
 
 BIFURCATE = ["--r", "5", "--eta-min", "3", "--eta-max", "8", "--steps", "5"]
+SIMULATE = ["--r", "1", "--schedule", "constant", "--eta-start=-1", "--T", "1"]
 
 
 def run_cli(capsys, *argv):
@@ -320,7 +321,8 @@ class TestBifurcate:
 
 class TestOutputPaths:
     """Outputs that would overwrite one another are refused before any
-    work, with exit 2 and no file written."""
+    work, with exit 2 and no file written; an output that cannot be
+    written exits 2 as well."""
 
     @pytest.mark.parametrize("argv, names", [
         (["bifurcate", *BIFURCATE, "--out", "d.json"],
@@ -353,6 +355,30 @@ class TestOutputPaths:
         assert code == 0, err
         assert sorted(p.name for p in tmp_path.iterdir()) == \
             ["d.csv", "d.json", "d.svg"]
+
+    @pytest.mark.parametrize("argv, bad", [
+        (["bifurcate", *BIFURCATE, "--out", "missing/d.csv"],
+         "missing/d.csv"),
+        (["simulate", *SIMULATE, "--out", "sub"], "sub"),
+        (["simulate", *SIMULATE, "--out", "a.csv", "--plot", "missing/a.svg"],
+         "missing/a.svg"),
+        (["sweep", "--hysteresis", "--r", "1", "--schedule", "triangular",
+          "--eta-start=-1", "--eta-peak=-3", "--T", "100", "--grid", "16",
+          "--out", "a.json", "--plot", "sub"], "sub"),
+        (["bifurcate", *BIFURCATE, "--out", "sub.csv"], "sub.json"),
+    ])
+    def test_unwritable_output_exits_2_naming_it(self, capsys, tmp_path,
+                                                 monkeypatch, argv, bad):
+        # a missing directory, or a directory where the file goes: one
+        # error line, no traceback
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "sub.json").mkdir()
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"'{bad}'" in err
 
 
 class TestCritical:

@@ -35,7 +35,9 @@ def triangular(start, peak, T=4000.0):
 
 
 def eta_by_formula(schedule, tau):
-    """The former scalar eval_schedule: the oracle for the eta column."""
+    """The ramp's shape by another formula, start + (peak - start)(1 -
+    |2 tau/T - 1|): the eta column's former formula, which rounds
+    differently from the kernels' e0 + rate x."""
     T = schedule.T
     tau = min(max(tau, 0.0), T)
     if schedule.kind == "constant":
@@ -215,25 +217,64 @@ class TestColumns:
         EtaSchedule(kind="constant", eta_start=-6.0, T=400.0),
     ])
     def test_columns_match_the_scalar_model_functions(self, schedule):
-        # the columns and their one-row forms against the per-sample
-        # formulas in plain math, bit for bit; E in the default context
-        traj = integrate(PhaseState(z=0.01, theta=0.0),
-                         ModelParams(r=5.0, nu=0.5), schedule,
+        # the columns and their one-row forms bit for bit against the
+        # coupling the run integrated, its eta_at, and H in plain math at
+        # it; E in the default context. The ramp's shape by the other
+        # formula agrees within 4 ulps, a bound fixed before measuring.
+        params = ModelParams(r=5.0, nu=0.5)
+        traj = integrate(PhaseState(z=0.01, theta=0.0), params, schedule,
                          IntegratorConfig(sample_stride=10),
                          (0.0, schedule.T))
         rows = list(zip(traj.tau.tolist(), traj.z.tolist(),
                         traj.theta.tolist()))
-        eta = [eta_by_formula(schedule, t) for t, _, _ in rows]
+        eta_at = dynamics._kernels(params, schedule)[1]
+        eta = [eta_at(t) for t, _, _ in rows]
         H = [hamiltonian_by_formula(z, theta, e, 5.0)
              for (_, z, theta), e in zip(rows, eta)]
         assert len(eta) == 4001
         assert traj.eta.tolist() == eta
+        assert all(abs(eta_by_formula(schedule, t) - e) <= 4 * math.ulp(e)
+                   for (t, _, _), e in zip(rows, eta))
         assert traj.H.tolist() == H
         assert traj.E.tolist() == [energy_functional(h, PhysicalContext())
                                    for h in H]
         assert [eval_schedule(schedule, t) for t, _, _ in rows] == eta
         assert [hamiltonian(PhaseState(z=z, theta=theta), e, 5.0)
                 for (_, z, theta), e in zip(rows, eta)] == H
+
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(SCHEDULE_KINDS),
+           e0=st.one_of(st.just(-0.0), st.floats(-1e100, 1e100)),
+           peak=st.floats(-1e100, 1e100), T=st.floats(1e-100, 1e100),
+           data=st.data())
+    def test_schedule_column_is_the_kernels_coupling(self, kind, e0, peak,
+                                                     T, data):
+        # bit for bit at the ends, the corner and its neighbours, inside
+        # the 1e-9 max(1, T) slack past either end, and inside
+        schedule = EtaSchedule(kind=kind, eta_start=e0, eta_peak=peak, T=T)
+        half, slack = 0.5 * T, 1e-9 * max(1.0, T)
+        taus = [0.0, half, math.nextafter(half, 0.0),
+                math.nextafter(half, T), T, -slack, T + slack]
+        taus += data.draw(st.lists(st.one_of(
+            st.floats(-slack, 0.0), st.floats(T, T + slack),
+            st.floats(0.0, T)), max_size=20))
+        eta_at = dynamics._kernels(ModelParams(r=5.0), schedule)[1]
+        column = model.schedule_column(schedule, taus)
+        assert column.view(np.int64).tolist() == \
+            np.array([eta_at(t) for t in taus]).view(np.int64).tolist()
+        assert [model.eval_schedule(schedule, t) for t in taus[:5]] == \
+            column[:5].tolist()
+
+    def test_eta_column_of_a_mid_ramp_span_is_the_kernels_coupling(self):
+        # a span from T/4 to 3T/4, with a sample on the corner T/2
+        params, schedule = ModelParams(r=5.0, nu=0.5), triangular(
+            -3.0, -8.0, T=400.0)
+        traj = integrate(PhaseState(z=0.01, theta=0.0), params, schedule,
+                         IntegratorConfig(sample_stride=10), (100.0, 300.0))
+        assert 200.0 in traj.tau.tolist()
+        eta_at = dynamics._kernels(params, schedule)[1]
+        assert traj.eta.view(np.int64).tolist() == np.array(
+            [eta_at(t) for t in traj.tau.tolist()]).view(np.int64).tolist()
 
 
 # the step and tolerances must be finite and > 0, sample_stride an
@@ -943,15 +984,15 @@ class TestKernels:
     @staticmethod
     def tableau_and_flow(kind):
         # every float literal of each function's source, in source order:
-        # 2.0 in two_r = 2.0 ** r and r2 = 2.0 * r and the ramp's 0.5 in
-        # half = 0.5 * T_s, bound for every function; the ramp's coupling,
-        # x > 0.0 else 0.0, in eta_at and after each stage's node; the
-        # constant kind's deta/dtau, 0.0; 0.0 starting each sum; the
-        # flow's 1.0 - z z, a == 0.0, diff = 0.0, z < 0.0, -2.0 z and
-        # 2.0 s; 1.0 and gamma in g = 1.0 / (h gamma) and 1.0 in
-        # d = 1.0 / det. The rest are the tables' nonzero weights and
-        # nodes, row by row; the D rows of the interpolant are in no
-        # kernel.
+        # 2.0 in two_r = 2.0 ** r and r2 = 2.0 * r, bound for every
+        # function (the ramp's constants, from EtaSchedule.ramp, hold
+        # none); the ramp's coupling, x > 0.0 else 0.0, in eta_at and
+        # after each stage's node; the constant kind's deta/dtau, 0.0;
+        # 0.0 starting each sum; the flow's 1.0 - z z, a == 0.0,
+        # diff = 0.0, z < 0.0, -2.0 z and 2.0 s; 1.0 and gamma in
+        # g = 1.0 / (h gamma) and 1.0 in d = 1.0 / det. The rest are the
+        # tables' nonzero weights and nodes, row by row; the D rows of
+        # the interpolant are in no kernel.
         ramp = kind == "triangular"
         coupling = [0.0, 0.0] if ramp else []
         flow = [1.0, 0.0, 0.0, 0.0, -2.0, 2.0]
@@ -980,8 +1021,7 @@ class TestKernels:
             ros += ((total(c) if any(c) else [])
                     + ([gamma] if gamma else [])) * 2
         ros += total(tableau.RODAS3_M) * 2 + total(tableau.RODAS3_E) * 2
-        bound = [2.0, 2.0] + ([0.5] if ramp else [])
-        return {name: bound + floats for name, floats in want.items()}
+        return {name: [2.0, 2.0] + floats for name, floats in want.items()}
 
     @staticmethod
     def float_literals(source):

@@ -193,6 +193,14 @@ class TestTrajectoryCsv:
                                 EtaSchedule(kind="constant", eta_start=-1.0,
                                             T=1.0))
 
+    def test_header_only_text_reads_with_no_final_state(self):
+        traj = trajectory_from_csv(TRAJECTORY_HEADER + "\n",
+                                   ModelParams(r=1.0),
+                                   EtaSchedule(kind="constant", T=1.0))
+        assert traj.samples == ()
+        with pytest.raises(DomainError, match="trajectory has no samples"):
+            traj.final_state
+
     def test_crlf_text_reads_as_the_lf_text(self, reference_ramp):
         text = trajectory_to_csv(reference_ramp)
         args = (reference_ramp.params, reference_ramp.schedule)
