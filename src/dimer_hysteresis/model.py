@@ -136,16 +136,28 @@ class EtaSchedule:
                 f"eta_start must be finite, got {self.eta_start}")
         if self.eta_peak is not None and not math.isfinite(self.eta_peak):
             raise DomainError(f"eta_peak must be finite, got {self.eta_peak}")
-        if self.kind == "triangular" and self.eta_peak is None:
-            raise DomainError("triangular schedule requires eta_peak")
+        if self.kind == "triangular":
+            if self.eta_peak is None:
+                raise DomainError("triangular schedule requires eta_peak")
+            self.ramp  # raises DomainError unless its rate is finite
 
     @property
     def ramp(self) -> tuple:
         """(e0, half, T, rate) of the triangular kind, the one definition
         of its ramp: eta(tau) = e0 + rate x, x the time from the nearer
-        end, with half = T / 2 and rate = (eta_peak - e0) / half."""
+        end, with half = T / 2 and rate = (eta_peak - e0) / half.
+
+        A DomainError where the rate is not finite: half underflows to
+        zero, or the quotient or the difference overflows.
+        """
         e0, half = self.eta_start, 0.5 * self.T
-        return e0, half, self.T, (self.eta_peak - e0) / half
+        rate = (self.eta_peak - e0) / half if half else math.nan
+        if not math.isfinite(rate):
+            raise DomainError(
+                f"triangular ramp rate (eta_peak - eta_start) / (T / 2) "
+                f"must be finite, got {rate} for eta_start={e0}, "
+                f"eta_peak={self.eta_peak}, T={self.T}")
+        return e0, half, self.T, rate
 
 
 class Sample(NamedTuple):

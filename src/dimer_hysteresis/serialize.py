@@ -36,7 +36,14 @@ returns what it read so far) or a wrong count of values.
 
 JSON is json.dumps(doc, indent=2), floats in full repr, laid out by
 _json. With indent, json runs its pure-Python encoder, so a diagram's
-points alone are filled into one %-template instead, in place of null.
+points alone are written without it, in place of null. The floats of
+all its branches form one float64 array, read from the branch tuples
+with numpy; each distinct magnitude is written once by float.__repr__
+and signed by its sign bit. The texts fill an object array of cells,
+one row per point, between the fixed pieces of a point's layout, and
+one str.join writes the rows and the document's text around them. The
+diagram CSV takes one % per branch, on a template whose head
+(branch_id, kind, theta_star) is formatted once with its '%' escaped.
 """
 
 from __future__ import annotations
@@ -61,14 +68,15 @@ BRANCH_HEADER = "branch_id,kind,theta_star,eta,z_star,stability"
 _NUMBER = b"0123456789+-.eE"
 _ROW = b",,,,,\n"
 _FIELDS = bytes.maketrans(b"\n", b",")
-_BRANCH_ROW = "%d,%s,%.15g,%.15g,%.15g,%s\n"
+_BRANCH_HEAD, _BRANCH_ROW = "%d,%s,%.15g,", "%.15g,%.15g,%s\n"
 # one point, at the depth of a branch's points: eta, z_star, stability
-# and the real and imaginary parts of its two eigenvalues
+# and the real and imaginary parts of its two eigenvalues, as the eight
+# pieces of text around them, with the ",\n" that joins it to the next
 _POINT_JSON = ('        {\n          "eta": %s,\n          "z_star": %s,\n'
                '          "stability": %s,\n          "eigenvalues": [\n'
                + ',\n'.join(['            [\n              %s,\n'
                               '              %s\n            ]'] * 2)
-               + '\n          ]\n        }')
+               + '\n          ]\n        },\n').split("%s")
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 # The decimal kernel. Its working type only sets how often a value
@@ -327,10 +335,13 @@ def _parse_lines(text: str) -> np.ndarray:
 
 
 def diagram_to_csv(diagram) -> str:
-    values = tuple(v for b in diagram.branches
-                   for row in zip(b.eta, b.z_star, b.stability)
-                   for v in (b.branch_id, b.kind, b.theta_star, *row))
-    return BRANCH_HEADER + "\n" + _BRANCH_ROW * (len(values) // 6) % values
+    """The header, then each branch's rows by one %: its branch_id, kind
+    and theta_star are formatted once, '%' escaped, as the head of every
+    row of the branch's template."""
+    return BRANCH_HEADER + "\n" + "".join(
+        ((_BRANCH_HEAD % (b.branch_id, b.kind, b.theta_star)).replace("%", "%%")
+         + _BRANCH_ROW) * len(b.eta) % tuple(itertools.chain.from_iterable(
+             zip(b.eta, b.z_star, b.stability))) for b in diagram.branches)
 
 
 def _json(doc: dict, effective: dict | None, indent: int | None = 2) -> str:
@@ -340,61 +351,65 @@ def _json(doc: dict, effective: dict | None, indent: int | None = 2) -> str:
     return json.dumps(doc, indent=indent) + "\n"
 
 
-def _json_floats(values: list) -> list:
-    """Each float as json writes it: float.__repr__, or NaN, Infinity
-    and -Infinity. Finite values are written one distinct magnitude at
-    a time, as "-" and the magnitude's text where the sign bit is set."""
-    v = np.array(values, dtype=np.float64)
-    if not np.isfinite(v).all():
-        return [_NON_FINITE.get(s, s) for s in map(float.__repr__, values)]
+def _json_floats(v: np.ndarray) -> np.ndarray:
+    """Each float of v as json writes it, in an object array of v's
+    shape: float.__repr__, or NaN, Infinity and -Infinity. Each distinct
+    magnitude is written once, as "-" and its text where the sign bit
+    is set (never for NaN, which json writes unsigned)."""
     # the distinct magnitudes by sort, and each value's by searchsorted:
     # np.unique imports numpy.ma on its first call (about 11 ms), and
-    # its return_inverse pages in 0.4 MB more of numpy's sorting code
+    # its return_inverse pages in 0.4 MB more of numpy's sorting code;
+    # NaN sorts last, and searchsorted finds its first copy
     a = np.abs(v)
-    mags = np.sort(a)
-    mags = mags[np.diff(mags, prepend=-1.0) != 0]
+    mags = np.sort(a, None)
+    mags = np.append(mags[:1], mags[1:][mags[1:] != mags[:-1]])
     strings = list(map(float.__repr__, mags.tolist()))
-    table = np.array(strings + ["-" + s for s in strings], dtype=object)
-    at = np.searchsorted(mags, a) + len(strings) * np.signbit(v)
-    return table[at].tolist()
-
-
-def _points_json(branch, floats) -> str:
-    """A branch's points as json lays them out, filled into one
-    %-template; floats yields the texts of its floats in point order."""
-    if not branch.eta:
-        return "[]"
-    names = {s: json.dumps(s) for s in set(branch.stability)}
-    values = []
-    for (eta, z, *lams), s in zip(zip(*[iter(floats)] * 6), branch.stability):
-        values += (eta, z, names[s], *lams)
-    return ("[\n" + ",\n".join([_POINT_JSON] * len(branch.eta)) % tuple(values)
-            + "\n      ]")
+    strings = list(map(_NON_FINITE.get, strings, strings))
+    table = np.array(strings + list(map("-".__add__, strings)), dtype=object)
+    return table[np.searchsorted(mags, a)
+                 + len(strings) * (np.signbit(v) & (a == a))]
 
 
 def diagram_to_json(diagram, effective: dict | None = None) -> str:
     """Byte for byte what json.dumps(doc, indent=2) writes for the
-    diagram's document: _json's text with each branch's points as null,
-    then its first '"points": null' per branch (json escapes a string's
-    quotes; effective_config comes last) replaced by the branch's points,
-    all of their floats written by one _json_floats."""
-    floats = iter(_json_floats([
-        v for b in diagram.branches
-        for eta, z, (lam1, lam2) in zip(b.eta, b.z_star, b.eigenvalues)
-        for v in (eta, z, lam1.real, lam1.imag, lam2.real, lam2.imag)]))
-    points = [_points_json(b, itertools.islice(floats, 6 * len(b.eta)))
-              for b in diagram.branches]
+    diagram's document.
+
+    _json lays out the document with each non-empty branch's points as
+    null, and its text is split at the first '"points": null' per such
+    branch (json escapes a string's quotes; effective_config comes
+    last). The points are an object array of cells, one row per point:
+    _POINT_JSON's pieces around the texts of its floats, all written by
+    one _json_floats, and of its stability, by json once per distinct
+    name. A branch's first row opens with the text before it, its last
+    row closes the list, and one str.join writes every row.
+    """
+    branches = diagram.branches
+    chain = itertools.chain.from_iterable
+    floats = np.concatenate([np.empty((0, 6)), *(np.column_stack((
+        b.eta, b.z_star, np.fromiter(chain(b.eigenvalues), complex)
+        .view(np.float64).reshape(-1, 4))) for b in branches)])
+    stability = list(chain(b.stability for b in branches))
+    names = {s: json.dumps(s) for s in set(stability)}
+    cells = np.empty((len(floats), 15), dtype=object)
+    cells[:, 0::2] = _POINT_JSON
+    cells[:, [1, 3, 7, 9, 11, 13]] = _json_floats(floats)
+    cells[:, 5] = list(map(names.__getitem__, stability))
     text = _json({
         "r": diagram.r,
         "eta_star": diagram.eta_star,
         "eta_plus": diagram.eta_plus,
         "classification": diagram.classification,
         "branches": [{"branch_id": b.branch_id, "kind": b.kind,
-                      "theta_star": b.theta_star, "points": None}
-                     for b in diagram.branches],
+                      "theta_star": b.theta_star,
+                      "points": None if b.eta else []} for b in branches],
     }, effective)
-    head, *tails = text.split('"points": null', len(points))
-    return head + "".join('"points": ' + p + t for p, t in zip(points, tails))
+    sizes = np.array([len(b.eta) for b in branches if b.eta], dtype=np.intp)
+    pieces = text.split('"points": null', len(sizes))
+    ends = sizes.cumsum()
+    cells[ends - sizes, 0] = [p + '"points": [\n' + _POINT_JSON[0]
+                              for p in pieces[:-1]]
+    cells[ends - 1, -1] = _POINT_JSON[-1][:-2] + "\n      ]"
+    return "".join(cells.ravel().tolist()) + pieces[-1]
 
 
 def report_to_json(report, effective: dict | None = None) -> str:

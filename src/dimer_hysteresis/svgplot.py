@@ -71,6 +71,8 @@ def render_panel(series, xlabel: str, ylabel: str, title: str) -> str:
     arrays of equal length, label names the series in the legend, and
     style "dashed" dashes its line. Points where x or y is not finite
     are skipped; a series with a single finite point draws a circle.
+    The coordinates of every series are written by one call of
+    serialize's decimal kernel.
     """
     bounds = (_bounds(np.concatenate([s[0] for s in series])),
               _bounds(np.concatenate([s[1] for s in series])))
@@ -106,20 +108,25 @@ def render_panel(series, xlabel: str, ylabel: str, title: str) -> str:
             f'<text x="{_MARGIN - 8}" y="{py(t):.1f}" font-size="11" '
             f'text-anchor="end" dominant-baseline="middle" '
             f'fill="#333">{_fmt(t)}</text>')
-    for k, (x, y, label, style) in enumerate(series):
-        finite = np.isfinite(x) & np.isfinite(y)
-        xy = (px(x[finite]), py(y[finite]))
-        if not len(xy[0]):
+    # every series' finite points by one kernel call, each series ended
+    # by an infinite point: px and py take a finite point into the frame
+    # (an infinite span has already failed in _ticks), so only the end
+    # of a series is written "inf,inf "
+    finite = [np.isfinite(x) & np.isfinite(y) for x, y, _, _ in series]
+    columns = [np.concatenate([c for s, ok in zip(series, finite)
+                               for c in (f(s[i][ok]), [math.inf])])
+               for i, f in enumerate((px, py))]
+    texts = _decimal_text(columns, ", ", fixed=True)[0].split("inf,inf ")
+    for k, ((*_, label, style), text) in enumerate(zip(series, texts)):
+        if not text:
             continue
         color = _COLORS[k % len(_COLORS)]
         dash = ' stroke-dasharray="6 4"' if style == "dashed" else ""
-        if len(xy[0]) == 1:
-            cx, cy = _decimal_text(xy, "  ", fixed=True)[0].split()
-            parts.append(f'<circle cx="{cx}" cy="{cy}" r="3" '
-                         f'fill="{color}"/>')
+        if " " not in text[:-1]:
+            cx, cy = text[:-1].split(",")
+            parts.append(f'<circle cx="{cx}" cy="{cy}" r="3" fill="{color}"/>')
         else:
-            coords = _decimal_text(xy, ", ", fixed=True)[0][:-1]
-            parts.append(f'<polyline points="{coords}" fill="none" '
+            parts.append(f'<polyline points="{text[:-1]}" fill="none" '
                          f'stroke="{color}" stroke-width="1.6"{dash}/>')
         ly = _MARGIN + 16 + 15 * k
         parts.append(f'<line x1="{_WIDTH - _MARGIN - 60}" y1="{ly - 4}" '

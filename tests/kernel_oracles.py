@@ -25,6 +25,9 @@
   per float; csv_by_percent and coords_by_percent are the former
   trajectory CSV writer and SVG coordinate writer, one % conversion per
   value, which the decimal kernel in serialize replaced.
+- render_panel_by_series is the former svgplot.render_panel, which
+  called the decimal kernel once per series where the panel now calls
+  it once for all of its series.
 - step_by_loop and dense_by_loop run the former DOP853 stage loop,
   which walked the tables' sparse (index, weight) rows over growing
   stage lists and called a field closure at every stage, and
@@ -55,7 +58,9 @@ from dimer_hysteresis.bifurcation import (_RESIDUAL_TOL, _ROOT_NOISE,
                                           _SLOPE_NOISE, _ZMAX, _h_zz,
                                           _power_sum, _xi)
 from dimer_hysteresis.model import check_power, power_difference
-from dimer_hysteresis.serialize import TRAJECTORY_HEADER
+from dimer_hysteresis.serialize import TRAJECTORY_HEADER, _decimal_text
+from dimer_hysteresis.svgplot import (_COLORS, _HEIGHT, _MARGIN, _WIDTH,
+                                      _bounds, _fmt, _ticks)
 from dimer_hysteresis.tableau import (DOP853_B, DOP853_D, DOP853_DENSE_STAGES,
                                       DOP853_E3, DOP853_E5, DOP853_STAGES,
                                       RODAS3_E, RODAS3_GAMMA, RODAS3_M,
@@ -272,6 +277,76 @@ def coords_by_percent(xy) -> str:
     """The former polyline coordinates of an (n, 2) array: "%.2f,%.2f"
     per point, joined by spaces."""
     return " ".join(["%.2f,%.2f"] * len(xy)) % tuple(xy.ravel().tolist())
+
+
+def render_panel_by_series(series, xlabel: str, ylabel: str,
+                           title: str) -> str:
+    """The former svgplot.render_panel: one decimal-kernel call per
+    series, on its finite points."""
+    bounds = (_bounds(np.concatenate([s[0] for s in series])),
+              _bounds(np.concatenate([s[1] for s in series])))
+    if None in bounds:
+        bounds = ((0.0, 1.0), (0.0, 1.0))
+    (x0, x1), (y0, y1) = bounds
+    iw = _WIDTH - 2 * _MARGIN
+    ih = _HEIGHT - 2 * _MARGIN
+
+    def px(x):
+        return _MARGIN + (x - x0) / (x1 - x0) * iw
+
+    def py(y):
+        return _HEIGHT - _MARGIN - (y - y0) / (y1 - y0) * ih
+
+    parts = [
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
+        f'<rect x="{_MARGIN}" y="{_MARGIN}" width="{iw}" height="{ih}" '
+        'fill="none" stroke="#999" stroke-width="1"/>',
+    ]
+    for t in _ticks(x0, x1):
+        parts.append(
+            f'<line x1="{px(t):.1f}" y1="{_HEIGHT - _MARGIN}" '
+            f'x2="{px(t):.1f}" y2="{_HEIGHT - _MARGIN + 5}" stroke="#666"/>')
+        parts.append(
+            f'<text x="{px(t):.1f}" y="{_HEIGHT - _MARGIN + 18}" '
+            f'font-size="11" text-anchor="middle" fill="#333">{_fmt(t)}</text>')
+    for t in _ticks(y0, y1):
+        parts.append(
+            f'<line x1="{_MARGIN - 5}" y1="{py(t):.1f}" x2="{_MARGIN}" '
+            f'y2="{py(t):.1f}" stroke="#666"/>')
+        parts.append(
+            f'<text x="{_MARGIN - 8}" y="{py(t):.1f}" font-size="11" '
+            f'text-anchor="end" dominant-baseline="middle" '
+            f'fill="#333">{_fmt(t)}</text>')
+    for k, (x, y, label, style) in enumerate(series):
+        finite = np.isfinite(x) & np.isfinite(y)
+        xy = (px(x[finite]), py(y[finite]))
+        if not len(xy[0]):
+            continue
+        color = _COLORS[k % len(_COLORS)]
+        dash = ' stroke-dasharray="6 4"' if style == "dashed" else ""
+        if len(xy[0]) == 1:
+            cx, cy = _decimal_text(xy, "  ", fixed=True)[0].split()
+            parts.append(f'<circle cx="{cx}" cy="{cy}" r="3" '
+                         f'fill="{color}"/>')
+        else:
+            coords = _decimal_text(xy, ", ", fixed=True)[0][:-1]
+            parts.append(f'<polyline points="{coords}" fill="none" '
+                         f'stroke="{color}" stroke-width="1.6"{dash}/>')
+        ly = _MARGIN + 16 + 15 * k
+        parts.append(f'<line x1="{_WIDTH - _MARGIN - 60}" y1="{ly - 4}" '
+                     f'x2="{_WIDTH - _MARGIN - 40}" y2="{ly - 4}" '
+                     f'stroke="{color}" stroke-width="1.6"{dash}/>')
+        parts.append(f'<text x="{_WIDTH - _MARGIN - 35}" y="{ly}" '
+                     f'font-size="11" fill="#333">{label}</text>')
+    parts.append(f'<text x="{_WIDTH / 2:.0f}" y="{_HEIGHT - 12}" '
+                 f'font-size="12" text-anchor="middle" '
+                 f'fill="#111">{xlabel}</text>')
+    parts.append(f'<text x="16" y="{_HEIGHT / 2:.0f}" font-size="12" '
+                 f'text-anchor="middle" fill="#111" '
+                 f'transform="rotate(-90 16 {_HEIGHT / 2:.0f})">{ylabel}</text>')
+    parts.append(f'<text x="{_WIDTH / 2:.0f}" y="24" font-size="13" '
+                 f'text-anchor="middle" fill="#111">{title}</text>')
+    return "\n".join(parts)
 
 
 def _sparse(row):

@@ -1293,6 +1293,124 @@ class TestDiagramJson:
         assert text.count(trap) == 2
 
 
+# any float the writers may meet: signed zeros, subnormals, non-finite
+# values (a NaN with its sign bit set too) and numpy's float64 among them
+ANY_FLOAT = st.one_of(
+    st.floats(), st.floats().map(np.float64),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, math.inf,
+                     -math.inf, math.nan, -math.nan]))
+# labels that a %-template would read as conversions or separators
+LABELS = st.one_of(
+    st.sampled_from(["stable", "%", "%%", "%s", "%d", "%(x)s", ",",
+                     "a,b%c"]),
+    st.text(alphabet="%,sd a", max_size=8))
+
+
+@st.composite
+def writer_branch(draw, branch_id=st.integers(-3, 10 ** 6)):
+    """A Branch of up to four drawn rows, often none."""
+    rows = draw(st.lists(st.tuples(ANY_FLOAT, ANY_FLOAT, LABELS,
+                                   *[ANY_FLOAT] * 4), max_size=4))
+    return Branch(draw(branch_id), draw(LABELS), draw(ANY_FLOAT),
+                  tuple(r[0] for r in rows), tuple(r[1] for r in rows),
+                  tuple(r[2] for r in rows),
+                  tuple((complex(r[3], r[4]), complex(r[5], r[6]))
+                        for r in rows))
+
+
+def writer_diagram(branches):
+    return BifurcationDiagram(r=5.0, branches=tuple(branches), eta_star=6.4,
+                              eta_plus=None, classification="supercritical")
+
+
+def mirror_pair(upper, lower):
+    """Two asymmetric branches with the given z_star columns that share
+    their eta, stability and eigenvalue tuples, as trace_branches builds
+    a branch and its mirror."""
+    eta = tuple(-3.0 - 0.5 * k for k in range(len(upper)))
+    stability = ("unstable",) * len(upper)
+    eigenvalues = tuple((complex(0.0, 1.5 + k), complex(-0.0, -1.5 - k))
+                        for k in range(len(upper)))
+    return (Branch(1, "asymmetric", 0.0, eta, tuple(lower), stability,
+                   eigenvalues),
+            Branch(2, "asymmetric", 0.0, eta, tuple(upper), stability,
+                   eigenvalues))
+
+
+HEADED_ROWS = [
+    Branch(0, "a%sb", 0.5, (-1.0, math.nan), (0.25, -0.0),
+           ("%d", "x,y"), ((0j, 0j),) * 2),
+    Branch(1, "%%", -0.0, (), (), (), ()),
+    Branch(2, "%(x)s,", math.inf, (np.float64(5e-324),), (-math.inf,),
+           ("%",), ((0j, 0j),)),
+]
+
+
+class TestDiagramWriterColumns:
+    """The column writers against the row writer and json.dumps, on
+    hand-built branches: shared and look-alike columns, empty branches
+    between full ones, and heads and labels holding % and commas."""
+
+    @given(branches=st.lists(writer_branch(), max_size=5))
+    @example(branches=HEADED_ROWS)
+    @settings(max_examples=200, deadline=None)
+    def test_csv_is_the_row_writer(self, branches):
+        # each head is spliced into its branch's %-template; an unescaped
+        # % in it would be read as a conversion
+        d = writer_diagram(branches)
+        assert diagram_to_csv(d) == diagram_csv_by_rows(d)
+
+    @given(branches=st.lists(writer_branch(), max_size=5))
+    @example(branches=HEADED_ROWS)
+    @settings(max_examples=100, deadline=None)
+    def test_json_is_json_dumps(self, branches):
+        d = writer_diagram(branches)
+        assert diagram_to_json(d) == diagram_json_by_dumps(d)
+
+    def test_traced_mirrors_share_their_columns(self):
+        # each of r = 5's two pieces of asymmetric states gives a branch
+        # and its mirror, which hold the same tuples
+        d = atlas_diagram(5.0, 400)
+        pairs = [(a, b) for k, a in enumerate(d.branches)
+                 for b in d.branches[k + 1:] if a.eta is b.eta]
+        assert len(pairs) == 2
+        for a, b in pairs:
+            assert a.stability is b.stability
+            assert a.eigenvalues is b.eigenvalues
+            assert a.z_star == tuple(-z for z in b.z_star)
+        assert diagram_to_json(d) == diagram_json_by_dumps(d)
+
+    def test_mirror_pair_sharing_its_tuples_bytes(self):
+        d = writer_diagram(mirror_pair((0.25, 0.5), (-0.25, -0.5)))
+        assert d.branches[0].eta is d.branches[1].eta
+        assert diagram_to_json(d) == diagram_json_by_dumps(d)
+
+    def test_equal_but_distinct_columns_keep_their_zeros(self):
+        # 0.0 == -0.0, so tuples that hold one against the other compare
+        # equal; each must still be written with its own sign
+        first = Branch(1, "asymmetric", 0.0, (0.0, -1.0), (0.25, -0.0),
+                       ("stable",) * 2,
+                       ((complex(0.0, -0.0), complex(-0.0, 1.0)),) * 2)
+        second = Branch(2, "asymmetric", 0.0, (-0.0, -1.0), (-0.25, 0.0),
+                        ("stable",) * 2,
+                        ((complex(-0.0, 0.0), complex(0.0, 1.0)),) * 2)
+        assert first.eta == second.eta and first.eta is not second.eta
+        assert first.eigenvalues == second.eigenvalues
+        d = writer_diagram([first, second])
+        text = diagram_to_json(d)
+        assert text == diagram_json_by_dumps(d)
+        assert '"eta": -0.0' in text and '"eta": 0.0' in text
+
+    def test_empty_branch_between_full_ones_bytes(self):
+        upper, lower = mirror_pair((0.25,), (-0.25,))
+        empty = Branch(3, "symmetric", 0.0, (), (), (), ())
+        for branches in ([lower, empty, upper], [empty, lower, empty],
+                         [lower, empty, empty, upper]):
+            d = writer_diagram(branches)
+            assert diagram_to_json(d) == diagram_json_by_dumps(d)
+            assert diagram_to_csv(d) == diagram_csv_by_rows(d)
+
+
 class TestLargePowers:
     """The fold's check scales with its terms, which grow as z_f -> 1."""
 

@@ -89,6 +89,22 @@ class TestSimulate:
                        "sample_stride 1 asks for 999999999000 samples past "
                        "the first, more than 10000000\n")
 
+    @pytest.mark.parametrize("ramp", [
+        ["--eta-start=-1", "--eta-peak=-3", "--T", "5e-324"],
+        ["--eta-start=-1", "--eta-peak=-3", "--T", "1e-310"],
+        ["--eta-start=-1e308", "--eta-peak=1e308", "--T", "10"],
+    ], ids=["half-underflows", "rate-overflows", "difference-overflows"])
+    def test_a_ramp_without_a_finite_rate_is_an_error_line(self, capsys,
+                                                           ramp):
+        # once a ZeroDivisionError traceback, or a run at rate +-inf
+        # that failed with "step size underflowed"
+        code, out, err = run_cli(capsys, "simulate", "--r", "1",
+                                 "--schedule", "triangular", *ramp)
+        assert code == 1 and out == ""
+        assert err.startswith("error: triangular ramp rate (eta_peak - "
+                              "eta_start) / (T / 2) must be finite, got ")
+        assert err.count("\n") == 1
+
     def test_a_damped_arrival_at_the_pole_is_an_error_line(self, capsys):
         code, out, err = run_cli(
             capsys, "simulate", "--r", "1", "--nu", "0.5", "--schedule",

@@ -15,6 +15,7 @@ from dimer_hysteresis import (DomainError, EtaSchedule, ModelParams,
                               grad_hamiltonian, hamiltonian,
                               hamiltonian_column, power_difference,
                               wrap_angle)
+from dimer_hysteresis.model import schedule_column
 
 from kernel_oracles import wrap_angle_by_remainder
 
@@ -222,6 +223,34 @@ class TestSchedules:
             EtaSchedule(kind="sawtooth", eta_start=0.0, T=1.0)
         with pytest.raises(DomainError):
             EtaSchedule(kind="piecewise_linear", eta_start=0.0, T=1.0)
+
+    @pytest.mark.parametrize("start, peak, T", [
+        (-1.0, -3.0, 5e-324),     # T / 2 underflows to zero
+        (-1.0, -1.0, 5e-324),     # and the ramp is flat
+        (-1.0, -3.0, 1e-310),     # the quotient overflows
+        (-1e308, 1e308, 10.0),    # the difference overflows
+    ])
+    def test_a_ramp_without_a_finite_rate_is_refused(self, start, peak, T):
+        with pytest.raises(DomainError, match="triangular ramp rate"):
+            EtaSchedule(kind="triangular", eta_start=start, eta_peak=peak,
+                        T=T)
+
+    def test_the_steepest_finite_ramp_is_accepted(self):
+        sched = EtaSchedule(kind="triangular", eta_start=-1.0,
+                            eta_peak=-3.0, T=4e-308)
+        assert sched.ramp == (-1.0, 2e-308, 4e-308, -2.0 / 2e-308)
+        assert eval_schedule(sched, 2e-308) == -3.0
+
+    def test_the_column_and_the_scalar_refuse_through_the_ramp(self):
+        # a schedule changed past its own check still never divides by
+        # zero: both evaluations read the rate from ramp
+        sched = EtaSchedule(kind="triangular", eta_start=-1.0, eta_peak=-3.0,
+                            T=4.0)
+        object.__setattr__(sched, "T", 5e-324)
+        with pytest.raises(DomainError, match="triangular ramp rate"):
+            schedule_column(sched, [0.0])
+        with pytest.raises(DomainError, match="triangular ramp rate"):
+            eval_schedule(sched, 0.0)
 
 
 class TestAmplitudes:

@@ -3,16 +3,20 @@ that end for every finite input.
 
 The oracle below is the former writer, kept verbatim: it formatted each
 point through scalar closures from lists of (x, y) tuples and stacked
-the trajectory's panels by re-parsing their <svg> documents.
+the trajectory's panels by re-parsing their <svg> documents. The panel
+that called the decimal kernel once per series is
+kernel_oracles.render_panel_by_series.
 """
 
 import math
 import os
+import random
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +27,8 @@ from dimer_hysteresis import (EtaSchedule, IntegratorConfig, ModelParams,
                               sweep_report, trace_branches)
 from dimer_hysteresis import svgplot
 from dimer_hysteresis.config import ENV_VAR
+
+from kernel_oracles import render_panel_by_series
 
 # --- oracle: the former writer, verbatim ---------------------------------
 
@@ -291,6 +297,85 @@ class TestSyntheticSeries:
         doc = svgplot.plot_trajectory(SYNTHETIC_TRAJECTORIES["no finite point"])
         assert ">0</text>" in doc and ">1</text>" in doc
         assert "<polyline" not in doc and "<circle" not in doc
+
+
+# --- one kernel call per panel against one per series -------------------
+
+def assert_same_text(new, old):
+    """new == old, or a failure that shows their first difference: pytest
+    takes minutes to diff two long lines."""
+    if new != old:
+        k = max(0, len(os.path.commonprefix([new, old])) - 40)
+        pytest.fail(f"texts differ from character {k}: "
+                    f"{new[k:k + 80]!r} != {old[k:k + 80]!r}")
+
+
+def by_series(plot, arg):
+    """plot(arg) with the former panel writer, one kernel call per
+    series."""
+    with mock.patch.object(svgplot, "render_panel", render_panel_by_series):
+        return plot(arg)
+
+
+def assert_same_panel(series):
+    new = svgplot.render_panel(series, "x", "y", "title")
+    assert_same_text(new, render_panel_by_series(series, "x", "y", "title"))
+    ET.fromstring(svgplot._svg(_HEIGHT, new))
+    return new
+
+
+def line(xs, ys, label="s", style="solid"):
+    return (np.array(xs, dtype=float), np.array(ys, dtype=float), label,
+            style)
+
+
+_SEEDED = random.Random(4242)
+ATLAS_POWERS = [1.0, 2.0, 3.0, 4.0, 5.0, 10.0, 40.0] + [
+    _SEEDED.uniform(lo, hi) for lo, hi in ((0.5, 3.2), (3.4, 6.0))
+    for _ in range(4)]
+
+
+class TestOneKernelCallPerPanel:
+    @pytest.mark.parametrize("r", ATLAS_POWERS)
+    def test_atlas_diagrams(self, r):
+        star = find_eta_star(r)
+        diagram = trace_branches(r, (0.25 * star, 1.4 * star), 400)
+        assert_same_text(svgplot.plot_diagram(diagram),
+                         by_series(svgplot.plot_diagram, diagram))
+
+    def test_single_point_series_draw_circles(self):
+        new = assert_same_panel([
+            line([0.5], [0.25], "one"),
+            line([0.0, 1.0, 2.0], [1.0, -1.0, 0.5], "three", "dashed"),
+            line([math.nan, 3.0, 1.0], [0.0, -0.0, math.inf], "one finite"),
+            line([-1.0], [2.0], "last")])
+        assert new.count("<circle") == 3 and new.count("<polyline") == 1
+
+    def test_non_finite_points_are_skipped(self):
+        assert_same_panel([
+            line([0.0, math.nan, 2.0, math.inf, 4.0, 5.0],
+                 [0.1, 0.2, -math.inf, 0.4, math.nan, -0.5], "a"),
+            line([math.inf, 1.0, -math.inf, 3.0], [1.0, 2.0, 3.0, 4.0], "b",
+                 "dashed")])
+
+    def test_series_with_every_finite_point_dropped(self):
+        for series in (
+                [line([math.nan, 1.0], [0.5, math.inf], "gone"),
+                 line([0.0, 1.0], [0.0, 1.0], "kept")],
+                [line([0.0, 1.0], [0.0, 1.0], "kept"),
+                 line([math.nan, 1.0], [0.5, math.inf], "gone"),
+                 line([2.0], [0.5], "circle")],
+                [line([math.nan], [math.nan], "none"),
+                 line([math.inf], [1.0], "none either")]):
+            # a series without a finite point has no legend entry
+            legend = f'<line x1="{_WIDTH - _MARGIN - 60}"'
+            drawn = sum(bool((np.isfinite(x) & np.isfinite(y)).any())
+                        for x, y, _, _ in series)
+            assert assert_same_panel(series).count(legend) == drawn
+
+    def test_empty_series(self):
+        assert_same_panel([line([], [], "empty"), line([1.0, 2.0], [0.0, 1.0]),
+                           line([], [], "empty too")])
 
 
 # --- ticks end for every finite input -------------------------------------
