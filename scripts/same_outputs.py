@@ -15,6 +15,12 @@ placeholder:
   three-digit exponents;
 - one criterion-6 `simulate` (r = 5, nu = 0, eta = -6, T = 1000,
   tolerance 1e-10), CSV and SVG;
+- one undamped ramp `simulate` (r = 5, nu = 0, eta -3 -> -8, T = 400,
+  z0 = 0.3, theta0 = 0.7, stride 10), CSV and SVG: the undamped ramp's
+  kernels;
+- an undamped and a damped (nu = 0.5) `simulate` from z0 = theta0 =
+  -0.0 (r = 5, eta 3 -> -8, T = 100, stride 10), CSV and SVG: every
+  stage of their steps is a signed zero;
 - one damped constant-coupling `simulate` that turns stiff (r = 5,
   nu = 0.5, eta = -8, z0 = 0.95, T = 50, stride 10; 153 RODAS3 steps),
   CSV and SVG;
@@ -35,7 +41,7 @@ placeholder:
   `trajectory_from_csv` reads from it, a header and one row per sample
   of `float.hex` values, so that a change to the reader shows too.
 
-Prints "identical" or the first differing line for each of the 51
+Prints "identical" or the first differing line for each of the 60
 files. For a CSV, JSON, JSON-lines or read-back file that differs it
 then prints, for each column or JSON key path, how many numbers
 differ, the largest |difference|, how many became exactly 0.0, and how
@@ -107,6 +113,17 @@ RUNS = [
                      "constant", "--eta-start", "-6", "--T", "1000",
                      "--z0", "0.3", "--theta0", "0.7", "--abs-tol", "1e-10",
                      "--rel-tol", "1e-10"], (".csv", ".svg")),
+    ("undamped-ramp-simulate", [*CLI, "simulate", "--r", "5", "--nu", "0",
+                                "--schedule", "triangular", "--eta-start",
+                                "-3", "--eta-peak", "-8", "--T", "400",
+                                "--z0", "0.3", "--theta0", "0.7",
+                                "--sample-stride", "10"], (".csv", ".svg")),
+    *((f"zero-{name}-simulate", [*CLI, "simulate", "--r", "5", "--nu", nu,
+                                 "--schedule", "triangular", "--eta-start",
+                                 "3", "--eta-peak", "-8", "--T", "100",
+                                 "--z0", "-0.0", "--theta0", "-0.0",
+                                 "--sample-stride", "10"], (".csv", ".svg"))
+      for name, nu in (("undamped", "0"), ("damped", "0.5"))),
     ("stiff-simulate", [*CLI, "simulate", "--r", "5", "--nu", "0.5",
                         "--schedule", "constant", "--eta-start=-8",
                         "--z0", "0.95", "--theta0", "0.1", "--T", "50",

@@ -12,25 +12,28 @@ sign turns every stable center into a repeller and drives |z| -> 1.)
 The stepper is the Dormand-Prince 8(5,3) pair DOP853. Its stages run as
 straight-line code written out from the rows of tableau.py, each
 weighted sum added left to right over a row's nonzero weights, with the
-flow written into every stage. The flow is one source text, _FLOW, with
-the schedule's coupling at the stage's time for each schedule kind;
-make_field's closure, which evaluates the start, a step's end and a
-clamp, is compiled from the same text. Each kind's kernels are compiled
-on the first run of that kind and bound to a run's r, nu and schedule
-as closure constants. The combined 5th/3rd-order error estimate is
-controlled per unit tau in the max norm over (z, theta) by a PI
-controller; the per-unit control keeps the H drift below 1e-8 over tau
-spans of 10^3. No step spans more than one unit of tau: with longer
-steps the absolute tolerance dominates near z = 0, the state stops
-decaying there and the delayed jump of a slow ramp comes early. Steps
-ignore the sample grid; samples inside a step come from DOP853's
-7th-order interpolant, which costs three extra right-hand-side
-evaluations on steps that hold a sample. Such a step records t, h, the
-range of sample indices it covers, (z, theta) at both ends, its 12
-stages, the derivative at its end and the three extra stages. After
-the run the interpolant's coefficients (Hairer, Norsett & Wanner,
-Solving ODEs I, section II.6) and then its samples are computed over
-numpy columns of all the records, in the same operations as for one
+flow written into every stage. One call of a step kernel is a whole
+attempt: the stages, the step's end, its error norm and, once the step
+is accepted, the derivative at its end. The flow is one source text,
+_FLOW, with the schedule's coupling at the stage's time for each
+schedule kind; make_field's closure, which evaluates the start and a
+clamp, is compiled from the same text. The kernels are compiled once per
+process for each schedule kind and damping, nu == 0 or not, on the first
+run of that pair (those for nu == 0 without the damping term), and bound
+to a run's r, nu and schedule as closure constants. The combined
+5th/3rd-order error estimate is controlled per unit tau in the max norm
+over (z, theta) by a PI controller; the per-unit control keeps the H
+drift below 1e-8 over tau spans of 10^3. No step spans more than one
+unit of tau: with longer steps the absolute tolerance dominates near
+z = 0, the state stops decaying there and the delayed jump of a slow
+ramp comes early. Steps ignore the sample grid; samples inside a step
+come from DOP853's 7th-order interpolant, which costs three extra
+right-hand-side evaluations on steps that hold a sample. Such a step
+records t, h, the range of sample indices it covers, (z, theta) at both
+ends, its 12 stages, the derivative at its end and the three extra
+stages. After the run the interpolant's coefficients (Hairer, Norsett &
+Wanner, Solving ODEs I, section II.6) and then its samples are computed
+over numpy columns of all the records, in the same operations as for one
 step and one sample, so each sample keeps its bits.
 
 Damped runs (nu > 0) switch to the linearly implicit Rosenbrock method
@@ -148,11 +151,11 @@ class IntegratorConfig:
 def make_field(params: ModelParams):
     """Closure (z, theta, eta) -> (dz, dtheta) of the damped flow.
 
-    Compiled from the flow's one text, _FLOW, which the kernels inline;
-    the integrator evaluates it at a step's end, at the start and at a
-    clamp.
+    Compiled from the flow's one text, _FLOW, which the kernels inline,
+    with the damping term for every nu; the integrator evaluates it at
+    the start and at a clamp.
     """
-    field, = _factory(None)
+    field, = _factory(None, True)
     return field(params, None)
 
 
@@ -167,21 +170,21 @@ def vector_field(state: PhaseState, eta: float, params: ModelParams) -> tuple:
 
 # The flow at ({z}, {theta}) with a = |{z}|, r2 = 2 r and {q} = eta / 2^r,
 # the one text of the field formula; diff is the stable (1+z)^r - (1-z)^r
-# of model.power_difference. The constant schedule binds q once as
-# e0 / two_r, which evaluates as eta / two_r does.
+# of model.power_difference, and needs no branch at a = 0, where
+# exp(r log1p(-0.0)) expm1(r2 atanh 0.0) is 0.0. {damping} is the
+# damping term, left out of the kernels bound for nu == 0. The constant
+# schedule binds q once as e0 / two_r, which evaluates as eta / two_r
+# does.
 _FLOW = """
     s = sqrt(1.0 - {z} * {z})
-    if a == 0.0:
-        diff = 0.0
-    else:
-        try:
-            diff = exp(r * log1p(-a)) * expm1(r2 * atanh(a))
-        except OverflowError:
-            diff = exp(r * log1p(a))
-        if {z} < 0.0:
-            diff = -diff
+    try:
+        diff = exp(r * log1p(-a)) * expm1(r2 * atanh(a))
+    except OverflowError:
+        diff = exp(r * log1p(a))
+    if {z} < 0.0:
+        diff = -diff
     gz = -2.0 * {z} * cos({theta}) / s - {q} * diff
-    {out}2.0 * s * sin({theta}) + nu * gz, gz"""
+    {out}2.0 * s * sin({theta}){damping}, gz"""
 
 
 class _Kind(NamedTuple):
@@ -227,11 +230,23 @@ def field(z, theta, eta):
 """
 
 # The straight-line kernels, written out from tableau.py's rows with the
-# flow inline. _step returns (stages evaluated, None) once a stage point
-# leaves |z| <= zmax, else (11, (the b, E5 and E3 sums, kz0..kz11,
-# kt0..kt11)). _dense returns the three extra stages, (kz13, kz14,
-# kz15, kt13, kt14, kt15); kz12, kt12 are the derivative at the step's
-# end.
+# flow inline. A weighted sum adds w * k<j> left to right over a row's
+# nonzero weights. A sum of zeros can come out -0.0 where the tables'
+# loop, which starts every sum from 0.0, gives 0.0, and the flow maps
+# such a stage point to stages that differ from the loop's only in the
+# sign of a zero; the sums that set a step's end state start from 0.0
+# too, so the end state keeps the loop's bits (the error sums pass
+# through abs()).
+# Each step kernel does a whole attempt and returns (stages evaluated,
+# err, zero, zn, thetan, the derivative at the end, the stages): all
+# but the count are None once a stage point or the end leaves
+# |z| <= zmax; else err is the error in the max norm over (z, theta) at
+# atol + rtol |(zn, thetan)|, and where err <= 1 the derivative at the
+# end, with the coupling at t_new, is evaluated as one more stage and
+# the rest returned; zero flags an err set to 0.0 for a zero
+# denominator. _step's stages are (kz0..kz11, kt0..kt11), _rosenbrock's
+# None. _dense returns the three extra stages, (kz13, kz14, kz15, kt13,
+# kt14, kt15); kz12, kt12 are the derivative at the step's end.
 _STAGE = """
     sz = {sz}
     st = {st}
@@ -240,6 +255,8 @@ _STAGE = """
     if a > zmax:
         {leave}
     ti = theta + h * st{flow}"""
+_LEAVE = ", None" * 7
+_REJECT = ", False" + ", None" * 5
 _ETA_AT = """\
 def eta_at(t):{coupling}
     return {eta}
@@ -248,9 +265,30 @@ _RATE_AT = """\
 def rate_at(t):
     return {rate}
 """
+# the 5th- and 3rd-order estimates combined as in DOP853, per unit tau;
+# nonzero e5 and e3 can square to 0, and a zero denominator is no error
+# (max(x, y) is written out as y if y > x else x, which is what the
+# builtin computes, at a tenth of its cost)
 _STEP = """\
-def _step(t, h, z, theta, kz0, kt0, zmax):{stages}
-    return {last}, ({b}, {e5}, {e3}, ({ks}))
+def _step(t, h, z, theta, kz0, kt0, t_new, zmax, atol, rtol):{stages}
+    zn = z + h * ({bz})
+    a = abs(zn)
+    if a > zmax:
+        return {last}{leave}
+    tn = theta + h * ({bt})
+    scale_z = atol + rtol * a
+    scale_t = atol + rtol * abs(tn)
+    x = abs({e5z}) / scale_z
+    y = abs({e5t}) / scale_t
+    e5 = y if y > x else x
+    x = abs({e3z}) / scale_z
+    y = abs({e3t}) / scale_t
+    e3 = y if y > x else x
+    den = sqrt(e5 * e5 + 0.01 * e3 * e3)
+    err = e5 * e5 / den if den else 0.0
+    if not err <= 1.0:
+        return {last}, err{reject}{end}
+    return {n}, err, not den, zn, tn, fzn, ftn, ({ks})
 """
 _DENSE = """\
 def _dense(t, h, z, theta, k, kz{n}, kt{n}, zmax):
@@ -259,40 +297,49 @@ def _dense(t, h, z, theta, k, kz{n}, kt{n}, zmax):
 """
 
 
-def _sum(row, k):
-    """Source of 0.0 + w * k<j> + ... over row's nonzero weights w."""
-    return "0.0" + "".join(f" + {w!r} * {k}{j}" for j, w in enumerate(row) if w)
+def _sum(row, k, seed=""):
+    """Source of seed + w * k<j> + ... over row's nonzero weights w, the
+    seed "0.0 + " for a sum that sets an end state."""
+    return seed + " + ".join(f"{w!r} * {k}{j}" for j, w in enumerate(row)
+                             if w)
 
 
-def _stage_flow(kind, c, out):
+def _flow(kind, damped, z, theta, out, t):
+    """Source of the flow at (z, theta) into out, after the coupling at
+    time t where the kind's coupling is not a constant."""
+    return kind.coupling.format(t=t) + _FLOW.format(
+        z=z, theta=theta, q=kind.q, out=out,
+        damping=" + nu * gz" if damped else "")
+
+
+def _stage_flow(kind, damped, c, out):
     """Source of the flow at the stage point (zi, ti) at time t + c h."""
-    coupling = ""
-    if kind.coupling:
-        coupling = f"\n    tt = t + {c!r} * h" + kind.coupling.format(t="tt")
-    return coupling + _FLOW.format(z="zi", theta="ti", q=kind.q, out=out)
+    time = f"\n    tt = t + {c!r} * h" if kind.coupling else ""
+    return time + _flow(kind, damped, "zi", "ti", out, "tt")
 
 
-def _sources(kind):
-    """{name: source of its bind} of make_field's closure (kind None) or
-    of a schedule kind's eta_at, rate_at and kernels, in that order. Each
-    bind compiles on its own, so that the compiler's memory peaks at the
-    largest function, not at their sum."""
+def _sources(kind, damped):
+    """{name: source of its bind} of make_field's closure (kind None,
+    damped) or of a schedule kind's eta_at, rate_at and kernels, in that
+    order, the kernels for nu != 0 where damped. Each bind compiles on
+    its own, so that the compiler's memory peaks at the largest
+    function, not at their sum."""
     k = _KINDS[kind]
     if kind is None:
-        functions = {"field": _FIELD.format(flow=_FLOW.format(
-            z="z", theta="theta", q=k.q, out="return "))}
+        functions = {"field": _FIELD.format(
+            flow=_flow(k, damped, "z", "theta", "return ", None))}
     else:
         functions = {"eta_at": _ETA_AT.format(
                          coupling=k.coupling.format(t="t"), eta=k.eta),
                      "rate_at": _RATE_AT.format(rate=k.rate),
-                     **_dop853_sources(k),
-                     "_rosenbrock": _rosenbrock_source(k)}
+                     **_dop853_sources(k, damped),
+                     "_rosenbrock": _rosenbrock_source(k, damped)}
     return {name: _FACTORY.format(constants=k.constants, name=name,
                                   function=textwrap.indent(text, "    "))
             for name, text in functions.items()}
 
 
-def _dop853_sources(kind):
+def _dop853_sources(kind, damped):
     n = len(DOP853_STAGES) + 1
     error = 'raise SingularityError(f"interpolation stage left |z| <= ' \
         '{zmax} at tau={t}")'
@@ -300,16 +347,20 @@ def _dop853_sources(kind):
     def stages(table, first, leave):
         return "".join(_STAGE.format(
             sz=_sum(a, "kz"), st=_sum(a, "kt"), leave=leave(i),
-            flow=_stage_flow(kind, c, f"kz{i}, kt{i} = "))
+            flow=_stage_flow(kind, damped, c, f"kz{i}, kt{i} = "))
             for i, (c, a) in enumerate(table, first))
 
     ks = ", ".join([f"kz{j}" for j in range(n)] + [f"kt{j}" for j in range(n)])
     return {
         "_step": _STEP.format(
-            stages=stages(DOP853_STAGES, 1, lambda i: f"return {i - 1}, None"),
-            **{name: f"{_sum(row, 'kz')}, {_sum(row, 'kt')}" for name, row in
-               (("b", DOP853_B), ("e5", DOP853_E5), ("e3", DOP853_E3))},
-            ks=ks, last=n - 1),
+            stages=stages(DOP853_STAGES, 1,
+                          lambda i: f"return {i - 1}{_LEAVE}"),
+            bz=_sum(DOP853_B, "kz", "0.0 + "),
+            bt=_sum(DOP853_B, "kt", "0.0 + "),
+            e5z=_sum(DOP853_E5, "kz"), e5t=_sum(DOP853_E5, "kt"),
+            e3z=_sum(DOP853_E3, "kz"), e3t=_sum(DOP853_E3, "kt"),
+            end=_flow(kind, damped, "zn", "tn", "fzn, ftn = ", "t_new"),
+            leave=_LEAVE, reject=_REJECT, ks=ks, last=n - 1, n=n),
         "_dense": _DENSE.format(
             dense_stages=stages(DOP853_DENSE_STAGES, n + 1, lambda i: error),
             extra=", ".join(f"k{y}{j}" for y in "zt" for j in range(
@@ -318,12 +369,13 @@ def _dop853_sources(kind):
 
 
 # The RODAS3 kernel, written out from tableau.py's rows in the same way.
-# jac is the Jacobian at (t, z, theta) and (gz, gt) the time derivative
-# of the field there. It returns (stages evaluated, None) once a stage
-# point leaves |z| <= zmax, else (2, (zn, thetan, error in z, in theta)).
-# A singular stage matrix gives non-finite stages, which reject the step.
+# jac is the Jacobian at (t, z, theta) and (dfz, dft) the time
+# derivative of the field there (named apart from the gz that each flow
+# sets); its error is controlled per step, not per unit tau. A singular
+# stage matrix gives non-finite stages, which reject the step.
 _ROS_PROLOGUE = """\
-def _rosenbrock(t, h, z, theta, kz0, kt0, jac, gz, gt, zmax):
+def _rosenbrock(t, h, z, theta, kz0, kt0, t_new, jac, dfz, dft, zmax, atol,
+                rtol):
     (j11, j12), (j21, j22) = jac
     g = 1.0 / (h * {gamma!r})
     m11 = g - j11
@@ -335,7 +387,7 @@ _ROS_EVAL = """
     zi = z + ({sz})
     a = abs(zi)
     if a > zmax:
-        return {evals}, None
+        return {evals}{leave}
     ti = theta + ({st}){flow}"""
 _ROS_STAGE = """
     wz = {fz}{cz}{gzt}
@@ -343,38 +395,53 @@ _ROS_STAGE = """
     uz{i} = p11 * wz + p12 * wt
     ut{i} = p21 * wz + p22 * wt"""
 _ROS_EPILOGUE = """
-    return {evals}, (z + ({mz}), theta + ({mt}), {ez}, {et})
+    zn = z + ({mz})
+    a = abs(zn)
+    if a > zmax:
+        return {evals}{leave}
+    tn = theta + ({mt})
+    x = abs({ez}) / (atol + rtol * a)
+    y = abs({et}) / (atol + rtol * abs(tn))
+    err = y if y > x else x
+    if not err <= 1.0:
+        return {evals}, err{reject}{end}
+    return {n}, err, False, zn, tn, fzn, ftn, None
 """
 
 
-def _rosenbrock_source(kind):
+def _rosenbrock_source(kind, damped):
     parts, evals = [_ROS_PROLOGUE.format(gamma=RODAS3_GAMMA)], 0
     for i, (alpha, gamma, a, c) in enumerate(RODAS3_STAGES):
         fz, ft = "kz0", "kt0"
         if alpha or any(a):
             parts.append(_ROS_EVAL.format(
                 sz=_sum(a, "uz"), st=_sum(a, "ut"), evals=evals,
-                flow=_stage_flow(kind, alpha, "fz, ft = ")))
+                leave=_LEAVE,
+                flow=_stage_flow(kind, damped, alpha, "fz, ft = ")))
             fz, ft, evals = "fz", "ft", evals + 1
         parts.append(_ROS_STAGE.format(
             fz=fz, ft=ft, i=i,
             cz=f" + ({_sum(c, 'uz')}) / h" if any(c) else "",
             ct=f" + ({_sum(c, 'ut')}) / h" if any(c) else "",
-            gzt=f" + {gamma!r} * h * gz" if gamma else "",
-            gtt=f" + {gamma!r} * h * gt" if gamma else ""))
+            gzt=f" + {gamma!r} * h * dfz" if gamma else "",
+            gtt=f" + {gamma!r} * h * dft" if gamma else ""))
     parts.append(_ROS_EPILOGUE.format(
-        evals=evals, mz=_sum(RODAS3_M, "uz"), mt=_sum(RODAS3_M, "ut"),
-        ez=_sum(RODAS3_E, "uz"), et=_sum(RODAS3_E, "ut")))
+        evals=evals, n=evals + 1, leave=_LEAVE, reject=_REJECT,
+        mz=_sum(RODAS3_M, "uz", "0.0 + "), mt=_sum(RODAS3_M, "ut", "0.0 + "),
+        ez=_sum(RODAS3_E, "uz"), et=_sum(RODAS3_E, "ut"),
+        end=_flow(kind, damped, "zn", "tn", "fzn, ftn = ", "t_new")))
     return "".join(parts)
 
 
 @functools.cache
-def _factory(kind):
-    """The binds of _sources(kind), compiled on first use; linecache keeps
-    each source under <dynamics kind name> for tracebacks and profilers."""
+def _factory(kind, damped):
+    """The binds of _sources(kind, damped), compiled on first use;
+    linecache keeps each source under <dynamics kind damping name> for
+    tracebacks and profilers."""
     binds = []
-    for name, source in _sources(kind).items():
-        file = f"<{__name__} {kind} {name}>" if kind else f"<{__name__} {name}>"
+    for name, source in _sources(kind, damped).items():
+        file = (f"<{__name__} {kind} {'damped' if damped else 'undamped'} "
+                f"{name}>" if kind else f"<{__name__} {name}>")
         linecache.cache[file] = (len(source), None, source.splitlines(True),
                                  file)
         scope = {"__name__": __name__, "SingularityError": SingularityError,
@@ -388,9 +455,10 @@ def _factory(kind):
 
 def _kernels(params, schedule):
     """make_field's closure, then eta_at, rate_at and the step, dense and
-    Rosenbrock kernels of schedule's kind bound to params and schedule."""
-    return (make_field(params),
-            *(bind(params, schedule) for bind in _factory(schedule.kind)))
+    Rosenbrock kernels of schedule's kind and of nu == 0 or not, bound to
+    params and schedule."""
+    return (make_field(params), *(bind(params, schedule) for bind in
+                                  _factory(schedule.kind, params.nu != 0)))
 
 
 def _interpolate(c, x):
@@ -523,13 +591,14 @@ def integrate(initial: PhaseState, params: ModelParams, schedule: EtaSchedule,
         if t_new >= t1:
             t_new, h = t1, t1 - t
         if stiff:
-            evals, out = rosenbrock(t, h, z, theta, fz, ft, *lin, zmax)
-            leaves = out is None or abs(zn := out[0]) > zmax
+            evals, err, zero, zn, tn, fzn, ftn, ks = rosenbrock(
+                t, h, z, theta, fz, ft, t_new, *lin, zmax, atol, rtol)
         else:
-            evals, sums = step(t, h, z, theta, fz, ft, zmax)
-            leaves = sums is None or abs(zn := z + h * sums[0]) > zmax
+            evals, err, zero, zn, tn, fzn, ftn, ks = step(
+                t, h, z, theta, fz, ft, t_new, zmax, atol, rtol)
         rhs_evals += evals
-        if leaves:
+        if err is None:
+            # a stage point or the end left |z| <= zmax
             if h > _MIN_STEP:
                 h *= 0.5
                 halvings += 1
@@ -550,32 +619,6 @@ def integrate(initial: PhaseState, params: ModelParams, schedule: EtaSchedule,
                 k += 1
                 ts = sample_time(k)
             continue
-        if stiff:
-            # error of the step itself in the max norm
-            _, tn, ez, et = out
-            err = max(abs(ez) / (atol + rtol * abs(zn)),
-                      abs(et) / (atol + rtol * abs(tn)))
-        else:
-            _, st, ez5, et5, ez3, et3, ks = sums
-            tn = theta + h * st
-            # 5th- and 3rd-order estimates combined as in DOP853, as an
-            # error per unit tau in the max norm over (z, theta)
-            # (max(x, y) is written out as y if y > x else x, which is
-            # what the builtin computes, at a tenth of its cost)
-            scale_z = atol + rtol * abs(zn)
-            scale_t = atol + rtol * abs(tn)
-            x, y = abs(ez5) / scale_z, abs(et5) / scale_t
-            e5 = y if y > x else x
-            x, y = abs(ez3) / scale_z, abs(et3) / scale_t
-            e3 = y if y > x else x
-            # nonzero e5 and e3 can square to 0: a zero denominator is no
-            # error
-            den = math.sqrt(e5 * e5 + 0.01 * e3 * e3)
-            if den:
-                err = e5 * e5 / den
-            else:
-                err = 0.0
-                zero_denominators += 1
         if not err <= 1.0:
             # a non-finite estimate is a rejection like any other
             if stiff:
@@ -596,11 +639,10 @@ def integrate(initial: PhaseState, params: ModelParams, schedule: EtaSchedule,
         if stiff:
             stiff_steps += 1
             fac = _SAFETY * (err + 1e-300) ** -_ROS_EXPO
-            # the start's derivative, for the Hermite interpolant
-            fz0, ft0 = fz, ft
         else:
             # PI control of the next step
             accepted += 1
+            zero_denominators += zero
             fac = _SAFETY * (err + 1e-300) ** -_EXPO * err_old ** _BETA
             err_old = 1e-4 if 1e-4 > err else err
         # min(h * min(_FAC_MAX, max(_FAC_MIN, fac)), _MAX_STEP), written out
@@ -608,8 +650,6 @@ def integrate(initial: PhaseState, params: ModelParams, schedule: EtaSchedule,
         h_next = h * (fac if fac < _FAC_MAX else _FAC_MAX)
         h_next = _MAX_STEP if _MAX_STEP < h_next else h_next
 
-        fz, ft = field(zn, tn, eta_at(t_new))
-        rhs_evals += 1
         if ts <= t_new:
             # the step holds samples k..j; j by arithmetic, then corrected
             j = min(int((t_new - t0) * stride), n)
@@ -625,16 +665,16 @@ def integrate(initial: PhaseState, params: ModelParams, schedule: EtaSchedule,
                 # (fromlist takes a record at a third of extend's cost)
                 if stiff:
                     hermite.fromlist([
-                        t, h, k, end, *_hermite(z, zn, h * fz0, h * fz),
-                        *_hermite(theta, tn, h * ft0, h * ft)])
+                        t, h, k, end, *_hermite(z, zn, h * fz, h * fzn),
+                        *_hermite(theta, tn, h * ft, h * ftn)])
                 else:
                     dop853.fromlist([
-                        t, h, k, end, z, theta, zn, tn, *ks, fz, ft,
-                        *dense(t, h, z, theta, ks, fz, ft, zmax)])
+                        t, h, k, end, z, theta, zn, tn, *ks, fzn, ftn,
+                        *dense(t, h, z, theta, ks, fzn, ftn, zmax)])
                     rhs_evals += 3
             k = j + 1
             ts = sample_time(k)
-        z, theta, t = zn, tn, t_new
+        z, theta, t, fz, ft = zn, tn, t_new, fzn, ftn
 
         # switch to RODAS3 after _STIFF_RUN consecutive stability-bound
         # DOP853 steps, back once the Jacobian's spectral radius is small

@@ -35,6 +35,14 @@ def _bounds(values):
     return lo, hi
 
 
+def _scaled(lo, hi):
+    """(scale, lo * scale, hi * scale) of an axis: scale is 1, or 1/2
+    where the span hi - lo overflows, so that the scaled span is finite;
+    a scale of 1 leaves every value as it is."""
+    scale = 1.0 if math.isfinite(hi - lo) else 0.5
+    return scale, lo * scale, hi * scale
+
+
 def _ticks(lo, hi, n=5):
     span = hi - lo
     step = 10.0 ** math.floor(math.log10(span / n))
@@ -72,16 +80,18 @@ def render_panel(series, xlabel: str, ylabel: str, title: str) -> str:
     style "dashed" dashes its line. Points where x or y is not finite
     are skipped; a series with a single finite point draws a circle.
     The coordinates of every series are written by one call of
-    serialize's decimal kernel.
+    serialize's decimal kernel. An axis whose finite values span more
+    than the largest float is laid out on halved values.
     """
     bounds = (_bounds(np.concatenate([s[0] for s in series])),
               _bounds(np.concatenate([s[1] for s in series])))
     if None in bounds:
         bounds = ((0.0, 1.0), (0.0, 1.0))
-    (x0, x1), (y0, y1) = bounds
+    (sx, x0, x1), (sy, y0, y1) = (_scaled(*b) for b in bounds)
     iw = _WIDTH - 2 * _MARGIN
     ih = _HEIGHT - 2 * _MARGIN
 
+    # px and py take scaled values
     def px(x):
         return _MARGIN + (x - x0) / (x1 - x0) * iw
 
@@ -99,7 +109,8 @@ def render_panel(series, xlabel: str, ylabel: str, title: str) -> str:
             f'x2="{px(t):.1f}" y2="{_HEIGHT - _MARGIN + 5}" stroke="#666"/>')
         parts.append(
             f'<text x="{px(t):.1f}" y="{_HEIGHT - _MARGIN + 18}" '
-            f'font-size="11" text-anchor="middle" fill="#333">{_fmt(t)}</text>')
+            f'font-size="11" text-anchor="middle" fill="#333">'
+            f'{_fmt(t / sx)}</text>')
     for t in _ticks(y0, y1):
         parts.append(
             f'<line x1="{_MARGIN - 5}" y1="{py(t):.1f}" x2="{_MARGIN}" '
@@ -107,15 +118,15 @@ def render_panel(series, xlabel: str, ylabel: str, title: str) -> str:
         parts.append(
             f'<text x="{_MARGIN - 8}" y="{py(t):.1f}" font-size="11" '
             f'text-anchor="end" dominant-baseline="middle" '
-            f'fill="#333">{_fmt(t)}</text>')
+            f'fill="#333">{_fmt(t / sy)}</text>')
     # every series' finite points by one kernel call, each series ended
-    # by an infinite point: px and py take a finite point into the frame
-    # (an infinite span has already failed in _ticks), so only the end
-    # of a series is written "inf,inf "
+    # by an infinite point: px and py take a finite point into the frame,
+    # since the scaled span is finite, so only the end of a series is
+    # written "inf,inf "
     finite = [np.isfinite(x) & np.isfinite(y) for x, y, _, _ in series]
     columns = [np.concatenate([c for s, ok in zip(series, finite)
-                               for c in (f(s[i][ok]), [math.inf])])
-               for i, f in enumerate((px, py))]
+                               for c in (f(s[i][ok] * scale), [math.inf])])
+               for i, (f, scale) in enumerate(((px, sx), (py, sy)))]
     texts = _decimal_text(columns, ", ", fixed=True)[0].split("inf,inf ")
     for k, ((*_, label, style), text) in enumerate(zip(series, texts)):
         if not text:

@@ -30,8 +30,11 @@
   it once for all of its series.
 - step_by_loop and dense_by_loop run the former DOP853 stage loop,
   which walked the tables' sparse (index, weight) rows over growing
-  stage lists and called a field closure at every stage, and
-  rosenbrock_by_loop runs RODAS3's rows the same way. kernels_by_loop
+  stage lists, each sum from 0.0, and called a field closure at every
+  stage, and rosenbrock_by_loop runs RODAS3's rows the same way; the
+  two step oracles end an attempt as the generated kernels do, with
+  the former error norm of integrate's loop and the end derivative
+  through the field closure. kernels_by_loop
   binds them, with the coupling closures integrate built before the flow
   was written into the kernels (coupling_by_closure), into the form of
   dynamics._kernels. _dense is the former per-step computation of the
@@ -410,15 +413,43 @@ def _dense(field, eta_at, t, h, z, theta, zn, tn, kz, kt, zmax):
              *(h * r[1] for r in rows)))
 
 
-def step_by_loop(field, eta_at, t, h, z, theta, fz, ft, zmax):
-    """The generated step kernel's result, from the former stage loop."""
+def _error(zn, tn, ez, et, atol, rtol):
+    """Max norm over (z, theta) of the error (ez, et) under atol + rtol
+    |y| at the end (zn, tn)."""
+    return max(abs(ez) / (atol + rtol * abs(zn)),
+               abs(et) / (atol + rtol * abs(tn)))
+
+
+def _attempt(field, eta_at, evals, zn, tn, err, zero, t_new, zmax, ks):
+    """The generated kernels' result of an attempt that ends at (zn, tn)
+    with error err after evals stage evaluations: nothing past evals
+    where zn leaves |z| <= zmax, and the end derivative from field, at
+    the coupling at t_new, only where err <= 1."""
+    if abs(zn) > zmax:
+        return evals, None, None, None, None, None, None, None
+    if not err <= 1.0:
+        return evals, err, False, None, None, None, None, None
+    return (evals + 1, err, zero, zn, tn, *field(zn, tn, eta_at(t_new)),
+            ks)
+
+
+def step_by_loop(field, eta_at, t, h, z, theta, fz, ft, t_new, zmax, atol,
+                 rtol):
+    """The generated step kernel's result, from the former stage loop and
+    the former error norm of integrate's loop."""
     kz, kt = [fz], [ft]
     if not _stages(field, eta_at, _DOP853_STAGES, t, h, z, theta, kz, kt,
                    zmax):
-        return len(kz) - 1, None
-    return len(kz) - 1, (*_combine(_DOP853_B, kz, kt),
-                         *_combine(_DOP853_E5, kz, kt),
-                         *_combine(_DOP853_E3, kz, kt), (*kz, *kt))
+        return len(kz) - 1, None, None, None, None, None, None, None
+    sz, st = _combine(_DOP853_B, kz, kt)
+    zn, tn = z + h * sz, theta + h * st
+    e5 = _error(zn, tn, *_combine(_DOP853_E5, kz, kt), atol, rtol)
+    e3 = _error(zn, tn, *_combine(_DOP853_E3, kz, kt), atol, rtol)
+    den = math.sqrt(e5 * e5 + 0.01 * e3 * e3)
+    zero = not den
+    err = 0.0 if zero else e5 * e5 / den
+    return _attempt(field, eta_at, len(kz) - 1, zn, tn, err, zero, t_new,
+                    zmax, (*kz, *kt))
 
 
 def dense_by_loop(field, eta_at, t, h, z, theta, ks, fz, ft, zmax):
@@ -433,10 +464,11 @@ def dense_by_loop(field, eta_at, t, h, z, theta, ks, fz, ft, zmax):
     return (*kz[n + 1:], *kt[n + 1:])
 
 
-def rosenbrock_by_loop(field, eta_at, t, h, z, theta, kz0, kt0, jac, gz, gt,
-                       zmax):
+def rosenbrock_by_loop(field, eta_at, t, h, z, theta, kz0, kt0, t_new, jac,
+                       gz, gt, zmax, atol, rtol):
     """The generated Rosenbrock kernel's result, from a loop over RODAS3's
-    rows that calls field at every stage."""
+    rows that calls field at every stage, and the former max-norm error
+    of integrate's loop."""
     (j11, j12), (j21, j22) = jac
     g = 1.0 / (h * RODAS3_GAMMA)
     m11 = g - j11
@@ -451,7 +483,7 @@ def rosenbrock_by_loop(field, eta_at, t, h, z, theta, kz0, kt0, jac, gz, gt,
             sz, st = _combine(_sparse(a), uz, ut)
             zi = z + sz
             if abs(zi) > zmax:
-                return evals, None
+                return evals, None, None, None, None, None, None, None
             wz, wt = field(zi, theta + st, eta_at(t + alpha * h))
             evals += 1
         if any(c):
@@ -462,7 +494,10 @@ def rosenbrock_by_loop(field, eta_at, t, h, z, theta, kz0, kt0, jac, gz, gt,
         uz.append(p11 * wz + p12 * wt)
         ut.append(p21 * wz + p22 * wt)
     mz, mt = _combine(_sparse(RODAS3_M), uz, ut)
-    return evals, (z + mz, theta + mt, *_combine(_sparse(RODAS3_E), uz, ut))
+    zn, tn = z + mz, theta + mt
+    err = _error(zn, tn, *_combine(_sparse(RODAS3_E), uz, ut), atol, rtol)
+    return _attempt(field, eta_at, evals, zn, tn, err, False, t_new, zmax,
+                    None)
 
 
 def coupling_by_closure(schedule):

@@ -576,14 +576,16 @@ class TestStiffSteps:
         fz, ft = field(z, theta, eta0)
         errors, estimates = [], []
         for h in (0.02, 0.01, 0.005):
-            evals, (zn, tn, ez, et) = rosenbrock(
-                0.0, h, z, theta, fz, ft, jac, nu * q, q, ZMAX)
-            assert evals == 2
+            # at abs_tol 1 and rel_tol 0 the error is max(|ez|, |et|);
+            # two new stages and the derivative at the end
+            evals, err, _, zn, tn, fzn, ftn, _ = rosenbrock(
+                0.0, h, z, theta, fz, ft, h, jac, nu * q, q, ZMAX, 1.0, 0.0)
+            assert evals == 3 and (fzn, ftn) == field(zn, tn, eta_at(h))
             ref = solve_ivp(lambda t, y: field(y[0], y[1], eta_at(t)),
                             (0.0, h), [z, theta], method="DOP853",
                             rtol=1e-13, atol=1e-14).y[:, -1]
             errors.append(max(abs(zn - ref[0]), abs(tn - ref[1])))
-            estimates.append(max(abs(ez), abs(et)))
+            estimates.append(err)
         for values, order in ((errors, 4.0), (estimates, 3.0)):
             for coarse, fine in zip(values, values[1:]):
                 assert math.log2(coarse / fine) == pytest.approx(order,
@@ -790,11 +792,16 @@ def dop853_record(t, h, z, theta, zn, tn, ks, fz, ft, extra):
                       *extra]]).T.copy()
 
 
-def both_kernels(params, schedule, t, h, z, theta, zmax=ZMAX):
+# tolerances at which every step with finite stages is accepted
+LOOSE = 1e300
+
+
+def both_kernels(params, schedule, t, h, z, theta, zmax=ZMAX, tol=1e-9):
     """(eta_at(t), rate_at(t), eta_at(t + h)), then the results of the
-    step kernel, of the dense kernel with the interpolant's coefficients
-    where the step stays inside (None where it does not) and of the
-    Rosenbrock kernel, bits packed: first for the generated kernels with
+    step kernel at abs_tol = rel_tol = tol and at LOOSE, of the dense
+    kernel with the interpolant's coefficients where the step at LOOSE
+    is accepted (None where it is not) and of the Rosenbrock kernel at
+    tol and at LOOSE, bits packed: first for the generated kernels with
     the flow inline, the coefficients over numpy columns, then for the
     loop kernels calling make_field's closure at every stage, the
     coefficients from the former per-step floats."""
@@ -805,12 +812,11 @@ def both_kernels(params, schedule, t, h, z, theta, zmax=ZMAX):
             (False, kernel_oracles.kernels_by_loop(
                 dynamics.make_field(params), schedule))):
         fz, ft = field(z, theta, eta_at(t))
-        evals, sums = out = step(t, h, z, theta, fz, ft, zmax)
+        steps = [step(t, h, z, theta, fz, ft, t + h, zmax, x, x)
+                 for x in (tol, LOOSE)]
+        _, err, _, zn, tn, fzn, ftn, ks = steps[1]
         interpolant = None
-        if sums is not None and not abs(z + h * sums[0]) > zmax:
-            zn, tn = z + h * sums[0], theta + h * sums[1]
-            fzn, ftn = field(zn, tn, eta_at(t + h))
-            ks = sums[-1]
+        if err is not None and err <= 1.0:
             try:
                 extra = dense(t, h, z, theta, ks, fzn, ftn, zmax)
             except SingularityError as exc:
@@ -829,10 +835,21 @@ def both_kernels(params, schedule, t, h, z, theta, zmax=ZMAX):
                 interpolant = extra, coefficients
         q = -model.power_difference(z, r) / 2.0 ** r * rate_at(t)
         jac = bifurcation._jacobian(z, theta, eta_at(t), r, nu)
-        runs.append(bits(((eta_at(t), rate_at(t), eta_at(t + h)), out,
-                          interpolant, rosenbrock(t, h, z, theta, fz, ft,
-                                                  jac, nu * q, q, zmax))))
+        runs.append(bits((
+            (eta_at(t), rate_at(t), eta_at(t + h)), steps, interpolant,
+            [rosenbrock(t, h, z, theta, fz, ft, t + h, jac, nu * q, q, zmax,
+                        x, x) for x in (tol, LOOSE)])))
     return runs
+
+
+def without_stages(run):
+    """A run of both_kernels without its stage values: the stages of each
+    step result and the dense kernel's extra stages."""
+    couplings, steps, interpolant, rosenbrock = run
+    if isinstance(interpolant, tuple):
+        interpolant = interpolant[1]
+    return (couplings, [result[:-1] for result in steps], interpolant,
+            rosenbrock)
 
 
 def stage_points(params, schedule, t, h, z, theta):
@@ -848,13 +865,12 @@ def stage_points(params, schedule, t, h, z, theta):
     _, eta_at, _, step, dense, _ = kernel_oracles.kernels_by_loop(recorded,
                                                                   schedule)
     fz, ft = recorded(z, theta, eta_at(t))
-    _, sums = step(t, h, z, theta, fz, ft, ZMAX)
-    if sums is None or abs(z + h * sums[0]) > ZMAX:
+    _, err, _, _, _, fzn, ftn, ks = step(t, h, z, theta, fz, ft, t + h, ZMAX,
+                                         LOOSE, LOOSE)
+    if err is None or not err <= 1.0:
         return None
-    zn, tn = z + h * sums[0], theta + h * sums[1]
-    fzn, ftn = recorded(zn, tn, eta_at(t + h))
     try:
-        dense(t, h, z, theta, sums[-1], fzn, ftn, ZMAX)
+        dense(t, h, z, theta, ks, fzn, ftn, ZMAX)
     except SingularityError:
         return None
     return calls[1:]
@@ -904,12 +920,21 @@ class TestKernels:
              at=0.0, h=1.0, z=-0.999, theta=-1.5)
     @example(r=5.0, nu=0.5, kind="triangular", e0=-3.0, peak=-8.0, T=10.0,
              at=0.45, h=1.0, z=0.3, theta=0.7)  # stages across the corner
+    @example(r=5.0, nu=0.0, kind="constant", e0=3.0, peak=3.0, T=10.0,
+             at=0.1, h=0.5, z=0.0, theta=-0.0)  # stages -0.0 against 0.0
     @settings(max_examples=300, deadline=None)
     def test_stages_sums_and_dense_match_the_loop(self, r, nu, kind, e0, peak,
                                                   T, at, h, z, theta):
         schedule = EtaSchedule(kind=kind, eta_start=e0, eta_peak=peak, T=T)
         new, old = both_kernels(ModelParams(r=r, nu=nu), schedule, at * T,
-                                h, z, theta)
+                                h, z, theta, tol=1e-6)
+        if z == 0.0 == theta:
+            # at the symmetric state every stage is a zero, and the
+            # kernels' sums, which start from 0.0 only where they set
+            # an end state, can give it the other sign; those stages are
+            # compared where they reach the outputs, in
+            # test_integrate_matches_the_loop_from_any_start
+            new, old = map(without_stages, (new, old))
         assert new == old
 
     @pytest.mark.parametrize("jump", range(15))
@@ -920,9 +945,9 @@ class TestKernels:
             *args, zmax = exit_inputs(kind)[jump]
             new, old = both_kernels(*args, zmax=zmax)
             assert new == old
-            _, (evals, sums), interpolant, _ = new
-            assert evals == min(jump, 11)
-            assert (sums is None) == (jump < 11)
+            _, (_, (evals, err, *_)), interpolant, _ = new
+            assert evals == min(jump, 12)
+            assert (err is None) == (jump < 12)
             assert (interpolant is None) == (jump < 12)
             if jump >= 12:
                 assert interpolant.startswith("interpolation stage left")
@@ -959,11 +984,53 @@ class TestKernels:
                          traj.clamp_events))
         assert runs[0] == runs[1]
 
+    @settings(max_examples=60, deadline=None)
+    @given(r=st.floats(0.5, 8.0), nu=st.sampled_from([0.0, 0.5]),
+           kind=st.sampled_from(SCHEDULE_KINDS), e0=st.floats(-10.0, 10.0),
+           peak=st.floats(-10.0, 10.0), T=st.floats(1.0, 30.0),
+           z0=st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-0.99, 0.99)),
+           theta0=st.one_of(st.sampled_from([0.0, -0.0]),
+                            st.floats(-math.pi, math.pi)),
+           stride=st.integers(1, 10))
+    @example(r=5.0, nu=0.0, kind="constant", e0=3.0, peak=3.0, T=10.0,
+             z0=0.0, theta0=-0.0, stride=7)
+    @example(r=5.0, nu=0.5, kind="triangular", e0=3.0, peak=-8.0, T=10.0,
+             z0=-0.0, theta0=-0.0, stride=7)
+    def test_integrate_matches_the_loop_from_any_start(
+            self, r, nu, kind, e0, peak, T, z0, theta0, stride):
+        # the columns bit for bit and the stats, or the same error, on
+        # the generated kernels and on the loop kernels; the starts
+        # include every signed zero of z and theta
+        runs = []
+        for loop in (False, True):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(dynamics, "_MAX_STEPS", 10_000)
+                patch.setattr(dynamics, "_MAX_STEPS_PER_TAU", 25)
+                if loop:
+                    on_loop_kernels(patch, dynamics.make_field)
+                try:
+                    traj = integrate(
+                        PhaseState(z=z0, theta=theta0),
+                        ModelParams(r=r, nu=nu),
+                        EtaSchedule(kind=kind, eta_start=e0, eta_peak=peak,
+                                    T=T),
+                        IntegratorConfig(sample_stride=stride), (0.0, T))
+                except (SingularityError, StepFailureError) as exc:
+                    runs.append((type(exc), str(exc)))
+                    continue
+            runs.append((*(getattr(traj, name).tobytes() for name in
+                           ("tau", "z", "theta", "eta", "H", "E")),
+                         traj.stats, traj.clamp_events))
+        assert runs[0] == runs[1]
+
+    # (kind, damped) of make_field's closure and of each kernel set
+    KEYS = ((None, True), *((kind, damped) for kind in SCHEDULE_KINDS
+                            for damped in (False, True)))
+
     def test_source_is_deterministic(self):
-        kinds = (None, *SCHEDULE_KINDS)
         code = ("import hashlib; from dimer_hysteresis import dynamics; "
-                f"print([hashlib.sha256(str(dynamics._sources(kind)).encode())"
-                f".hexdigest() for kind in {kinds!r}])")
+                f"print([hashlib.sha256(str(dynamics._sources(*key))"
+                f".encode()).hexdigest() for key in {self.KEYS!r}])")
         src = str(Path(dynamics.__file__).parents[1])
         digests = {subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True,
@@ -971,34 +1038,43 @@ class TestKernels:
                              "PYTHONHASHSEED": seed}).stdout
             for seed in ("1", "2")}
         assert digests == {str([hashlib.sha256(
-            str(dynamics._sources(kind)).encode()).hexdigest()
-            for kind in kinds]) + "\n"}
+            str(dynamics._sources(*key)).encode()).hexdigest()
+            for key in self.KEYS]) + "\n"}
 
     def test_source_holds_the_tableau_and_nothing_else(self):
-        for kind in (None, *SCHEDULE_KINDS):
-            want = self.tableau_and_flow(kind)
-            assert list(dynamics._sources(kind)) == list(want)
-            for name, source in dynamics._sources(kind).items():
+        for key in self.KEYS:
+            want = self.tableau_and_flow(key[0])
+            assert list(dynamics._sources(*key)) == list(want)
+            for name, source in dynamics._sources(*key).items():
                 assert self.float_literals(source) == bits(want[name]), name
+
+    def test_damping_term_only_where_damped(self):
+        for kind, damped in self.KEYS:
+            for name, source in dynamics._sources(kind, damped).items():
+                flows = source.count("gz = -2.0 * ")
+                assert source.count(" + nu * gz, gz") == flows * damped, \
+                    (kind, damped, name)
 
     @staticmethod
     def tableau_and_flow(kind):
         # every float literal of each function's source, in source order:
         # 2.0 in two_r = 2.0 ** r and r2 = 2.0 * r, bound for every
         # function (the ramp's constants, from EtaSchedule.ramp, hold
-        # none); the ramp's coupling, x > 0.0 else 0.0, in eta_at and
-        # after each stage's node; the constant kind's deta/dtau, 0.0;
-        # 0.0 starting each sum; the flow's 1.0 - z z, a == 0.0,
-        # diff = 0.0, z < 0.0, -2.0 z and 2.0 s; 1.0 and gamma in
-        # g = 1.0 / (h gamma) and 1.0 in d = 1.0 / det. The rest are the
-        # tables' nonzero weights and nodes, row by row; the D rows of
-        # the interpolant are in no kernel.
+        # none); the ramp's coupling, x > 0.0 else 0.0, in eta_at, after
+        # each stage's node and at a step's end; the constant kind's
+        # deta/dtau, 0.0; 0.0 starting each sum that sets a step's end
+        # state; the flow's 1.0 - z z, z < 0.0, -2.0 z and 2.0 s; the
+        # DOP853 error's 0.01 e3 e3, else 0.0 and err <= 1.0; 1.0 and
+        # gamma in g = 1.0 / (h gamma), 1.0 in d = 1.0 / det and
+        # RODAS3's err <= 1.0. The rest are the tables' nonzero weights
+        # and nodes, row by row; the D rows of the interpolant are in no
+        # kernel.
         ramp = kind == "triangular"
         coupling = [0.0, 0.0] if ramp else []
-        flow = [1.0, 0.0, 0.0, 0.0, -2.0, 2.0]
+        flow = [1.0, 0.0, -2.0, 2.0]
 
-        def total(row):
-            return [0.0] + [w for w in row if w]
+        def total(row, seed=()):
+            return [*seed] + [w for w in row if w]
 
         def stage(c):
             return ([c] + coupling if ramp else []) + flow
@@ -1009,8 +1085,10 @@ class TestKernels:
                 "_step": [], "_dense": [], "_rosenbrock": []}
         for c, row in tableau.DOP853_STAGES:
             want["_step"] += total(row) * 2 + stage(c)
-        for row in (tableau.DOP853_B, tableau.DOP853_E5, tableau.DOP853_E3):
+        want["_step"] += total(tableau.DOP853_B, [0.0]) * 2
+        for row in (tableau.DOP853_E5, tableau.DOP853_E3):
             want["_step"] += total(row) * 2
+        want["_step"] += [0.01, 0.0, 1.0] + coupling + flow
         for c, row in tableau.DOP853_DENSE_STAGES:
             want["_dense"] += total(row) * 2 + stage(c)
         ros = want["_rosenbrock"]
@@ -1020,7 +1098,8 @@ class TestKernels:
                 ros += total(a) * 2 + stage(alpha)
             ros += ((total(c) if any(c) else [])
                     + ([gamma] if gamma else [])) * 2
-        ros += total(tableau.RODAS3_M) * 2 + total(tableau.RODAS3_E) * 2
+        ros += total(tableau.RODAS3_M, [0.0]) * 2
+        ros += total(tableau.RODAS3_E) * 2 + [1.0] + coupling + flow
         return {name: [2.0, 2.0] + floats for name, floats in want.items()}
 
     @staticmethod
@@ -1046,12 +1125,12 @@ class TestKernels:
         _, _, _, step, _, _ = dynamics._kernels(
             ModelParams(r=1.0), EtaSchedule(kind="constant", eta_start=-1.0))
         with pytest.raises(ValueError, match="math domain error") as info:
-            step(0.0, 0.5, 0.3, math.inf, 0.1, 0.1, ZMAX)
+            step(0.0, 0.5, 0.3, math.inf, 0.1, 0.1, 0.5, ZMAX, 1e-9, 1e-9)
         text = "".join(traceback.format_exception(info.value))
-        file = f"<{dynamics.__name__} constant _step>"
+        file = f"<{dynamics.__name__} constant undamped _step>"
         line = "gz = -2.0 * zi * cos(ti) / s - q * diff"
-        number = [s.strip() for s in dynamics._sources("constant")["_step"]
-                  .splitlines()].index(line)
+        number = [s.strip() for s in dynamics._sources("constant", False)
+                  ["_step"].splitlines()].index(line)
         assert f'File "{file}", line {number + 1}, in _step\n    {line}\n' \
             in text
 

@@ -198,8 +198,17 @@ def plot_sweep(report) -> str:
 
 # --- byte identity with the oracle ---------------------------------------
 
+def assert_same_text(new, old):
+    """new == old, or a failure that shows their first difference: pytest
+    takes minutes to diff two long lines."""
+    if new != old:
+        k = max(0, len(os.path.commonprefix([new, old])) - 40)
+        pytest.fail(f"texts differ from character {k}: "
+                    f"{new[k:k + 80]!r} != {old[k:k + 80]!r}")
+
+
 def assert_same_plot(new, old):
-    assert new == old
+    assert_same_text(new, old)
     ET.fromstring(new)
 
 
@@ -301,15 +310,6 @@ class TestSyntheticSeries:
 
 # --- one kernel call per panel against one per series -------------------
 
-def assert_same_text(new, old):
-    """new == old, or a failure that shows their first difference: pytest
-    takes minutes to diff two long lines."""
-    if new != old:
-        k = max(0, len(os.path.commonprefix([new, old])) - 40)
-        pytest.fail(f"texts differ from character {k}: "
-                    f"{new[k:k + 80]!r} != {old[k:k + 80]!r}")
-
-
 def by_series(plot, arg):
     """plot(arg) with the former panel writer, one kernel call per
     series."""
@@ -400,6 +400,56 @@ class TestTicksEnd:
     def test_padding_unchanged_below_two_to_the_52(self):
         for x in (0.0, -1.5, 1e-13, 3e15, 2.0 ** 52 - 1):
             assert svgplot._bounds(np.array([x])) == (x - 0.5, x + 0.5)
+
+
+def drawn_points(panel):
+    """[(x, y)] of every circle and polyline vertex of a panel, in order."""
+    root = ET.fromstring(svgplot._svg(_HEIGHT, panel))
+    points = []
+    for node in root:
+        if node.tag.endswith("circle"):
+            points.append((float(node.get("cx")), float(node.get("cy"))))
+        elif node.tag.endswith("polyline"):
+            points += [tuple(map(float, p.split(",")))
+                       for p in node.get("points").split()]
+    return points
+
+
+class TestSpansPastTheFloatRange:
+    # an axis whose finite values span more than the largest float is
+    # worked out on halved values
+    BIG = sys.float_info.max
+
+    def test_x_span_past_the_float_range(self):
+        panel = svgplot.render_panel(
+            [line([-self.BIG, 0.0, self.BIG], [0.0, 1.0, 2.0], "a")],
+            "x", "y", "t")
+        assert drawn_points(panel) == [(52.0, 368.0), (320.0, 210.0),
+                                       (588.0, 52.0)]
+        assert ">-1e+308</text>" in panel and ">1e+308</text>" in panel
+
+    def test_every_finite_point_maps_into_the_frame(self):
+        # both axes past the range, with a series inside the range, one
+        # without a finite point and a single point, in one kernel call
+        series = [
+            line([-self.BIG, 5e-324, self.BIG, math.inf],
+                 [self.BIG, -1e308, -self.BIG, 0.0], "wide"),
+            line([1.0, 2.0], [3.0, 4.0], "narrow", "dashed"),
+            line([math.nan], [1.0], "none"),
+            line([-1e308], [1e308], "one")]
+        panel = svgplot.render_panel(series, "x", "y", "t")
+        points = drawn_points(panel)
+        assert len(points) == 3 + 2 + 1
+        assert panel.count("<polyline") == 2 and panel.count("<circle") == 1
+        assert all(_MARGIN <= x <= _WIDTH - _MARGIN
+                   and _MARGIN <= y <= _HEIGHT - _MARGIN for x, y in points)
+        assert points[0] == (52.0, 52.0) and points[2] == (588.0, 368.0)
+
+    def test_a_span_just_inside_the_range_is_not_halved(self):
+        xs = [-self.BIG / 2, self.BIG / 2]
+        assert svgplot._scaled(*xs) == (1.0, *xs)
+        assert svgplot._scaled(-self.BIG, self.BIG) == (
+            0.5, -self.BIG / 2, self.BIG / 2)
 
 
 PACKAGE_ROOT = str(Path(dimer_hysteresis.__file__).resolve().parents[1])
