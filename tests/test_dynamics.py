@@ -913,21 +913,24 @@ class TestKernels:
            z=st.one_of(st.floats(-ZMAX, ZMAX),
                        st.floats(0.99, ZMAX).map(lambda z: -z),
                        st.floats(0.99, ZMAX)),
-           theta=st.floats(-10.0, 10.0))
+           theta=st.floats(-10.0, 10.0),
+           tol=st.sampled_from([1e-12, 1e-9, 1e-6, 1e-3]))
     @example(r=1.0, nu=0.0, kind="constant", e0=-1.0, peak=-1.0, T=1.0,
-             at=0.0, h=0.5, z=0.9999, theta=1.5)
+             at=0.0, h=0.5, z=0.9999, theta=1.5, tol=1e-9)
     @example(r=5.0, nu=0.5, kind="constant", e0=-8.0, peak=-8.0, T=1.0,
-             at=0.0, h=1.0, z=-0.999, theta=-1.5)
+             at=0.0, h=1.0, z=-0.999, theta=-1.5, tol=1e-9)
     @example(r=5.0, nu=0.5, kind="triangular", e0=-3.0, peak=-8.0, T=10.0,
-             at=0.45, h=1.0, z=0.3, theta=0.7)  # stages across the corner
+             at=0.45, h=1.0, z=0.3, theta=0.7,
+             tol=1e-9)  # stages across the corner
     @example(r=5.0, nu=0.0, kind="constant", e0=3.0, peak=3.0, T=10.0,
-             at=0.1, h=0.5, z=0.0, theta=-0.0)  # stages -0.0 against 0.0
+             at=0.1, h=0.5, z=0.0, theta=-0.0,
+             tol=1e-9)  # stages -0.0 against 0.0
     @settings(max_examples=300, deadline=None)
     def test_stages_sums_and_dense_match_the_loop(self, r, nu, kind, e0, peak,
-                                                  T, at, h, z, theta):
+                                                  T, at, h, z, theta, tol):
         schedule = EtaSchedule(kind=kind, eta_start=e0, eta_peak=peak, T=T)
         new, old = both_kernels(ModelParams(r=r, nu=nu), schedule, at * T,
-                                h, z, theta, tol=1e-6)
+                                h, z, theta, tol=tol)
         if z == 0.0 == theta:
             # at the symmetric state every stage is a zero, and the
             # kernels' sums, which start from 0.0 only where they set
