@@ -39,9 +39,14 @@ placeholder:
   eigenvalue parts, run with `python -c` and kept as a file;
 - for each `simulate` CSV, a read-back file: the columns that side's
   `trajectory_from_csv` reads from it, a header and one row per sample
-  of `float.hex` values, so that a change to the reader shows too.
+  of `float.hex` values, so that a change to the reader shows too;
+- the integrator's work counts: every `simulate` command above run
+  again in one process with `cli.integrate` wrapped, one JSON line per
+  run with its stem, `clamp_events` and the `IntegrationStats` fields,
+  kept as a file, so that a change in the steps taken shows even where
+  the samples keep their bits.
 
-Prints "identical" or the first differing line for each of the 60
+Prints "identical" or the first differing line for each of the 61
 files. For a CSV, JSON, JSON-lines or read-back file that differs it
 then prints, for each column or JSON key path, how many numbers
 differ, the largest |difference|, how many became exactly 0.0, and how
@@ -89,6 +94,22 @@ names = ("tau", "eta", "z", "theta", "H", "E")
 print(",".join(names))
 for row in zip(*(getattr(traj, name).tolist() for name in names)):
     print(",".join(map(float.hex, row)))
+"""
+# argv[1] holds [stem, CLI arguments] of each simulate run; each run's
+# CSV goes to os.devnull and its counts, as one JSON line, to stdout
+STATS = """
+import json, os, sys
+from dataclasses import asdict
+from dimer_hysteresis import cli
+integrate = cli.integrate
+for stem, argv in json.loads(sys.argv[1]):
+    def recorded(*args, stem=stem):
+        traj = integrate(*args)
+        print(json.dumps({"run": stem, "clamp_events": traj.clamp_events,
+                          **asdict(traj.stats)}))
+        return traj
+    cli.integrate = recorded
+    cli.main([*argv, "--out", os.devnull])
 """
 RAMP = ["--nu", "0.5", "--T", "4000", "--schedule", "triangular",
         "--z0", "0.01", "--theta0", "0", "--sample-stride", "10"]
@@ -144,8 +165,12 @@ RUNS = [
      (".jsonl",)),
     ("fixed-points", ["-c", FIXED_POINTS], (".jsonl",)),
 ]
+SIMULATE = [(stem, argv) for stem, argv, _ in RUNS
+            if stem.endswith("-simulate")]
 RUNS += [(f"{stem}-read-back", ["-c", READ_BACK, f"<out>/{stem}.csv"],
-          (".hex",)) for stem, _, _ in RUNS if stem.endswith("-simulate")]
+          (".hex",)) for stem, _ in SIMULATE]
+RUNS.append(("integration-stats", ["-c", STATS, json.dumps(
+    [(stem, argv[len(CLI):]) for stem, argv in SIMULATE])], (".jsonl",)))
 
 
 def run_all(src: Path, out: Path) -> None:

@@ -52,7 +52,7 @@ from .errors import (
     ThresholdProximityError,
 )
 from .model import (EPS_CLAMP, ModelParams, PhaseState, _power_difference,
-                    check_count, check_power, dh_dz)
+                    check_count, check_eta, check_power, dh_dz)
 
 EPS_EIG = 1e-8
 
@@ -149,8 +149,9 @@ def stationary_residual(z, theta_star: float, eta, r: float):
     """G(z), the model's dH/dz at theta*; its roots are the stationary
     imbalances at this eta.
 
-    z and eta may be floats or numpy arrays of one shape. Refused with
-    SingularityError within EPS_CLAMP of |z| = 1, as dH/dz is.
+    z and eta may be floats or numpy arrays of one shape. Refused as
+    dH/dz is: with SingularityError within EPS_CLAMP of |z| = 1, and
+    with DomainError for a non-finite eta or a NaN z.
     """
     return dh_dz(z, _cos_theta_star(theta_star), eta, r)
 
@@ -387,8 +388,7 @@ def jacobian_at(state: PhaseState, eta: float, params: ModelParams) -> tuple:
     eta r 2^-r (1-z)^(r-1) does for r < 1 at couplings near the float
     range.
     """
-    if not math.isfinite(eta):
-        raise DomainError(f"eta must be finite, got {eta}")
+    check_eta(eta)
     z, theta = state.z, state.theta
     if abs(z) >= _ZMAX:
         raise SingularityError(f"Jacobian singular near |z|=1; got z={z}")
@@ -525,8 +525,7 @@ def find_fixed_points(eta: float, r: float) -> list:
     to the undamped flow (nu = 0).
     """
     check_power(r)
-    if not math.isfinite(eta):
-        raise DomainError(f"eta must be finite, got {eta}")
+    check_eta(eta)
     roots = [z for _, (z,) in _graph_roots([abs(float(eta))], r, _fold(r))]
     sheet = 0.0 if eta < 0 else math.pi
     points = []

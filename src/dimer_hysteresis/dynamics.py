@@ -14,8 +14,9 @@ straight-line code written out from the rows of tableau.py, each
 weighted sum added left to right over a row's nonzero weights, with the
 flow written into every stage. One call of a step kernel is a whole
 attempt: the stages, the step's end, its error norm and, once the step
-is accepted, the derivative at its end. The flow is one source text,
-_FLOW, with the schedule's coupling at the stage's time for each
+is accepted, the derivative at its end and, where the step holds a
+sample, the interpolant's three extra stages. The flow is one source
+text, _FLOW, with the schedule's coupling at the stage's time for each
 schedule kind; make_field's closure, which evaluates the start and a
 clamp, is compiled from the same text. The kernels are compiled once per
 process for each schedule kind and damping, nu == 0 or not, on the first
@@ -28,13 +29,15 @@ unit of tau: with longer steps the absolute tolerance dominates near
 z = 0, the state stops decaying there and the delayed jump of a slow
 ramp comes early. Steps ignore the sample grid; samples inside a step
 come from DOP853's 7th-order interpolant, which costs three extra
-right-hand-side evaluations on steps that hold a sample. Such a step
-records t, h, the range of sample indices it covers, (z, theta) at both
-ends, its 12 stages, the derivative at its end and the three extra
-stages. After the run the interpolant's coefficients (Hairer, Norsett &
-Wanner, Solving ODEs I, section II.6) and then its samples are computed
-over numpy columns of all the records, in the same operations as for one
-step and one sample, so each sample keeps its bits.
+right-hand-side evaluations on steps that hold a sample; integrate
+sets the step kernel's flag for these, the steps with a sample strictly
+inside them. Such a step records t, h, the range of sample indices it
+covers, (z, theta) at both ends, its 12 stages, the derivative at its
+end and the three extra stages. After the run the interpolant's
+coefficients (Hairer, Norsett & Wanner, Solving ODEs I, section II.6)
+and then its samples are computed over numpy columns of all the
+records, in the same operations as for one step and one sample, so each
+sample keeps its bits.
 
 Damped runs (nu > 0) switch to the linearly implicit Rosenbrock method
 RODAS3 where DOP853 is stability-bound: after 15 accepted DOP853 steps
@@ -85,6 +88,7 @@ from .model import (
     PhysicalContext,
     Trajectory,
     check_count,
+    check_eta,
     energy_functional,
     hamiltonian_column,
     power_difference,
@@ -161,8 +165,7 @@ def make_field(params: ModelParams):
 
 def vector_field(state: PhaseState, eta: float, params: ModelParams) -> tuple:
     """(dz/dtau, dtheta/dtau) at one state."""
-    if not math.isfinite(eta):
-        raise DomainError(f"eta must be finite, got {eta}")
+    check_eta(eta)
     if abs(state.z) >= 1.0 - EPS_CLAMP:
         raise SingularityError(f"vector field singular near |z|=1; got z={state.z}")
     return make_field(params)(state.z, state.theta, eta)
@@ -244,9 +247,12 @@ def field(z, theta, eta):
 # atol + rtol |(zn, thetan)|, and where err <= 1 the derivative at the
 # end, with the coupling at t_new, is evaluated as one more stage and
 # the rest returned; zero flags an err set to 0.0 for a zero
-# denominator. _step's stages are (kz0..kz11, kt0..kt11), _rosenbrock's
-# None. _dense returns the three extra stages, (kz13, kz14, kz15, kt13,
-# kt14, kt15); kz12, kt12 are the derivative at the step's end.
+# denominator. _rosenbrock's stages are None. _step's are None too
+# unless its flag dense is set, when an accepted step also evaluates the
+# three extra stages of the interpolant and returns the tail of its
+# record: kz0..kz11, kt0..kt11, the derivative at the end (kz12, kt12),
+# kz13..kz15 and kt13..kt15. An extra stage point that leaves
+# |z| <= zmax raises SingularityError.
 _STAGE = """
     sz = {sz}
     st = {st}
@@ -270,7 +276,7 @@ def rate_at(t):
 # (max(x, y) is written out as y if y > x else x, which is what the
 # builtin computes, at a tenth of its cost)
 _STEP = """\
-def _step(t, h, z, theta, kz0, kt0, t_new, zmax, atol, rtol):{stages}
+def _step(t, h, z, theta, kz0, kt0, t_new, zmax, atol, rtol, dense):{stages}
     zn = z + h * ({bz})
     a = abs(zn)
     if a > zmax:
@@ -288,14 +294,10 @@ def _step(t, h, z, theta, kz0, kt0, t_new, zmax, atol, rtol):{stages}
     err = e5 * e5 / den if den else 0.0
     if not err <= 1.0:
         return {last}, err{reject}{end}
-    return {n}, err, not den, zn, tn, fzn, ftn, ({ks})
+    if not dense:
+        return {n}, err, not den, zn, tn, kz{n}, kt{n}, None{dense_stages}
+    return {evals}, err, not den, zn, tn, kz{n}, kt{n}, ({ks})
 """
-_DENSE = """\
-def _dense(t, h, z, theta, k, kz{n}, kt{n}, zmax):
-    {ks} = k{dense_stages}
-    return {extra}
-"""
-
 
 def _sum(row, k, seed=""):
     """Source of seed + w * k<j> + ... over row's nonzero weights w, the
@@ -332,14 +334,14 @@ def _sources(kind, damped):
         functions = {"eta_at": _ETA_AT.format(
                          coupling=k.coupling.format(t="t"), eta=k.eta),
                      "rate_at": _RATE_AT.format(rate=k.rate),
-                     **_dop853_sources(k, damped),
+                     "_step": _dop853_source(k, damped),
                      "_rosenbrock": _rosenbrock_source(k, damped)}
     return {name: _FACTORY.format(constants=k.constants, name=name,
                                   function=textwrap.indent(text, "    "))
             for name, text in functions.items()}
 
 
-def _dop853_sources(kind, damped):
+def _dop853_source(kind, damped):
     n = len(DOP853_STAGES) + 1
     error = 'raise SingularityError(f"interpolation stage left |z| <= ' \
         '{zmax} at tau={t}")'
@@ -350,22 +352,20 @@ def _dop853_sources(kind, damped):
             flow=_stage_flow(kind, damped, c, f"kz{i}, kt{i} = "))
             for i, (c, a) in enumerate(table, first))
 
-    ks = ", ".join([f"kz{j}" for j in range(n)] + [f"kt{j}" for j in range(n)])
-    return {
-        "_step": _STEP.format(
-            stages=stages(DOP853_STAGES, 1,
-                          lambda i: f"return {i - 1}{_LEAVE}"),
-            bz=_sum(DOP853_B, "kz", "0.0 + "),
-            bt=_sum(DOP853_B, "kt", "0.0 + "),
-            e5z=_sum(DOP853_E5, "kz"), e5t=_sum(DOP853_E5, "kt"),
-            e3z=_sum(DOP853_E3, "kz"), e3t=_sum(DOP853_E3, "kt"),
-            end=_flow(kind, damped, "zn", "tn", "fzn, ftn = ", "t_new"),
-            leave=_LEAVE, reject=_REJECT, ks=ks, last=n - 1, n=n),
-        "_dense": _DENSE.format(
-            dense_stages=stages(DOP853_DENSE_STAGES, n + 1, lambda i: error),
-            extra=", ".join(f"k{y}{j}" for y in "zt" for j in range(
-                n + 1, n + 1 + len(DOP853_DENSE_STAGES))),
-            ks=ks, n=n)}
+    def names(js):
+        return [f"k{y}{j}" for y in "zt" for j in js]
+
+    total = n + 1 + len(DOP853_DENSE_STAGES)
+    ks = ", ".join(names(range(n)) + names([n]) + names(range(n + 1, total)))
+    return _STEP.format(
+        stages=stages(DOP853_STAGES, 1, lambda i: f"return {i - 1}{_LEAVE}"),
+        bz=_sum(DOP853_B, "kz", "0.0 + "), bt=_sum(DOP853_B, "kt", "0.0 + "),
+        e5z=_sum(DOP853_E5, "kz"), e5t=_sum(DOP853_E5, "kt"),
+        e3z=_sum(DOP853_E3, "kz"), e3t=_sum(DOP853_E3, "kt"),
+        end=_flow(kind, damped, "zn", "tn", f"kz{n}, kt{n} = ", "t_new"),
+        dense_stages=stages(DOP853_DENSE_STAGES, n + 1, lambda i: error),
+        leave=_LEAVE, reject=_REJECT, ks=ks, last=n - 1, n=n,
+        evals=total - 1)
 
 
 # The RODAS3 kernel, written out from tableau.py's rows in the same way.
@@ -454,7 +454,7 @@ def _factory(kind, damped):
 
 
 def _kernels(params, schedule):
-    """make_field's closure, then eta_at, rate_at and the step, dense and
+    """make_field's closure, then eta_at, rate_at and the step and
     Rosenbrock kernels of schedule's kind and of nu == 0 or not, bound to
     params and schedule."""
     return (make_field(params), *(bind(params, schedule) for bind in
@@ -510,7 +510,7 @@ def _dop853_coefficients(rec):
 # A step holding interpolated samples appends a record of its kind: t, h,
 # its first sample and the end of its samples, then for DOP853 (z, theta)
 # at its start and at its end, kz0..kz11, kt0..kt11, the derivative at
-# its end (kz12, kt12) and _dense's three extra stages, and for RODAS3
+# its end (kz12, kt12) and the three extra stages, and for RODAS3
 # _hermite's 8 coefficients of z and of theta
 _DOP853_RECORD, _HERMITE_RECORD = 40, 20
 
@@ -528,7 +528,7 @@ def integrate(initial: PhaseState, params: ModelParams, schedule: EtaSchedule,
     Deterministic: identical inputs give bit-identical trajectories.
     """
     t0, t1 = tau_span
-    slack = 1e-9 * max(1.0, schedule.T)
+    slack = schedule.tau_slack
     if not (t0 >= -slack and t1 <= schedule.T + slack and t0 < t1):
         raise DomainError(
             f"tau_span {tau_span} must be increasing and inside [0, {schedule.T}]")
@@ -550,7 +550,7 @@ def integrate(initial: PhaseState, params: ModelParams, schedule: EtaSchedule,
     if abs(initial.z) > zmax:
         raise SingularityError(f"initial z={initial.z} within EPS_CLAMP of |z|=1")
     # rate_at is deta/dtau, for the stiff steps' df/dtau
-    field, eta_at, rate_at, step, dense, rosenbrock = _kernels(params, schedule)
+    field, eta_at, rate_at, step, rosenbrock = _kernels(params, schedule)
 
     r, nu = params.r, params.nu
     two_r = 2.0 ** r
@@ -594,8 +594,9 @@ def integrate(initial: PhaseState, params: ModelParams, schedule: EtaSchedule,
             evals, err, zero, zn, tn, fzn, ftn, ks = rosenbrock(
                 t, h, z, theta, fz, ft, t_new, *lin, zmax, atol, rtol)
         else:
+            # the interpolant's extra stages where a sample lies inside
             evals, err, zero, zn, tn, fzn, ftn, ks = step(
-                t, h, z, theta, fz, ft, t_new, zmax, atol, rtol)
+                t, h, z, theta, fz, ft, t_new, zmax, atol, rtol, ts < t_new)
         rhs_evals += evals
         if err is None:
             # a stage point or the end left |z| <= zmax
@@ -668,10 +669,7 @@ def integrate(initial: PhaseState, params: ModelParams, schedule: EtaSchedule,
                         t, h, k, end, *_hermite(z, zn, h * fz, h * fzn),
                         *_hermite(theta, tn, h * ft, h * ftn)])
                 else:
-                    dop853.fromlist([
-                        t, h, k, end, z, theta, zn, tn, *ks, fzn, ftn,
-                        *dense(t, h, z, theta, ks, fzn, ftn, zmax)])
-                    rhs_evals += 3
+                    dop853.fromlist([t, h, k, end, z, theta, zn, tn, *ks])
             k = j + 1
             ts = sample_time(k)
         z, theta, t, fz, ft = zn, tn, t_new, fzn, ftn

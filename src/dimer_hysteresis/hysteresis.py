@@ -137,7 +137,7 @@ def sweep_report(traj: Trajectory, grid_size: int) -> HysteresisReport:
     """Quantify the forward/backward gap of a trajectory over a full sweep.
 
     traj must cover its schedule's whole span [0, T], as run_sweep's
-    integration does, to within 1e-9 max(1, T), else DomainError; a
+    integration does, to within EtaSchedule.tau_slack, else DomainError; a
     constant schedule gives a zero-area report. grid_size bins cover
     [min |eta|, max |eta|]. A triangular run whose state reaches exactly
     (z, theta) = (0, 0) after starting elsewhere has hit the float
@@ -145,8 +145,7 @@ def sweep_report(traj: Trajectory, grid_size: int) -> HysteresisReport:
     """
     params, schedule = traj.params, traj.schedule
     check_count("grid_size", grid_size, 16)
-    taus, T = traj.tau, schedule.T
-    slack = 1e-9 * max(1.0, T)
+    taus, T, slack = traj.tau, schedule.T, schedule.tau_slack
     if len(taus) < 2 or abs(taus[0]) > slack or abs(taus[-1] - T) > slack:
         raise DomainError(f"sweep_report needs samples over [0, {T}], got "
                           f"{len(taus)} over {taus[:1]}..{taus[-1:]}")

@@ -37,6 +37,14 @@ def check_power(r) -> None:
             f"nonlinearity power r must be > 0 and < 1014, got {r}")
 
 
+def check_eta(eta) -> None:
+    """Refuse a coupling eta that is not finite: a float, or an array
+    holding a non-finite value."""
+    if not (math.isfinite(eta) if isinstance(eta, float)
+            else np.all(np.isfinite(eta))):
+        raise DomainError(f"eta must be finite, got {eta}")
+
+
 def check_count(name: str, value, least: int) -> None:
     """Refuse a count that is not an integer >= least.
 
@@ -140,6 +148,13 @@ class EtaSchedule:
             if self.eta_peak is None:
                 raise DomainError("triangular schedule requires eta_peak")
             self.ramp  # raises DomainError unless its rate is finite
+
+    @property
+    def tau_slack(self) -> float:
+        """How far outside [0, T] a tau may lie and still count as inside
+        the schedule, 1e-9 max(1, T): room for the rounding of stage and
+        sample times produced by summation."""
+        return 1e-9 * max(1.0, self.T)
 
     @property
     def ramp(self) -> tuple:
@@ -271,7 +286,8 @@ def power_difference(z, r: float):
     check_power(r)
     if isinstance(z, np.ndarray):
         a = np.abs(z)
-        if a.max(initial=0.0) >= 1.0:
+        # not max >= 1.0, which a NaN passes
+        if not a.max(initial=0.0) < 1.0:
             raise DomainError("power_difference requires |z| < 1")
         x = 2.0 * r * np.arctanh(a)
         big = x > 709.0
@@ -282,7 +298,7 @@ def power_difference(z, r: float):
     a = abs(z)
     if a == 0.0:
         return 0.0
-    if a >= 1.0:
+    if not a < 1.0:
         raise DomainError(f"power_difference requires |z| < 1, got {z}")
     val = _power_difference(a, r)
     return val if z > 0 else -val
@@ -300,8 +316,10 @@ def hamiltonian(state: PhaseState, eta: float, r: float) -> float:
     """Conserved energy function of the undamped flow: hamiltonian_column
     on one row.
 
-    Finite on the whole closed strip |z| <= 1. Even in z and in theta.
+    Finite on the whole closed strip |z| <= 1 for a finite eta; a
+    non-finite eta is refused. Even in z and in theta.
     """
+    check_eta(eta)
     return float(hamiltonian_column(np.array([state.z]),
                                     np.array([state.theta]), eta, r)[0])
 
@@ -327,9 +345,11 @@ def dh_dz(z, cos_theta, eta, r: float):
     P = (1+z)^r - (1-z)^r is power_difference. z, cos_theta and eta may
     be floats or numpy arrays of one shape. The derivative is singular at
     |z| = 1; evaluation is refused with SingularityError within EPS_CLAMP
-    of the boundary.
+    of the boundary, and with DomainError for a non-finite eta or a NaN
+    z.
     """
     check_power(r)
+    check_eta(eta)
     if np.any(abs(z) >= 1.0 - EPS_CLAMP):
         raise SingularityError(f"dH/dz is singular at |z|=1; got z={z}")
     s = np.sqrt(1.0 - z * z)
@@ -339,7 +359,8 @@ def dh_dz(z, cos_theta, eta, r: float):
 def grad_hamiltonian(state: PhaseState, eta: float, r: float) -> tuple:
     """(dH/dz, dH/dtheta) in closed form, dH/dz from dh_dz.
 
-    Refused with SingularityError within EPS_CLAMP of |z| = 1.
+    Refused with SingularityError within EPS_CLAMP of |z| = 1 and with
+    DomainError for a non-finite eta.
     """
     z, theta = state.z, state.theta
     dh_dtheta = -2.0 * math.sqrt(1.0 - z * z) * math.sin(theta)
@@ -368,13 +389,12 @@ def schedule_column(schedule: EtaSchedule, taus) -> np.ndarray:
     x = tau up to half and T - tau after it, clamped at 0, from
     EtaSchedule.ramp and with the kernels' operations (numpy's
     elementwise + and * round as Python's floats do). A tau up to
-    1e-9 max(1, T) outside [0, T] is tolerated, so that integrator stage
-    times produced by summation never trip the check; the ramp is
-    constant past either end.
+    EtaSchedule.tau_slack outside [0, T] is tolerated, so that
+    integrator stage times produced by summation never trip the check;
+    the ramp is constant past either end.
     """
     taus = np.asarray(taus, dtype=np.float64)
-    T = schedule.T
-    slack = 1e-9 * max(1.0, T)
+    T, slack = schedule.T, schedule.tau_slack
     if taus.size and not (taus.min() >= -slack and taus.max() <= T + slack):
         raise DomainError(f"tau values outside schedule domain [0, {T}]")
     if schedule.kind == "constant":

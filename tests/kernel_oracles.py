@@ -34,12 +34,14 @@
   stage, and rosenbrock_by_loop runs RODAS3's rows the same way; the
   two step oracles end an attempt as the generated kernels do, with
   the former error norm of integrate's loop and the end derivative
-  through the field closure. kernels_by_loop
-  binds them, with the coupling closures integrate built before the flow
-  was written into the kernels (coupling_by_closure), into the form of
-  dynamics._kernels. _dense is the former per-step computation of the
-  interpolant's coefficients, in floats, which dynamics now does over
-  numpy columns after the run.
+  through the field closure. Given the flag dense, step_by_loop appends
+  dense_by_loop's three extra stages to an accepted step, as the one
+  generated step kernel evaluates them inside its attempt. kernels_by_loop
+  binds the two step oracles, with the coupling closures integrate built
+  before the flow was written into the kernels (coupling_by_closure),
+  into the five functions of dynamics._kernels. _dense is the former
+  per-step computation of the interpolant's coefficients, in floats,
+  which dynamics now does over numpy columns after the run.
 - trajectory_from_csv_by_blocks is the former trajectory CSV reader,
   one float() per field in blocks of CSV_BLOCK rows, which the one-call
   np.fromstring parse replaced; its count message names the line, as
@@ -420,23 +422,27 @@ def _error(zn, tn, ez, et, atol, rtol):
                abs(et) / (atol + rtol * abs(tn)))
 
 
-def _attempt(field, eta_at, evals, zn, tn, err, zero, t_new, zmax, ks):
+def _attempt(field, eta_at, evals, zn, tn, err, zero, t_new, zmax):
     """The generated kernels' result of an attempt that ends at (zn, tn)
-    with error err after evals stage evaluations: nothing past evals
-    where zn leaves |z| <= zmax, and the end derivative from field, at
-    the coupling at t_new, only where err <= 1."""
+    with error err after evals stage evaluations, without stages:
+    nothing past evals where zn leaves |z| <= zmax, and the end
+    derivative from field, at the coupling at t_new, only where
+    err <= 1."""
     if abs(zn) > zmax:
         return evals, None, None, None, None, None, None, None
     if not err <= 1.0:
         return evals, err, False, None, None, None, None, None
     return (evals + 1, err, zero, zn, tn, *field(zn, tn, eta_at(t_new)),
-            ks)
+            None)
 
 
 def step_by_loop(field, eta_at, t, h, z, theta, fz, ft, t_new, zmax, atol,
-                 rtol):
+                 rtol, dense):
     """The generated step kernel's result, from the former stage loop and
-    the former error norm of integrate's loop."""
+    the former error norm of integrate's loop; where dense is set, an
+    accepted step also returns the record tail, its stages, the end
+    derivative and dense_by_loop's three extra stages, and counts
+    those."""
     kz, kt = [fz], [ft]
     if not _stages(field, eta_at, _DOP853_STAGES, t, h, z, theta, kz, kt,
                    zmax):
@@ -448,13 +454,22 @@ def step_by_loop(field, eta_at, t, h, z, theta, fz, ft, t_new, zmax, atol,
     den = math.sqrt(e5 * e5 + 0.01 * e3 * e3)
     zero = not den
     err = 0.0 if zero else e5 * e5 / den
-    return _attempt(field, eta_at, len(kz) - 1, zn, tn, err, zero, t_new,
-                    zmax, (*kz, *kt))
+    result = _attempt(field, eta_at, len(kz) - 1, zn, tn, err, zero, t_new,
+                      zmax)
+    if not dense or result[3] is None:
+        return result
+    evals, err, zero, zn, tn, fzn, ftn, _ = result
+    extra = dense_by_loop(field, eta_at, t, h, z, theta, (*kz, *kt), fzn,
+                          ftn, zmax)
+    return (evals + 3, err, zero, zn, tn, fzn, ftn,
+            (*kz, *kt, fzn, ftn, *extra))
 
 
 def dense_by_loop(field, eta_at, t, h, z, theta, ks, fz, ft, zmax):
-    """The generated dense kernel's result, the three extra stages, from
-    the former stage loop."""
+    """The three extra stages of the interpolant, (kz13, kz14, kz15,
+    kt13, kt14, kt15), from the former stage loop over the step's stages
+    ks = (kz0..kz11, kt0..kt11) and the derivative (fz, ft) at its
+    end."""
     n = len(ks) // 2
     kz, kt = [*ks[:n], fz], [*ks[n:], ft]
     if not _stages(field, eta_at, _DOP853_DENSE_STAGES, t, h, z, theta,
@@ -496,8 +511,7 @@ def rosenbrock_by_loop(field, eta_at, t, h, z, theta, kz0, kt0, t_new, jac,
     mz, mt = _combine(_sparse(RODAS3_M), uz, ut)
     zn, tn = z + mz, theta + mt
     err = _error(zn, tn, *_combine(_sparse(RODAS3_E), uz, ut), atol, rtol)
-    return _attempt(field, eta_at, evals, zn, tn, err, False, t_new, zmax,
-                    None)
+    return _attempt(field, eta_at, evals, zn, tn, err, False, t_new, zmax)
 
 
 def coupling_by_closure(schedule):
@@ -527,11 +541,10 @@ def coupling_by_closure(schedule):
 
 def kernels_by_loop(field, schedule):
     """dynamics._kernels' result with field called at every stage: field,
-    the former coupling closures, and the loop forms of the step, dense
-    and Rosenbrock kernels bound to them."""
+    the former coupling closures, and the loop forms of the step and
+    Rosenbrock kernels bound to them."""
     eta_at, rate_at = coupling_by_closure(schedule)
     return (field, eta_at, rate_at, partial(step_by_loop, field, eta_at),
-            partial(dense_by_loop, field, eta_at),
             partial(rosenbrock_by_loop, field, eta_at))
 
 

@@ -178,6 +178,19 @@ class TestStepControl:
             integrate(PhaseState(z=0.1), ModelParams(r=1.0), sched, PROTOCOL,
                       (0.0, 6.0))
 
+    @pytest.mark.parametrize("T", [0.5, 5.0])
+    def test_span_may_pass_the_schedule_by_its_tau_slack(self, T):
+        sched = EtaSchedule(kind="constant", eta_start=-1.0, T=T)
+        slack = sched.tau_slack
+        traj = integrate(PhaseState(z=0.1), ModelParams(r=1.0), sched,
+                         PROTOCOL, (-slack, T + slack))
+        assert traj.tau[0] == -slack and traj.tau[-1] == T + slack
+        for span in ((math.nextafter(-slack, -1.0), T),
+                     (0.0, math.nextafter(T + slack, math.inf))):
+            with pytest.raises(DomainError, match="must be increasing"):
+                integrate(PhaseState(z=0.1), ModelParams(r=1.0), sched,
+                          PROTOCOL, span)
+
     def test_rejects_initial_state_at_boundary(self):
         sched = EtaSchedule(kind="constant", eta_start=-1.0, T=5.0)
         with pytest.raises(SingularityError):
@@ -785,11 +798,11 @@ def bits(x):
     return x
 
 
-def dop853_record(t, h, z, theta, zn, tn, ks, fz, ft, extra):
+def dop853_record(t, h, z, theta, zn, tn, ks):
     """One DOP853 record of integrate, for sample 0 alone, as the rows of
-    columns that dynamics._dop853_coefficients takes."""
-    return np.array([[t, h, 0.0, 1.0, z, theta, zn, tn, *ks, fz, ft,
-                      *extra]]).T.copy()
+    columns that dynamics._dop853_coefficients takes: ks is the record
+    tail a step kernel returns with its flag dense set."""
+    return np.array([[t, h, 0.0, 1.0, z, theta, zn, tn, *ks]]).T.copy()
 
 
 # tolerances at which every step with finite stages is accepted
@@ -798,41 +811,43 @@ LOOSE = 1e300
 
 def both_kernels(params, schedule, t, h, z, theta, zmax=ZMAX, tol=1e-9):
     """(eta_at(t), rate_at(t), eta_at(t + h)), then the results of the
-    step kernel at abs_tol = rel_tol = tol and at LOOSE, of the dense
-    kernel with the interpolant's coefficients where the step at LOOSE
-    is accepted (None where it is not) and of the Rosenbrock kernel at
-    tol and at LOOSE, bits packed: first for the generated kernels with
-    the flow inline, the coefficients over numpy columns, then for the
-    loop kernels calling make_field's closure at every stage, the
-    coefficients from the former per-step floats."""
+    step kernel at abs_tol = rel_tol = tol and at LOOSE with its flag
+    dense clear, then its results at tol and at LOOSE with the flag set
+    and the interpolant's coefficients where the step at LOOSE is
+    accepted (None where it is not), or the message of the
+    SingularityError that an extra stage raises, then the results of the
+    Rosenbrock kernel at tol and at LOOSE, bits packed: first for the
+    generated kernels with the flow inline, the coefficients over numpy
+    columns, then for the loop kernels calling make_field's closure at
+    every stage, the coefficients from the former per-step floats."""
     runs = []
     r, nu = params.r, params.nu
-    for generated, (field, eta_at, rate_at, step, dense, rosenbrock) in (
+    for generated, (field, eta_at, rate_at, step, rosenbrock) in (
             (True, dynamics._kernels(params, schedule)),
             (False, kernel_oracles.kernels_by_loop(
                 dynamics.make_field(params), schedule))):
         fz, ft = field(z, theta, eta_at(t))
-        steps = [step(t, h, z, theta, fz, ft, t + h, zmax, x, x)
+        steps = [step(t, h, z, theta, fz, ft, t + h, zmax, x, x, False)
                  for x in (tol, LOOSE)]
-        _, err, _, zn, tn, fzn, ftn, ks = steps[1]
-        interpolant = None
-        if err is not None and err <= 1.0:
-            try:
-                extra = dense(t, h, z, theta, ks, fzn, ftn, zmax)
-            except SingularityError as exc:
-                interpolant = str(exc)
-            else:
+        try:
+            dense = [step(t, h, z, theta, fz, ft, t + h, zmax, x, x, True)
+                     for x in (tol, LOOSE)]
+        except SingularityError as exc:
+            interpolant = str(exc)
+        else:
+            _, err, _, zn, tn, fzn, ftn, ks = dense[1]
+            coefficients = None
+            if err is not None and err <= 1.0:
                 if generated:
                     coefficients = [[float(c[0]) for c in cs] for cs in
                                     dynamics._dop853_coefficients(
                                         dop853_record(t, h, z, theta, zn, tn,
-                                                      ks, fzn, ftn, extra))]
+                                                      ks))]
                 else:
-                    n = len(ks) // 2
                     coefficients = kernel_oracles._dense(
                         field, eta_at, t, h, z, theta, zn, tn,
-                        [*ks[:n], fzn], [*ks[n:], ftn], zmax)
-                interpolant = extra, coefficients
+                        [*ks[:12], fzn], [*ks[12:24], ftn], zmax)
+            interpolant = dense, coefficients
         q = -model.power_difference(z, r) / 2.0 ** r * rate_at(t)
         jac = bifurcation._jacobian(z, theta, eta_at(t), r, nu)
         runs.append(bits((
@@ -843,18 +858,20 @@ def both_kernels(params, schedule, t, h, z, theta, zmax=ZMAX, tol=1e-9):
 
 
 def without_stages(run):
-    """A run of both_kernels without its stage values: the stages of each
-    step result and the dense kernel's extra stages."""
+    """A run of both_kernels without its stage values: the stages, or the
+    record tail, of each step result."""
     couplings, steps, interpolant, rosenbrock = run
     if isinstance(interpolant, tuple):
-        interpolant = interpolant[1]
+        dense, coefficients = interpolant
+        interpolant = [result[:-1] for result in dense], coefficients
     return (couplings, [result[:-1] for result in steps], interpolant,
             rosenbrock)
 
 
 def stage_points(params, schedule, t, h, z, theta):
     """|z| at the 11 stage points of a step, at its end and at the 3
-    dense stage points, where all of them lie inside; else None."""
+    extra stage points of a step with the flag dense set, where all of
+    them lie inside; else None."""
     calls = []
     field = dynamics.make_field(params)
 
@@ -862,16 +879,15 @@ def stage_points(params, schedule, t, h, z, theta):
         calls.append(abs(z))
         return field(z, theta, eta)
 
-    _, eta_at, _, step, dense, _ = kernel_oracles.kernels_by_loop(recorded,
-                                                                  schedule)
+    _, eta_at, _, step, _ = kernel_oracles.kernels_by_loop(recorded,
+                                                           schedule)
     fz, ft = recorded(z, theta, eta_at(t))
-    _, err, _, _, _, fzn, ftn, ks = step(t, h, z, theta, fz, ft, t + h, ZMAX,
-                                         LOOSE, LOOSE)
-    if err is None or not err <= 1.0:
-        return None
     try:
-        dense(t, h, z, theta, ks, fzn, ftn, ZMAX)
+        _, err, *_ = step(t, h, z, theta, fz, ft, t + h, ZMAX, LOOSE, LOOSE,
+                          True)
     except SingularityError:
+        return None
+    if err is None or not err <= 1.0:
         return None
     return calls[1:]
 
@@ -948,12 +964,47 @@ class TestKernels:
             *args, zmax = exit_inputs(kind)[jump]
             new, old = both_kernels(*args, zmax=zmax)
             assert new == old
-            _, (_, (evals, err, *_)), interpolant, _ = new
+            _, (_, clear), interpolant, _ = new
+            evals, err, *_ = clear
             assert evals == min(jump, 12)
             assert (err is None) == (jump < 12)
-            assert (interpolant is None) == (jump < 12)
-            if jump >= 12:
+            if jump < 12:
+                # the attempt ends before any extra stage
+                assert interpolant == ((clear, clear), None)
+            else:
                 assert interpolant.startswith("interpolation stage left")
+
+    @pytest.mark.parametrize("kind", SCHEDULE_KINDS)
+    def test_a_step_without_samples_evaluates_no_extra_stage(self, kind):
+        # with the flag dense clear an accepted step returns no stages
+        # after 11 stages and the derivative at its end; with it set the
+        # same step also evaluates the three extra stages and returns
+        # its record tail, the derivative at its end in the middle
+        field, eta_at, _, step, _ = dynamics._kernels(
+            STIFF, EtaSchedule(kind=kind, eta_start=-3.0, eta_peak=-8.0,
+                               T=10.0))
+        fz, ft = field(0.3, 0.7, eta_at(4.95))
+        clear, dense = (step(4.95, 0.1, 0.3, 0.7, fz, ft, 5.05, ZMAX, LOOSE,
+                             LOOSE, flag) for flag in (False, True))
+        assert clear[0] == 12 and clear[1] <= 1.0 and clear[-1] is None
+        assert dense[0] == 15 and bits(dense[1:7]) == bits(clear[1:7])
+        assert len(dense[-1]) == 32
+        assert bits(dense[-1][24:26]) == bits(clear[5:7])
+
+    @pytest.mark.parametrize("jump", [12, 13, 14])
+    @pytest.mark.parametrize("kind", SCHEDULE_KINDS)
+    def test_an_extra_stage_leaving_the_margin_names_tau(self, kind, jump):
+        # extra stage jump - 11 is the first point to leave |z| <= zmax:
+        # the step with the flag set raises, the one without is accepted
+        params, schedule, t, h, z, theta, zmax = exit_inputs(kind)[jump]
+        field, eta_at, _, step, _ = dynamics._kernels(params, schedule)
+        fz, ft = field(z, theta, eta_at(t))
+        with pytest.raises(SingularityError) as info:
+            step(t, h, z, theta, fz, ft, t + h, zmax, LOOSE, LOOSE, True)
+        assert str(info.value) == \
+            f"interpolation stage left |z| <= {zmax} at tau={t}"
+        assert step(t, h, z, theta, fz, ft, t + h, zmax, LOOSE, LOOSE,
+                    False)[1] <= 1.0
 
     @pytest.mark.parametrize("start, params, schedule, config", [
         *[(PhaseState(z=0.3, theta=0.7), ModelParams(r=r),
@@ -1085,7 +1136,7 @@ class TestKernels:
         if kind is None:
             return {"field": [2.0, 2.0] + flow}
         want = {"eta_at": coupling, "rate_at": [] if ramp else [0.0],
-                "_step": [], "_dense": [], "_rosenbrock": []}
+                "_step": [], "_rosenbrock": []}
         for c, row in tableau.DOP853_STAGES:
             want["_step"] += total(row) * 2 + stage(c)
         want["_step"] += total(tableau.DOP853_B, [0.0]) * 2
@@ -1093,7 +1144,7 @@ class TestKernels:
             want["_step"] += total(row) * 2
         want["_step"] += [0.01, 0.0, 1.0] + coupling + flow
         for c, row in tableau.DOP853_DENSE_STAGES:
-            want["_dense"] += total(row) * 2 + stage(c)
+            want["_step"] += total(row) * 2 + stage(c)
         ros = want["_rosenbrock"]
         ros += [1.0, tableau.RODAS3_GAMMA, 1.0]
         for alpha, gamma, a, c in tableau.RODAS3_STAGES:
@@ -1125,10 +1176,11 @@ class TestKernels:
 
     def test_traceback_shows_the_generated_line(self):
         # theta = inf makes the first stage's cos(ti) raise
-        _, _, _, step, _, _ = dynamics._kernels(
+        _, _, _, step, _ = dynamics._kernels(
             ModelParams(r=1.0), EtaSchedule(kind="constant", eta_start=-1.0))
         with pytest.raises(ValueError, match="math domain error") as info:
-            step(0.0, 0.5, 0.3, math.inf, 0.1, 0.1, 0.5, ZMAX, 1e-9, 1e-9)
+            step(0.0, 0.5, 0.3, math.inf, 0.1, 0.1, 0.5, ZMAX, 1e-9, 1e-9,
+                 False)
         text = "".join(traceback.format_exception(info.value))
         file = f"<{dynamics.__name__} constant undamped _step>"
         line = "gz = -2.0 * zi * cos(ti) / s - q * diff"

@@ -14,7 +14,7 @@ from dimer_hysteresis import (DomainError, EtaSchedule, ModelParams,
                               energy_functional, eval_schedule,
                               grad_hamiltonian, hamiltonian,
                               hamiltonian_column, power_difference,
-                              wrap_angle)
+                              stationary_residual, wrap_angle)
 from dimer_hysteresis.model import schedule_column
 
 from kernel_oracles import wrap_angle_by_remainder
@@ -145,6 +145,16 @@ class TestPowerDifference:
         with pytest.raises(DomainError):
             power_difference(np.array([0.5, -1.0]), 2.0)
 
+    def test_rejects_nan(self):
+        # a NaN passes a test of |z| >= 1; refused as |z| = 1 is
+        with pytest.raises(DomainError,
+                           match=r"requires \|z\| < 1, got nan$"):
+            power_difference(math.nan, 2.0)
+
+    def test_array_rejects_nan(self):
+        with pytest.raises(DomainError, match=r"requires \|z\| < 1$"):
+            power_difference(np.array([0.5, math.nan]), 2.0)
+
     @pytest.mark.parametrize("r", [34.0, 100.0, 200.0])
     def test_finite_for_large_powers_next_to_the_boundary(self, r):
         # expm1(2 r atanh|z|) alone overflows here, although the
@@ -190,6 +200,19 @@ class TestSchedules:
         assert eval_schedule(sched, 0.0) == -1.0
         assert eval_schedule(sched, 2000.0) == -3.0
         assert eval_schedule(sched, 4000.0) == -1.0
+
+    @pytest.mark.parametrize("T", [0.25, 1.0, 4000.0])
+    def test_tau_slack_bounds_the_column(self, T):
+        sched = EtaSchedule(kind="triangular", eta_start=-1.0,
+                            eta_peak=-3.0, T=T)
+        slack = sched.tau_slack
+        assert slack == 1e-9 * max(1.0, T)
+        assert schedule_column(sched, [-slack, T + slack]).tolist() == \
+            [-1.0, -1.0]
+        for tau in (math.nextafter(-slack, -1.0),
+                    math.nextafter(T + slack, math.inf)):
+            with pytest.raises(DomainError, match="outside schedule domain"):
+                schedule_column(sched, [tau])
 
     def test_triangular_interior_value(self):
         sched = EtaSchedule(kind="triangular", eta_start=-3.0, eta_peak=-8.0,
@@ -338,6 +361,27 @@ class TestValidation:
     def test_schedule_must_be_finite(self, fields):
         with pytest.raises(DomainError):
             EtaSchedule(**fields)
+
+    @pytest.mark.parametrize("z", [math.nan, np.array([0.5, math.nan])],
+                             ids=["float", "array"])
+    def test_stationary_residual_refuses_nan_z(self, z):
+        # through dh_dz's power_difference
+        with pytest.raises(DomainError, match=r"requires \|z\| < 1"):
+            stationary_residual(z, 0.0, -3.0, 5.0)
+
+    @pytest.mark.parametrize("eta", [math.nan, math.inf, -math.inf], ids=str)
+    @pytest.mark.parametrize("evaluate", [
+        lambda eta: hamiltonian(PhaseState(0.5), eta, 2.0),
+        lambda eta: grad_hamiltonian(PhaseState(0.5), eta, 2.0),
+        lambda eta: stationary_residual(0.5, 0.0, eta, 2.0),
+        lambda eta: stationary_residual(np.array([0.5, 0.1]), math.pi,
+                                        np.array([-1.0, eta]), 2.0),
+    ], ids=["hamiltonian", "grad_hamiltonian", "stationary_residual",
+            "stationary_residual-array"])
+    def test_non_finite_eta_is_refused(self, evaluate, eta):
+        # as jacobian_at, vector_field and find_fixed_points refuse it
+        with pytest.raises(DomainError, match="^eta must be finite, got "):
+            evaluate(eta)
 
 
 COLUMNS = dict(tau=[0.0, 0.5, 1.0], z=[0.1, -0.2, 0.3],
