@@ -959,7 +959,7 @@ class TestKernels:
     @pytest.mark.parametrize("jump", range(15))
     def test_every_exit_stage_matches_the_loop(self, jump):
         # the first point to leave is stage jump + 1 of the step for jump
-        # below 11, the step's end for 11, dense stage jump - 11 above
+        # below 11, the step's end for 11, extra stage jump - 11 above
         for kind in SCHEDULE_KINDS:
             *args, zmax = exit_inputs(kind)[jump]
             new, old = both_kernels(*args, zmax=zmax)
