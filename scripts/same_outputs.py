@@ -39,7 +39,9 @@ placeholder:
   eigenvalue parts, run with `python -c` and kept as a file;
 - for each `simulate` CSV, a read-back file: the columns that side's
   `trajectory_from_csv` reads from it, a header and one row per sample
-  of `float.hex` values, so that a change to the reader shows too;
+  of `float.hex` values, so that a change to the reader shows too; the
+  command also reads the CSV with "\r\n" line ends and fails unless
+  those columns have the same bits;
 - the integrator's work counts: every `simulate` command above run
   again in one process with `cli.integrate` wrapped, one JSON line per
   run with its stem, `clamp_events` and the `IntegrationStats` fields,
@@ -50,7 +52,8 @@ Prints "identical" or the first differing line for each of the 61
 files. For a CSV, JSON, JSON-lines or read-back file that differs it
 then prints, for each column or JSON key path, how many numbers
 differ, the largest |difference|, how many became exactly 0.0, and how
-many floats apart the others are at most (ulps); a key path writes an
+many floats apart the others are at most (ulps), where a pair of
+integers gives the first two alone; a key path writes an
 index into a list of lists or objects as [] and keeps an index into a
 list of plain values, so each eigenvalue's real and imaginary parts
 are separate paths. It exits 0 only when every file is identical:
@@ -83,14 +86,20 @@ for eta, r in calls + [(-1e20, 1.0), (1e20, 1.0), (-1e300, 5.0)]:
         for p in find_fixed_points(eta, r)]}))
 """
 # the columns trajectory_from_csv reads from the CSV argv[1], written as
-# float.hex; the reader uses neither params nor schedule
+# float.hex, after checking that its CRLF form reads to the same bits;
+# the reader uses neither params nor schedule
 READ_BACK = """
 import sys
 from pathlib import Path
 from dimer_hysteresis import EtaSchedule, ModelParams, trajectory_from_csv
-traj = trajectory_from_csv(Path(sys.argv[1]).read_text(encoding="utf-8"),
-                           ModelParams(r=1.0), EtaSchedule(kind="constant"))
+text = Path(sys.argv[1]).read_text(encoding="utf-8")
+args = ModelParams(r=1.0), EtaSchedule(kind="constant")
+traj = trajectory_from_csv(text, *args)
+crlf = trajectory_from_csv(text.replace("\\n", "\\r\\n"), *args)
 names = ("tau", "eta", "z", "theta", "H", "E")
+if any(getattr(traj, name).tobytes() != getattr(crlf, name).tobytes()
+       for name in names):
+    sys.exit("the CRLF text reads to other columns than the LF text")
 print(",".join(names))
 for row in zip(*(getattr(traj, name).tolist() for name in names)):
     print(",".join(map(float.hex, row)))
@@ -270,9 +279,10 @@ def number_report(suffix: str, a: bytes, b: bytes) -> list:
     """For a CSV, JSON, JSON-lines or read-back pair, one line per
     column or JSON key path that differs: how many numbers differ of how
     many, the largest |difference|, how many became exactly 0.0, and the
-    largest distance of the others in ulps (floats apart), then how many
-    other values differ. When the two files' paths differ, one line
-    saying how. Other files, and identical columns, give no line."""
+    largest distance of the others in ulps (floats apart), the last two
+    only where a pair of floats differs, then how many other values
+    differ. When the two files' paths differ, one line saying how. Other
+    files, and identical columns, give no line."""
     if suffix not in (".csv", ".json", ".jsonl", ".hex"):
         return []
     texts = a.decode("utf-8"), b.decode("utf-8")
@@ -288,16 +298,21 @@ def number_report(suffix: str, a: bytes, b: bytes) -> list:
     stats = {}
     for (path, x), (_, y) in zip(left, right):
         # numbers, differing, largest |difference|, became 0.0, largest
-        # ulps of the others, other values differing
-        s = stats.setdefault(path, [0, 0, 0.0, 0, 0, 0])
+        # ulps of the others, other values differing, floats differing
+        s = stats.setdefault(path, [0, 0, 0, 0, 0, 0, 0])
         if not (_number(x) and _number(y)):
             s[5] += x != y
             continue
-        x, y = float(x), float(y)
         s[0] += 1
+        if isinstance(x, int) and isinstance(y, int):
+            s[1] += x != y
+            s[2] = max(s[2], abs(x - y))
+            continue
+        x, y = float(x), float(y)
         if x.hex() == y.hex():
             continue
         s[1] += 1
+        s[6] += 1
         gap = abs(x - y)
         s[2] = max(s[2], math.inf if math.isnan(gap) else gap)
         if y == 0.0 and x != 0.0:
@@ -305,12 +320,15 @@ def number_report(suffix: str, a: bytes, b: bytes) -> list:
         else:
             s[4] = max(s[4], abs(_ordered(x) - _ordered(y)))
     lines = []
-    for path, (n, differ, gap, zeroed, ulps, other) in stats.items():
+    for path, (n, differ, gap, zeroed, ulps, other, floats) in stats.items():
         parts = []
-        if differ:
+        if floats:
             parts.append(f"{differ} of {n} numbers differ, largest |Δ| "
                          f"{gap:.3g}, {zeroed} became 0.0, the others at "
                          f"most {ulps} ulps")
+        elif differ:
+            parts.append(f"{differ} of {n} numbers differ, largest |Δ| "
+                         f"{gap}")
         if other:
             parts.append(f"{other} other values differ")
         if parts:

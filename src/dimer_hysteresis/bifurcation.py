@@ -51,8 +51,9 @@ from .errors import (
     SingularityError,
     ThresholdProximityError,
 )
-from .model import (EPS_CLAMP, ModelParams, PhaseState, _power_difference,
-                    check_count, check_eta, check_power, dh_dz)
+from .model import (EPS_CLAMP, ModelParams, PhaseState, _finite,
+                    _power_difference, check_count, check_eta, check_power,
+                    dh_dz)
 
 EPS_EIG = 1e-8
 
@@ -650,13 +651,13 @@ def trace_branches(r: float, eta_range: tuple, steps: int) -> BifurcationDiagram
     Branch ids follow (first grid index, z at birth).
     """
     lo, hi = eta_range
-    if not (0.0 <= lo < hi < math.inf):
+    if not (0.0 <= lo < hi and _finite(hi)):
         raise DomainError(
             f"require finite 0 <= min < max in eta_range, got {eta_range}")
     check_count("steps", steps, 2)
     classification = classify_pitchfork(r)
 
-    mags = np.linspace(lo, hi, steps)
+    mags = np.linspace(float(lo), float(hi), steps)
     etas = -mags
 
     def columns(z, eta):

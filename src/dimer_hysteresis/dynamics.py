@@ -87,6 +87,7 @@ from .model import (
     PhaseState,
     PhysicalContext,
     Trajectory,
+    _finite,
     check_count,
     check_eta,
     energy_functional,
@@ -146,7 +147,7 @@ class IntegratorConfig:
     def __post_init__(self):
         for name in ("dt", "abs_tol", "rel_tol"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
+            if not (_finite(value) and value > 0):
                 raise DomainError(
                     f"{name} must be finite and > 0, got {value}")
         check_count("sample_stride", self.sample_stride, 1)

@@ -27,6 +27,17 @@ EPS_CLAMP = 1e-9
 SCHEDULE_KINDS = ("constant", "triangular")
 
 
+def _finite(value) -> bool:
+    """Whether value, a number or an array, is finite; False also where
+    it cannot become a float, as an int beyond the float range."""
+    try:
+        if isinstance(value, (int, float)):
+            return math.isfinite(value)
+        return bool(np.all(np.isfinite(value)))
+    except (OverflowError, TypeError):
+        return False
+
+
 def check_power(r) -> None:
     """Refuse a nonlinearity power r outside 0 < r < 1014.
 
@@ -40,8 +51,7 @@ def check_power(r) -> None:
 def check_eta(eta) -> None:
     """Refuse a coupling eta that is not finite: a float, or an array
     holding a non-finite value."""
-    if not (math.isfinite(eta) if isinstance(eta, float)
-            else np.all(np.isfinite(eta))):
+    if not _finite(eta):
         raise DomainError(f"eta must be finite, got {eta}")
 
 
@@ -72,7 +82,7 @@ class ModelParams:
 
     def __post_init__(self):
         check_power(self.r)
-        if not (math.isfinite(self.nu) and self.nu >= 0):
+        if not (_finite(self.nu) and self.nu >= 0):
             raise DomainError(
                 f"damping nu must be finite and >= 0, got {self.nu}")
 
@@ -91,7 +101,7 @@ class PhaseState:
     def __post_init__(self):
         if not abs(self.z) <= 1.0:
             raise DomainError(f"|z| must be <= 1, got z={self.z}")
-        if not math.isfinite(self.theta):
+        if not _finite(self.theta):
             raise DomainError(f"theta must be finite, got {self.theta}")
 
 
@@ -112,7 +122,7 @@ class PhysicalContext:
     def __post_init__(self):
         for name in ("omega", "Omega", "c", "g"):
             value = getattr(self, name)
-            if not math.isfinite(value):
+            if not _finite(value):
                 raise DomainError(f"{name} must be finite, got {value}")
         if not self.omega > 0:
             raise DomainError(f"level splitting omega must be > 0, got {self.omega}")
@@ -136,13 +146,13 @@ class EtaSchedule:
         if self.kind not in SCHEDULE_KINDS:
             raise DomainError(
                 f"schedule kind must be one of {SCHEDULE_KINDS}, got {self.kind!r}")
-        if not (math.isfinite(self.T) and self.T > 0):
+        if not (_finite(self.T) and self.T > 0):
             raise DomainError(
                 f"schedule duration T must be finite and > 0, got {self.T}")
-        if not math.isfinite(self.eta_start):
+        if not _finite(self.eta_start):
             raise DomainError(
                 f"eta_start must be finite, got {self.eta_start}")
-        if self.eta_peak is not None and not math.isfinite(self.eta_peak):
+        if self.eta_peak is not None and not _finite(self.eta_peak):
             raise DomainError(f"eta_peak must be finite, got {self.eta_peak}")
         if self.kind == "triangular":
             if self.eta_peak is None:
@@ -419,7 +429,7 @@ def wrap_angle(theta):
     by Sterbenz's lemma for w - tau with w in (pi, tau) and for w + tau
     with w in (-tau, -pi]. A non-finite theta is refused.
     """
-    if not np.all(np.isfinite(theta)):
+    if not _finite(theta):
         raise DomainError(f"wrap_angle needs a finite theta, got {theta}")
     w = np.fmod(theta, math.tau)
     w = np.where(w > math.pi, w - math.tau, w)

@@ -21,18 +21,19 @@ fallback is the exactness guard: where longdouble is a plain double,
 more values take it and the text stays the same. The kernel counts
 them.
 
-The trajectory CSV reader parses the body with one np.fromstring call,
-newlines turned into commas, once one bytes.translate has shown that
-the body holds only the bytes of numbers and that each row has six
-fields. On any doubt it reads the body again line by line with float():
-that names the first line without six fields, else the first field
-float() refuses, and otherwise reads what float() reads but
-np.fromstring does not, such as 1_5 or a padded value. Doubt is a byte
-outside a number (whitespace, which np.fromstring reads as -1.0 in a
-blank field, or the "(" of "nan(1)", which it reads as nan), a row
-without six fields, a ValueError (numpy 2.4 raises one at an
-unparsable field), a DeprecationWarning (older numpy warns instead and
-returns what it read so far) or a wrong count of values.
+The trajectory CSV reader parses the body with one np.loadtxt call,
+comments=None so that a "#" is no comment, and keeps its values when
+they are (rows, 6), rows counted from the body's newlines. np.loadtxt
+refuses what float() refuses, with one exception: it strips the ASCII
+separators 0x1C-0x1F round a field as whitespace, so a body holding one
+goes to the fallback at once. So does an empty body, a ValueError (a
+refused field, a row of another width, a lone carriage return, or a
+non-ASCII byte, which fails the ascii decode) and any other shape
+(np.loadtxt skips blank lines). The fallback reads the body line by line
+with float(): it names the first line without six fields, else the first
+field float() refuses, and otherwise reads what float() reads but
+np.loadtxt does not, such as 1_5, the Arabic-Indic 12 or a value padded
+with a non-ASCII space.
 
 JSON is json.dumps(doc, indent=2), floats in full repr, laid out by
 _json. With indent, json runs its pure-Python encoder, so a diagram's
@@ -49,10 +50,10 @@ diagram CSV takes one % per branch, on a template whose head
 from __future__ import annotations
 
 import functools
+import io
 import itertools
 import json
 import math
-import warnings
 from typing import NamedTuple
 
 import numpy as np
@@ -63,11 +64,8 @@ from .model import EtaSchedule, ModelParams, Trajectory, wrap_angle
 TRAJECTORY_HEADER = "tau,eta,z,theta,H,E"
 BRANCH_HEADER = "branch_id,kind,theta_star,eta,z_star,stability"
 
-# the bytes of the numbers the one-call parse reads, a row without them,
-# and the table that joins the rows into one comma-separated list
-_NUMBER = b"0123456789+-.eE"
-_ROW = b",,,,,\n"
-_FIELDS = bytes.maketrans(b"\n", b",")
+# the ASCII separators np.loadtxt strips round a field and float() refuses
+_SEPARATORS = b"\x1c\x1d\x1e\x1f"
 _BRANCH_HEAD, _BRANCH_ROW = "%d,%s,%.15g,", "%.15g,%.15g,%s\n"
 # one point, at the depth of a branch's points: eta, z_star, stability
 # and the real and imaginary parts of its two eigenvalues, as the eight
@@ -281,8 +279,8 @@ def trajectory_from_csv(text: str, params: ModelParams,
     if head.removesuffix("\r") != TRAJECTORY_HEADER:
         raise DomainError(f"expected header {TRAJECTORY_HEADER!r}")
     # a character outside ASCII, or a lone surrogate as "?", fails
-    # _parse_body's byte check
-    data = body.replace("\r\n", "\n").encode(errors="replace")
+    # _parse_body's parse
+    data = body.encode(errors="replace")
     # only the caller's text and data stay alive while parsing
     del body
     values = _parse_body(data)
@@ -295,20 +293,16 @@ def trajectory_from_csv(text: str, params: ModelParams,
 
 
 def _parse_body(data: bytes):
-    """The (rows, 6) values of a body by one np.fromstring call, or None
-    on any doubt that it reads as float() does."""
-    rows = data.count(b"\n") + 1
-    if data.translate(None, _NUMBER) != _ROW * (rows - 1) + _ROW[:-1]:
+    """The (rows, 6) values of a non-empty body by one np.loadtxt call,
+    or None where it cannot show that they are what float() reads."""
+    if not data or any(map(data.__contains__, _SEPARATORS)):
         return None
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            values = np.fromstring(data.translate(_FIELDS), sep=",")
-    except (ValueError, DeprecationWarning):
+        values = np.loadtxt(io.BytesIO(data), delimiter=",", comments=None,
+                            ndmin=2, encoding="ascii")
+    except ValueError:
         return None
-    if values.size != 6 * rows:
-        return None
-    return values.reshape(rows, 6)
+    return values if values.shape == (data.count(b"\n") + 1, 6) else None
 
 
 def _parse_lines(text: str) -> np.ndarray:

@@ -1,20 +1,22 @@
 """Core model functions against hand-evaluated values and symmetries."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dimer_hysteresis import (DomainError, EtaSchedule, ModelParams,
-                              PhaseState, PhysicalContext, Sample,
-                              SingularityError, Trajectory,
+from dimer_hysteresis import (DomainError, EtaSchedule, IntegratorConfig,
+                              ModelParams, PhaseState, PhysicalContext,
+                              Sample, SingularityError, Trajectory,
                               amplitudes_from_state, effective_eta,
                               energy_functional, eval_schedule,
-                              grad_hamiltonian, hamiltonian,
-                              hamiltonian_column, power_difference,
-                              stationary_residual, wrap_angle)
+                              find_fixed_points, grad_hamiltonian,
+                              hamiltonian, hamiltonian_column, jacobian_at,
+                              power_difference, stationary_residual,
+                              trace_branches, vector_field, wrap_angle)
 from dimer_hysteresis.model import schedule_column
 
 from kernel_oracles import wrap_angle_by_remainder
@@ -382,6 +384,43 @@ class TestValidation:
         # as jacobian_at, vector_field and find_fixed_points refuse it
         with pytest.raises(DomainError, match="^eta must be finite, got "):
             evaluate(eta)
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda big: ModelParams(r=1.0, nu=big), "damping nu must be finite"),
+        (lambda big: PhaseState(z=0.0, theta=big), "theta must be finite"),
+        (lambda big: IntegratorConfig(dt=big), "dt must be finite"),
+        (lambda big: PhysicalContext(g=big), "g must be finite"),
+        (lambda big: EtaSchedule("constant", T=big),
+         "schedule duration T must be finite"),
+        (lambda big: EtaSchedule("constant", eta_start=big),
+         "eta_start must be finite"),
+        (lambda big: EtaSchedule("triangular", eta_peak=big),
+         "eta_peak must be finite"),
+        (lambda big: find_fixed_points(big, 1.0), "eta must be finite"),
+        (lambda big: vector_field(PhaseState(0.0), big, ModelParams(1.0)),
+         "eta must be finite"),
+        (lambda big: jacobian_at(PhaseState(0.0), big, ModelParams(1.0)),
+         "eta must be finite"),
+        (lambda big: hamiltonian(PhaseState(0.0), big, 1.0),
+         "eta must be finite"),
+        (lambda big: wrap_angle(big), "wrap_angle needs a finite theta"),
+        (lambda big: trace_branches(5.0, (3.0, big), 10),
+         "require finite 0 <= min < max in eta_range"),
+    ], ids=["nu", "theta", "dt", "g", "T", "eta_start", "eta_peak",
+            "find_fixed_points", "vector_field", "jacobian_at",
+            "hamiltonian", "wrap_angle", "trace_branches"])
+    def test_int_beyond_the_float_range_is_refused(self, make, message):
+        # math.isfinite raised OverflowError and np.isfinite TypeError
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}"):
+            make(10 ** 400)
+
+    def test_int_inside_the_float_range_is_accepted(self):
+        # beyond int64, numpy would take such an int as an object
+        assert ModelParams(r=1.0, nu=2 ** 70).nu == 2 ** 70
+        assert wrap_angle(2 ** 70) == wrap_angle(float(2 ** 70))
+        got = trace_branches(5.0, (3, 10 ** 300), 10).branches
+        want = trace_branches(5.0, (3.0, 1e300), 10).branches
+        assert [b.eta for b in got] == [b.eta for b in want]
 
 
 COLUMNS = dict(tau=[0.0, 0.5, 1.0], z=[0.1, -0.2, 0.3],

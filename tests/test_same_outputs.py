@@ -93,3 +93,11 @@ def test_other_values_are_counted(number_report):
 ])
 def test_a_different_shape_is_named(number_report, suffix, a, b, want):
     assert number_report(suffix, a, b) == want
+
+
+def test_integer_counts_differ_by_their_difference_alone(number_report):
+    # as floats, 120 and 123 are about 2e14 ulps apart
+    stats = b'{"run": "r1", "steps": 40, "rhs_evals": 120}\n'
+    moved = stats.replace(b"120", b"123")
+    assert number_report(".jsonl", stats, moved) == [
+        "rhs_evals: 1 of 1 numbers differ, largest |Δ| 3"]

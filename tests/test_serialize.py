@@ -254,12 +254,14 @@ class TestTrajectoryCsv:
                                             T=1.0))
 
 
-# fields that float() refuses, or reads although np.fromstring does not
-# (1_5, the Arabic-Indic 12, the padded values), or that np.fromstring
-# alone would read (the blank field as -1.0, nan(1) as nan)
+# fields that float() refuses, or reads although np.loadtxt does not
+# (1_5, the Arabic-Indic 12, values padded with a non-ASCII space), or
+# that np.loadtxt alone would read (values padded with \x1c-\x1f); the
+# ASCII spaces \x0b and \x0c pad a value both read
 TOKENS = ["", " ", "abc", "1_5", " 1.5", "2.5 ", "\t2", "nan", "-inf",
           "Infinity", "nan(1)", "1.5.2", "0x10", "1e", "+1", "-0", ".5", "5.",
-          "1e5", "\u0661\u0662", "1\x002", "1 2", "--1"]
+          "1e5", "\u0661\u0662", "1\x002", "1 2", "--1", "\x0b1", "2\x0c",
+          "\x1c3", "4\x1d", "\x1e.5", "5.\x1f", "\xa06", "7\u2028"]
 SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
            1.7976931348623157e308, -1.7976931348623157e308]
 finite = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
@@ -316,7 +318,8 @@ class TestReaderOracle:
     @settings(max_examples=400, deadline=None)
     @given(text=csv_texts())
     # an empty last field ends the body in a separator, which
-    # np.fromstring reads past, one value short
+    # np.fromstring, the reader before np.loadtxt, read past, one value
+    # short
     @example(text=TRAJECTORY_HEADER + "\n0,-1,0.5,0.25,1.5,\n")
     @example(text=TRAJECTORY_HEADER + "\r\n0,-1,0.5,0.25,1.5,\r\n")
     def test_row_texts_read_as_the_block_reader(self, text):
@@ -354,9 +357,47 @@ class TestReaderOracle:
 
     @pytest.mark.parametrize("field", [" ", "nan(1)"])
     def test_fields_only_fromstring_reads_are_refused(self, field):
-        # np.fromstring reads " " as -1.0 and "nan(1)" as nan
+        # np.fromstring, the reader before np.loadtxt, read " " as -1.0
+        # and "nan(1)" as nan
         text = TRAJECTORY_HEADER + "\n0,-1,0.5,%s,1.5,-0.75\n" % field
         message = f"line 2: {field!r} is not a number: "
         with pytest.raises(DomainError, match=f"^{re.escape(message)}"):
             trajectory_from_csv(text, ModelParams(r=1.0),
                                 EtaSchedule(kind="constant", T=1.0))
+
+    @pytest.mark.parametrize("field", [
+        "-0.75#x", '"-0.75"', "'-0.75'", "\x1c-0.75", "-0.75\x1d",
+        "\x1e-0.75", "-0.75\x1f"], ids=["hash", "double-quoted",
+                                       "single-quoted", "x1c", "x1d", "x1e",
+                                       "x1f"])
+    def test_comment_quote_and_separator_fields_are_refused_with_their_line(
+            self, field):
+        # in the last field, np.loadtxt's default comments="#" would read
+        # "-0.75#x" as -0.75; it strips \x1c-\x1f round any field, and
+        # the row after it keeps text.strip() from stripping them
+        text = TRAJECTORY_HEADER + "\n0,-1,0.5,0.25,1.5,-0.75\n" \
+            "1,-1,0.5,0.25,1.5,%s\n2,-1,0.5,0.25,1.5,-0.75\n" % field
+        message = f"line 3: {field!r} is not a number: "
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}"):
+            trajectory_from_csv(text, ModelParams(r=1.0),
+                                EtaSchedule(kind="constant", T=1.0))
+        assert read_back(trajectory_from_csv, text) == \
+            read_back(trajectory_from_csv_by_blocks, text)
+
+    @pytest.mark.parametrize("field", ["0.25\r", "\r0.25", "0.25\r\r"])
+    def test_fields_padded_by_a_lone_cr_read_as_float(self, field):
+        # np.loadtxt refuses a "\r" not followed by "\n"; float() strips it
+        text = TRAJECTORY_HEADER + "\n0,-1,0.5,%s,1.5,-0.75\n" % field
+        traj = trajectory_from_csv(text, ModelParams(r=1.0),
+                                   EtaSchedule(kind="constant", T=1.0))
+        assert traj.theta.tolist() == [0.25]
+
+    def test_rows_joined_by_a_lone_cr_are_refused_with_their_line(self):
+        text = TRAJECTORY_HEADER + "\n0,-1,0.5,0.25,1.5,-0.75\r" \
+            "1,-1,0.5,0.25,1.5,-0.75\n"
+        with pytest.raises(DomainError,
+                           match="^line 2: expected 6 columns, got 11: "):
+            trajectory_from_csv(text, ModelParams(r=1.0),
+                                EtaSchedule(kind="constant", T=1.0))
+        assert read_back(trajectory_from_csv, text) == \
+            read_back(trajectory_from_csv_by_blocks, text)
